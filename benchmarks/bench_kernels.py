@@ -30,8 +30,6 @@ from pyrovigil.classifier import (
     _smo_np,
     kernel_matrix,
 )
-from pyrovigil.codebook import NNIndex, _assign_jit, _assign_np
-from pyrovigil.codebook import _kd_query_batch_jit, _kd_query_batch_np
 from pyrovigil.features import (
     _gauss_weights,
     _hist96_jit,
@@ -103,17 +101,6 @@ def build_cases(rng):
     lo96 = np.zeros(3)
     inv96 = np.full(3, 32 / 255.0)
     cases.append(("global hist binning", _hist96_jit, _hist96_np, (values, lo96, inv96)))
-
-    X = rng.normal(size=(8000, 88))
-    C = rng.normal(size=(500, 88))
-    cases.append(("kmeans assignment step", _assign_jit, _assign_np, (X, C)))
-
-    nn = NNIndex(C)
-    Q = rng.normal(size=(500, 88))
-    kd_args = (nn.points, nn._axes, nn._threshes, nn._lefts, nn._rights,
-               nn._starts, nn._counts, nn._perm, Q, 10)
-    cases.append(("kd-tree 500 queries m=10", _kd_query_batch_jit, _kd_query_batch_np,
-                  kd_args))
 
     Xs = rng.normal(size=(300, 60))
     ys = np.where(Xs[:, 0] > 0, 1.0, -1.0)

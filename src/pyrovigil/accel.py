@@ -1,7 +1,8 @@
 """Kernel dispatch: numba-compiled loops vs. pure-numpy fallbacks.
 
-Every hot inner loop in this package exists twice: a numba ``@njit``
-version and a vectorized numpy version with identical semantics. The
+The hot inner loops of imaging, features, proposal and the classifier
+exist twice: a numba ``@njit`` version and a vectorized numpy version
+with identical semantics. The
 numba path is the default whenever numba imports cleanly; setting the
 environment variable ``PYROVIGIL_NO_NUMBA=1`` (checked once, at import)
 forces the numpy path. ``benchmarks/bench_kernels.py`` times both.

@@ -1,13 +1,13 @@
-"""Visual vocabulary: k-means codebook, exact k-d tree neighbor index,
+"""Visual vocabulary: k-means codebook, exact brute-force neighbor index,
 Gaussian soft assignment, and bag-of-words encoding of descriptor sets.
 
-Neighbor queries are exact; ties in distance are broken toward the lower
-center index in every implementation so the tree, its numpy fallback,
-and the brute-force oracle used in tests agree point for point.
+Neighbor queries are exact: distances are computed with the same
+expression as the linear-scan oracle used in tests, and ties in distance
+are broken toward the lower center index, so the index and the oracle
+agree bit for bit.
 """
 
 import hashlib
-import heapq
 import math
 import struct
 from dataclasses import dataclass, field
@@ -15,8 +15,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import accel
-from .accel import prange
 from .errors import DataError
 
 CODEBOOK_MAGIC = b"PVCB"
@@ -71,31 +69,7 @@ class BlobFeature:
 # k-means
 
 
-@accel.njit(parallel=True)
-def _assign_jit(X, C):
-    n, d = X.shape
-    k = C.shape[0]
-    assign = np.empty(n, dtype=np.int64)
-    best = np.empty(n, dtype=np.float64)
-    for i in prange(n):
-        bd = np.inf
-        bj = 0
-        for j in range(k):
-            s = 0.0
-            for c in range(d):
-                diff = X[i, c] - C[j, c]
-                s += diff * diff
-                if s >= bd:
-                    break
-            if s < bd:
-                bd = s
-                bj = j
-        assign[i] = bj
-        best[i] = bd
-    return assign, best
-
-
-def _assign_np(X, C):
+def _assign_points(X, C):
     n = X.shape[0]
     k = C.shape[0]
     assign = np.empty(n, dtype=np.int64)
@@ -111,11 +85,6 @@ def _assign_np(X, C):
         assign[s:e] = a
         best[s:e] = d2[np.arange(e - s), a]
     return assign, best
-
-
-# BLAS-backed GEMM beats the scalar loop at codebook scale on both paths
-# (see benchmarks/bench_kernels.py); the jit version stays for comparison
-_assign_points = _assign_np
 
 
 def _plusplus_seed(X, k, rng):
@@ -203,215 +172,33 @@ def _dedup_centers(X, C):
 
 
 # ---------------------------------------------------------------------------
-# k-d tree index
-
-
-@accel.njit()
-def _kd_query_one(points, axes, threshes, lefts, rights, starts, counts, perm,
-                  q, m, out_idx, out_d2):
-    dim = points.shape[1]
-    hd = np.empty(m, dtype=np.float64)
-    hi = np.empty(m, dtype=np.int64)
-    size = 0
-    stack_node = np.empty(128, dtype=np.int64)
-    stack_bound = np.empty(128, dtype=np.float64)
-    stack_node[0] = 0
-    stack_bound[0] = 0.0
-    sp = 1
-    while sp > 0:
-        sp -= 1
-        node = stack_node[sp]
-        if size == m and stack_bound[sp] > hd[0]:
-            continue
-        while lefts[node] >= 0:
-            ax = axes[node]
-            gap = q[ax] - threshes[node]
-            if gap < 0.0:
-                near = lefts[node]
-                far = rights[node]
-            else:
-                near = rights[node]
-                far = lefts[node]
-            b2 = gap * gap
-            if size < m or b2 <= hd[0]:
-                stack_node[sp] = far
-                stack_bound[sp] = b2
-                sp += 1
-            node = near
-        for t in range(starts[node], starts[node] + counts[node]):
-            pi = perm[t]
-            d2 = 0.0
-            for c in range(dim):
-                diff = points[pi, c] - q[c]
-                d2 += diff * diff
-            if size < m:
-                hd[size] = d2
-                hi[size] = pi
-                size += 1
-                child = size - 1
-                while child > 0:
-                    par = (child - 1) >> 1
-                    if hd[child] > hd[par] or (
-                        hd[child] == hd[par] and hi[child] > hi[par]
-                    ):
-                        hd[child], hd[par] = hd[par], hd[child]
-                        hi[child], hi[par] = hi[par], hi[child]
-                        child = par
-                    else:
-                        break
-            elif d2 < hd[0] or (d2 == hd[0] and pi < hi[0]):
-                hd[0] = d2
-                hi[0] = pi
-                par = 0
-                while True:
-                    l = 2 * par + 1
-                    r = l + 1
-                    big = par
-                    if l < size and (
-                        hd[l] > hd[big] or (hd[l] == hd[big] and hi[l] > hi[big])
-                    ):
-                        big = l
-                    if r < size and (
-                        hd[r] > hd[big] or (hd[r] == hd[big] and hi[r] > hi[big])
-                    ):
-                        big = r
-                    if big == par:
-                        break
-                    hd[par], hd[big] = hd[big], hd[par]
-                    hi[par], hi[big] = hi[big], hi[par]
-                    par = big
-    # ascending insertion sort by (d2, idx)
-    for a in range(1, size):
-        kd = hd[a]
-        ki = hi[a]
-        b = a - 1
-        while b >= 0 and (hd[b] > kd or (hd[b] == kd and hi[b] > ki)):
-            hd[b + 1] = hd[b]
-            hi[b + 1] = hi[b]
-            b -= 1
-        hd[b + 1] = kd
-        hi[b + 1] = ki
-    for a in range(size):
-        out_idx[a] = hi[a]
-        out_d2[a] = hd[a]
-    return size
-
-
-@accel.njit(parallel=True)
-def _kd_query_batch_jit(points, axes, threshes, lefts, rights, starts, counts,
-                        perm, Q, m):
-    nq = Q.shape[0]
-    out_idx = np.empty((nq, m), dtype=np.int64)
-    out_d2 = np.empty((nq, m), dtype=np.float64)
-    for qi in prange(nq):
-        _kd_query_one(points, axes, threshes, lefts, rights, starts, counts,
-                      perm, Q[qi], m, out_idx[qi], out_d2[qi])
-    return out_idx, out_d2
-
-
-def _kd_query_one_np(points, axes, threshes, lefts, rights, starts, counts,
-                     perm, q, m):
-    heap = []  # (-d2, -idx): root is the worst kept neighbor
-
-    def visit(node):
-        while lefts[node] >= 0:
-            ax = axes[node]
-            gap = q[ax] - threshes[node]
-            near, far = (
-                (lefts[node], rights[node]) if gap < 0 else (rights[node], lefts[node])
-            )
-            visit_far = len(heap) < m or gap * gap <= -heap[0][0]
-            if visit_far:
-                # descend near side first, then the deferred far side
-                visit_deferred.append((far, gap * gap))
-            node = near
-        s, c = starts[node], counts[node]
-        idxs = perm[s : s + c]
-        d2 = ((points[idxs] - q) ** 2).sum(axis=1)
-        for dd, ii in zip(d2, idxs):
-            dd = float(dd)
-            ii = int(ii)
-            if len(heap) < m:
-                heapq.heappush(heap, (-dd, -ii))
-            else:
-                wd, wi = -heap[0][0], -heap[0][1]
-                if dd < wd or (dd == wd and ii < wi):
-                    heapq.heapreplace(heap, (-dd, -ii))
-
-    visit_deferred = [(0, 0.0)]
-    while visit_deferred:
-        node, bound = visit_deferred.pop()
-        if len(heap) == m and bound > -heap[0][0]:
-            continue
-        visit(node)
-
-    ordered = sorted((-d, -i) for d, i in heap)
-    idx = np.array([i for _, i in ordered], dtype=np.int64)
-    d2 = np.array([d for d, _ in ordered], dtype=np.float64)
-    return idx, d2
-
-
-def _kd_query_batch_np(points, axes, threshes, lefts, rights, starts, counts,
-                       perm, Q, m):
-    nq = Q.shape[0]
-    out_idx = np.empty((nq, m), dtype=np.int64)
-    out_d2 = np.empty((nq, m), dtype=np.float64)
-    for qi in range(nq):
-        idx, d2 = _kd_query_one_np(
-            points, axes, threshes, lefts, rights, starts, counts, perm, Q[qi], m
-        )
-        out_idx[qi] = idx
-        out_d2[qi] = d2
-    return out_idx, out_d2
-
-
-_kd_query_batch = accel.pick(_kd_query_batch_jit, _kd_query_batch_np)
+# neighbor index
 
 
 class NNIndex:
-    """Exact m-nearest-neighbor index over codebook centers (k-d tree,
-    median split on the axis of widest spread, read-only once built)."""
+    """Exact m-nearest-neighbor index over codebook centers.
 
-    def __init__(self, points: np.ndarray, leaf_size: int = 16):
+    One matrix product, |q|^2 + |c|^2 - 2 q.c, ranks every center for a
+    whole batch of queries. That expansion is only accurate to a rounding
+    bound, so it serves as a filter: each row keeps every center within
+    the bound of its m-th smallest expanded distance, and the shortlist
+    is rescored as ((c - q) ** 2).sum(), the expression of the
+    linear-scan oracle, then ordered by (distance, lower index).
+    """
+
+    def __init__(self, points: np.ndarray):
         self.points = np.ascontiguousarray(np.asarray(points, dtype=np.float64))
         if self.points.ndim != 2 or self.points.shape[0] == 0:
             raise ValueError("index needs a non-empty (k, dim) point matrix")
-        self.leaf_size = max(1, leaf_size)
-        n = self.points.shape[0]
-        self._perm = np.arange(n, dtype=np.int64)
-        axes, threshes, lefts, rights, starts, counts = [], [], [], [], [], []
-
-        def build(lo, hi):
-            node = len(axes)
-            axes.append(-1)
-            threshes.append(0.0)
-            lefts.append(-1)
-            rights.append(-1)
-            starts.append(lo)
-            counts.append(hi - lo)
-            if hi - lo <= self.leaf_size:
-                return node
-            pts = self.points[self._perm[lo:hi]]
-            spread = pts.max(axis=0) - pts.min(axis=0)
-            axis = int(spread.argmax())
-            if spread[axis] == 0.0:
-                return node  # all points identical: keep as leaf
-            order = np.argsort(pts[:, axis], kind="stable")
-            self._perm[lo:hi] = self._perm[lo:hi][order]
-            mid = (hi - lo) // 2
-            axes[node] = axis
-            threshes[node] = float(self.points[self._perm[lo + mid], axis])
-            lefts[node] = build(lo, lo + mid)
-            rights[node] = build(lo + mid, hi)
-            return node
-
-        build(0, n)
-        self._axes = np.asarray(axes, dtype=np.int64)
-        self._threshes = np.asarray(threshes, dtype=np.float64)
-        self._lefts = np.asarray(lefts, dtype=np.int64)
-        self._rights = np.asarray(rights, dtype=np.int64)
-        self._starts = np.asarray(starts, dtype=np.int64)
-        self._counts = np.asarray(counts, dtype=np.int64)
+        self._sq = (self.points * self.points).sum(axis=1)
+        # With S = |q|^2 + max|c|^2: an expanded distance is within
+        # (2 dim + 3) eps S of the exact one, the oracle's direct sum within
+        # a relative (dim + 2) eps, and the m-th smallest distance is below
+        # 2.1 S. So the oracle's m nearest lie within
+        # 2 (2 dim + 3) eps S + 4.2 (dim + 2) eps S of the m-th smallest
+        # expanded distance; 16 (dim + 4) eps S leaves a factor of two.
+        self._slack = 16.0 * (self.points.shape[1] + 4) * np.finfo(np.float64).eps
+        self._sq_max = float(self._sq.max())
 
     @property
     def size(self) -> int:
@@ -423,14 +210,21 @@ class NNIndex:
         return idx[0], d2[0]
 
     def query_batch(self, Q: np.ndarray, m: int):
+        """m nearest centers of each row of Q: (indices, distances), each
+        (n, m), rows ascending by distance with ties to the lower index."""
         if not 1 <= m <= self.size:
             raise ValueError(f"m must be in [1, {self.size}], got {m}")
         Q = np.ascontiguousarray(np.asarray(Q, dtype=np.float64))
-        idx, d2 = _kd_query_batch(
-            self.points, self._axes, self._threshes, self._lefts, self._rights,
-            self._starts, self._counts, self._perm, Q, m,
-        )
-        return idx, np.sqrt(d2)
+        q2 = (Q * Q).sum(axis=1)
+        approx = q2[:, None] + self._sq - 2.0 * (Q @ self.points.T)
+        kth = np.partition(approx, m - 1, axis=1)[:, m - 1 : m]
+        limit = kth + self._slack * (q2[:, None] + self._sq_max)
+        width = int((approx <= limit).sum(axis=1).max(initial=m))
+        cand = np.argpartition(approx, width - 1, axis=1)[:, :width]
+        d2 = ((self.points[cand] - Q[:, None, :]) ** 2).sum(axis=2)
+        order = np.lexsort((cand, d2), axis=1)[:, :m]
+        idx = np.take_along_axis(cand, order, axis=1)
+        return idx, np.sqrt(np.take_along_axis(d2, order, axis=1))
 
 
 def index(codebook: Codebook) -> NNIndex:

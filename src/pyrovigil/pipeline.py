@@ -179,7 +179,7 @@ class StageStats:
     features_s: float = 0.0
     classify_s: float = 0.0
     temporal_s: float = 0.0
-    total_s: float = 0.0
+    total_s: float = 0.0  # run time, without the time suspended at a yield
 
     @property
     def fps(self) -> float:
@@ -242,9 +242,11 @@ class DetectionPipeline:
         if mask_dir:
             mask_dir.mkdir(parents=True, exist_ok=True)
         t_run = time.perf_counter()
+        paused = 0.0
         try:
             for pos, frame in enumerate(frames):
                 if engine is None:
+                    size = (frame.width, frame.height)
                     engine = ProposalEngine(
                         ProposalConfig(
                             cfg.camera, cfg.ladder, cfg.min_blob_area, cfg.rho,
@@ -252,6 +254,11 @@ class DetectionPipeline:
                         ),
                         frame.width,
                         frame.height,
+                    )
+                elif (frame.width, frame.height) != size:
+                    raise DataError(
+                        f"frame {frame.index} is {frame.width}x{frame.height}, "
+                        f"but the stream started at {size[0]}x{size[1]}"
                     )
                 t0 = time.perf_counter()
                 blobs, cand = engine.propose(frame)
@@ -306,12 +313,16 @@ class DetectionPipeline:
                             )
                     for tr in confirmed:
                         stats.alarms += 1
-                        yield AlarmEvent(
-                            video_id, frame.index, tr.track_id, tr.bbox,
-                            tr.last_margin,
-                        )
+                        t0 = time.perf_counter()
+                        try:
+                            yield AlarmEvent(
+                                video_id, frame.index, tr.track_id, tr.bbox,
+                                tr.last_margin,
+                            )
+                        finally:
+                            paused += time.perf_counter() - t0
         finally:
-            stats.total_s = time.perf_counter() - t_run
+            stats.total_s = time.perf_counter() - t_run - paused
             if track_log:
                 track_log.close()
 

@@ -33,7 +33,7 @@ def _integral_check(rng):
     return True
 
 
-def _kdtree_check(rng):
+def _nn_index_check(rng):
     pts = rng.normal(size=(200, 16))
     idx = cb.NNIndex(pts)
     for _ in range(30):
@@ -50,7 +50,7 @@ def run_selftest(quick: bool = False) -> int:
     rng = np.random.default_rng(1234)
     ok = True
     ok &= _check("integral image vs brute-force sums", _integral_check(rng))
-    ok &= _check("k-d tree vs linear scan", _kdtree_check(rng))
+    ok &= _check("NN index vs linear scan", _nn_index_check(rng))
 
     n_patch = 20 if quick else 60
     frames = 180 if quick else 260

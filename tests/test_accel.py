@@ -72,33 +72,6 @@ def test_hist96_paths_agree(rng):
     assert np.array_equal(_hist96_jit(values, lo, inv), _hist96_np(values, lo, inv))
 
 
-def test_kmeans_assign_paths_agree(rng):
-    from pyrovigil.codebook import _assign_jit, _assign_np
-
-    # integer-valued points make squared distances exactly representable,
-    # so the GEMM trick and the direct loop agree bit for bit
-    X = rng.integers(-40, 40, (300, 12)).astype(float)
-    C = rng.integers(-40, 40, (20, 12)).astype(float)
-    aj, bj = _assign_jit(X, C)
-    an, bn = _assign_np(X, C)
-    assert np.array_equal(aj, an)
-    assert np.allclose(bj, bn, atol=1e-9)
-
-
-def test_kd_query_paths_agree(rng):
-    from pyrovigil.codebook import NNIndex, _kd_query_batch_jit, _kd_query_batch_np
-
-    pts = rng.normal(size=(256, 24))
-    idx = NNIndex(pts, leaf_size=8)
-    Q = rng.normal(size=(60, 24))
-    args = (idx.points, idx._axes, idx._threshes, idx._lefts, idx._rights,
-            idx._starts, idx._counts, idx._perm)
-    ij, dj = _kd_query_batch_jit(*args, Q, 7)
-    inp, dn = _kd_query_batch_np(*args, Q, 7)
-    assert np.array_equal(ij, inp)
-    assert np.allclose(dj, dn, rtol=1e-12, atol=1e-12)
-
-
 def test_smo_paths_agree(rng):
     from pyrovigil.classifier import Kernel, KernelKind, _smo_jit, _smo_np, kernel_matrix
 

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from pyrovigil.cli import main
 from pyrovigil.frameio import write_ppm
@@ -97,6 +98,22 @@ def test_set_overrides_config(tmp_path, capsys):
     code = main(["detect", "--config", str(cfg), "--frames", str(frames_dir),
                  "--set", "decision_stride=2", "--set", "camera=moving"])
     assert code == 0
+
+
+@pytest.mark.parametrize("camera", ["static", "moving"])
+def test_detect_frame_size_change_is_data_error(tmp_path, capsys, synth_artifacts, camera):
+    frames_dir = tmp_path / "frames"
+    frames_dir.mkdir()
+    write_ppm(frames_dir / "000000.ppm", np.zeros((60, 80, 3), np.uint8))
+    write_ppm(frames_dir / "000001.ppm", np.zeros((40, 80, 3), np.uint8))
+    cfg = tmp_path / "pipe.cfg"
+    cfg.write_text(
+        f"codebook={synth_artifacts['codebook_path']}\n"
+        f"model={synth_artifacts['model_path']}\ncamera={camera}\n"
+    )
+    code = main(["detect", "--config", str(cfg), "--frames", str(frames_dir)])
+    assert code == 3
+    assert "data error: frame 1 is 80x40" in capsys.readouterr().err
 
 
 def test_bad_scales_flag_is_config_error(tmp_path, capsys):

@@ -27,7 +27,7 @@ def brute_force_nn(points, q, m):
 
 
 def encode_oracle(descriptors, centers, m, sigma):
-    """Eq-by-eq accumulation without the k-d tree: linear-scan neighbors,
+    """Eq-by-eq accumulation without the index: linear-scan neighbors,
     scalar kernel evaluations, plain Python sums."""
     hist = np.zeros(centers.shape[0])
     for d in descriptors:
@@ -135,14 +135,14 @@ class TestNNIndex:
             got, dist = idx.query(q, 10)
             want, wdist = brute_force_nn(pts, q, 10)
             assert np.array_equal(got, want)
-            assert np.allclose(dist, wdist, rtol=1e-9, atol=1e-12)
+            assert np.array_equal(dist, wdist)
 
     def test_tie_break_low_index(self):
         # integer coordinates make distances exactly representable
         pts = np.array(
             [[2.0, 0.0], [0.0, 2.0], [-2.0, 0.0], [0.0, -2.0], [5.0, 5.0]]
         )
-        idx = NNIndex(pts, leaf_size=1)
+        idx = NNIndex(pts)
         got, dist = idx.query(np.array([0.0, 0.0]), 3)
         assert got.tolist() == [0, 1, 2]
         assert np.allclose(dist, 2.0)
@@ -163,6 +163,8 @@ class TestNNIndex:
             si, sd = idx.query(q, 4)
             assert np.array_equal(bi[row], si)
             assert np.array_equal(bd[row], sd)
+        ei, ed = idx.query_batch(np.zeros((0, 12)), 4)
+        assert ei.shape == ed.shape == (0, 4)
 
     def test_stress_exactness_on_structured_data(self, rng):
         # tie-heavy layouts: integer lattices and tight clusters, queried
@@ -176,7 +178,7 @@ class TestNNIndex:
         )
         line = np.column_stack([np.arange(50.0), np.zeros(50), np.zeros(50)])
         for pts in (lattice, clusters, line):
-            idx = NNIndex(pts, leaf_size=4)
+            idx = NNIndex(pts)
             n = pts.shape[0]
             queries = [
                 pts[int(rng.integers(n))],  # exactly on a point
@@ -189,11 +191,37 @@ class TestNNIndex:
                     got_i, got_d = idx.query(q, m)
                     want_i, want_d = brute_force_nn(pts, q, m)
                     assert np.array_equal(got_i, want_i)
-                    assert np.allclose(got_d, want_d, rtol=1e-12, atol=1e-12)
+                    assert np.array_equal(got_d, want_d)
+
+    @pytest.mark.parametrize("offset", [1e4, 1e6])
+    def test_exact_under_cancellation(self, rng, offset):
+        # a large common offset makes |q|^2 + |c|^2 - 2 q.c cancel almost
+        # every digit; the result must still equal the linear scan, also
+        # for queries sitting exactly on a center
+        pts = offset + 1e-3 * rng.normal(size=(200, 16))
+        Q = offset + 1e-3 * rng.normal(size=(60, 16))
+        Q[::3] = pts[rng.integers(200, size=20)]
+        idx = NNIndex(pts)
+        got_i, got_d = idx.query_batch(Q, 7)
+        for row, q in enumerate(Q):
+            want_i, want_d = brute_force_nn(pts, q, 7)
+            assert np.array_equal(got_i[row], want_i)
+            assert np.array_equal(got_d[row], want_d)
+        assert np.all(got_d[::3, 0] == 0.0)
+
+    def test_codebook_scale_batch(self, rng):
+        pts = rng.normal(size=(500, 88))
+        Q = rng.normal(size=(320, 88))
+        got_i, got_d = NNIndex(pts).query_batch(Q, 10)
+        assert got_i.shape == got_d.shape == (320, 10)
+        for row, q in enumerate(Q):
+            want_i, want_d = brute_force_nn(pts, q, 10)
+            assert np.array_equal(got_i[row], want_i)
+            assert np.array_equal(got_d[row], want_d)
 
     def test_duplicate_points_tolerated(self):
         pts = np.tile(np.array([[1.0, 1.0]]), (40, 1))
-        idx = NNIndex(pts, leaf_size=4)
+        idx = NNIndex(pts)
         got, dist = idx.query(np.array([1.0, 1.0]), 3)
         assert got.tolist() == [0, 1, 2]
         assert np.allclose(dist, 0.0)
@@ -210,7 +238,7 @@ class TestSoftAssign:
         pts = np.array(
             [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [9.0, 9.0]]
         )
-        idx = NNIndex(pts, leaf_size=1)
+        idx = NNIndex(pts)
         _, w = soft_assign(np.zeros(2), idx, EncoderParams(m=4, sigma=1.0))
         assert np.allclose(w, 0.25)
 
@@ -219,7 +247,7 @@ class TestSoftAssign:
         # normalized; the 1/sqrt(2 pi sigma) prefactor cancels
         sigma = 1.7
         pts = np.array([[sigma, 0.0], [-2.0 * sigma, 0.0], [50.0, 50.0]])
-        idx = NNIndex(pts, leaf_size=1)
+        idx = NNIndex(pts)
         _, w = soft_assign(np.zeros(2), idx, EncoderParams(m=2, sigma=sigma))
         e1, e2 = math.exp(-0.5), math.exp(-2.0)
         assert abs(w[0] - e1 / (e1 + e2)) <= 1e-12
@@ -228,7 +256,7 @@ class TestSoftAssign:
 
     def test_underflow_falls_back_to_nearest(self):
         pts = np.array([[1000.0, 0.0], [2000.0, 0.0], [3000.0, 0.0]])
-        idx = NNIndex(pts, leaf_size=1)
+        idx = NNIndex(pts)
         _, w = soft_assign(np.zeros(2), idx, EncoderParams(m=2, sigma=1e-3))
         assert w.tolist() == [1.0, 0.0]
 
@@ -262,7 +290,7 @@ class TestEncode:
 
     def test_matches_linear_scan_oracle(self, rng):
         centers = rng.normal(size=(10, 7))
-        idx = NNIndex(centers, leaf_size=2)
+        idx = NNIndex(centers)
         D = rng.normal(size=(5, 7))
         sigma = 0.9
         got = raw_bow_histogram(D, idx, EncoderParams(m=3, sigma=sigma))

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -236,6 +238,42 @@ class TestCascade:
         ).validate()
         with pytest.raises(DataError, match="pairing"):
             DetectionPipeline(config)
+
+    @pytest.mark.parametrize("camera", ["static", "moving"])
+    def test_frame_size_change_is_data_error(self, synth_artifacts, camera):
+        config = PipelineConfig(
+            codebook_path=str(synth_artifacts["codebook_path"]),
+            model_path=str(synth_artifacts["model_path"]),
+            camera=camera,
+        ).validate()
+        pipeline = DetectionPipeline(config)
+        frames = [
+            Frame(np.zeros((60, 80, 3)), ColorSpace.RGB, index=0),
+            Frame(np.zeros((60, 80, 3)), ColorSpace.RGB, index=1),
+            Frame(np.zeros((40, 80, 3)), ColorSpace.RGB, index=2),
+        ]
+        with pytest.raises(DataError, match="frame 2 is 80x40"):
+            list(pipeline.run(frames))
+
+    def test_total_time_excludes_consumer_pauses(self, synth_artifacts):
+        # the flame burns from frame 0 and is confirmed at frame 24
+        spec = SceneSpec(seed=5, flame_onset=0, with_car=False, with_lamp=False)
+        config = PipelineConfig(
+            codebook_path=str(synth_artifacts["codebook_path"]),
+            model_path=str(synth_artifacts["model_path"]),
+            camera="moving",
+            decision_stride=1,
+        ).validate()
+        pipeline = DetectionPipeline(config)
+        pause = 0.5
+        alarms = 0
+        t0 = time.perf_counter()
+        for _ in pipeline.run(SyntheticScene(spec).frames(30)):
+            alarms += 1
+            time.sleep(pause)
+        wall = time.perf_counter() - t0
+        assert alarms >= 1
+        assert 0.0 < pipeline.stats.total_s <= wall - alarms * pause
 
     def test_mask_dump(self, synth_artifacts, tmp_path):
         config = PipelineConfig(
