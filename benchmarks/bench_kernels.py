@@ -53,8 +53,6 @@ from pyrovigil.imaging import (
 from pyrovigil.proposal import (
     _bg_update_jit,
     _bg_update_np,
-    _label_jit,
-    _label_np,
     _open3_jit,
     _open3_np,
 )
@@ -124,7 +122,6 @@ def build_cases(rng):
 
     mask = np.ascontiguousarray(rng.random((H, W)) > 0.6)
     cases.append(("morphological open 3x3", _open3_jit, _open3_np, (mask,)))
-    cases.append(("connected components", _label_jit, _label_np, (mask,)))
     return cases
 
 

@@ -245,6 +245,10 @@ class DetectionPipeline:
         paused = 0.0
         try:
             for pos, frame in enumerate(frames):
+                if frame.space is not ColorSpace.RGB:
+                    raise DataError(
+                        f"frame {frame.index} is {frame.space.value}, not RGB"
+                    )
                 if engine is None:
                     size = (frame.width, frame.height)
                     engine = ProposalEngine(
@@ -260,6 +264,9 @@ class DetectionPipeline:
                         f"frame {frame.index} is {frame.width}x{frame.height}, "
                         f"but the stream started at {size[0]}x{size[1]}"
                     )
+                elif frame.index <= last_index:
+                    raise DataError(f"frame {frame.index} follows frame {last_index}")
+                last_index = frame.index
                 t0 = time.perf_counter()
                 blobs, cand = engine.propose(frame)
                 stats.proposal_s += time.perf_counter() - t0

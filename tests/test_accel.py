@@ -116,16 +116,6 @@ def test_morphology_paths_agree(rng):
     assert np.array_equal(_open3_jit(mask), _open3_np(mask))
 
 
-def test_labeling_paths_agree(rng):
-    from pyrovigil.proposal import _label_jit, _label_np
-
-    mask = np.ascontiguousarray(rng.random((40, 50)) > 0.6)
-    lj, cj = _label_jit(mask)
-    ln, cn = _label_np(mask)
-    assert cj == cn
-    assert np.array_equal(lj, ln)
-
-
 def test_env_flag_selects_numpy_path():
     code = (
         "from pyrovigil import accel; "

@@ -255,6 +255,31 @@ class TestCascade:
         with pytest.raises(DataError, match="frame 2 is 80x40"):
             list(pipeline.run(frames))
 
+    def test_gray_frame_is_data_error(self, synth_artifacts):
+        # a bright square reaches the classifier stage on the first frame
+        config = PipelineConfig(
+            codebook_path=str(synth_artifacts["codebook_path"]),
+            model_path=str(synth_artifacts["model_path"]),
+            camera="moving",
+        ).validate()
+        px = np.full((60, 80), 40.0)
+        px[20:40, 30:50] = 250.0
+        frames = [Frame(px, ColorSpace.GRAY, index=0)]
+        with pytest.raises(DataError, match="frame 0 is gray"):
+            list(DetectionPipeline(config).run(frames))
+
+    @pytest.mark.parametrize("indices", [(0, 1, 1), (0, 5, 3)])
+    def test_non_increasing_index_is_data_error(self, synth_artifacts, indices):
+        config = PipelineConfig(
+            codebook_path=str(synth_artifacts["codebook_path"]),
+            model_path=str(synth_artifacts["model_path"]),
+        ).validate()
+        frames = [
+            Frame(np.zeros((60, 80, 3)), ColorSpace.RGB, index=i) for i in indices
+        ]
+        with pytest.raises(DataError, match=f"frame {indices[2]} follows frame {indices[1]}"):
+            list(DetectionPipeline(config).run(frames))
+
     def test_total_time_excludes_consumer_pauses(self, synth_artifacts):
         # the flame burns from frame 0 and is confirmed at frame 24
         spec = SceneSpec(seed=5, flame_onset=0, with_car=False, with_lamp=False)

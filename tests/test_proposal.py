@@ -15,6 +15,61 @@ from pyrovigil.proposal import (
     propose,
     propose_with_mask,
 )
+from pyrovigil.synth import SceneSpec, SyntheticScene
+
+
+def _flood_fill_labels(mask):
+    """Reference labeller: per-pixel 8-connected flood fill, components
+    numbered in the raster order of their first pixel."""
+    h, w = mask.shape
+    labels = np.zeros((h, w), dtype=np.int32)
+    count = 0
+    for sy, sx in zip(*np.nonzero(mask)):
+        if labels[sy, sx] != 0:
+            continue
+        count += 1
+        stack = [(int(sy), int(sx))]
+        labels[sy, sx] = count
+        while stack:
+            y, x = stack.pop()
+            for ny in range(max(0, y - 1), min(h, y + 2)):
+                for nx in range(max(0, x - 1), min(w, x + 2)):
+                    if mask[ny, nx] and labels[ny, nx] == 0:
+                        labels[ny, nx] = count
+                        stack.append((ny, nx))
+    return labels, count
+
+
+def _assert_matches_flood_fill(mask):
+    labels, count = label_components(mask)
+    want_labels, want_count = _flood_fill_labels(mask)
+    assert labels.dtype == np.int32 and labels.shape == mask.shape
+    assert count == want_count
+    assert np.array_equal(labels, want_labels)
+
+
+def _serpentine(h, w):
+    # columns joined alternately at the top and the bottom row
+    mask = np.zeros((h, w), dtype=bool)
+    mask[:, ::2] = True
+    mask[0, 1::4] = True
+    mask[-1, 3::4] = True
+    return mask
+
+
+def _spiral(n):
+    # one clockwise path inwards, arms one pixel apart
+    mask = np.zeros((n, n), dtype=bool)
+    y, x, dy, dx = 0, 0, 0, 1
+    mask[y, x] = True
+    for length in (n - 1 - 2 * (i // 2) for i in range(1, n)):
+        if length <= 0:
+            break
+        for _ in range(length):
+            y, x = y + dy, x + dx
+            mask[y, x] = True
+        dy, dx = dx, -dy
+    return mask
 
 
 class TestBackgroundModel:
@@ -155,6 +210,80 @@ class TestLabeling:
         for b in blobs:
             cover += b.full_mask(40, 40)
         assert cover.max() <= 1
+
+
+class TestLabelingOracle:
+    def test_random_masks(self, rng):
+        for _ in range(300):
+            h, w = rng.integers(1, 61, 2)
+            _assert_matches_flood_fill(rng.random((h, w)) < rng.uniform(0.1, 0.9))
+
+    @pytest.mark.parametrize("density", [0.2, 0.45, 0.6, 0.8])
+    def test_large_random_masks(self, rng, density):
+        _assert_matches_flood_fill(rng.random((90, 120)) < density)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 17), (17, 1), (3, 64), (64, 3)])
+    def test_thin_masks(self, rng, shape):
+        for density in (0.3, 0.7):
+            _assert_matches_flood_fill(rng.random(shape) < density)
+
+    @pytest.mark.parametrize("shape", [(1, 9), (9, 1), (12, 15)])
+    def test_all_true_and_all_false(self, shape):
+        _assert_matches_flood_fill(np.ones(shape, dtype=bool))
+        _assert_matches_flood_fill(np.zeros(shape, dtype=bool))
+        assert label_components(np.ones(shape, dtype=bool))[1] == 1
+        assert label_components(np.zeros(shape, dtype=bool))[1] == 0
+
+    def test_frame_border_blobs(self):
+        mask = np.zeros((20, 30), dtype=bool)
+        mask[0, :] = True  # top row
+        mask[5:15, 0] = True  # left column, apart from the top row
+        mask[-3:, -3:] = True  # bottom-right corner
+        mask[-1, 10:20] = True  # bottom row
+        mask[8:12, -1] = True  # right column
+        mask[-1, 0] = True  # bottom-left pixel
+        _assert_matches_flood_fill(mask)
+        assert label_components(mask)[1] == 6
+
+    @pytest.mark.parametrize("shape", [(31, 40), (40, 31), (7, 64)])
+    def test_serpentine(self, shape):
+        mask = _serpentine(*shape)
+        _assert_matches_flood_fill(mask)
+        _assert_matches_flood_fill(np.ascontiguousarray(mask.T))
+        assert label_components(mask)[1] == 1
+
+    @pytest.mark.parametrize("n", [5, 16, 33])
+    def test_spiral(self, n):
+        mask = _spiral(n)
+        _assert_matches_flood_fill(mask)
+        _assert_matches_flood_fill(np.ascontiguousarray(mask[:, ::-1]))
+        assert label_components(mask)[1] == 1
+
+    def test_diagonal_chains(self):
+        eye = np.eye(12, 15, dtype=bool)
+        _assert_matches_flood_fill(eye)
+        _assert_matches_flood_fill(np.ascontiguousarray(eye[:, ::-1]))
+        # a V and a W: arms that start apart and meet further down
+        v = np.eye(10, 20, dtype=bool) | np.eye(10, 20, dtype=bool)[:, ::-1]
+        w = np.zeros((10, 40), dtype=bool)
+        w[:, :20] = v
+        w[:, 19:39] |= v
+        _assert_matches_flood_fill(v)
+        _assert_matches_flood_fill(w)
+        assert label_components(v)[1] == 1 and label_components(w)[1] == 1
+        # parallel anti-diagonals two columns apart stay separate
+        hatch = np.zeros((12, 30), dtype=bool)
+        for x0 in range(12, 30, 2):
+            for y in range(12):
+                hatch[y, x0 - y] = True
+        _assert_matches_flood_fill(hatch)
+
+    @pytest.mark.parametrize("t", [0, 130])
+    def test_opened_mask_of_synth_frame(self, t):
+        frame = SyntheticScene(SceneSpec(seed=7, flame_onset=100)).frame(t)
+        _, cand = propose_with_mask(frame, None, ProposalConfig(camera="moving"))
+        assert cand.mask.shape == (240, 320) and cand.mask.any()
+        _assert_matches_flood_fill(cand.mask)
 
 
 class TestExtractBlobs:
