@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Benchmark the numba kernels against their pure-numpy fallbacks.
+"""Time the numpy kernels and, when numba is active, their numba twins.
 
-Workloads are sized to a 320x240 detection frame. Run with numba
-installed (the default path); each kernel is warmed once before timing
-so JIT compilation is not counted.
+Workloads are sized to a 320x240 detection frame; the LAB conversion is
+also timed on a 60x60 blob window. Each kernel is warmed once before
+timing, so JIT compilation is not counted. Without numba (or with
+PYROVIGIL_NO_NUMBA=1) only the numpy column is filled.
 
     python benchmarks/bench_kernels.py [--repeats 20]
 """
@@ -14,13 +15,6 @@ import time
 import numpy as np
 
 from pyrovigil import accel
-
-if not accel.NUMBA_ACTIVE:
-    raise SystemExit(
-        "numba path is disabled (PYROVIGIL_NO_NUMBA set or numba missing); "
-        "nothing to compare"
-    )
-
 from pyrovigil.classifier import (
     Kernel,
     KernelKind,
@@ -64,7 +58,9 @@ def build_cases(rng):
     cases = []
 
     rgb = rng.integers(0, 256, (H, W, 3)).astype(float)
-    cases.append(("rgb_to_lab (320x240)", _rgb_to_lab_jit, _rgb_to_lab_np, (rgb,)))
+    cases.append(("rgb_to_lab (320x240 frame)", _rgb_to_lab_jit, _rgb_to_lab_np, (rgb,)))
+    window = np.ascontiguousarray(rgb[90:150, 130:190])
+    cases.append(("rgb_to_lab (60x60 window)", _rgb_to_lab_jit, _rgb_to_lab_np, (window,)))
 
     ch = rng.integers(0, 256, (1, H, W)).astype(float)
     cases.append(("integral image", _integral_jit, _integral_np, (ch,)))
@@ -146,6 +142,10 @@ def main():
     print("-" * (name_w + 34))
     for name, jit_fn, np_fn, fargs in cases:
         t_np = bench(np_fn, fargs, args.repeats) * 1e3
+        if not accel.NUMBA_ACTIVE:
+            # the "twin" is then the plain-Python loop: not worth timing
+            print(f"{name:<{name_w}}  {t_np:>10.3f}  {'-':>10}  {'-':>8}")
+            continue
         t_jit = bench(jit_fn, fargs, args.repeats) * 1e3
         print(f"{name:<{name_w}}  {t_np:>10.3f}  {t_jit:>10.3f}  {t_np / t_jit:>7.1f}x")
 

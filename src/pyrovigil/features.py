@@ -316,33 +316,42 @@ def surf_descriptor(ii: IntegralImage, center, scale: int) -> np.ndarray:
 
 def local_color_histogram(frame: Frame, center, scale: int) -> np.ndarray:
     """24-bin LAB histogram (8 per channel) over one kernel scope, clipped
-    to the frame; each channel block L1-normalized."""
-    lab = _lab_pixels(frame)
+    to the frame; each channel block L1-normalized. Only the scope's
+    pixels are converted to LAB."""
     cx, cy = center
-    half = scale // 2
+    x0, y0 = window_origin(cx, cy, scale)
     if (
-        cx - half + scale <= 0
-        or cy - half + scale <= 0
-        or cx - half >= frame.width
-        or cy - half >= frame.height
+        x0 + scale <= 0
+        or y0 + scale <= 0
+        or x0 >= frame.width
+        or y0 >= frame.height
     ):
         raise ValueError(f"kernel scope at ({cx}, {cy}) misses the frame entirely")
+    wx0, wy0 = max(0, x0), max(0, y0)
+    lab = _lab_window(
+        frame, wx0, wy0, min(frame.width, x0 + scale), min(frame.height, y0 + scale)
+    )
     lo, inv = _lab_bin_params()
     return _local_hist_batch(
         lab,
-        np.array([cx], dtype=np.int64),
-        np.array([cy], dtype=np.int64),
+        np.array([cx - wx0], dtype=np.int64),
+        np.array([cy - wy0], dtype=np.int64),
         scale,
         lo,
         inv,
     )[0]
 
 
-def _lab_pixels(frame: Frame) -> np.ndarray:
+def _lab_window(frame: Frame, x0: int, y0: int, x1: int, y1: int) -> np.ndarray:
+    """LAB pixels of the frame rectangle [x0, x1) x [y0, y1); an RGB frame
+    has only those pixels converted, which gives the bits of the
+    full-frame conversion's slice."""
+    pixels = frame.pixels[y0:y1, x0:x1]
     if frame.space is ColorSpace.LAB:
-        return frame.pixels
+        return pixels
     if frame.space is ColorSpace.RGB:
-        return convert(frame, ColorSpace.LAB).pixels
+        crop = Frame(pixels, ColorSpace.RGB, frame.index)
+        return convert(crop, ColorSpace.LAB).pixels
     raise ValueError(f"cannot derive LAB pixels from {frame.space.value} frame")
 
 
@@ -420,14 +429,41 @@ def global_histogram(
 
 
 class SampleContext:
-    """Per-frame precomputation shared by all descriptor extractions."""
+    """Per-frame precomputation shared by all descriptor extractions.
 
-    def __init__(self, frame: Frame):
+    The gray integral image covers the whole frame: SURF box sums over
+    non-integer luma taken from a cropped cumulative sum would not give
+    the same bits. LAB is converted per window (`lab`), because a region's
+    descriptors and histogram read only the pixels around it.
+    """
+
+    def __init__(self, frame: Frame, *, _gray: Optional[np.ndarray] = None):
+        # _gray: the frame's luma, when the caller has already computed it
         if frame.space is not ColorSpace.RGB:
             raise ValueError(f"sampling expects an RGB frame, got {frame.space.value}")
         self.frame = frame
-        self.gray_ii = integral(convert(frame, ColorSpace.GRAY))
-        self.lab = convert(frame, ColorSpace.LAB).pixels
+        gray = (
+            convert(frame, ColorSpace.GRAY)
+            if _gray is None
+            else Frame(_gray, ColorSpace.GRAY, frame.index)
+        )
+        self.gray_ii = integral(gray)
+        self._window = (0, 0, 0, 0)
+        self._lab = np.zeros((0, 0, 3))
+
+    def lab(self, x0: int, y0: int, x1: int, y1: int) -> np.ndarray:
+        """LAB pixels of the frame rectangle [x0, x1) x [y0, y1).
+
+        A rectangle inside the last window converted is sliced from it,
+        so a blob's global histogram reuses the window its descriptors
+        converted; any other rectangle is converted as a new window.
+        """
+        wx0, wy0, wx1, wy1 = self._window
+        if not (wx0 <= x0 and wy0 <= y0 and x1 <= wx1 and y1 <= wy1):
+            self._lab = _lab_window(self.frame, x0, y0, x1, y1)
+            self._window = (x0, y0, x1, y1)
+            wx0, wy0 = x0, y0
+        return self._lab[y0 - wy0 : y1 - wy0, x0 - wx0 : x1 - wx0]
 
 
 def _dense_centers(width, height, scale, interval, anchor):
@@ -461,9 +497,14 @@ def sample(
 
     DENSE mode walks the anchor-aligned grid at `plan.interval` for every
     scale, keeping positions whose kernel (window + Haar margin) fits the
-    frame. A mask restricts to masked-in centers; a mask that excludes
-    everything yields an empty list, while a frame too small for any
-    kernel raises.
+    frame. A mask is the boolean image of a region whose top-left pixel is
+    `anchor` (a blob's local mask at its bbox origin); it restricts the
+    centers to its true pixels. A mask that excludes everything yields an
+    empty list, while a frame too small for any kernel raises.
+
+    LAB is converted only over the region (the whole frame without a
+    mask) grown on each side by the largest kernel's extent and clipped to
+    the frame: the window every local color histogram reads from.
     """
     if ctx is None:
         ctx = SampleContext(frame)
@@ -493,10 +534,23 @@ def sample(
     if sum(cxs.shape[0] for _, cxs, _ in placements) == 0:
         raise ValueError("no valid sample positions")
 
+    if mask is None:
+        rx, ry, rw, rh = 0, 0, frame.width, frame.height
+    else:
+        mask = np.asarray(mask, dtype=bool)
+        (rx, ry), (rh, rw) = anchor, mask.shape
+    largest = max(s for s, _, _ in placements)
+    x0 = max(0, rx - largest // 2)
+    y0 = max(0, ry - largest // 2)
+    x1 = min(frame.width, rx + rw + largest - 1 - largest // 2)
+    y1 = min(frame.height, ry + rh + largest - 1 - largest // 2)
+
     descriptors = []
     for scale, cxs, cys in placements:
         if mask is not None:
-            keep = np.asarray(mask, dtype=bool)[cys, cxs]
+            inside = (cxs >= rx) & (cxs < rx + rw) & (cys >= ry) & (cys < ry + rh)
+            cxs, cys = cxs[inside], cys[inside]
+            keep = mask[cys - ry, cxs - rx]
             cxs, cys = cxs[keep], cys[keep]
         if cxs.shape[0] == 0:
             continue
@@ -509,7 +563,8 @@ def sample(
             _subregion_lut(scale),
             _gauss_weights(scale),
         )
-        colors = _local_hist_batch(ctx.lab, cxs, cys, scale, lo, inv)
+        lab = ctx.lab(x0, y0, x1, y1)
+        colors = _local_hist_batch(lab, cxs - x0, cys - y0, scale, lo, inv)
         for j in range(cxs.shape[0]):
             descriptors.append(
                 LocalDescriptor(

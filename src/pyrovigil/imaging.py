@@ -104,8 +104,13 @@ def _lab_f(t):
 
 
 def _rgb_to_lab_np(px):
+    # One (w, 3) @ (3, 3) BLAS product per row, small enough to stay on one
+    # thread. Each takes the matrix kernel, so a crop converts to the bits
+    # of the full-frame slice; a 1-pixel-wide image would take the vector
+    # kernel, which rounds differently, so its column is doubled.
     lin = _srgb_channel_to_linear(px)
-    xyz = lin @ _SRGB_TO_XYZ.T
+    wide = lin if lin.shape[1] > 1 else np.concatenate([lin, lin], axis=1)
+    xyz = (wide @ _SRGB_TO_XYZ.T)[:, : lin.shape[1]]
     fx = _lab_f(xyz[:, :, 0] / _D65[0])
     fy = _lab_f(xyz[:, :, 1] / _D65[1])
     fz = _lab_f(xyz[:, :, 2] / _D65[2])

@@ -279,14 +279,13 @@ class DetectionPipeline:
                     fire_blobs, margins = [], []
                     if blobs:
                         t0 = time.perf_counter()
-                        ctx = SampleContext(frame)
+                        ctx = SampleContext(frame, _gray=engine.gray)
                         stats.features_s += time.perf_counter() - t0
                     for blob in blobs:
                         t0 = time.perf_counter()
-                        mask = blob.full_mask(frame.height, frame.width)
                         try:
                             descs = sample(
-                                frame, self.plan, mask=mask,
+                                frame, self.plan, mask=blob.mask,
                                 anchor=(blob.x, blob.y), ctx=ctx,
                             )
                         except ValueError:
@@ -295,7 +294,10 @@ class DetectionPipeline:
                         if not descs:
                             continue
                         t0 = time.perf_counter()
-                        ghist = histogram_from_pixels(ctx.lab, ColorSpace.LAB, mask)
+                        x, y, w, h = blob.bbox
+                        ghist = histogram_from_pixels(
+                            ctx.lab(x, y, x + w, y + h), ColorSpace.LAB, blob.mask
+                        )
                         feat = cb.encode(
                             descs, self.index, self.params, ghist.bins,
                             self.fingerprint,
@@ -401,21 +403,16 @@ def encode_patches(
     fingerprint = book.fingerprint()
     for frame in _iter_patch_frames(patch_dir):
         try:
-            descs = sample(frame, plan)
+            ctx = SampleContext(frame)
+            descs = sample(frame, plan, ctx=ctx)
             ghist = histogram_from_pixels(
-                _lab_of(frame), ColorSpace.LAB, None
+                ctx.lab(0, 0, frame.width, frame.height), ColorSpace.LAB, None
             )
             feat = cb.encode(descs, nn_index, params, ghist.bins, fingerprint)
             feats.append(feat.combined)
         except ValueError as e:
             failures.append((frame.index, str(e)))
     return feats, failures
-
-
-def _lab_of(frame: Frame):
-    from .imaging import convert
-
-    return convert(frame, ColorSpace.LAB).pixels
 
 
 @dataclass

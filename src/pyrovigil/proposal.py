@@ -386,7 +386,10 @@ def _propose_gray(frame, gray, model, config, mean_intensity):
 
 class ProposalEngine:
     """Stateful stage-1 wrapper: owns the background model (static camera)
-    and the rolling brightness statistics for threshold selection."""
+    and the rolling brightness statistics for threshold selection.
+
+    `gray` holds the luma of the last frame proposed, so that later stages
+    of the same frame need not compute it again."""
 
     def __init__(self, config: ProposalConfig, width: int, height: int):
         self.config = config
@@ -400,9 +403,10 @@ class ProposalEngine:
             else None
         )
         self._recent_means: List[float] = []
+        self.gray: Optional[np.ndarray] = None
 
     def propose(self, frame: Frame):
-        gray = _intensity(frame)
+        self.gray = gray = _intensity(frame)
         self._recent_means.append(float(gray.mean()))
         if len(self._recent_means) > self.config.stats_window:
             self._recent_means.pop(0)

@@ -4,18 +4,28 @@ import numpy as np
 import pytest
 
 from pyrovigil.features import (
+    SampleContext,
     SamplingMode,
     SamplingPlan,
+    _dense_centers,
+    _gauss_weights,
+    _lab_bin_params,
+    _local_hist_batch,
+    _subregion_lut,
+    _surf_batch,
     dump_descriptors,
     fast_hessian,
     global_histogram,
     haar_margin,
+    histogram_from_pixels,
     kernel_fits,
     local_color_histogram,
     sample,
     surf_descriptor,
 )
-from pyrovigil.imaging import ColorSpace, Frame, integral
+from pyrovigil.imaging import ColorSpace, Frame, convert, integral
+from pyrovigil.proposal import Blob, ProposalConfig, ProposalEngine
+from pyrovigil.synth import SceneSpec, SyntheticScene
 
 from test_imaging import _ref_lab
 
@@ -204,6 +214,20 @@ class TestLocalColorHistogram:
         hist = local_color_histogram(Frame(img, ColorSpace.RGB), (0, 0), 9)
         assert abs(hist.sum() - 3.0) <= 1e-9
 
+    def test_matches_full_frame_conversion(self, rng):
+        # only the scope is converted; the oracle converts the whole frame
+        frame = Frame(rng.integers(0, 256, (23, 31, 3)).astype(float), ColorSpace.RGB)
+        lab = convert(frame, ColorSpace.LAB).pixels
+        lo, inv = _lab_bin_params()
+        scopes = [(0, 0, 9), (30, 22, 9), (15, 11, 10), (30, 0, 4), (0, 22, 15),
+                  (15, 11, 40), (-3, 5, 9), (1, 1, 1)]
+        for cx, cy, scale in scopes:
+            got = local_color_histogram(frame, (cx, cy), scale)
+            want = _local_hist_batch(
+                lab, np.array([cx]), np.array([cy]), scale, lo, inv
+            )[0]
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
 
 def enumerate_valid_centers(width, height, scale, interval, anchor=(0, 0)):
     """Position oracle: test every pixel against the fit rule directly."""
@@ -326,3 +350,113 @@ class TestKeypointMode:
         assert len(descs) > 0
         for d in descs:
             assert d.scale in (15, 21)
+
+
+def _full_frame_blob_features(frame, plan, blob):
+    """Oracle: a blob's descriptors and global histogram read from the
+    whole frame's LAB and a full-frame mask, as a frame-wide pass computes
+    them. Returns ([(center, scale, vector)], bins); ([], None) when the
+    grid has no kernel inside the frame."""
+    lab = convert(frame, ColorSpace.LAB).pixels
+    table = integral(convert(frame, ColorSpace.GRAY)).table[0]
+    mask = blob.full_mask(frame.height, frame.width)
+    lo, inv = _lab_bin_params()
+    out = []
+    for scale in plan.scales:
+        cxs, cys = _dense_centers(
+            frame.width, frame.height, scale, plan.interval, (blob.x, blob.y)
+        )
+        keep = mask[cys, cxs]
+        cxs, cys = cxs[keep], cys[keep]
+        surfs = _surf_batch(
+            table, cxs, cys, scale, haar_margin(scale),
+            _subregion_lut(scale), _gauss_weights(scale),
+        )
+        colors = _local_hist_batch(lab, cxs, cys, scale, lo, inv)
+        for j in range(cxs.shape[0]):
+            out.append(((int(cxs[j]), int(cys[j])), scale, np.concatenate([surfs[j], colors[j]])))
+    bins = histogram_from_pixels(lab, ColorSpace.LAB, mask).bins if out else None
+    return out, bins
+
+
+def _edge_blobs(rng, width, height):
+    """Blobs with random masks touching each side and corner of the frame
+    (most of their sizes put interval-4 grid centers on their last row
+    and column), and blobs of random size at random places."""
+    boxes = []
+    for bw, bh in ((21, 17), (30, 25), (13, 29)):
+        for x in (0, (width - bw) // 2, width - bw):
+            for y in (0, (height - bh) // 2, height - bh):
+                boxes.append((x, y, bw, bh))
+    for _ in range(12):
+        bw, bh = int(rng.integers(1, 60)), int(rng.integers(1, 60))
+        boxes.append((
+            int(rng.integers(0, width - bw + 1)),
+            int(rng.integers(0, height - bh + 1)), bw, bh,
+        ))
+    blobs = []
+    for x, y, bw, bh in boxes:
+        mask = rng.random((bh, bw)) < 0.7
+        mask[0, 0] = mask[-1, -1] = True
+        blobs.append(Blob(x, y, bw, bh, int(mask.sum()), 0, (x, y), mask))
+    return blobs
+
+
+def _scene_blobs(camera, spec):
+    scene = SyntheticScene(spec)
+    engine = ProposalEngine(ProposalConfig(camera), spec.width, spec.height)
+    found = []
+    for t in range(0, 136):
+        frame = scene.frame(t)
+        blobs, _ = engine.propose(frame)
+        if t >= 100 and t % 7 == 0:
+            found.append((frame, blobs, engine.gray))
+    return found
+
+
+WINDOW_PLANS = [
+    SamplingPlan(interval=9, scales=(9,)),
+    SamplingPlan(interval=4, scales=(9, 15)),
+]
+
+
+class TestWindowedSampling:
+    """Each blob's descriptors and global histogram, read from its LAB
+    window, equal the full-frame computation bit for bit."""
+
+    def _check(self, frame, plan, blob, ctx):
+        want, want_bins = _full_frame_blob_features(frame, plan, blob)
+        try:
+            got = sample(frame, plan, mask=blob.mask, anchor=(blob.x, blob.y), ctx=ctx)
+        except ValueError:
+            got = []
+        assert [(d.center, d.scale) for d in got] == [(c, s) for c, s, _ in want]
+        for d, (_, _, vector) in zip(got, want):
+            assert np.array_equal(d.vector.view(np.uint64), vector.view(np.uint64))
+        if got:
+            x, y, w, h = blob.bbox
+            bins = histogram_from_pixels(
+                ctx.lab(x, y, x + w, y + h), ColorSpace.LAB, blob.mask
+            ).bins
+            assert np.array_equal(bins.view(np.uint64), want_bins.view(np.uint64))
+        return len(got)
+
+    @pytest.mark.parametrize("plan", WINDOW_PLANS, ids=["9", "9+15"])
+    @pytest.mark.parametrize("camera", ["static", "moving"])
+    def test_scene_blobs(self, camera, plan):
+        checked = 0
+        for frame, blobs, gray in _scene_blobs(camera, SceneSpec(seed=7)):
+            ctx = SampleContext(frame, _gray=gray)
+            for blob in blobs:
+                checked += self._check(frame, plan, blob, ctx) > 0
+        assert checked >= 5
+
+    @pytest.mark.parametrize("plan", WINDOW_PLANS, ids=["9", "9+15"])
+    def test_blobs_at_frame_edges(self, rng, plan):
+        frame = SyntheticScene(SceneSpec(seed=11)).frame(120)
+        ctx = SampleContext(frame)
+        sampled = [
+            self._check(frame, plan, blob, ctx)
+            for blob in _edge_blobs(rng, frame.width, frame.height)
+        ]
+        assert sum(n > 0 for n in sampled) >= 20

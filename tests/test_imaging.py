@@ -97,6 +97,48 @@ class TestConvert:
         assert (out.height, out.width, out.index) == (7, 5, 41)
 
 
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _crop_boxes(rng, height, width, count):
+    """(x0, y0, w, h) crops: random sizes and offsets, 1-px-wide and
+    1-px-tall strips, odd widths, and each side and corner of the frame."""
+    boxes = [(0, 0, width, height), (0, 0, 1, 1), (width - 1, height - 1, 1, 1)]
+    for _ in range(count):
+        if rng.random() < 0.5:
+            w = int(rng.choice([1, 1, 2, 3, 5, 9, 17, 31, 61]))
+        else:
+            w = int(rng.integers(1, 80))
+        h = 1 if rng.random() < 0.1 else int(rng.integers(1, 80))
+        x0 = int(rng.choice([0, width - w, rng.integers(0, width - w + 1)]))
+        y0 = int(rng.choice([0, height - h, rng.integers(0, height - h + 1)]))
+        boxes.append((x0, y0, w, h))
+    return boxes
+
+
+class TestLabCrops:
+    """LAB of a crop must equal the full-frame conversion's slice bit for
+    bit: descriptors read LAB from per-blob windows, and the trained files
+    and alarm logs were made from full frames."""
+
+    @pytest.mark.parametrize("source", ["noise", "scene"])
+    def test_crops_match_full_frame_slice(self, rng, source):
+        from pyrovigil.synth import SceneSpec, SyntheticScene
+
+        if source == "noise":
+            frame = Frame(rng.integers(0, 256, (240, 320, 3)).astype(float))
+        else:
+            frame = SyntheticScene(SceneSpec(seed=7)).frame(130)
+        full = convert(frame, ColorSpace.LAB).pixels
+        for x0, y0, w, h in _crop_boxes(rng, frame.height, frame.width, 400):
+            crop = Frame(frame.pixels[y0 : y0 + h, x0 : x0 + w], ColorSpace.RGB)
+            lab = convert(crop, ColorSpace.LAB).pixels
+            assert np.array_equal(
+                _bits(lab), _bits(full[y0 : y0 + h, x0 : x0 + w])
+            ), (x0, y0, w, h)
+
+
 class TestFrame:
     def test_shape_validation(self):
         with pytest.raises(ValueError):

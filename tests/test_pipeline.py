@@ -280,6 +280,32 @@ class TestCascade:
         with pytest.raises(DataError, match=f"frame {indices[2]} follows frame {indices[1]}"):
             list(DetectionPipeline(config).run(frames))
 
+    @pytest.mark.parametrize("camera,start", [("static", 70), ("moving", 100)])
+    def test_luma_once_per_frame(self, synth_artifacts, monkeypatch, camera, start):
+        # proposal computes each frame's luma; sampling its blobs reuses it
+        import pyrovigil.imaging as imaging
+        import pyrovigil.proposal as proposal
+
+        original = imaging.luma
+        calls = []
+
+        def counted(pixels):
+            calls.append(pixels.shape)
+            return original(pixels)
+
+        monkeypatch.setattr(imaging, "luma", counted)
+        monkeypatch.setattr(proposal, "luma", counted)
+        config = PipelineConfig(
+            codebook_path=str(synth_artifacts["codebook_path"]),
+            model_path=str(synth_artifacts["model_path"]),
+            camera=camera,
+            decision_stride=1,
+        ).validate()
+        pipeline = DetectionPipeline(config)
+        list(pipeline.run(SyntheticScene(SceneSpec(seed=7)).frames(40, start)))
+        assert pipeline.stats.classifier_calls > 10
+        assert len(calls) == pipeline.stats.frames == 40
+
     def test_total_time_excludes_consumer_pauses(self, synth_artifacts):
         # the flame burns from frame 0 and is confirmed at frame 24
         spec = SceneSpec(seed=5, flame_onset=0, with_car=False, with_lamp=False)
@@ -456,6 +482,27 @@ class TestTrainModel:
             write_ppm(non_dir / f"{i:06d}.ppm", blue_noise_patch(i, 48).pixels)
         with pytest.raises(DataError, match="at least 5"):
             train_model(fire_dir, non_dir, noise_codebook, log=None)
+
+    def test_each_patch_converted_to_lab_once(self, tmp_path, noise_codebook, monkeypatch):
+        import pyrovigil.codebook as cb
+        import pyrovigil.imaging as imaging
+        from pyrovigil.pipeline import encode_patches
+
+        fire_dir, _ = self._noise_dirs(tmp_path, n=6)
+        original = imaging.rgb_to_lab
+        converted = []
+
+        def counted(px):
+            converted.append(px.shape)
+            return original(px)
+
+        monkeypatch.setattr(imaging, "rgb_to_lab", counted)
+        params = cb.EncoderParams(m=10, sigma=noise_codebook.sigma)
+        feats, failures = encode_patches(
+            fire_dir, noise_codebook, cb.index(noise_codebook), params, SamplingPlan()
+        )
+        assert len(feats) == 6 and failures == []
+        assert converted == [(48, 48, 3)] * 6
 
     def test_cv_path(self, tmp_path, noise_codebook):
         fire_dir, non_dir = self._noise_dirs(tmp_path, n=15)
