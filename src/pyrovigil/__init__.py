@@ -10,7 +10,6 @@ from .imaging import ColorSpace, Frame, IntegralImage, convert, integral, rect_s
 from .features import (
     GlobalColorHistogram,
     LocalDescriptor,
-    SamplingMode,
     SamplingPlan,
     global_histogram,
     local_color_histogram,

@@ -14,8 +14,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import accel
-from .accel import prange
 from .errors import ConvergenceError, DataError
 
 
@@ -63,24 +61,8 @@ class TrainedModel:
 # kernels
 
 
-@accel.njit(parallel=True)
-def _chi2_dist_jit(X, Y):
-    nx, d = X.shape
-    ny = Y.shape[0]
-    out = np.empty((nx, ny), dtype=np.float64)
-    for i in prange(nx):
-        for j in range(ny):
-            s = 0.0
-            for c in range(d):
-                den = X[i, c] + Y[j, c]
-                if den != 0.0:
-                    diff = X[i, c] - Y[j, c]
-                    s += diff * diff / den
-            out[i, j] = s
-    return out
-
-
-def _chi2_dist_np(X, Y):
+def chi2_distance_matrix(X, Y):
+    """(nx, ny) chi-square distances sum((x - y)^2 / (x + y)), 0/0 terms as 0."""
     nx, d = X.shape
     ny = Y.shape[0]
     out = np.empty((nx, ny), dtype=np.float64)
@@ -92,9 +74,6 @@ def _chi2_dist_np(X, Y):
         terms = np.where(den != 0.0, diff * diff / np.where(den == 0.0, 1.0, den), 0.0)
         out[s:e] = terms.sum(axis=2)
     return out
-
-
-chi2_distance_matrix = accel.pick(_chi2_dist_jit, _chi2_dist_np)
 
 
 def _sq_euclid_matrix(X, Y):
@@ -132,70 +111,7 @@ def kernel_eval(kernel: Kernel, a, b) -> float:
 # SMO solver (maximal violating pair)
 
 
-@accel.njit()
-def _smo_jit(K, y, Cvec, tol, max_iter):
-    n = y.shape[0]
-    alpha = np.zeros(n, dtype=np.float64)
-    G = np.full(n, -1.0)  # gradient of 1/2 a'Qa - sum(a)
-    trace = np.empty(max_iter, dtype=np.float64)
-    it = 0
-    violation = np.inf
-    while it < max_iter:
-        m_val = -np.inf
-        M_val = np.inf
-        i = -1
-        j = -1
-        for t in range(n):
-            s = -y[t] * G[t]
-            up = (y[t] > 0 and alpha[t] < Cvec[t]) or (y[t] < 0 and alpha[t] > 0.0)
-            low = (y[t] < 0 and alpha[t] < Cvec[t]) or (y[t] > 0 and alpha[t] > 0.0)
-            if up and s > m_val:
-                m_val = s
-                i = t
-            if low and s < M_val:
-                M_val = s
-                j = t
-        violation = m_val - M_val
-        if i < 0 or j < 0 or violation <= tol:
-            break
-        eta = K[i, i] + K[j, j] - 2.0 * K[i, j]
-        if eta <= 0.0:
-            eta = 1e-12
-        step = violation / eta
-        cap_i = Cvec[i] - alpha[i] if y[i] > 0 else alpha[i]
-        cap_j = alpha[j] if y[j] > 0 else Cvec[j] - alpha[j]
-        if step > cap_i:
-            step = cap_i
-        if step > cap_j:
-            step = cap_j
-        old_i = alpha[i]
-        old_j = alpha[j]
-        ai = old_i + y[i] * step
-        aj = old_j - y[j] * step
-        if ai < 0.0:
-            ai = 0.0
-        elif ai > Cvec[i]:
-            ai = Cvec[i]
-        if aj < 0.0:
-            aj = 0.0
-        elif aj > Cvec[j]:
-            aj = Cvec[j]
-        alpha[i] = ai
-        alpha[j] = aj
-        di = y[i] * (ai - old_i)
-        dj = y[j] * (aj - old_j)
-        ssum = 0.0
-        dot = 0.0
-        for t in range(n):
-            G[t] += y[t] * (K[t, i] * di + K[t, j] * dj)
-            ssum += alpha[t]
-            dot += alpha[t] * G[t]
-        trace[it] = 0.5 * (ssum - dot)
-        it += 1
-    return alpha, G, it, violation, trace[:it]
-
-
-def _smo_np(K, y, Cvec, tol, max_iter):
+def _smo_solve(K, y, Cvec, tol, max_iter):
     n = y.shape[0]
     alpha = np.zeros(n, dtype=np.float64)
     G = np.full(n, -1.0)
@@ -233,9 +149,6 @@ def _smo_np(K, y, Cvec, tol, max_iter):
         trace[it] = 0.5 * (alpha.sum() - alpha @ G)
         it += 1
     return alpha, G, it, float(violation), trace[:it]
-
-
-_smo_solve = accel.pick(_smo_jit, _smo_np)
 
 
 def _class_weights(y, balance):

@@ -11,7 +11,7 @@ import sys
 from . import codebook as cb
 from . import classifier as cl
 from .errors import ConfigError, DataError, PyrovigilError
-from .features import SamplingMode, SamplingPlan
+from .features import SamplingPlan
 from .frameio import frame_dir_source
 from .pipeline import (
     DetectionPipeline,
@@ -25,10 +25,28 @@ from .pipeline import (
 )
 
 
+def _checked(kind, ok, requirement):
+    """argparse type: `kind(text)`, rejected (exit code 2) unless `ok(value)`."""
+
+    def number(text):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
+        return value
+
+    return number
+
+
+_POSITIVE_INT = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_SEED = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_FOLDS = _checked(int, lambda v: v >= 2, "an integer >= 2")
+_POSITIVE = _checked(float, lambda v: v > 0, "> 0")
+
+
 def _plan_from_args(args) -> SamplingPlan:
     try:
         scales = tuple(int(s) for s in args.scales.split(","))
-        return SamplingPlan(SamplingMode.DENSE, args.interval, scales)
+        return SamplingPlan(args.interval, scales)
     except ValueError as e:
         raise ConfigError(f"bad sampling settings: {e}") from None
 
@@ -125,11 +143,11 @@ def build_parser() -> argparse.ArgumentParser:
     tc.add_argument("--patches", action="append", required=True,
                     help="patch directory (repeatable)")
     tc.add_argument("--out", required=True)
-    tc.add_argument("--k", type=int, default=500)
-    tc.add_argument("--iterations", type=int, default=50)
+    tc.add_argument("--k", type=_POSITIVE_INT, default=500)
+    tc.add_argument("--iterations", type=_POSITIVE_INT, default=50)
     tc.add_argument("--interval", type=int, default=9)
     tc.add_argument("--scales", default="9", help="comma-separated kernel sizes")
-    tc.add_argument("--seed", type=int, default=0)
+    tc.add_argument("--seed", type=_SEED, default=0)
     tc.set_defaults(func=_cmd_train_codebook)
 
     tm = sub.add_parser("train-model", help="train the fire/non-fire SVM")
@@ -139,15 +157,15 @@ def build_parser() -> argparse.ArgumentParser:
     tm.add_argument("--out", required=True)
     tm.add_argument("--kernel", choices=[k.value for k in cl.KernelKind],
                     default="rbf")
-    tm.add_argument("--C", type=float, default=10.0)
-    tm.add_argument("--gamma", type=float, default=8.0)
+    tm.add_argument("--C", type=_POSITIVE, default=10.0)
+    tm.add_argument("--gamma", type=_POSITIVE, default=8.0)
     tm.add_argument("--cv", action="store_true",
                     help="grid-search C,gamma by cross-validation")
-    tm.add_argument("--folds", type=int, default=5)
-    tm.add_argument("--seed", type=int, default=0)
+    tm.add_argument("--folds", type=_FOLDS, default=5)
+    tm.add_argument("--seed", type=_SEED, default=0)
     tm.add_argument("--interval", type=int, default=9)
     tm.add_argument("--scales", default="9")
-    tm.add_argument("--m", type=int, default=10)
+    tm.add_argument("--m", type=_POSITIVE_INT, default=10)
     tm.set_defaults(func=_cmd_train_model)
 
     dt = sub.add_parser("detect", help="run detection over a frame directory")

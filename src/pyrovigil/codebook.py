@@ -274,21 +274,14 @@ def encode(
     """Accumulate soft-assignment weights of all descriptors into a k-bin
     histogram (pre-normalization mass equals the descriptor count), then
     L1-normalize and pair with the provided global histogram."""
-    D = _as_matrix(descriptors)
-    n = D.shape[0]
-    if n == 0:
-        raise ValueError("empty blob: no descriptors to encode")
-    idx, dist = nn_index.query_batch(D, params.m)
-    w = _soft_weights(dist, params.sigma)
-    hist = np.zeros(nn_index.size, dtype=np.float64)
-    np.add.at(hist, idx.ravel(), w.ravel())
+    hist = raw_bow_histogram(descriptors, nn_index, params)
     bow = hist / hist.sum()
     g = np.asarray(global_hist, dtype=np.float64)
     return BlobFeature(bow, g, codebook_fingerprint)
 
 
 def raw_bow_histogram(descriptors, nn_index: NNIndex, params: EncoderParams):
-    """Un-normalized accumulation, exposed for mass-conservation checks."""
+    """Un-normalized accumulation of the soft-assignment weights."""
     D = _as_matrix(descriptors)
     if D.shape[0] == 0:
         raise ValueError("empty blob: no descriptors to encode")

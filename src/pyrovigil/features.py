@@ -1,5 +1,5 @@
 """Descriptor extraction: global color histograms, SURF texture vectors,
-and the combined 88-dim local descriptor sampled densely or at keypoints.
+and the combined 88-dim local descriptor sampled on a dense grid.
 
 SURF geometry used throughout (fixed convention, shared by tests):
 
@@ -17,15 +17,11 @@ A kernel placement is valid only when the window plus its Haar margin h
 lies fully inside the frame.
 """
 
-import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
 
-from . import accel
-from .accel import prange
 from .imaging import (
     CHANNEL_DOMAINS,
     ColorSpace,
@@ -45,17 +41,10 @@ LOCAL_BINS_PER_CHANNEL = 8
 _WEIGHT_SIGMA_RATIO = 0.165
 
 
-class SamplingMode(Enum):
-    DENSE = "dense"
-    KEYPOINT = "keypoint"
-
-
 @dataclass(frozen=True)
 class SamplingPlan:
-    mode: SamplingMode = SamplingMode.DENSE
     interval: int = 9
     scales: tuple = (9,)
-    hessian_threshold: float = 100.0
 
     def __post_init__(self):
         if self.interval < 1:
@@ -64,15 +53,10 @@ class SamplingPlan:
             raise ValueError("scales must be non-empty")
         if any(s < 3 for s in self.scales):
             raise ValueError(f"kernel scales must be >= 3, got {self.scales}")
-        if self.hessian_threshold <= 0:
-            raise ValueError("hessian_threshold must be positive")
 
     def fingerprint(self) -> str:
         scales = ",".join(str(s) for s in self.scales)
-        return (
-            f"mode={self.mode.value};interval={self.interval};"
-            f"scales={scales};hessian={self.hessian_threshold:g}"
-        )
+        return f"interval={self.interval};scales={scales}"
 
 
 @dataclass(frozen=True)
@@ -127,64 +111,7 @@ def _gauss_weights(scale: int) -> np.ndarray:
     return np.outer(g, g)
 
 
-@accel.njit(parallel=True)
-def _surf_batch_jit(table, cxs, cys, scale, hmar, sub, weights):
-    n = cxs.shape[0]
-    out = np.zeros((n, 64), dtype=np.float64)
-    half = scale // 2
-    for j in prange(n):
-        x0 = cxs[j] - half
-        y0 = cys[j] - half
-        acc = np.zeros(64, dtype=np.float64)
-        for v in range(scale):
-            py = y0 + v
-            sv = sub[v]
-            for u in range(scale):
-                px = x0 + u
-                su = sub[u]
-                w = weights[v, u]
-                right = (
-                    table[py + hmar + 1, px + hmar + 1]
-                    - table[py - hmar, px + hmar + 1]
-                    - table[py + hmar + 1, px + 1]
-                    + table[py - hmar, px + 1]
-                )
-                left = (
-                    table[py + hmar + 1, px]
-                    - table[py - hmar, px]
-                    - table[py + hmar + 1, px - hmar]
-                    + table[py - hmar, px - hmar]
-                )
-                dx = (right - left) * w
-                bottom = (
-                    table[py + hmar + 1, px + hmar + 1]
-                    - table[py + 1, px + hmar + 1]
-                    - table[py + hmar + 1, px - hmar]
-                    + table[py + 1, px - hmar]
-                )
-                top = (
-                    table[py, px + hmar + 1]
-                    - table[py - hmar, px + hmar + 1]
-                    - table[py, px - hmar]
-                    + table[py - hmar, px - hmar]
-                )
-                dy = (bottom - top) * w
-                base = (sv * 4 + su) * 4
-                acc[base] += dx
-                acc[base + 1] += dy
-                acc[base + 2] += abs(dx)
-                acc[base + 3] += abs(dy)
-        norm = 0.0
-        for d in range(64):
-            norm += acc[d] * acc[d]
-        if norm > 0.0:
-            norm = math.sqrt(norm)
-            for d in range(64):
-                out[j, d] = acc[d] / norm
-    return out
-
-
-def _surf_batch_np(table, cxs, cys, scale, hmar, sub, weights):
+def _surf_batch(table, cxs, cys, scale, hmar, sub, weights):
     n = cxs.shape[0]
     if n == 0:
         return np.zeros((0, 64), dtype=np.float64)
@@ -227,61 +154,34 @@ def _surf_batch_np(table, cxs, cys, scale, hmar, sub, weights):
     return out / safe[:, None]
 
 
-_surf_batch = accel.pick(_surf_batch_jit, _surf_batch_np)
-
-
-@accel.njit(parallel=True)
-def _local_hist_batch_jit(lab, cxs, cys, scale, lo, inv_width):
+def _local_hist_batch(lab, cxs, cys, scale, lo, inv_width):
+    """(n, 24) LAB histograms, 8 bins per channel, of the kernel scopes
+    centered at (cxs, cys) in `lab`, each clipped to it; each channel
+    block is L1-normalized, and a scope with no pixel in `lab` is zero."""
     n = cxs.shape[0]
     height, width = lab.shape[0], lab.shape[1]
-    out = np.zeros((n, 24), dtype=np.float64)
-    half = scale // 2
-    for j in prange(n):
-        x0 = max(0, cxs[j] - half)
-        y0 = max(0, cys[j] - half)
-        x1 = min(width, cxs[j] - half + scale)
-        y1 = min(height, cys[j] - half + scale)
-        for y in range(y0, y1):
-            for x in range(x0, x1):
-                for c in range(3):
-                    b = int((lab[y, x, c] - lo[c]) * inv_width[c])
-                    if b < 0:
-                        b = 0
-                    elif b > 7:
-                        b = 7
-                    out[j, c * 8 + b] += 1.0
-        for c in range(3):
-            total = 0.0
-            for b in range(8):
-                total += out[j, c * 8 + b]
-            if total > 0.0:
-                for b in range(8):
-                    out[j, c * 8 + b] /= total
-    return out
-
-
-def _local_hist_batch_np(lab, cxs, cys, scale, lo, inv_width):
-    n = cxs.shape[0]
-    height, width = lab.shape[0], lab.shape[1]
-    out = np.zeros((n, 24), dtype=np.float64)
-    half = scale // 2
-    for j in range(n):
-        x0 = max(0, cxs[j] - half)
-        y0 = max(0, cys[j] - half)
-        x1 = min(width, cxs[j] - half + scale)
-        y1 = min(height, cys[j] - half + scale)
-        patch = lab[y0:y1, x0:x1].reshape(-1, 3)
-        for c in range(3):
-            b = np.clip(((patch[:, c] - lo[c]) * inv_width[c]).astype(np.int64), 0, 7)
-            counts = np.bincount(b, minlength=8).astype(np.float64)
-            total = counts.sum()
-            if total > 0:
-                counts /= total
-            out[j, c * 8 : c * 8 + 8] = counts
-    return out
-
-
-_local_hist_batch = accel.pick(_local_hist_batch_jit, _local_hist_batch_np)
+    bins = LOCAL_BINS_PER_CHANNEL
+    grid = np.arange(scale)
+    ys = (cys - scale // 2)[:, None] + grid
+    xs = (cxs - scale // 2)[:, None] + grid
+    row_in = (ys >= 0) & (ys < height)
+    col_in = (xs >= 0) & (xs < width)
+    inside = row_in[:, :, None] & col_in[:, None, :]
+    # (3, n, scale, scale): channel first, so the binning runs over long rows
+    values = np.moveaxis(lab, 2, 0)[
+        :, np.clip(ys, 0, height - 1)[:, :, None], np.clip(xs, 0, width - 1)[:, None, :]
+    ]
+    per_channel = (3, 1, 1, 1)
+    keys = (values - lo.reshape(per_channel)) * inv_width.reshape(per_channel)
+    keys = np.clip(keys.astype(np.int64), 0, bins - 1)
+    # one bincount over (kernel, channel, bin); a scope pixel outside `lab`
+    # counts into a spare kernel row n, which is dropped
+    kernel = np.where(inside, np.arange(n)[:, None, None], n)
+    keys += kernel * (3 * bins) + np.arange(0, 3 * bins, bins).reshape(per_channel)
+    counts = np.bincount(keys.ravel(), minlength=(n + 1) * 3 * bins)[: n * 3 * bins]
+    counts = counts.reshape(n, 3, bins).astype(np.float64)
+    totals = counts.sum(axis=2, keepdims=True)
+    return (counts / np.maximum(totals, 1.0)).reshape(n, 3 * bins)
 
 
 def _lab_bin_params():
@@ -355,21 +255,7 @@ def _lab_window(frame: Frame, x0: int, y0: int, x1: int, y1: int) -> np.ndarray:
     raise ValueError(f"cannot derive LAB pixels from {frame.space.value} frame")
 
 
-@accel.njit()
-def _hist96_jit(values, lo, inv_width):
-    out = np.zeros(96, dtype=np.float64)
-    for i in range(values.shape[0]):
-        for c in range(3):
-            b = int((values[i, c] - lo[c]) * inv_width[c])
-            if b < 0:
-                b = 0
-            elif b > 31:
-                b = 31
-            out[c * 32 + b] += 1.0
-    return out
-
-
-def _hist96_np(values, lo, inv_width):
+def _hist96(values, lo, inv_width):
     out = np.zeros(96, dtype=np.float64)
     for c in range(3):
         b = np.clip(
@@ -377,9 +263,6 @@ def _hist96_np(values, lo, inv_width):
         )
         out[c * 32 : c * 32 + 32] = np.bincount(b, minlength=32)
     return out
-
-
-_hist96 = accel.pick(_hist96_jit, _hist96_np)
 
 
 def histogram_from_pixels(
@@ -495,9 +378,9 @@ def sample(
 ):
     """Extract LocalDescriptors per the plan.
 
-    DENSE mode walks the anchor-aligned grid at `plan.interval` for every
-    scale, keeping positions whose kernel (window + Haar margin) fits the
-    frame. A mask is the boolean image of a region whose top-left pixel is
+    Walks the anchor-aligned grid at `plan.interval` for every scale,
+    keeping positions whose kernel (window + Haar margin) fits the frame.
+    A mask is the boolean image of a region whose top-left pixel is
     `anchor` (a blob's local mask at its bbox origin); it restricts the
     centers to its true pixels. A mask that excludes everything yields an
     empty list, while a frame too small for any kernel raises.
@@ -511,26 +394,10 @@ def sample(
     table = ctx.gray_ii.table[0]
     lo, inv = _lab_bin_params()
 
-    if plan.mode is SamplingMode.DENSE:
-        placements = [
-            (s,) + _dense_centers(frame.width, frame.height, s, plan.interval, anchor)
-            for s in plan.scales
-        ]
-    else:
-        keypoints = fast_hessian(ctx.gray_ii, plan.hessian_threshold)
-        per_scale = {}
-        for x, y, size in keypoints:
-            if kernel_fits(x, y, size, frame.width, frame.height):
-                per_scale.setdefault(size, []).append((x, y))
-        placements = [
-            (
-                s,
-                np.array([p[0] for p in pts], dtype=np.int64),
-                np.array([p[1] for p in pts], dtype=np.int64),
-            )
-            for s, pts in sorted(per_scale.items())
-        ]
-
+    placements = [
+        (s,) + _dense_centers(frame.width, frame.height, s, plan.interval, anchor)
+        for s in plan.scales
+    ]
     if sum(cxs.shape[0] for _, cxs, _ in placements) == 0:
         raise ValueError("no valid sample positions")
 
@@ -587,78 +454,3 @@ def dump_descriptors(descriptors, path) -> None:
         for d in descriptors:
             vals = " ".join(format(v, ".9g") for v in d.vector)
             f.write(f"{d.center[0]} {d.center[1]} {d.scale} {vals}\n")
-
-
-def fast_hessian(
-    ii: IntegralImage,
-    threshold: float = 100.0,
-    filter_sizes=(9, 15, 21, 27),
-):
-    """Determinant-of-Hessian interest points via box filters.
-
-    Returns (x, y, size) triples; responses are area-normalized so the
-    threshold behaves consistently across filter sizes on 8-bit input.
-    Maxima are taken over 3x3x3 neighborhoods across adjacent sizes, so
-    only interior filter sizes produce detections.
-    """
-    table = ii.table[0]
-    height, width = ii.height, ii.width
-    responses = []
-    for L in filter_sizes:
-        lobe = L // 3
-        border = L // 2
-        resp = np.full((height, width), -np.inf)
-        if height <= 2 * border or width <= 2 * border:
-            responses.append(resp)
-            continue
-
-        ys = np.arange(border, height - border)
-        xs = np.arange(border, width - border)
-        py, px = np.meshgrid(ys, xs, indexing="ij")
-
-        def box(r0, r1, c0, c1):
-            return (
-                table[py + r1 + 1, px + c1 + 1]
-                - table[py + r0, px + c1 + 1]
-                - table[py + r1 + 1, px + c0]
-                + table[py + r0, px + c0]
-            )
-
-        half = (L - 1) // 2
-        wch = lobe - 1  # chop for the 2*lobe-1 wide bands
-        top = box(-half, -half + lobe - 1, -wch, wch)
-        mid = box(-half + lobe, -half + 2 * lobe - 1, -wch, wch)
-        bot = box(-half + 2 * lobe, half, -wch, wch)
-        dyy = top + bot - 2.0 * mid
-        left = box(-wch, wch, -half, -half + lobe - 1)
-        cen = box(-wch, wch, -half + lobe, -half + 2 * lobe - 1)
-        right = box(-wch, wch, -half + 2 * lobe, half)
-        dxx = left + right - 2.0 * cen
-        tl = box(-lobe, -1, -lobe, -1)
-        tr = box(-lobe, -1, 1, lobe)
-        bl = box(1, lobe, -lobe, -1)
-        br = box(1, lobe, 1, lobe)
-        dxy = tl + br - tr - bl
-
-        inv_area = 1.0 / (L * L)
-        dxx *= inv_area
-        dyy *= inv_area
-        dxy *= inv_area
-        resp[border : height - border, border : width - border] = (
-            dxx * dyy - (0.9 * dxy) ** 2
-        )
-        responses.append(resp)
-
-    found = []
-    for i in range(1, len(filter_sizes) - 1):
-        det = responses[i]
-        stack = np.stack([responses[i - 1], det, responses[i + 1]])
-        ys, xs = np.nonzero(det >= threshold)
-        for y, x in zip(ys, xs):
-            if y < 1 or x < 1 or y >= height - 1 or x >= width - 1:
-                continue
-            patch = stack[:, y - 1 : y + 2, x - 1 : x + 2]
-            if det[y, x] >= patch.max() and (patch == det[y, x]).sum() == 1:
-                found.append((int(x), int(y), filter_sizes[i]))
-    found.sort(key=lambda t: (t[2], t[1], t[0]))
-    return found

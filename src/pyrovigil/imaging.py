@@ -4,8 +4,6 @@ Frames are immutable float64 pixel grids tagged with a color space.
 All conversions are defined from RGB (8-bit sRGB input assumed):
 
 * GRAY: BT.601 luma, weights 0.299/0.587/0.114.
-* HSV:  hexcone model, H in [0, 360), S and V in [0, 1].
-* YUV:  BT.601 full-range YCbCr (offset-128 chroma), clipped to [0, 255].
 * LAB:  sRGB linearization -> XYZ (D65, 2 deg) -> CIELAB; L in [0, 100],
         a and b stored against a declared domain of [-128, 127].
 """
@@ -15,14 +13,9 @@ from enum import Enum
 
 import numpy as np
 
-from . import accel
-from .accel import prange
-
 
 class ColorSpace(Enum):
     RGB = "rgb"
-    HSV = "hsv"
-    YUV = "yuv"
     LAB = "lab"
     GRAY = "gray"
 
@@ -30,8 +23,6 @@ class ColorSpace(Enum):
 # Per-channel value domains, used for histogram binning.
 CHANNEL_DOMAINS = {
     ColorSpace.RGB: ((0.0, 255.0), (0.0, 255.0), (0.0, 255.0)),
-    ColorSpace.YUV: ((0.0, 255.0), (0.0, 255.0), (0.0, 255.0)),
-    ColorSpace.HSV: ((0.0, 360.0), (0.0, 1.0), (0.0, 1.0)),
     ColorSpace.LAB: ((0.0, 100.0), (-128.0, 127.0), (-128.0, 127.0)),
     ColorSpace.GRAY: ((0.0, 255.0),),
 }
@@ -103,7 +94,8 @@ def _lab_f(t):
     return np.where(t > d3, np.cbrt(t), t / (3.0 * (6.0 / 29.0) ** 2) + 4.0 / 29.0)
 
 
-def _rgb_to_lab_np(px):
+def rgb_to_lab(px):
+    """CIELAB of an (h, w, 3) array of 8-bit sRGB values."""
     # One (w, 3) @ (3, 3) BLAS product per row, small enough to stay on one
     # thread. Each takes the matrix kernel, so a crop converts to the bits
     # of the full-frame slice; a 1-pixel-wide image would take the vector
@@ -121,68 +113,6 @@ def _rgb_to_lab_np(px):
     return out
 
 
-@accel.njit(parallel=True)
-def _rgb_to_lab_jit(px):
-    h, w, _ = px.shape
-    out = np.empty_like(px)
-    m00, m01, m02 = 0.4124564, 0.3575761, 0.1804375
-    m10, m11, m12 = 0.2126729, 0.7151522, 0.0721750
-    m20, m21, m22 = 0.0193339, 0.1191920, 0.9503041
-    xn, yn, zn = 0.95047, 1.0, 1.08883
-    d3 = (6.0 / 29.0) ** 3
-    k = 1.0 / (3.0 * (6.0 / 29.0) ** 2)
-    for y in prange(h):
-        for x in range(w):
-            r = px[y, x, 0] / 255.0
-            g = px[y, x, 1] / 255.0
-            b = px[y, x, 2] / 255.0
-            r = r / 12.92 if r <= 0.04045 else ((r + 0.055) / 1.055) ** 2.4
-            g = g / 12.92 if g <= 0.04045 else ((g + 0.055) / 1.055) ** 2.4
-            b = b / 12.92 if b <= 0.04045 else ((b + 0.055) / 1.055) ** 2.4
-            xv = (m00 * r + m01 * g + m02 * b) / xn
-            yv = (m10 * r + m11 * g + m12 * b) / yn
-            zv = (m20 * r + m21 * g + m22 * b) / zn
-            fx = xv ** (1.0 / 3.0) if xv > d3 else k * xv + 4.0 / 29.0
-            fy = yv ** (1.0 / 3.0) if yv > d3 else k * yv + 4.0 / 29.0
-            fz = zv ** (1.0 / 3.0) if zv > d3 else k * zv + 4.0 / 29.0
-            out[y, x, 0] = 116.0 * fy - 16.0
-            out[y, x, 1] = 500.0 * (fx - fy)
-            out[y, x, 2] = 200.0 * (fy - fz)
-    return out
-
-
-rgb_to_lab = accel.pick(_rgb_to_lab_jit, _rgb_to_lab_np)
-
-
-def _rgb_to_hsv_np(px):
-    r = px[:, :, 0] / 255.0
-    g = px[:, :, 1] / 255.0
-    b = px[:, :, 2] / 255.0
-    mx = np.maximum(np.maximum(r, g), b)
-    mn = np.minimum(np.minimum(r, g), b)
-    diff = mx - mn
-    safe = np.where(diff == 0.0, 1.0, diff)
-    h = np.zeros_like(mx)
-    sel = (mx == r) & (diff > 0)
-    h = np.where(sel, 60.0 * ((g - b) / safe), h)
-    sel = (mx == g) & (mx != r) & (diff > 0)
-    h = np.where(sel, 60.0 * ((b - r) / safe + 2.0), h)
-    sel = (mx == b) & (mx != r) & (mx != g) & (diff > 0)
-    h = np.where(sel, 60.0 * ((r - g) / safe + 4.0), h)
-    h = np.where(h < 0.0, h + 360.0, h)
-    h = np.where(h >= 360.0, h - 360.0, h)
-    s = np.where(mx == 0.0, 0.0, diff / np.where(mx == 0.0, 1.0, mx))
-    return np.stack([h, s, mx], axis=2)
-
-
-def _rgb_to_yuv_np(px):
-    r, g, b = px[:, :, 0], px[:, :, 1], px[:, :, 2]
-    y = 0.299 * r + 0.587 * g + 0.114 * b
-    u = 128.0 - 0.168736 * r - 0.331264 * g + 0.5 * b
-    v = 128.0 + 0.5 * r - 0.418688 * g - 0.081312 * b
-    return np.clip(np.stack([y, u, v], axis=2), 0.0, 255.0)
-
-
 def convert(frame: Frame, target: ColorSpace) -> Frame:
     """Convert an RGB frame to `target`. Conversions from other spaces are
     not defined; requesting one raises a ValueError naming the source space."""
@@ -194,10 +124,6 @@ def convert(frame: Frame, target: ColorSpace) -> Frame:
         )
     if target is ColorSpace.GRAY:
         out = luma(frame.pixels)
-    elif target is ColorSpace.HSV:
-        out = _rgb_to_hsv_np(frame.pixels)
-    elif target is ColorSpace.YUV:
-        out = _rgb_to_yuv_np(frame.pixels)
     elif target is ColorSpace.LAB:
         out = rgb_to_lab(frame.pixels)
     else:
@@ -226,27 +152,12 @@ class IntegralImage:
         return self.table.shape[2] - 1
 
 
-def _integral_np(channels):
+def integral_table(channels):
+    """(c, h+1, w+1) cumulative sums of a (c, h, w) array, zero-padded."""
     c, h, w = channels.shape
     out = np.zeros((c, h + 1, w + 1), dtype=np.float64)
     out[:, 1:, 1:] = channels.cumsum(axis=1).cumsum(axis=2)
     return out
-
-
-@accel.njit()
-def _integral_jit(channels):
-    c, h, w = channels.shape
-    out = np.zeros((c, h + 1, w + 1), dtype=np.float64)
-    for ch in range(c):
-        for y in range(h):
-            row = 0.0
-            for x in range(w):
-                row += channels[ch, y, x]
-                out[ch, y + 1, x + 1] = out[ch, y, x + 1] + row
-    return out
-
-
-integral_table = accel.pick(_integral_jit, _integral_np)
 
 
 def integral(frame: Frame) -> IntegralImage:

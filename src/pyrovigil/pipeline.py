@@ -20,7 +20,6 @@ from . import classifier as cl
 from .errors import ConfigError, DataError
 from .features import (
     SampleContext,
-    SamplingMode,
     SamplingPlan,
     histogram_from_pixels,
     sample,
@@ -88,7 +87,7 @@ class PipelineConfig:
         if len(self.ladder) < 1:
             raise ConfigError("threshold ladder must not be empty")
         try:
-            SamplingPlan(SamplingMode.DENSE, self.interval, tuple(self.scales))
+            SamplingPlan(self.interval, tuple(self.scales))
         except ValueError as e:
             raise ConfigError(f"bad sampling settings: {e}") from None
         if require_paths:
@@ -220,9 +219,7 @@ class DetectionPipeline:
             raise ConfigError("encoder sigma must be positive")
         self.params = cb.EncoderParams(m=config.m, sigma=sigma)
         self.index = cb.index(codebook)
-        self.plan = SamplingPlan(
-            SamplingMode.DENSE, config.interval, tuple(config.scales)
-        )
+        self.plan = SamplingPlan(config.interval, tuple(config.scales))
         self.stats = StageStats()
 
     def run(self, frames: Iterable[Frame], video_id: str = "stream"):

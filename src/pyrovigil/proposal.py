@@ -13,8 +13,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from . import accel
-from .accel import prange
 from .imaging import ColorSpace, Frame, luma
 
 DEFAULT_LADDER = (220.0, 190.0, 160.0)
@@ -60,27 +58,7 @@ class Blob:
 # background model
 
 
-@accel.njit(parallel=True)
-def _bg_update_jit(mean, var, gray, rho, lam, var_floor, warmup_phase):
-    h, w = gray.shape
-    fg = np.zeros((h, w), dtype=np.bool_)
-    for y in prange(h):
-        for x in range(w):
-            d = gray[y, x] - mean[y, x]
-            is_fg = False
-            if not warmup_phase:
-                std = np.sqrt(var[y, x])
-                if std < var_floor:
-                    std = var_floor
-                is_fg = abs(d) > lam * std
-            fg[y, x] = is_fg
-            if not is_fg:
-                mean[y, x] = (1.0 - rho) * mean[y, x] + rho * gray[y, x]
-                var[y, x] = (1.0 - rho) * var[y, x] + rho * d * d
-    return fg
-
-
-def _bg_update_np(mean, var, gray, rho, lam, var_floor, warmup_phase):
+def _bg_update(mean, var, gray, rho, lam, var_floor, warmup_phase):
     d = gray - mean
     if warmup_phase:
         fg = np.zeros(gray.shape, dtype=bool)
@@ -91,9 +69,6 @@ def _bg_update_np(mean, var, gray, rho, lam, var_floor, warmup_phase):
     mean[learn] = (1.0 - rho) * mean[learn] + rho * gray[learn]
     var[learn] = (1.0 - rho) * var[learn] + rho * d[learn] ** 2
     return fg
-
-
-_bg_update = accel.pick(_bg_update_jit, _bg_update_np)
 
 
 class BackgroundModel:
@@ -181,39 +156,8 @@ def multi_level_threshold(
 # morphology and connected components
 
 
-@accel.njit(parallel=True)
-def _open3_jit(mask):
-    # separable 3x3: horizontal pass then vertical, erosion then dilation
-    h, w = mask.shape
-    tmp = np.zeros((h, w), dtype=np.bool_)
-    er = np.zeros((h, w), dtype=np.bool_)
-    for y in prange(h):
-        for x in range(1, w - 1):
-            tmp[y, x] = mask[y, x - 1] and mask[y, x] and mask[y, x + 1]
-    for y in prange(1, h - 1):
-        for x in range(w):
-            er[y, x] = tmp[y - 1, x] and tmp[y, x] and tmp[y + 1, x]
-    for y in prange(h):
-        for x in range(w):
-            hit = er[y, x]
-            if not hit and x > 0:
-                hit = er[y, x - 1]
-            if not hit and x + 1 < w:
-                hit = er[y, x + 1]
-            tmp[y, x] = hit
-    out = np.zeros((h, w), dtype=np.bool_)
-    for y in prange(h):
-        for x in range(w):
-            hit = tmp[y, x]
-            if not hit and y > 0:
-                hit = tmp[y - 1, x]
-            if not hit and y + 1 < h:
-                hit = tmp[y + 1, x]
-            out[y, x] = hit
-    return out
-
-
-def _open3_np(mask):
+def binary_open3(mask):
+    """3x3 morphological open; pixels outside the frame read as background."""
     h, w = mask.shape
     p = np.pad(mask, 1, constant_values=False)
     # the zero pad makes outside-of-frame read as background
@@ -229,9 +173,6 @@ def _open3_np(mask):
         | q[2:, :-2] | q[2:, 1:-1] | q[2:, 2:]
     )
     return out
-
-
-binary_open3 = accel.pick(_open3_jit, _open3_np)
 
 
 def label_components(mask):

@@ -125,6 +125,42 @@ def test_bad_scales_flag_is_config_error(tmp_path, capsys):
     assert code == 2
 
 
+# Out-of-range numbers on the training commands: each must stop with exit
+# code 2 before any work, never with a traceback.
+BAD_NUMBERS = [
+    ("train-codebook", "--k", "0"),
+    ("train-codebook", "--iterations", "0"),
+    ("train-codebook", "--seed", "-1"),
+    ("train-model", "--m", "0"),
+    ("train-model", "--C", "-1"),
+    ("train-model", "--gamma", "0"),
+    ("train-model", "--cv", "--folds", "0"),
+    ("train-model", "--cv", "--folds", "1"),
+    ("train-model", "--seed", "-1"),
+]
+
+
+@pytest.mark.parametrize("case", BAD_NUMBERS, ids=" ".join)
+def test_bad_number_exits_2(tmp_path, capsys, synth_artifacts, case):
+    command, *flags = case
+    fire_dir = str(synth_artifacts["fire_dir"])
+    non_dir = str(synth_artifacts["nonfire_dir"])
+    if command == "train-codebook":
+        argv = ["train-codebook", "--patches", fire_dir, "--patches", non_dir,
+                "--k", "30", "--iterations", "5"]
+    else:
+        argv = ["train-model", "--fire", fire_dir, "--nonfire", non_dir,
+                "--codebook", str(synth_artifacts["codebook_path"])]
+    argv += ["--out", str(tmp_path / "out.bin"), *flags]
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        code = e.code
+    assert code == 2
+    assert flags[-2] in capsys.readouterr().err
+    assert not (tmp_path / "out.bin").exists()
+
+
 def test_selftest_quick(capsys):
     code = main(["selftest", "--quick"])
     out = capsys.readouterr().out

@@ -5,7 +5,6 @@ import pytest
 
 from pyrovigil.features import (
     SampleContext,
-    SamplingMode,
     SamplingPlan,
     _dense_centers,
     _gauss_weights,
@@ -14,7 +13,6 @@ from pyrovigil.features import (
     _subregion_lut,
     _surf_batch,
     dump_descriptors,
-    fast_hessian,
     global_histogram,
     haar_margin,
     histogram_from_pixels,
@@ -62,6 +60,25 @@ def surf_oracle(gray, cx, cy, scale):
     return vec / norm if norm > 0 else vec
 
 
+# Local color histogram oracle: one kernel at a time, its scope clipped by
+# slicing, one bincount per channel. Scopes must overlap `lab`.
+def local_hist_oracle(lab, cxs, cys, scale, lo, inv_width):
+    height, width = lab.shape[0], lab.shape[1]
+    out = np.zeros((cxs.shape[0], 24))
+    half = scale // 2
+    for j in range(cxs.shape[0]):
+        x0 = max(0, cxs[j] - half)
+        y0 = max(0, cys[j] - half)
+        x1 = min(width, cxs[j] - half + scale)
+        y1 = min(height, cys[j] - half + scale)
+        patch = lab[y0:y1, x0:x1].reshape(-1, 3)
+        for c in range(3):
+            b = np.clip(((patch[:, c] - lo[c]) * inv_width[c]).astype(np.int64), 0, 7)
+            counts = np.bincount(b, minlength=8).astype(np.float64)
+            out[j, c * 8 : c * 8 + 8] = counts / counts.sum()
+    return out
+
+
 def _gray_frame(px):
     return Frame(np.asarray(px, dtype=float), ColorSpace.GRAY)
 
@@ -77,7 +94,7 @@ class TestGlobalHistogram:
 
     def test_total_mass_is_three(self, rng):
         img = rng.integers(0, 256, (20, 30, 3)).astype(float)
-        for space in (ColorSpace.RGB, ColorSpace.HSV, ColorSpace.YUV, ColorSpace.LAB):
+        for space in (ColorSpace.RGB, ColorSpace.LAB):
             hist = global_histogram(Frame(img, ColorSpace.RGB), space)
             assert abs(hist.bins.sum() - 3.0) <= 1e-9
             assert (hist.bins >= 0).all()
@@ -229,6 +246,32 @@ class TestLocalColorHistogram:
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+    @pytest.mark.parametrize("scale", [3, 9, 15, 27])
+    def test_batch_matches_loop_oracle(self, rng, scale):
+        height, width = 37, 53
+        # values past each end of the LAB domain land in the end bins
+        lab = np.dstack([
+            rng.uniform(-10, 110, (height, width)),
+            rng.uniform(-140, 140, (height, width)),
+            rng.uniform(-140, 140, (height, width)),
+        ])
+        lo, inv = _lab_bin_params()
+        half = scale // 2
+        # first and last centers whose scope still overlaps `lab`, so
+        # scopes are clipped on each side and at each corner
+        xs_edge = [half - scale + 1, 0, width - 1, width - 1 + half]
+        ys_edge = [half - scale + 1, 0, height - 1, height - 1 + half]
+        cxs = np.concatenate([
+            np.repeat(xs_edge, 4), rng.integers(xs_edge[0], xs_edge[-1] + 1, 500)
+        ])
+        cys = np.concatenate([
+            np.tile(ys_edge, 4), rng.integers(ys_edge[0], ys_edge[-1] + 1, 500)
+        ])
+        got = _local_hist_batch(lab, cxs, cys, scale, lo, inv)
+        want = local_hist_oracle(lab, cxs, cys, scale, lo, inv)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def enumerate_valid_centers(width, height, scale, interval, anchor=(0, 0)):
     """Position oracle: test every pixel against the fit rule directly."""
     out = []
@@ -316,40 +359,6 @@ class TestSampling:
         assert len(fields) == 3 + 88
         assert int(fields[0]) == descs[0].center[0]
         assert int(fields[2]) == descs[0].scale
-
-
-class TestKeypointMode:
-    def _blobby_image(self, rng):
-        px = np.full((80, 80), 30.0)
-        for _ in range(6):
-            cx, cy = rng.integers(18, 62, 2)
-            r = int(rng.integers(4, 9))
-            yy, xx = np.ogrid[:80, :80]
-            px[(xx - cx) ** 2 + (yy - cy) ** 2 <= r * r] = 220.0
-        return px
-
-    def test_detects_on_blobs_not_on_flat(self, rng):
-        px = self._blobby_image(rng)
-        kps = fast_hessian(integral(_gray_frame(px)), 100.0)
-        assert len(kps) > 0
-        flat = fast_hessian(integral(_gray_frame(np.full((80, 80), 64.0))), 100.0)
-        assert flat == []
-
-    def test_threshold_monotone(self, rng):
-        px = self._blobby_image(rng)
-        ii = integral(_gray_frame(px))
-        low = set(fast_hessian(ii, 50.0))
-        high = set(fast_hessian(ii, 500.0))
-        assert high <= low
-
-    def test_keypoint_sampling_produces_descriptors(self, rng):
-        px = self._blobby_image(rng)
-        img = np.stack([px, px * 0.8, px * 0.5], axis=2)
-        plan = SamplingPlan(mode=SamplingMode.KEYPOINT, hessian_threshold=100.0)
-        descs = sample(Frame(img, ColorSpace.RGB), plan)
-        assert len(descs) > 0
-        for d in descs:
-            assert d.scale in (15, 21)
 
 
 def _full_frame_blob_features(frame, plan, blob):
