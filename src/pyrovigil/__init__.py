@@ -9,7 +9,6 @@ __version__ = "0.1.0"
 from .imaging import ColorSpace, Frame, IntegralImage, convert, integral, rect_sum
 from .features import (
     GlobalColorHistogram,
-    LocalDescriptor,
     SamplingPlan,
     global_histogram,
     local_color_histogram,

@@ -271,8 +271,8 @@ def encode(
     global_hist: np.ndarray,
     codebook_fingerprint: Optional[bytes] = None,
 ) -> BlobFeature:
-    """Accumulate soft-assignment weights of all descriptors into a k-bin
-    histogram (pre-normalization mass equals the descriptor count), then
+    """Accumulate soft-assignment weights of the (n, dim) descriptor rows
+    into a k-bin histogram (pre-normalization mass equals n), then
     L1-normalize and pair with the provided global histogram."""
     hist = raw_bow_histogram(descriptors, nn_index, params)
     bow = hist / hist.sum()
@@ -282,7 +282,7 @@ def encode(
 
 def raw_bow_histogram(descriptors, nn_index: NNIndex, params: EncoderParams):
     """Un-normalized accumulation of the soft-assignment weights."""
-    D = _as_matrix(descriptors)
+    D = np.ascontiguousarray(descriptors, dtype=np.float64)
     if D.shape[0] == 0:
         raise ValueError("empty blob: no descriptors to encode")
     idx, dist = nn_index.query_batch(D, params.m)
@@ -290,17 +290,6 @@ def raw_bow_histogram(descriptors, nn_index: NNIndex, params: EncoderParams):
     hist = np.zeros(nn_index.size, dtype=np.float64)
     np.add.at(hist, idx.ravel(), w.ravel())
     return hist
-
-
-def _as_matrix(descriptors) -> np.ndarray:
-    if isinstance(descriptors, np.ndarray):
-        return np.ascontiguousarray(descriptors, dtype=np.float64)
-    if len(descriptors) == 0:
-        return np.zeros((0, 1))
-    first = descriptors[0]
-    if hasattr(first, "vector"):
-        return np.stack([d.vector for d in descriptors])
-    return np.ascontiguousarray(np.asarray(descriptors, dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------

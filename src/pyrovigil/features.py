@@ -18,7 +18,7 @@ lies fully inside the frame.
 """
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -68,29 +68,13 @@ class GlobalColorHistogram:
     normalized: bool = True
 
 
-@dataclass(frozen=True)
-class LocalDescriptor:
-    center: tuple
-    scale: int
-    surf: np.ndarray  # (64,)
-    color: np.ndarray  # (24,)
-
-    @property
-    def vector(self) -> np.ndarray:
-        return np.concatenate([self.surf, self.color])
-
-
 def haar_margin(scale: int) -> int:
     return max(1, int(scale / 9.0 + 0.5))
 
 
-def window_origin(cx: int, cy: int, scale: int):
-    return cx - scale // 2, cy - scale // 2
-
-
 def kernel_fits(cx: int, cy: int, scale: int, width: int, height: int) -> bool:
     h = haar_margin(scale)
-    x0, y0 = window_origin(cx, cy, scale)
+    x0, y0 = cx - scale // 2, cy - scale // 2
     return (
         x0 - h >= 0
         and y0 - h >= 0
@@ -219,7 +203,7 @@ def local_color_histogram(frame: Frame, center, scale: int) -> np.ndarray:
     to the frame; each channel block L1-normalized. Only the scope's
     pixels are converted to LAB."""
     cx, cy = center
-    x0, y0 = window_origin(cx, cy, scale)
+    x0, y0 = cx - scale // 2, cy - scale // 2
     if (
         x0 + scale <= 0
         or y0 + scale <= 0
@@ -369,88 +353,85 @@ def _dense_centers(width, height, scale, interval, anchor):
     return gx.ravel(), gy.ravel()
 
 
-def sample(
+def sample_positions(
     frame: Frame,
     plan: SamplingPlan,
     mask: Optional[np.ndarray] = None,
     anchor=(0, 0),
-    ctx: Optional[SampleContext] = None,
 ):
-    """Extract LocalDescriptors per the plan.
+    """Kernel centers per scale of the plan, as a list of (scale, cxs, cys).
 
     Walks the anchor-aligned grid at `plan.interval` for every scale,
-    keeping positions whose kernel (window + Haar margin) fits the frame.
-    A mask is the boolean image of a region whose top-left pixel is
-    `anchor` (a blob's local mask at its bbox origin); it restricts the
-    centers to its true pixels. A mask that excludes everything yields an
-    empty list, while a frame too small for any kernel raises.
-
-    LAB is converted only over the region (the whole frame without a
-    mask) grown on each side by the largest kernel's extent and clipped to
-    the frame: the window every local color histogram reads from.
+    keeping positions whose kernel (window + Haar margin) fits the frame,
+    in row-major order. A mask is the boolean image of a region whose
+    top-left pixel is `anchor` (a blob's local mask at its bbox origin);
+    it restricts the centers to its true pixels. Raises when no kernel
+    fits the frame at all.
     """
-    if ctx is None:
-        ctx = SampleContext(frame)
-    table = ctx.gray_ii.table[0]
-    lo, inv = _lab_bin_params()
-
     placements = [
         (s,) + _dense_centers(frame.width, frame.height, s, plan.interval, anchor)
         for s in plan.scales
     ]
     if sum(cxs.shape[0] for _, cxs, _ in placements) == 0:
         raise ValueError("no valid sample positions")
+    if mask is None:
+        return placements
+    mask = np.asarray(mask, dtype=bool)
+    (rx, ry), (rh, rw) = anchor, mask.shape
+    kept = []
+    for scale, cxs, cys in placements:
+        inside = (cxs >= rx) & (cxs < rx + rw) & (cys >= ry) & (cys < ry + rh)
+        cxs, cys = cxs[inside], cys[inside]
+        keep = mask[cys - ry, cxs - rx]
+        kept.append((scale, cxs[keep], cys[keep]))
+    return kept
 
+
+def sample(
+    frame: Frame,
+    plan: SamplingPlan,
+    mask: Optional[np.ndarray] = None,
+    anchor=(0, 0),
+    ctx: Optional[SampleContext] = None,
+) -> np.ndarray:
+    """(n, 88) local descriptors, one row per kernel center of
+    `sample_positions(frame, plan, mask, anchor)` in its order: the SURF
+    vector in columns 0:64, the local color histogram in 64:88.
+
+    A mask that excludes everything yields no rows, while a frame too
+    small for any kernel raises. LAB is converted only over the region
+    (the whole frame without a mask) grown on each side by the largest
+    kernel's extent and clipped to the frame: the window every local
+    color histogram reads from.
+    """
+    if ctx is None:
+        ctx = SampleContext(frame)
+    placements = sample_positions(frame, plan, mask, anchor)
     if mask is None:
         rx, ry, rw, rh = 0, 0, frame.width, frame.height
     else:
-        mask = np.asarray(mask, dtype=bool)
-        (rx, ry), (rh, rw) = anchor, mask.shape
-    largest = max(s for s, _, _ in placements)
+        (rx, ry), (rh, rw) = anchor, np.shape(mask)
+    largest = max(plan.scales)
     x0 = max(0, rx - largest // 2)
     y0 = max(0, ry - largest // 2)
     x1 = min(frame.width, rx + rw + largest - 1 - largest // 2)
     y1 = min(frame.height, ry + rh + largest - 1 - largest // 2)
 
-    descriptors = []
+    table = ctx.gray_ii.table[0]
+    lo, inv = _lab_bin_params()
+    out = np.empty((sum(cxs.shape[0] for _, cxs, _ in placements), DESCRIPTOR_DIM))
+    row = 0
     for scale, cxs, cys in placements:
-        if mask is not None:
-            inside = (cxs >= rx) & (cxs < rx + rw) & (cys >= ry) & (cys < ry + rh)
-            cxs, cys = cxs[inside], cys[inside]
-            keep = mask[cys - ry, cxs - rx]
-            cxs, cys = cxs[keep], cys[keep]
-        if cxs.shape[0] == 0:
+        n = cxs.shape[0]
+        if n == 0:
             continue
-        surfs = _surf_batch(
-            table,
-            cxs,
-            cys,
-            scale,
-            haar_margin(scale),
-            _subregion_lut(scale),
-            _gauss_weights(scale),
+        out[row : row + n, :SURF_DIM] = _surf_batch(
+            table, cxs, cys, scale, haar_margin(scale),
+            _subregion_lut(scale), _gauss_weights(scale),
         )
         lab = ctx.lab(x0, y0, x1, y1)
-        colors = _local_hist_batch(lab, cxs - x0, cys - y0, scale, lo, inv)
-        for j in range(cxs.shape[0]):
-            descriptors.append(
-                LocalDescriptor(
-                    (int(cxs[j]), int(cys[j])), scale, surfs[j], colors[j]
-                )
-            )
-    return descriptors
-
-
-def descriptor_matrix(descriptors: Sequence[LocalDescriptor]) -> np.ndarray:
-    """(n, 88) matrix of descriptor vectors."""
-    if not descriptors:
-        return np.zeros((0, DESCRIPTOR_DIM), dtype=np.float64)
-    return np.stack([d.vector for d in descriptors])
-
-
-def dump_descriptors(descriptors, path) -> None:
-    """Debug dump: one descriptor per line, `x y scale v1..v88`."""
-    with open(path, "w") as f:
-        for d in descriptors:
-            vals = " ".join(format(v, ".9g") for v in d.vector)
-            f.write(f"{d.center[0]} {d.center[1]} {d.scale} {vals}\n")
+        out[row : row + n, SURF_DIM:] = _local_hist_batch(
+            lab, cxs - x0, cys - y0, scale, lo, inv
+        )
+        row += n
+    return out

@@ -1,9 +1,11 @@
 """End-to-end orchestration of the three-stage cascade plus the training
 workflows and the sectioned precision/recall evaluation harness.
 
-Per frame: propose candidate blobs; every `decision_stride` frames,
-encode each blob (dense local descriptors + global LAB histogram) and
-classify it; classifier-positive blobs feed the temporal tracker; a
+`DetectionPipeline.run` is one loop over the stages. Per frame: `_admit`
+checks the frame against the stream, and `_propose` finds candidate
+blobs. Every `decision_stride` frames, `decide` encodes each blob (dense
+local descriptors + global LAB histogram) and classifies it, and
+`_verify` feeds the classifier-positive blobs to the temporal tracker; a
 track confirmed as fire emits exactly one alarm event. Stages
 short-circuit, so an empty candidate mask costs no classifier work.
 """
@@ -47,6 +49,9 @@ class SectionLabel:
     fire: bool
 
 
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
 @dataclass
 class PipelineConfig:
     codebook_path: str = ""
@@ -69,7 +74,6 @@ class PipelineConfig:
     unstable_area_inverted: bool = False
     iou_threshold: float = 0.3
     track_max_gap: int = 5  # in decision ticks; scaled by the stride
-    seed: int = 12345
     mask_dump_dir: str = ""
     track_log: str = ""
 
@@ -82,6 +86,12 @@ class PipelineConfig:
             raise ConfigError(f"need 0 < t1 < t2, got t1={self.t1} t2={self.t2}")
         if self.m < 1:
             raise ConfigError("m must be >= 1")
+        if not 0 < self.rho <= 1:
+            raise ConfigError(f"rho must be in (0, 1], got {self.rho}")
+        if self.stats_window < 1:
+            raise ConfigError("stats_window must be >= 1")
+        if self.track_max_gap < 1:
+            raise ConfigError("track_max_gap must be >= 1")
         if self.sigma < 0:
             raise ConfigError("sigma must be >= 0")
         if len(self.ladder) < 1:
@@ -141,10 +151,9 @@ class PipelineConfig:
             "t1": ("t1", float),
             "t2": ("t2", float),
             "preset": ("preset", str),
-            "unstable_area_inverted": ("unstable_area_inverted", lambda v: v.lower() in ("1", "true", "yes")),
+            "unstable_area_inverted": ("unstable_area_inverted", lambda v: _BOOLEANS[v.lower()]),
             "iou_threshold": ("iou_threshold", float),
             "track_max_gap": ("track_max_gap", int),
-            "seed": ("seed", int),
             "mask_dump_dir": ("mask_dump_dir", str),
             "track_log": ("track_log", str),
         }
@@ -155,7 +164,7 @@ class PipelineConfig:
             name, cast = casts[key]
             try:
                 parsed = cast(value)
-            except ValueError:
+            except (KeyError, ValueError):
                 raise ConfigError(f"{path}: bad value for {key}: {value!r}") from None
             if name == "preset":
                 preset = parsed
@@ -217,6 +226,8 @@ class DetectionPipeline:
         sigma = config.sigma if config.sigma > 0 else codebook.sigma
         if sigma <= 0:
             raise ConfigError("encoder sigma must be positive")
+        if config.m > codebook.k:
+            raise ConfigError(f"m={config.m} exceeds the codebook's {codebook.k} words")
         self.params = cb.EncoderParams(m=config.m, sigma=sigma)
         self.index = cb.index(codebook)
         self.plan = SamplingPlan(config.interval, tuple(config.scales))
@@ -242,95 +253,116 @@ class DetectionPipeline:
         paused = 0.0
         try:
             for pos, frame in enumerate(frames):
-                if frame.space is not ColorSpace.RGB:
-                    raise DataError(
-                        f"frame {frame.index} is {frame.space.value}, not RGB"
-                    )
-                if engine is None:
-                    size = (frame.width, frame.height)
-                    engine = ProposalEngine(
-                        ProposalConfig(
-                            cfg.camera, cfg.ladder, cfg.min_blob_area, cfg.rho,
-                            cfg.lam, cfg.var_floor, cfg.warmup, cfg.stats_window,
-                        ),
-                        frame.width,
-                        frame.height,
-                    )
-                elif (frame.width, frame.height) != size:
-                    raise DataError(
-                        f"frame {frame.index} is {frame.width}x{frame.height}, "
-                        f"but the stream started at {size[0]}x{size[1]}"
-                    )
-                elif frame.index <= last_index:
-                    raise DataError(f"frame {frame.index} follows frame {last_index}")
-                last_index = frame.index
-                t0 = time.perf_counter()
-                blobs, cand = engine.propose(frame)
-                stats.proposal_s += time.perf_counter() - t0
-                stats.frames += 1
-                stats.blobs_proposed += len(blobs)
-                if mask_dir:
-                    write_pbm(mask_dir / f"mask_{frame.index:06d}.pbm", cand.mask)
-
-                if pos % cfg.decision_stride == 0:
-                    fire_blobs, margins = [], []
-                    if blobs:
-                        t0 = time.perf_counter()
-                        ctx = SampleContext(frame, _gray=engine.gray)
-                        stats.features_s += time.perf_counter() - t0
-                    for blob in blobs:
-                        t0 = time.perf_counter()
-                        try:
-                            descs = sample(
-                                frame, self.plan, mask=blob.mask,
-                                anchor=(blob.x, blob.y), ctx=ctx,
-                            )
-                        except ValueError:
-                            descs = []
-                        stats.features_s += time.perf_counter() - t0
-                        if not descs:
-                            continue
-                        t0 = time.perf_counter()
-                        x, y, w, h = blob.bbox
-                        ghist = histogram_from_pixels(
-                            ctx.lab(x, y, x + w, y + h), ColorSpace.LAB, blob.mask
-                        )
-                        feat = cb.encode(
-                            descs, self.index, self.params, ghist.bins,
-                            self.fingerprint,
-                        )
-                        label, margin = cl.predict(self.model, feat)
-                        stats.classify_s += time.perf_counter() - t0
-                        stats.classifier_calls += 1
-                        if label > 0:
-                            fire_blobs.append(blob)
-                            margins.append(margin)
+                engine = self._admit(frame, engine)
+                blobs = self._propose(engine, frame, mask_dir)
+                if pos % cfg.decision_stride:
+                    continue
+                fire_blobs, margins = self.decide(frame, engine.gray, blobs)
+                for tr in self._verify(tracker, frame.index, fire_blobs, margins, track_log):
+                    stats.alarms += 1
                     t0 = time.perf_counter()
-                    confirmed = tracker.update(fire_blobs, frame.index, margins)
-                    stats.temporal_s += time.perf_counter() - t0
-                    if track_log:
-                        for tr in tracker.tracks:
-                            if tr.last_seen != frame.index:
-                                continue
-                            p, a, d1, d2, d3, d4 = tr.samples[-1]
-                            track_log.write(
-                                f"{frame.index} {tr.track_id} {tr.state.value} "
-                                f"{p:g} {a:g} {d1:g} {d2:g} {d3:g} {d4:g}\n"
-                            )
-                    for tr in confirmed:
-                        stats.alarms += 1
-                        t0 = time.perf_counter()
-                        try:
-                            yield AlarmEvent(
-                                video_id, frame.index, tr.track_id, tr.bbox,
-                                tr.last_margin,
-                            )
-                        finally:
-                            paused += time.perf_counter() - t0
+                    try:
+                        yield AlarmEvent(
+                            video_id, frame.index, tr.track_id, tr.bbox, tr.last_margin
+                        )
+                    finally:
+                        paused += time.perf_counter() - t0
         finally:
             stats.total_s = time.perf_counter() - t_run - paused
             if track_log:
                 track_log.close()
+
+    def _admit(self, frame: Frame, engine: Optional[ProposalEngine]) -> ProposalEngine:
+        """The stream's proposal engine, built at its first frame. A frame
+        that is not RGB, not of the first frame's size, or not after the
+        last frame proposed is a DataError."""
+        if frame.space is not ColorSpace.RGB:
+            raise DataError(f"frame {frame.index} is {frame.space.value}, not RGB")
+        if engine is None:
+            cfg = self.config
+            return ProposalEngine(
+                ProposalConfig(
+                    cfg.camera, cfg.ladder, cfg.min_blob_area, cfg.rho,
+                    cfg.lam, cfg.var_floor, cfg.warmup, cfg.stats_window,
+                ),
+                frame.width,
+                frame.height,
+            )
+        if (frame.width, frame.height) != (engine.width, engine.height):
+            raise DataError(
+                f"frame {frame.index} is {frame.width}x{frame.height}, "
+                f"but the stream started at {engine.width}x{engine.height}"
+            )
+        if frame.index <= engine.index:
+            raise DataError(f"frame {frame.index} follows frame {engine.index}")
+        return engine
+
+    def _propose(self, engine: ProposalEngine, frame: Frame, mask_dir) -> list:
+        """Stage 1: the frame's candidate blobs; dumps the cleaned mask."""
+        t0 = time.perf_counter()
+        blobs, cand = engine.propose(frame)
+        self.stats.proposal_s += time.perf_counter() - t0
+        self.stats.frames += 1
+        self.stats.blobs_proposed += len(blobs)
+        if mask_dir:
+            write_pbm(mask_dir / f"mask_{frame.index:06d}.pbm", cand.mask)
+        return blobs
+
+    def decide(self, frame: Frame, gray: Optional[np.ndarray], blobs):
+        """Stage 2: (the blobs the SVM classifies as fire, their margins).
+
+        `gray` is the frame's luma as proposal computed it (None computes
+        it again). Each blob is encoded from its local descriptors and its
+        global LAB histogram; a blob with no descriptor is not classified.
+        """
+        stats = self.stats
+        fire_blobs, margins = [], []
+        if not blobs:
+            return fire_blobs, margins
+        t0 = time.perf_counter()
+        ctx = SampleContext(frame, _gray=gray)
+        stats.features_s += time.perf_counter() - t0
+        for blob in blobs:
+            t0 = time.perf_counter()
+            try:
+                descs = sample(
+                    frame, self.plan, mask=blob.mask, anchor=(blob.x, blob.y), ctx=ctx
+                )
+            except ValueError:  # no kernel fits the frame
+                descs = ()
+            stats.features_s += time.perf_counter() - t0
+            if len(descs) == 0:
+                continue
+            t0 = time.perf_counter()
+            x, y, w, h = blob.bbox
+            ghist = histogram_from_pixels(
+                ctx.lab(x, y, x + w, y + h), ColorSpace.LAB, blob.mask
+            )
+            feat = cb.encode(descs, self.index, self.params, ghist.bins, self.fingerprint)
+            label, margin = cl.predict(self.model, feat)
+            stats.classify_s += time.perf_counter() - t0
+            stats.classifier_calls += 1
+            if label > 0:
+                fire_blobs.append(blob)
+                margins.append(margin)
+        return fire_blobs, margins
+
+    def _verify(self, tracker: Tracker, frame_index, fire_blobs, margins, track_log):
+        """Stage 3: the tracks confirmed as fire at this frame; logs each
+        track seen at it."""
+        t0 = time.perf_counter()
+        confirmed = tracker.update(fire_blobs, frame_index, margins)
+        self.stats.temporal_s += time.perf_counter() - t0
+        if track_log:
+            for tr in tracker.tracks:
+                if tr.last_seen != frame_index:
+                    continue
+                p, a, d1, d2, d3, d4 = tr.samples[-1]
+                track_log.write(
+                    f"{frame_index} {tr.track_id} {tr.state.value} "
+                    f"{p:g} {a:g} {d1:g} {d2:g} {d3:g} {d4:g}\n"
+                )
+        return confirmed
 
 
 # ---------------------------------------------------------------------------
@@ -352,11 +384,10 @@ def harvest_descriptors(patch_dirs, plan: SamplingPlan, log=None):
         for frame in _iter_patch_frames(d):
             patches += 1
             try:
-                descs = sample(frame, plan)
+                rows.append(sample(frame, plan))
             except ValueError:
                 continue  # patch smaller than every kernel
-            rows.extend(desc.vector for desc in descs)
-    return (np.stack(rows) if rows else np.zeros((0, 88))), patches
+    return (np.concatenate(rows) if rows else np.zeros((0, 88))), patches
 
 
 def train_codebook(

@@ -48,11 +48,6 @@ class Blob:
     def bbox(self):
         return (self.x, self.y, self.w, self.h)
 
-    def full_mask(self, height: int, width: int) -> np.ndarray:
-        out = np.zeros((height, width), dtype=bool)
-        out[self.y : self.y + self.h, self.x : self.x + self.w] = self.mask
-        return out
-
 
 # ---------------------------------------------------------------------------
 # background model
@@ -330,10 +325,11 @@ class ProposalEngine:
     and the rolling brightness statistics for threshold selection.
 
     `gray` holds the luma of the last frame proposed, so that later stages
-    of the same frame need not compute it again."""
+    of the same frame need not compute it again, and `index` its index."""
 
     def __init__(self, config: ProposalConfig, width: int, height: int):
         self.config = config
+        self.width, self.height = width, height
         if config.camera not in ("static", "moving"):
             raise ValueError(f"camera must be 'static' or 'moving', got {config.camera!r}")
         self.model = (
@@ -345,9 +341,11 @@ class ProposalEngine:
         )
         self._recent_means: List[float] = []
         self.gray: Optional[np.ndarray] = None
+        self.index: Optional[int] = None
 
     def propose(self, frame: Frame):
         self.gray = gray = _intensity(frame)
+        self.index = frame.index
         self._recent_means.append(float(gray.mean()))
         if len(self._recent_means) > self.config.stats_window:
             self._recent_means.pop(0)

@@ -237,17 +237,15 @@ class Tracker:
         self.max_gap = max_gap
         self.unstable_area_inverted = unstable_area_inverted
         self.tracks: List[BlobTrack] = []
-        self.closed: List[BlobTrack] = []
         self._next_id = 1
 
     def update(self, blobs, frame_index, margins=None):
         """Feed one frame of classifier-positive blobs. Returns tracks
         newly confirmed as fire on this frame."""
-        self.tracks, closed, self._next_id = associate(
+        self.tracks, _, self._next_id = associate(
             self.tracks, blobs, frame_index, margins,
             self.iou_threshold, self.max_gap, self._next_id,
         )
-        self.closed.extend(closed)
         confirmed = []
         for tr in self.tracks:
             if tr.state is not TrackState.PENDING or not tr.buffer_full:

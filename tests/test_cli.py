@@ -161,6 +161,39 @@ def test_bad_number_exits_2(tmp_path, capsys, synth_artifacts, case):
     assert not (tmp_path / "out.bin").exists()
 
 
+# Config values that crashed detection with a traceback, or silently
+# stopped it from ever alarming: each must be a config error (exit 2).
+BAD_CONFIG = [
+    ("rho=0",),
+    ("rho=2",),
+    ("stats_window=0",),
+    ("m=600", "camera=moving"),  # more neighbors than the 500 codebook words
+    ("track_max_gap=0",),
+    ("unstable_area_inverted=ture",),
+]
+
+
+@pytest.mark.parametrize("overrides", BAD_CONFIG, ids=" ".join)
+def test_bad_config_value_exits_2(tmp_path, capsys, synth_artifacts, overrides):
+    frames_dir = tmp_path / "frames"
+    frames_dir.mkdir()
+    scene = SyntheticScene(SceneSpec(seed=7))
+    for t in range(3):
+        write_ppm(frames_dir / f"{t:06d}.ppm", scene.frame(t).pixels)
+    cfg = tmp_path / "pipe.cfg"
+    cfg.write_text(
+        f"codebook={synth_artifacts['codebook_path']}\n"
+        f"model={synth_artifacts['model_path']}\ndecision_stride=1\n"
+    )
+    argv = ["detect", "--config", str(cfg), "--frames", str(frames_dir)]
+    for item in overrides:
+        argv += ["--set", item]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "config error" in err and overrides[0].split("=")[0] in err
+
+
 def test_selftest_quick(capsys):
     code = main(["selftest", "--quick"])
     out = capsys.readouterr().out

@@ -12,13 +12,13 @@ from pyrovigil.features import (
     _local_hist_batch,
     _subregion_lut,
     _surf_batch,
-    dump_descriptors,
     global_histogram,
     haar_margin,
     histogram_from_pixels,
     kernel_fits,
     local_color_histogram,
     sample,
+    sample_positions,
     surf_descriptor,
 )
 from pyrovigil.imaging import ColorSpace, Frame, convert, integral
@@ -286,6 +286,13 @@ def enumerate_valid_centers(width, height, scale, interval, anchor=(0, 0)):
     return out
 
 
+def centers(placements):
+    """((cx, cy), scale) of each descriptor row, in row order."""
+    return [
+        ((int(x), int(y)), s) for s, cxs, cys in placements for x, y in zip(cxs, cys)
+    ]
+
+
 class TestSampling:
     def test_27x27_grid_count(self, rng):
         img = rng.integers(0, 256, (27, 27, 3)).astype(float)
@@ -294,7 +301,8 @@ class TestSampling:
         descs = sample(frame, plan)
         oracle = enumerate_valid_centers(27, 27, 9, 9)
         assert len(descs) == len(oracle)
-        assert sorted(d.center for d in descs) == sorted(oracle)
+        got = [c for c, _ in centers(sample_positions(frame, plan))]
+        assert sorted(got) == sorted(oracle)
 
     def test_grid_count_product_rule(self, rng):
         for _ in range(5):
@@ -314,16 +322,14 @@ class TestSampling:
         plan = SamplingPlan()
         a = sample(frame, plan)
         b = sample(frame, plan)
-        assert len(a) == len(b)
-        for da, db in zip(a, b):
-            assert da.center == db.center
-            assert np.array_equal(da.vector, db.vector)
+        assert a.shape == b.shape
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
     def test_all_zero_mask_gives_empty_list(self, rng):
         img = rng.integers(0, 256, (30, 30, 3)).astype(float)
         frame = Frame(img, ColorSpace.RGB)
         descs = sample(frame, SamplingPlan(), mask=np.zeros((30, 30), dtype=bool))
-        assert descs == []
+        assert descs.shape == (0, 88)
 
     def test_too_small_frame_raises(self):
         frame = Frame(np.zeros((8, 8, 3)), ColorSpace.RGB)
@@ -333,32 +339,17 @@ class TestSampling:
     def test_anchor_shifts_grid(self, rng):
         img = rng.integers(0, 256, (40, 40, 3)).astype(float)
         frame = Frame(img, ColorSpace.RGB)
-        descs = sample(frame, SamplingPlan(), anchor=(7, 6))
+        placements = sample_positions(frame, SamplingPlan(), anchor=(7, 6))
         oracle = enumerate_valid_centers(40, 40, 9, 9, anchor=(7, 6))
-        assert sorted(d.center for d in descs) == sorted(oracle)
+        assert sorted(c for c, _ in centers(placements)) == sorted(oracle)
 
     def test_descriptor_dimensions(self, rng):
         img = rng.integers(0, 256, (30, 30, 3)).astype(float)
         descs = sample(Frame(img, ColorSpace.RGB), SamplingPlan())
-        for d in descs:
-            assert d.vector.shape == (88,)
-            assert d.surf.shape == (64,)
-            assert d.color.shape == (24,)
-            norm = np.linalg.norm(d.surf)
-            assert norm == 0.0 or abs(norm - 1.0) <= 1e-6
-            assert abs(d.color.sum() - 3.0) <= 1e-6
-
-    def test_dump_format(self, rng, tmp_path):
-        img = rng.integers(0, 256, (30, 30, 3)).astype(float)
-        descs = sample(Frame(img, ColorSpace.RGB), SamplingPlan())
-        path = tmp_path / "descs.txt"
-        dump_descriptors(descs, path)
-        lines = path.read_text().splitlines()
-        assert len(lines) == len(descs)
-        fields = lines[0].split()
-        assert len(fields) == 3 + 88
-        assert int(fields[0]) == descs[0].center[0]
-        assert int(fields[2]) == descs[0].scale
+        assert descs.ndim == 2 and descs.shape[1] == 88 and descs.shape[0] > 0
+        norms = np.linalg.norm(descs[:, 0:64], axis=1)
+        assert np.all((norms == 0.0) | (np.abs(norms - 1.0) <= 1e-6))
+        assert np.all(np.abs(descs[:, 64:88].sum(axis=1) - 3.0) <= 1e-6)
 
 
 def _full_frame_blob_features(frame, plan, blob):
@@ -368,7 +359,8 @@ def _full_frame_blob_features(frame, plan, blob):
     grid has no kernel inside the frame."""
     lab = convert(frame, ColorSpace.LAB).pixels
     table = integral(convert(frame, ColorSpace.GRAY)).table[0]
-    mask = blob.full_mask(frame.height, frame.width)
+    mask = np.zeros((frame.height, frame.width), dtype=bool)
+    mask[blob.y : blob.y + blob.h, blob.x : blob.x + blob.w] = blob.mask
     lo, inv = _lab_bin_params()
     out = []
     for scale in plan.scales:
@@ -435,14 +427,17 @@ class TestWindowedSampling:
 
     def _check(self, frame, plan, blob, ctx):
         want, want_bins = _full_frame_blob_features(frame, plan, blob)
+        anchor = (blob.x, blob.y)
         try:
-            got = sample(frame, plan, mask=blob.mask, anchor=(blob.x, blob.y), ctx=ctx)
+            got = sample(frame, plan, mask=blob.mask, anchor=anchor, ctx=ctx)
+            placements = sample_positions(frame, plan, mask=blob.mask, anchor=anchor)
         except ValueError:
-            got = []
-        assert [(d.center, d.scale) for d in got] == [(c, s) for c, s, _ in want]
-        for d, (_, _, vector) in zip(got, want):
-            assert np.array_equal(d.vector.view(np.uint64), vector.view(np.uint64))
-        if got:
+            got, placements = np.zeros((0, 88)), []
+        assert centers(placements) == [(c, s) for c, s, _ in want]
+        assert got.shape == (len(want), 88)
+        for row, (_, _, vector) in zip(got, want):
+            assert np.array_equal(row.view(np.uint64), vector.view(np.uint64))
+        if len(got):
             x, y, w, h = blob.bbox
             bins = histogram_from_pixels(
                 ctx.lab(x, y, x + w, y + h), ColorSpace.LAB, blob.mask
