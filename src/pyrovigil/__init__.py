@@ -8,7 +8,6 @@ __version__ = "0.1.0"
 
 from .imaging import ColorSpace, Frame, IntegralImage, convert, integral, rect_sum
 from .features import (
-    GlobalColorHistogram,
     SamplingPlan,
     global_histogram,
     local_color_histogram,
@@ -16,12 +15,10 @@ from .features import (
     surf_descriptor,
 )
 from .codebook import (
-    BlobFeature,
     Codebook,
     EncoderParams,
     NNIndex,
     encode,
-    index,
     kmeans,
     read_codebook,
     soft_assign,
@@ -44,9 +41,9 @@ from .proposal import (
     Blob,
     CandidateMask,
     ProposalConfig,
+    ProposalEngine,
     extract_blobs,
     multi_level_threshold,
-    propose,
 )
 from .temporal import (
     BlobTrack,

@@ -91,11 +91,19 @@ def kernel_matrix(kernel: Kernel, X: np.ndarray, Y: Optional[np.ndarray] = None)
     Y = X if Y is None else np.ascontiguousarray(np.asarray(Y, dtype=np.float64))
     if X.shape[1] != Y.shape[1]:
         raise ValueError(f"dimension mismatch: {X.shape[1]} vs {Y.shape[1]}")
-    if kernel.kind is KernelKind.LINEAR:
+    base = _base_matrix(kernel.kind, X, Y)
+    return base if kernel.kind is KernelKind.LINEAR else np.exp(-kernel.gamma * base)
+
+
+def _base_matrix(kind: KernelKind, X, Y):
+    """The linear kernel's matrix itself, or the distances that the RBF
+    (squared Euclidean) and chi-square kernels scale by -gamma and
+    exponentiate."""
+    if kind is KernelKind.LINEAR:
         return X @ Y.T
-    if kernel.kind is KernelKind.RBF:
-        return np.exp(-kernel.gamma * _sq_euclid_matrix(X, Y))
-    return np.exp(-kernel.gamma * chi2_distance_matrix(X, Y))
+    if kind is KernelKind.RBF:
+        return _sq_euclid_matrix(X, Y)
+    return chi2_distance_matrix(X, Y)
 
 
 def kernel_eval(kernel: Kernel, a, b) -> float:
@@ -173,8 +181,8 @@ def _bias(alpha, y, G, Cvec):
 
 
 def train(
-    samples,
-    labels=None,
+    X,
+    y,
     kernel: Kernel = Kernel(KernelKind.RBF, 1.0),
     C: float = 1.0,
     balance: bool = True,
@@ -183,14 +191,11 @@ def train(
     max_iter: int = 200_000,
     codebook_fingerprint: Optional[bytes] = None,
 ) -> TrainedModel:
-    """Fit the soft-margin dual by SMO.
-
-    `samples` is either an (n, dim) matrix with `labels` as a +/-1 vector,
-    or a sequence of (feature, label) pairs where features expose
-    `.combined`. Raises ConvergenceError (carrying the residual KKT
+    """Fit the soft-margin dual by SMO to the (n, dim) rows of X and their
+    +/-1 labels y. Raises ConvergenceError (carrying the residual KKT
     violation) if the iteration cap is hit first.
     """
-    X, y = _unpack_samples(samples, labels)
+    X, y = _as_samples(X, y)
     if not np.isfinite(X).all():
         raise ValueError("training features contain non-finite values")
     if C <= 0:
@@ -225,17 +230,9 @@ def train(
     )
 
 
-def _unpack_samples(samples, labels):
-    if labels is not None:
-        X = np.ascontiguousarray(np.asarray(samples, dtype=np.float64))
-        y = np.asarray(labels, dtype=np.float64)
-    else:
-        feats, ys = [], []
-        for feat, label in samples:
-            feats.append(feat.combined if hasattr(feat, "combined") else feat)
-            ys.append(label)
-        X = np.ascontiguousarray(np.asarray(feats, dtype=np.float64))
-        y = np.asarray(ys, dtype=np.float64)
+def _as_samples(X, y):
+    X = np.ascontiguousarray(np.asarray(X, dtype=np.float64))
+    y = np.asarray(y, dtype=np.float64)
     if set(np.unique(y)) - {-1.0, 1.0}:
         raise ValueError("labels must be +1 or -1")
     return X, y
@@ -255,23 +252,10 @@ def decision_function(model: TrainedModel, X) -> np.ndarray:
     return margins[0] if single else margins
 
 
-def predict(model: TrainedModel, feature):
-    """(label, margin) for one feature; ties on the boundary go to +1
+def predict(model: TrainedModel, row):
+    """(label, margin) for one feature row; ties on the boundary go to +1
     (a miss costs more than a false alarm, so zero margin reads as fire)."""
-    if hasattr(feature, "combined"):
-        if (
-            model.codebook_fingerprint is not None
-            and feature.codebook_fingerprint is not None
-            and model.codebook_fingerprint != feature.codebook_fingerprint
-        ):
-            raise ValueError(
-                "model/codebook pairing violated: feature was encoded "
-                "against a different codebook"
-            )
-        vec = feature.combined
-    else:
-        vec = feature
-    margin = float(decision_function(model, vec))
+    margin = float(decision_function(model, row))
     return (1 if margin >= 0.0 else -1), margin
 
 
@@ -308,8 +292,8 @@ def stratified_folds(y, folds, seed):
 
 
 def cross_validate(
-    samples,
-    labels=None,
+    X,
+    y,
     kind: KernelKind = KernelKind.RBF,
     folds: int = 5,
     c_values=None,
@@ -326,7 +310,7 @@ def cross_validate(
     Deterministic for a fixed seed; the best cell is the first maximum in
     (C, gamma) scan order.
     """
-    X, y = _unpack_samples(samples, labels)
+    X, y = _as_samples(X, y)
     n_pos = int((y > 0).sum())
     n_neg = int((y < 0).sum())
     if min(n_pos, n_neg) < folds:
@@ -341,13 +325,7 @@ def cross_validate(
             default_grid() if gamma_values is None else gamma_values, dtype=np.float64
         )
 
-    if kind is KernelKind.LINEAR:
-        base = X @ X.T
-    elif kind is KernelKind.RBF:
-        base = _sq_euclid_matrix(X, X)
-    else:
-        base = chi2_distance_matrix(X, X)
-
+    base = _base_matrix(kind, X, X)
     fold_idx = stratified_folds(y, folds, seed)
     acc = np.zeros((len(c_values), len(gamma_values)))
     for gi, gamma in enumerate(gamma_values):

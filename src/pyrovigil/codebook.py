@@ -11,7 +11,6 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -50,19 +49,6 @@ class EncoderParams:
             raise ValueError(f"neighbor count m must be >= 1, got {self.m}")
         if self.sigma <= 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
-
-
-@dataclass(frozen=True)
-class BlobFeature:
-    """Normalized bag-of-words block plus the global color histogram."""
-
-    bow: np.ndarray  # (k,), sums to 1
-    global_hist: np.ndarray  # (96,)
-    codebook_fingerprint: Optional[bytes] = None
-
-    @property
-    def combined(self) -> np.ndarray:
-        return np.concatenate([self.bow, self.global_hist])
 
 
 # ---------------------------------------------------------------------------
@@ -227,11 +213,6 @@ class NNIndex:
         return idx, np.sqrt(np.take_along_axis(d2, order, axis=1))
 
 
-def index(codebook: Codebook) -> NNIndex:
-    """Build the neighbor index for a codebook."""
-    return NNIndex(codebook.centers)
-
-
 # ---------------------------------------------------------------------------
 # soft assignment and encoding
 
@@ -265,19 +246,15 @@ def soft_assign(descriptor: np.ndarray, nn_index: NNIndex, params: EncoderParams
 
 
 def encode(
-    descriptors,
-    nn_index: NNIndex,
-    params: EncoderParams,
-    global_hist: np.ndarray,
-    codebook_fingerprint: Optional[bytes] = None,
-) -> BlobFeature:
-    """Accumulate soft-assignment weights of the (n, dim) descriptor rows
-    into a k-bin histogram (pre-normalization mass equals n), then
-    L1-normalize and pair with the provided global histogram."""
+    descriptors, nn_index: NNIndex, params: EncoderParams, global_hist: np.ndarray
+) -> np.ndarray:
+    """The (k + 96,) feature row of a blob: soft-assignment weights of the
+    (n, dim) descriptor rows accumulated into a k-bin histogram
+    (pre-normalization mass equals n) and L1-normalized, followed by the
+    provided global histogram."""
     hist = raw_bow_histogram(descriptors, nn_index, params)
     bow = hist / hist.sum()
-    g = np.asarray(global_hist, dtype=np.float64)
-    return BlobFeature(bow, g, codebook_fingerprint)
+    return np.concatenate([bow, np.asarray(global_hist, dtype=np.float64)])
 
 
 def raw_bow_histogram(descriptors, nn_index: NNIndex, params: EncoderParams):

@@ -59,15 +59,6 @@ class SamplingPlan:
         return f"interval={self.interval};scales={scales}"
 
 
-@dataclass(frozen=True)
-class GlobalColorHistogram:
-    """96 bins: three concatenated 32-bin per-channel histograms."""
-
-    bins: np.ndarray
-    space: ColorSpace
-    normalized: bool = True
-
-
 def haar_margin(scale: int) -> int:
     return max(1, int(scale / 9.0 + 0.5))
 
@@ -250,12 +241,10 @@ def _hist96(values, lo, inv_width):
 
 
 def histogram_from_pixels(
-    pixels: np.ndarray,
-    space: ColorSpace,
-    mask: Optional[np.ndarray] = None,
-    normalized: bool = True,
-) -> GlobalColorHistogram:
-    """96-bin histogram of (h, w, 3) pixels already in `space`."""
+    pixels: np.ndarray, space: ColorSpace, mask: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """(96,) histogram of (h, w, 3) pixels already in `space`: three
+    concatenated 32-bin per-channel histograms, each L1-normalized."""
     if space is ColorSpace.GRAY:
         raise ValueError("global histogram needs a 3-channel color space")
     if mask is not None:
@@ -272,27 +261,21 @@ def histogram_from_pixels(
     domains = CHANNEL_DOMAINS[space]
     lo = np.array([d[0] for d in domains])
     inv = np.array([GLOBAL_BINS_PER_CHANNEL / (d[1] - d[0]) for d in domains])
-    counts = _hist96(np.ascontiguousarray(values), lo, inv)
-    if normalized:
-        bins = counts.copy()
-        for c in range(3):
-            block = bins[c * 32 : c * 32 + 32]
-            total = block.sum()
-            if total > 0:
-                block /= total
-        return GlobalColorHistogram(bins, space, True)
-    return GlobalColorHistogram(counts, space, False)
+    bins = _hist96(np.ascontiguousarray(values), lo, inv)
+    for c in range(3):
+        block = bins[c * 32 : c * 32 + 32]
+        total = block.sum()
+        if total > 0:
+            block /= total
+    return bins
 
 
 def global_histogram(
-    frame: Frame,
-    space: ColorSpace,
-    mask: Optional[np.ndarray] = None,
-    normalized: bool = True,
-) -> GlobalColorHistogram:
-    """96-bin color histogram of a frame (or masked region) in `space`."""
+    frame: Frame, space: ColorSpace, mask: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """(96,) color histogram of a frame (or masked region) in `space`."""
     pixels = frame.pixels if frame.space is space else convert(frame, space).pixels
-    return histogram_from_pixels(pixels, space, mask, normalized)
+    return histogram_from_pixels(pixels, space, mask)
 
 
 class SampleContext:

@@ -71,10 +71,6 @@ class Frame:
     def width(self) -> int:
         return self.pixels.shape[1]
 
-    @property
-    def channels(self) -> int:
-        return 1 if self.space is ColorSpace.GRAY else 3
-
 
 def luma(pixels: np.ndarray) -> np.ndarray:
     """BT.601 luma of an (h, w, 3) RGB array."""

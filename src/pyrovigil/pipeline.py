@@ -96,6 +96,10 @@ class PipelineConfig:
             raise ConfigError("sigma must be >= 0")
         if len(self.ladder) < 1:
             raise ConfigError("threshold ladder must not be empty")
+        if not all(0 < rung <= 255 for rung in self.ladder):
+            raise ConfigError(f"ladder rungs must be in (0, 255], got {self.ladder}")
+        if not 0 < self.iou_threshold <= 1:
+            raise ConfigError(f"iou_threshold must be in (0, 1], got {self.iou_threshold}")
         try:
             SamplingPlan(self.interval, tuple(self.scales))
         except ValueError as e:
@@ -214,10 +218,9 @@ class DetectionPipeline:
             model = cl.read_model(config.model_path)
         self.codebook = codebook
         self.model = model
-        self.fingerprint = codebook.fingerprint()
         if (
             model.codebook_fingerprint is not None
-            and model.codebook_fingerprint != self.fingerprint
+            and model.codebook_fingerprint != codebook.fingerprint()
         ):
             raise DataError(
                 "model/codebook pairing violated: the model was trained "
@@ -229,7 +232,7 @@ class DetectionPipeline:
         if config.m > codebook.k:
             raise ConfigError(f"m={config.m} exceeds the codebook's {codebook.k} words")
         self.params = cb.EncoderParams(m=config.m, sigma=sigma)
-        self.index = cb.index(codebook)
+        self.index = cb.NNIndex(codebook.centers)
         self.plan = SamplingPlan(config.interval, tuple(config.scales))
         self.stats = StageStats()
 
@@ -338,8 +341,8 @@ class DetectionPipeline:
             ghist = histogram_from_pixels(
                 ctx.lab(x, y, x + w, y + h), ColorSpace.LAB, blob.mask
             )
-            feat = cb.encode(descs, self.index, self.params, ghist.bins, self.fingerprint)
-            label, margin = cl.predict(self.model, feat)
+            row = cb.encode(descs, self.index, self.params, ghist)
+            label, margin = cl.predict(self.model, row)
             stats.classify_s += time.perf_counter() - t0
             stats.classifier_calls += 1
             if label > 0:
@@ -420,15 +423,10 @@ def train_codebook(
 
 
 def encode_patches(
-    patch_dir,
-    book: cb.Codebook,
-    nn_index: cb.NNIndex,
-    params: cb.EncoderParams,
-    plan: SamplingPlan,
+    patch_dir, nn_index: cb.NNIndex, params: cb.EncoderParams, plan: SamplingPlan
 ):
-    """Encode every patch in a directory to a combined feature row."""
+    """Encode every patch in a directory to its (k + 96,) feature row."""
     feats, failures = [], []
-    fingerprint = book.fingerprint()
     for frame in _iter_patch_frames(patch_dir):
         try:
             ctx = SampleContext(frame)
@@ -436,8 +434,7 @@ def encode_patches(
             ghist = histogram_from_pixels(
                 ctx.lab(0, 0, frame.width, frame.height), ColorSpace.LAB, None
             )
-            feat = cb.encode(descs, nn_index, params, ghist.bins, fingerprint)
-            feats.append(feat.combined)
+            feats.append(cb.encode(descs, nn_index, params, ghist))
         except ValueError as e:
             failures.append((frame.index, str(e)))
     return feats, failures
@@ -485,9 +482,9 @@ def train_model(
     cross-validation on the training split, fit the final model, and
     report accuracy on the held-out fifth."""
     params = cb.EncoderParams(m=min(m, book.k), sigma=book.sigma)
-    nn_index = cb.index(book)
-    fire_feats, fire_fail = encode_patches(fire_dir, book, nn_index, params, plan)
-    non_feats, non_fail = encode_patches(nonfire_dir, book, nn_index, params, plan)
+    nn_index = cb.NNIndex(book.centers)
+    fire_feats, fire_fail = encode_patches(fire_dir, nn_index, params, plan)
+    non_feats, non_fail = encode_patches(nonfire_dir, nn_index, params, plan)
     failures = [("fire", i, msg) for i, msg in fire_fail]
     failures += [("nonfire", i, msg) for i, msg in non_fail]
     if failures:

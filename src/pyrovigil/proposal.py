@@ -8,7 +8,6 @@ flood the candidate mask while dim scenes still stay selective.
 """
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import List, Optional
 
 import numpy as np
@@ -19,18 +18,10 @@ DEFAULT_LADDER = (220.0, 190.0, 160.0)
 REFERENCE_PIXELS = 320 * 240
 
 
-class MaskMethod(Enum):
-    BG_SUBTRACTION = "bg_subtraction"
-    MULTI_LEVEL_THRESHOLD = "multi_level_threshold"
-    INTERSECTION = "intersection"
-
-
 @dataclass(frozen=True)
 class CandidateMask:
     mask: np.ndarray
-    frame_index: int
-    method: MaskMethod
-    threshold: float
+    threshold: float  # the ladder rung the brightness mask used
 
 
 @dataclass(frozen=True)
@@ -137,14 +128,13 @@ def multi_level_threshold(
     gray: np.ndarray,
     mean_intensity: Optional[float] = None,
     ladder=DEFAULT_LADDER,
-    frame_index: int = 0,
 ) -> CandidateMask:
     """Bright-pixel mask at the ladder rung chosen for scene brightness."""
     gray = np.asarray(gray, dtype=np.float64)
     if mean_intensity is None:
         mean_intensity = float(gray.mean())
     t = pick_threshold(mean_intensity, ladder)
-    return CandidateMask(gray >= t, frame_index, MaskMethod.MULTI_LEVEL_THRESHOLD, t)
+    return CandidateMask(gray >= t, t)
 
 
 # ---------------------------------------------------------------------------
@@ -273,51 +263,12 @@ class ProposalConfig:
         return max(1, round(self.min_blob_area * (width * height) / REFERENCE_PIXELS))
 
 
-def propose(
-    frame: Frame,
-    model: Optional[BackgroundModel],
-    config: ProposalConfig,
-    mean_intensity: Optional[float] = None,
-) -> List[Blob]:
-    blobs, _ = propose_with_mask(frame, model, config, mean_intensity)
-    return blobs
-
-
-def propose_with_mask(
-    frame: Frame,
-    model: Optional[BackgroundModel],
-    config: ProposalConfig,
-    mean_intensity: Optional[float] = None,
-):
-    """Candidate blobs plus the mask they came from.
-
-    With a background model the candidate mask is foreground AND bright;
-    without one (moving camera) the brightness mask stands alone. The
-    mask is cleaned by one 3x3 morphological open before labeling.
-    """
-    return _propose_gray(frame, _intensity(frame), model, config, mean_intensity)
-
-
 def _intensity(frame: Frame) -> np.ndarray:
     if frame.space is ColorSpace.GRAY:
         return frame.pixels
     if frame.space is ColorSpace.RGB:
         return luma(frame.pixels)
     raise ValueError(f"cannot derive intensity from {frame.space.value} frame")
-
-
-def _propose_gray(frame, gray, model, config, mean_intensity):
-    thr = multi_level_threshold(gray, mean_intensity, config.ladder, frame.index)
-    if model is not None:
-        fg = model.update(gray)
-        combined = fg & thr.mask
-        cand = CandidateMask(combined, frame.index, MaskMethod.INTERSECTION, thr.threshold)
-    else:
-        cand = thr
-    cleaned = binary_open3(np.ascontiguousarray(cand.mask))
-    min_area = config.scaled_min_area(frame.width, frame.height)
-    blobs = extract_blobs(cleaned, min_area)
-    return blobs, CandidateMask(cleaned, frame.index, cand.method, cand.threshold)
 
 
 class ProposalEngine:
@@ -344,10 +295,22 @@ class ProposalEngine:
         self.index: Optional[int] = None
 
     def propose(self, frame: Frame):
+        """Candidate blobs of the frame plus the cleaned mask they came from.
+
+        The brightness threshold is picked for the mean intensity of the
+        last `stats_window` frames. With a background model the candidate
+        mask is foreground AND bright; without one (moving camera) the
+        brightness mask stands alone. The mask is cleaned by one 3x3
+        morphological open before labeling.
+        """
         self.gray = gray = _intensity(frame)
         self.index = frame.index
         self._recent_means.append(float(gray.mean()))
         if len(self._recent_means) > self.config.stats_window:
             self._recent_means.pop(0)
         mean_intensity = sum(self._recent_means) / len(self._recent_means)
-        return _propose_gray(frame, gray, self.model, self.config, mean_intensity)
+        thr = multi_level_threshold(gray, mean_intensity, self.config.ladder)
+        mask = thr.mask if self.model is None else self.model.update(gray) & thr.mask
+        cleaned = binary_open3(np.ascontiguousarray(mask))
+        min_area = self.config.scaled_min_area(frame.width, frame.height)
+        return extract_blobs(cleaned, min_area), CandidateMask(cleaned, thr.threshold)

@@ -17,7 +17,6 @@ from pyrovigil.classifier import (
     train,
     write_model,
 )
-from pyrovigil.codebook import BlobFeature
 from pyrovigil.errors import ConvergenceError, DataError
 
 
@@ -225,25 +224,6 @@ class TestTrain:
         with pytest.raises(ConvergenceError) as exc:
             train(X, y, kernel=RBF1, C=100.0, max_iter=2)
         assert exc.value.violation > 1e-3
-
-    def test_fingerprint_mismatch_rejected(self, rng):
-        X = rng.normal(size=(10, 4))
-        y = np.where(np.arange(10) < 5, 1.0, -1.0)
-        model = train(X, y, kernel=RBF1, C=1.0, codebook_fingerprint=b"a" * 32)
-        feat = BlobFeature(np.zeros(2), np.zeros(2), codebook_fingerprint=b"b" * 32)
-        with pytest.raises(ValueError, match="pairing"):
-            predict(model, feat)
-
-    def test_blobfeature_pairs_accepted(self, rng):
-        feats = [
-            (BlobFeature(np.array([1.0, 0.0]), np.zeros(0)), 1),
-            (BlobFeature(np.array([0.9, 0.1]), np.zeros(0)), 1),
-            (BlobFeature(np.array([0.0, 1.0]), np.zeros(0)), -1),
-            (BlobFeature(np.array([0.1, 0.9]), np.zeros(0)), -1),
-        ]
-        model = train(feats, kernel=RBF1, C=10.0)
-        label, _ = predict(model, feats[0][0])
-        assert label == 1
 
 
 class TestCrossValidate:

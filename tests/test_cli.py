@@ -170,6 +170,9 @@ BAD_CONFIG = [
     ("m=600", "camera=moving"),  # more neighbors than the 500 codebook words
     ("track_max_gap=0",),
     ("unstable_area_inverted=ture",),
+    ("iou_threshold=1.5",),  # no blob ever matches a track
+    ("iou_threshold=0",),
+    ("ladder=300",),  # every rung above 8-bit intensity: no blob
 ]
 
 

@@ -277,9 +277,9 @@ class TestEncode:
     def test_single_descriptor_m1(self, rng):
         pts = rng.normal(size=(12, 6))
         idx = NNIndex(pts)
-        feat = encode(pts[3][None, :], idx, EncoderParams(m=1, sigma=1.0), np.zeros(96))
-        assert feat.bow[3] == 1.0
-        assert feat.bow.sum() == 1.0
+        row = encode(pts[3][None, :], idx, EncoderParams(m=1, sigma=1.0), np.zeros(96))
+        assert row[3] == 1.0
+        assert row[:12].sum() == 1.0
 
     def test_prenorm_mass_equals_count(self, rng):
         pts = rng.normal(size=(30, 8))
@@ -302,9 +302,9 @@ class TestEncode:
         idx = NNIndex(centers)
         D = rng.normal(size=(40, 6))
         params = EncoderParams(m=4, sigma=0.6)
-        a = encode(D, idx, params, np.zeros(96)).bow
+        a = encode(D, idx, params, np.zeros(96))[:25]
         perm = rng.permutation(40)
-        b = encode(D[perm], idx, params, np.zeros(96)).bow
+        b = encode(D[perm], idx, params, np.zeros(96))[:25]
         assert np.allclose(a, b, atol=1e-12)
 
     def test_sigma_changes_weights_not_support(self, rng):
@@ -325,9 +325,9 @@ class TestEncode:
         centers = rng.normal(size=(15, 4))
         idx = NNIndex(centers)
         g = rng.random(96)
-        feat = encode(rng.normal(size=(3, 4)), idx, EncoderParams(m=2, sigma=1.0), g)
-        assert feat.combined.shape == (15 + 96,)
-        assert np.array_equal(feat.combined[15:], g)
+        row = encode(rng.normal(size=(3, 4)), idx, EncoderParams(m=2, sigma=1.0), g)
+        assert row.shape == (15 + 96,)
+        assert np.array_equal(row[15:], g)
 
 
 class TestEncoderParams:

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from pyrovigil.features import (
+    GLOBAL_BINS_PER_CHANNEL,
     SampleContext,
     SamplingPlan,
     _dense_centers,
     _gauss_weights,
+    _hist96,
     _lab_bin_params,
     _local_hist_batch,
     _subregion_lut,
@@ -21,7 +23,7 @@ from pyrovigil.features import (
     sample_positions,
     surf_descriptor,
 )
-from pyrovigil.imaging import ColorSpace, Frame, convert, integral
+from pyrovigil.imaging import CHANNEL_DOMAINS, ColorSpace, Frame, convert, integral
 from pyrovigil.proposal import Blob, ProposalConfig, ProposalEngine
 from pyrovigil.synth import SceneSpec, SyntheticScene
 
@@ -88,7 +90,7 @@ class TestGlobalHistogram:
         frame = Frame(np.full((8, 8, 3), 128.0), ColorSpace.RGB)
         hist = global_histogram(frame, ColorSpace.RGB)
         for c in range(3):
-            block = hist.bins[c * 32 : c * 32 + 32]
+            block = hist[c * 32 : c * 32 + 32]
             assert (block > 0).sum() == 1
             assert block.max() == 1.0
 
@@ -96,14 +98,14 @@ class TestGlobalHistogram:
         img = rng.integers(0, 256, (20, 30, 3)).astype(float)
         for space in (ColorSpace.RGB, ColorSpace.LAB):
             hist = global_histogram(Frame(img, ColorSpace.RGB), space)
-            assert abs(hist.bins.sum() - 3.0) <= 1e-9
-            assert (hist.bins >= 0).all()
+            assert abs(hist.sum() - 3.0) <= 1e-9
+            assert (hist >= 0).all()
 
     def test_two_pixel_split(self):
         # channel 0 values 10 and 200 land in different bins: 0.5 each
         img = np.array([[[10.0, 0.0, 0.0], [200.0, 0.0, 0.0]]])
         hist = global_histogram(Frame(img, ColorSpace.RGB), ColorSpace.RGB)
-        block = hist.bins[:32]
+        block = hist[:32]
         assert sorted(block[block > 0].tolist()) == [0.5, 0.5]
         assert block[int(10 / 255 * 32)] == 0.5
         assert block[int(200 / 255 * 32)] == 0.5
@@ -113,7 +115,7 @@ class TestGlobalHistogram:
         mask = np.zeros((6, 6), dtype=bool)
         mask[0, 0] = True
         hist = global_histogram(Frame(img, ColorSpace.RGB), ColorSpace.RGB, mask)
-        assert (hist.bins > 0).sum() <= 3
+        assert (hist > 0).sum() <= 3
 
     def test_empty_mask_errors(self):
         frame = Frame(np.zeros((4, 4, 3)), ColorSpace.RGB)
@@ -121,18 +123,17 @@ class TestGlobalHistogram:
             global_histogram(frame, ColorSpace.RGB, np.zeros((4, 4), dtype=bool))
 
     def test_mass_conservation_over_partition(self, rng):
-        # unnormalized histograms of disjoint parts sum exactly to the whole
+        # raw bin counts of disjoint parts sum exactly to the whole
         img = rng.integers(0, 256, (16, 16, 3)).astype(float)
-        frame = Frame(img, ColorSpace.RGB)
+        lab = convert(Frame(img, ColorSpace.RGB), ColorSpace.LAB).pixels
+        domains = CHANNEL_DOMAINS[ColorSpace.LAB]
+        lo = np.array([d[0] for d in domains])
+        inv = np.array([GLOBAL_BINS_PER_CHANNEL / (d[1] - d[0]) for d in domains])
         parts = rng.integers(0, 3, (16, 16))
-        whole = global_histogram(frame, ColorSpace.LAB, normalized=False).bins
+        whole = _hist96(lab.reshape(-1, 3), lo, inv)
         total = np.zeros(96)
         for p in range(3):
-            mask = parts == p
-            if mask.any():
-                total += global_histogram(
-                    frame, ColorSpace.LAB, mask, normalized=False
-                ).bins
+            total += _hist96(lab[parts == p], lo, inv)
         assert np.array_equal(total, whole)
 
 
@@ -376,7 +377,7 @@ def _full_frame_blob_features(frame, plan, blob):
         colors = _local_hist_batch(lab, cxs, cys, scale, lo, inv)
         for j in range(cxs.shape[0]):
             out.append(((int(cxs[j]), int(cys[j])), scale, np.concatenate([surfs[j], colors[j]])))
-    bins = histogram_from_pixels(lab, ColorSpace.LAB, mask).bins if out else None
+    bins = histogram_from_pixels(lab, ColorSpace.LAB, mask) if out else None
     return out, bins
 
 
@@ -441,7 +442,7 @@ class TestWindowedSampling:
             x, y, w, h = blob.bbox
             bins = histogram_from_pixels(
                 ctx.lab(x, y, x + w, y + h), ColorSpace.LAB, blob.mask
-            ).bins
+            )
             assert np.array_equal(bins.view(np.uint64), want_bins.view(np.uint64))
         return len(got)
 

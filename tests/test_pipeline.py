@@ -413,7 +413,7 @@ class TestDecide:
         from test_features import _scene_blobs
 
         book, model = synth_artifacts["codebook"], synth_artifacts["model"]
-        index = cb.index(book)
+        index = cb.NNIndex(book.centers)
         params = cb.EncoderParams(m=10, sigma=book.sigma)
         pipeline = self._pipeline(synth_artifacts)
         classified = positives = 0
@@ -430,8 +430,8 @@ class TestDecide:
                 ghist = histogram_from_pixels(
                     lab[y : y + h, x : x + w], ColorSpace.LAB, blob.mask
                 )
-                feat = cb.encode(descs, index, params, ghist.bins)
-                margin = float(cl.decision_function(model, feat.combined))
+                row = cb.encode(descs, index, params, ghist)
+                margin = float(cl.decision_function(model, row))
                 classified += 1
                 if margin >= 0.0:
                     want_blobs.append(blob)
@@ -583,7 +583,7 @@ class TestTrainModel:
         monkeypatch.setattr(imaging, "rgb_to_lab", counted)
         params = cb.EncoderParams(m=10, sigma=noise_codebook.sigma)
         feats, failures = encode_patches(
-            fire_dir, noise_codebook, cb.index(noise_codebook), params, SamplingPlan()
+            fire_dir, cb.NNIndex(noise_codebook.centers), params, SamplingPlan()
         )
         assert len(feats) == 6 and failures == []
         assert converted == [(48, 48, 3)] * 6

@@ -4,7 +4,6 @@ import pytest
 from pyrovigil.imaging import ColorSpace, Frame
 from pyrovigil.proposal import (
     BackgroundModel,
-    MaskMethod,
     ProposalConfig,
     ProposalEngine,
     binary_open3,
@@ -12,8 +11,6 @@ from pyrovigil.proposal import (
     label_components,
     multi_level_threshold,
     pick_threshold,
-    propose,
-    propose_with_mask,
 )
 from pyrovigil.synth import SceneSpec, SyntheticScene
 
@@ -158,11 +155,6 @@ class TestMultiLevelThreshold:
         assert (masks[2] <= masks[1]).all()
         assert (masks[1] <= masks[0]).all()
 
-    def test_method_tag(self):
-        mask = multi_level_threshold(np.zeros((2, 2)), frame_index=9)
-        assert mask.method is MaskMethod.MULTI_LEVEL_THRESHOLD
-        assert mask.frame_index == 9
-
 
 class TestMorphology:
     def test_open_removes_specks_keeps_blocks(self):
@@ -281,7 +273,8 @@ class TestLabelingOracle:
     @pytest.mark.parametrize("t", [0, 130])
     def test_opened_mask_of_synth_frame(self, t):
         frame = SyntheticScene(SceneSpec(seed=7, flame_onset=100)).frame(t)
-        _, cand = propose_with_mask(frame, None, ProposalConfig(camera="moving"))
+        engine = ProposalEngine(ProposalConfig(camera="moving"), frame.width, frame.height)
+        _, cand = engine.propose(frame)
         assert cand.mask.shape == (240, 320) and cand.mask.any()
         _assert_matches_flood_fill(cand.mask)
 
@@ -328,15 +321,16 @@ class TestPropose:
         px[10:20, 10:20] = 250.0  # 100 px bright square
         px[40:45, 50:60] = 250.0  # 50 px
         frame = Frame(px, ColorSpace.GRAY)
-        cfg = ProposalConfig(min_blob_area=30)
-        blobs = propose(frame, None, cfg, mean_intensity=px.mean())
+        cfg = ProposalConfig(camera="moving", min_blob_area=30)
+        blobs, _ = ProposalEngine(cfg, 80, 60).propose(frame)
         assert len(blobs) == 2
         assert abs(blobs[0].area - 100) <= 10
         assert abs(blobs[1].area - 50) <= 5
 
     def test_empty_scene(self):
         frame = Frame(np.zeros((40, 40)), ColorSpace.GRAY)
-        assert propose(frame, None, ProposalConfig()) == []
+        engine = ProposalEngine(ProposalConfig(camera="moving"), 40, 40)
+        assert engine.propose(frame)[0] == []
 
     def test_intersection_with_background_model(self):
         cfg = ProposalConfig(min_blob_area=4, warmup=5)
@@ -352,7 +346,6 @@ class TestPropose:
         blobs, mask = engine.propose(Frame(lit, ColorSpace.GRAY))
         assert len(blobs) == 1
         assert blobs[0].bbox[0] >= 24
-        assert mask.method is MaskMethod.INTERSECTION
 
     def test_min_area_scales_with_resolution(self):
         cfg = ProposalConfig(min_blob_area=64)
@@ -363,7 +356,9 @@ class TestPropose:
     def test_moving_camera_threshold_only(self):
         px = np.full((30, 30), 100.0)
         px[4:12, 4:12] = 255.0
-        _, mask = propose_with_mask(
-            Frame(px, ColorSpace.GRAY), None, ProposalConfig(camera="moving")
-        )
-        assert mask.method is MaskMethod.MULTI_LEVEL_THRESHOLD
+        engine = ProposalEngine(ProposalConfig(camera="moving"), 30, 30)
+        blobs, mask = engine.propose(Frame(px, ColorSpace.GRAY))
+        assert engine.model is None
+        assert mask.threshold == pick_threshold(px.mean()) == 190.0
+        assert np.array_equal(mask.mask, px >= 190.0)
+        assert [b.bbox for b in blobs] == [(4, 4, 8, 8)]
