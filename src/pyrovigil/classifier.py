@@ -186,7 +186,6 @@ def train(
     kernel: Kernel = Kernel(KernelKind.RBF, 1.0),
     C: float = 1.0,
     balance: bool = True,
-    seed: int = 0,
     tol: float = 1e-3,
     max_iter: int = 200_000,
     codebook_fingerprint: Optional[bytes] = None,

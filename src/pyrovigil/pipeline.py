@@ -10,10 +10,11 @@ track confirmed as fire emits exactly one alarm event. Stages
 short-circuit, so an empty candidate mask costs no classifier work.
 """
 
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple, get_args, get_origin
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .features import (
 )
 from .frameio import frame_dir_source, list_frame_files, write_pbm
 from .imaging import ColorSpace, Frame
-from .proposal import DEFAULT_LADDER, ProposalConfig, ProposalEngine
+from .proposal import ProposalConfig, ProposalEngine
 from .temporal import StabilityThresholds, Tracker
 
 
@@ -51,24 +52,32 @@ class SectionLabel:
 
 _BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
+# the two fields whose config key is not their name
+_KEYS = {"codebook_path": "codebook", "model_path": "model"}
+
+
+def _parse(kind, text: str):
+    """A config value of the field type `kind`; raises KeyError or ValueError."""
+    if kind is bool:
+        return _BOOLEANS[text.lower()]
+    if get_origin(kind) is tuple:
+        item = get_args(kind)[0]
+        return tuple(item(s) for s in text.split(","))
+    return kind(text)
+
 
 @dataclass
-class PipelineConfig:
+class PipelineConfig(ProposalConfig):
+    """Every setting of the cascade; the proposal stage's come from
+    `ProposalConfig`. Each field is a config key, under its own name but
+    for `codebook` and `model`."""
+
     codebook_path: str = ""
     model_path: str = ""
-    camera: str = "static"
     decision_stride: int = 5
     interval: int = 9
-    scales: tuple = (9,)
+    scales: Tuple[int, ...] = (9,)
     m: int = 10
-    sigma: float = 0.0  # 0 means: use the sigma stored in the codebook
-    ladder: tuple = DEFAULT_LADDER
-    min_blob_area: int = 64
-    rho: float = 0.01
-    lam: float = 2.5
-    var_floor: float = 4.0
-    warmup: int = 25
-    stats_window: int = 25
     t1: float = 0.15
     t2: float = 0.40
     unstable_area_inverted: bool = False
@@ -77,7 +86,7 @@ class PipelineConfig:
     mask_dump_dir: str = ""
     track_log: str = ""
 
-    def validate(self, require_paths: bool = True):
+    def validate(self):
         if self.camera not in ("static", "moving"):
             raise ConfigError(f"camera must be static or moving, got {self.camera!r}")
         if self.decision_stride < 1:
@@ -88,12 +97,15 @@ class PipelineConfig:
             raise ConfigError("m must be >= 1")
         if not 0 < self.rho <= 1:
             raise ConfigError(f"rho must be in (0, 1], got {self.rho}")
+        # lam <= 0 marks every pixel foreground; NaN marks none
+        if not (math.isfinite(self.lam) and self.lam > 0):
+            raise ConfigError(f"lam must be finite and > 0, got {self.lam}")
+        if not (math.isfinite(self.var_floor) and self.var_floor >= 0):
+            raise ConfigError(f"var_floor must be finite and >= 0, got {self.var_floor}")
         if self.stats_window < 1:
             raise ConfigError("stats_window must be >= 1")
         if self.track_max_gap < 1:
             raise ConfigError("track_max_gap must be >= 1")
-        if self.sigma < 0:
-            raise ConfigError("sigma must be >= 0")
         if len(self.ladder) < 1:
             raise ConfigError("threshold ladder must not be empty")
         if not all(0 < rung <= 255 for rung in self.ladder):
@@ -104,12 +116,11 @@ class PipelineConfig:
             SamplingPlan(self.interval, tuple(self.scales))
         except ValueError as e:
             raise ConfigError(f"bad sampling settings: {e}") from None
-        if require_paths:
-            for name, p in (("codebook", self.codebook_path), ("model", self.model_path)):
-                if not p:
-                    raise ConfigError(f"{name} path not set")
-                if not Path(p).is_file():
-                    raise ConfigError(f"{name} file not found: {p}")
+        for name, p in (("codebook", self.codebook_path), ("model", self.model_path)):
+            if not p:
+                raise ConfigError(f"{name} path not set")
+            if not Path(p).is_file():
+                raise ConfigError(f"{name} file not found: {p}")
         return self
 
     @classmethod
@@ -135,49 +146,24 @@ class PipelineConfig:
 
     @classmethod
     def _from_dict(cls, values, path):
+        """Fields from config keys, each value parsed as its field's type;
+        `preset` names the (t1, t2) band that t1= and t2= override."""
+        by_key = {_KEYS.get(f.name, f.name): f for f in fields(cls)}
         kwargs = {}
-        casts = {
-            "codebook": ("codebook_path", str),
-            "model": ("model_path", str),
-            "camera": ("camera", str),
-            "decision_stride": ("decision_stride", int),
-            "interval": ("interval", int),
-            "scales": ("scales", lambda v: tuple(int(s) for s in v.split(","))),
-            "m": ("m", int),
-            "sigma": ("sigma", float),
-            "ladder": ("ladder", lambda v: tuple(float(s) for s in v.split(","))),
-            "min_blob_area": ("min_blob_area", int),
-            "rho": ("rho", float),
-            "lam": ("lam", float),
-            "var_floor": ("var_floor", float),
-            "warmup": ("warmup", int),
-            "stats_window": ("stats_window", int),
-            "t1": ("t1", float),
-            "t2": ("t2", float),
-            "preset": ("preset", str),
-            "unstable_area_inverted": ("unstable_area_inverted", lambda v: _BOOLEANS[v.lower()]),
-            "iou_threshold": ("iou_threshold", float),
-            "track_max_gap": ("track_max_gap", int),
-            "mask_dump_dir": ("mask_dump_dir", str),
-            "track_log": ("track_log", str),
-        }
         preset = None
         for key, value in values.items():
-            if key not in casts:
+            if key != "preset" and key not in by_key:
                 raise ConfigError(f"{path}: unknown config key {key!r}")
-            name, cast = casts[key]
             try:
-                parsed = cast(value)
+                if key == "preset":
+                    preset = StabilityThresholds.preset(value)
+                else:
+                    kwargs[by_key[key].name] = _parse(by_key[key].type, value)
             except (KeyError, ValueError):
                 raise ConfigError(f"{path}: bad value for {key}: {value!r}") from None
-            if name == "preset":
-                preset = parsed
-            else:
-                kwargs[name] = parsed
         if preset is not None:
-            th = StabilityThresholds.preset(preset)
-            kwargs.setdefault("t1", th.t1)
-            kwargs.setdefault("t2", th.t2)
+            kwargs.setdefault("t1", preset.t1)
+            kwargs.setdefault("t2", preset.t2)
         return cls(**kwargs)
 
 
@@ -226,12 +212,11 @@ class DetectionPipeline:
                 "model/codebook pairing violated: the model was trained "
                 "against a different codebook"
             )
-        sigma = config.sigma if config.sigma > 0 else codebook.sigma
-        if sigma <= 0:
-            raise ConfigError("encoder sigma must be positive")
+        if not (math.isfinite(codebook.sigma) and codebook.sigma > 0):
+            raise DataError(f"codebook sigma must be finite and > 0, got {codebook.sigma}")
         if config.m > codebook.k:
             raise ConfigError(f"m={config.m} exceeds the codebook's {codebook.k} words")
-        self.params = cb.EncoderParams(m=config.m, sigma=sigma)
+        self.params = cb.EncoderParams(m=config.m, sigma=codebook.sigma)
         self.index = cb.NNIndex(codebook.centers)
         self.plan = SamplingPlan(config.interval, tuple(config.scales))
         self.stats = StageStats()
@@ -282,15 +267,7 @@ class DetectionPipeline:
         if frame.space is not ColorSpace.RGB:
             raise DataError(f"frame {frame.index} is {frame.space.value}, not RGB")
         if engine is None:
-            cfg = self.config
-            return ProposalEngine(
-                ProposalConfig(
-                    cfg.camera, cfg.ladder, cfg.min_blob_area, cfg.rho,
-                    cfg.lam, cfg.var_floor, cfg.warmup, cfg.stats_window,
-                ),
-                frame.width,
-                frame.height,
-            )
+            return ProposalEngine(self.config, frame.width, frame.height)
         if (frame.width, frame.height) != (engine.width, engine.height):
             raise DataError(
                 f"frame {frame.index} is {frame.width}x{frame.height}, "
@@ -515,7 +492,7 @@ def train_model(
         else cl.Kernel(kernel_kind, gamma)
     )
     model = cl.train(
-        X[train_idx], y[train_idx], kernel=kernel, C=C, balance=True, seed=seed,
+        X[train_idx], y[train_idx], kernel=kernel, C=C, balance=True,
         codebook_fingerprint=book.fingerprint(),
     )
     margins = cl.decision_function(model, X[test_idx])

@@ -8,7 +8,7 @@ flood the candidate mask while dim scenes still stay selective.
 """
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -125,14 +125,11 @@ def pick_threshold(mean_intensity: float, ladder=DEFAULT_LADDER) -> float:
 
 
 def multi_level_threshold(
-    gray: np.ndarray,
-    mean_intensity: Optional[float] = None,
-    ladder=DEFAULT_LADDER,
+    gray: np.ndarray, mean_intensity: float, ladder=DEFAULT_LADDER
 ) -> CandidateMask:
-    """Bright-pixel mask at the ladder rung chosen for scene brightness."""
+    """Bright-pixel mask at the ladder rung chosen for a scene of the given
+    mean intensity."""
     gray = np.asarray(gray, dtype=np.float64)
-    if mean_intensity is None:
-        mean_intensity = float(gray.mean())
     t = pick_threshold(mean_intensity, ladder)
     return CandidateMask(gray >= t, t)
 
@@ -251,7 +248,7 @@ def extract_blobs(mask: np.ndarray, min_area: int = 1) -> List[Blob]:
 @dataclass
 class ProposalConfig:
     camera: str = "static"  # static | moving
-    ladder: tuple = DEFAULT_LADDER
+    ladder: Tuple[float, ...] = DEFAULT_LADDER
     min_blob_area: int = 64  # at 320x240; scaled by resolution ratio
     rho: float = 0.01
     lam: float = 2.5

@@ -173,6 +173,11 @@ BAD_CONFIG = [
     ("iou_threshold=1.5",),  # no blob ever matches a track
     ("iou_threshold=0",),
     ("ladder=300",),  # every rung above 8-bit intensity: no blob
+    ("lam=-1",),  # every pixel foreground: background subtraction off
+    ("lam=0",),
+    ("lam=nan",),  # no pixel foreground: no blob
+    ("var_floor=nan",),
+    ("preset=space",),
 ]
 
 

@@ -1,4 +1,5 @@
 import time
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -80,6 +81,53 @@ t2=0.5
         path = tmp_path / "bad.cfg"
         path.write_text("decision_stride=often\n")
         with pytest.raises(ConfigError, match="bad value"):
+            PipelineConfig.from_file(path)
+
+    def test_every_field_is_a_key(self, tmp_path, synth_artifacts):
+        want = {
+            "codebook_path": str(synth_artifacts["codebook_path"]),
+            "model_path": str(synth_artifacts["model_path"]),
+            "camera": "moving",
+            "ladder": (230.0, 200.0),
+            "min_blob_area": 32,
+            "rho": 0.05,
+            "lam": 3.5,
+            "var_floor": 2.0,
+            "warmup": 10,
+            "stats_window": 12,
+            "decision_stride": 2,
+            "interval": 7,
+            "scales": (9, 15),
+            "m": 6,
+            "t1": 0.1,
+            "t2": 0.3,
+            "unstable_area_inverted": True,
+            "iou_threshold": 0.5,
+            "track_max_gap": 3,
+            "mask_dump_dir": "masks",
+            "track_log": "tracks.log",
+        }
+        assert set(want) == {f.name for f in fields(PipelineConfig)}
+        default = PipelineConfig()
+        assert all(v != getattr(default, k) for k, v in want.items())
+        text = (
+            f"codebook={want['codebook_path']}\nmodel={want['model_path']}\n"
+            "camera=moving\nladder=230,200\nmin_blob_area=32\nrho=0.05\n"
+            "lam=3.5\nvar_floor=2\nwarmup=10\nstats_window=12\n"
+            "decision_stride=2\ninterval=7\nscales=9,15\nm=6\nt1=0.1\n"
+            "t2=0.3\nunstable_area_inverted=yes\niou_threshold=0.5\n"
+            "track_max_gap=3\nmask_dump_dir=masks\ntrack_log=tracks.log\n"
+        )
+        path = tmp_path / "pipe.cfg"
+        path.write_text(text)
+        cfg = PipelineConfig.from_file(path)
+        assert {k: getattr(cfg, k) for k in want} == want
+        for key in ("sigma", "codebook_path", "model_path"):
+            path.write_text(f"{text}{key}=1\n")
+            with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+                PipelineConfig.from_file(path)
+        path.write_text(f"{text}preset=\n")
+        with pytest.raises(ConfigError, match="bad value for preset"):
             PipelineConfig.from_file(path)
 
     def test_threshold_order_enforced(self, tmp_path, synth_artifacts):
@@ -236,6 +284,24 @@ class TestCascade:
         ).validate()
         with pytest.raises(DataError, match="pairing"):
             DetectionPipeline(config)
+
+    @pytest.mark.parametrize("sigma", [0.0, float("nan")])
+    def test_codebook_sigma_not_positive_is_data_error(self, synth_artifacts, sigma):
+        from pyrovigil.classifier import read_model
+        from pyrovigil.codebook import read_codebook
+
+        book = read_codebook(synth_artifacts["codebook_path"])
+        book = replace(book, sigma=sigma)
+        model = replace(
+            read_model(synth_artifacts["model_path"]),
+            codebook_fingerprint=book.fingerprint(),
+        )
+        config = PipelineConfig(
+            codebook_path=str(synth_artifacts["codebook_path"]),
+            model_path=str(synth_artifacts["model_path"]),
+        ).validate()
+        with pytest.raises(DataError, match="codebook sigma"):
+            DetectionPipeline(config, codebook=book, model=model)
 
     @pytest.mark.parametrize("camera", ["static", "moving"])
     def test_frame_size_change_is_data_error(self, synth_artifacts, camera):

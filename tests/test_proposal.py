@@ -129,20 +129,20 @@ class TestBackgroundModel:
 class TestMultiLevelThreshold:
     def test_black_scene_top_rung(self):
         assert pick_threshold(0.0) == 220.0
-        mask = multi_level_threshold(np.zeros((4, 4)))
+        mask = multi_level_threshold(np.zeros((4, 4)), 0.0)
         assert mask.threshold == 220.0
         assert mask.mask.sum() == 0
 
     def test_white_scene_bottom_rung(self):
         assert pick_threshold(255.0) == 160.0
-        mask = multi_level_threshold(np.full((4, 4), 255.0))
+        mask = multi_level_threshold(np.full((4, 4), 255.0), 255.0)
         assert mask.threshold == 160.0
         assert mask.mask.all()
 
     def test_midgray_with_saturated_patch(self):
         gray = np.full((30, 30), 128.0)
         gray[5:10, 5:12] = 255.0
-        mask = multi_level_threshold(gray)
+        mask = multi_level_threshold(gray, float(gray.mean()))
         # q ~ 0.52 -> continuous 188.6 -> nearest rung 190
         assert mask.threshold == 190.0
         want = np.zeros((30, 30), dtype=bool)
