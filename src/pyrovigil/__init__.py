@@ -51,10 +51,7 @@ from .temporal import (
     StabilityThresholds,
     Tracker,
     TrackState,
-    associate,
     spatial_distribution,
-    stability,
-    verdict,
 )
 from .pipeline import (
     AlarmEvent,

@@ -10,6 +10,7 @@ iteration and is non-decreasing, which the tests assert.
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -382,16 +383,25 @@ def write_model(model: TrainedModel, path) -> None:
 
 
 def read_model(path) -> TrainedModel:
-    with open(path, "rb") as f:
-        raw = f.read()
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as e:
+        raise DataError(f"cannot read model {path}: {e}") from None
     if raw[:4] != MODEL_MAGIC:
         raise DataError(f"{path}: bad model magic {raw[:4]!r}")
+    if len(raw) < 52:
+        raise DataError(f"{path}: model is {len(raw)} bytes, shorter than its header")
     version, kind_code = struct.unpack_from("<II", raw, 4)
     if version != MODEL_VERSION:
         raise DataError(f"{path}: unsupported model version {version}")
+    if kind_code not in _KIND_FROM_CODE:
+        raise DataError(f"{path}: unknown kernel code {kind_code}")
     gamma, C = struct.unpack_from("<dd", raw, 12)
     w_pos, w_neg = struct.unpack_from("<dd", raw, 28)
     count, dim = struct.unpack_from("<II", raw, 44)
+    need = 52 + (count * dim + count + 1) * 8 + 32
+    if len(raw) != need:
+        raise DataError(f"{path}: model payload is {len(raw)} bytes, expected {need}")
     off = 52
     sv = np.frombuffer(raw, dtype="<f8", count=count * dim, offset=off)
     sv = sv.reshape(count, dim).astype(np.float64)
@@ -399,10 +409,12 @@ def read_model(path) -> TrainedModel:
     coef = np.frombuffer(raw, dtype="<f8", count=count, offset=off).astype(np.float64)
     off += count * 8
     (bias,) = struct.unpack_from("<d", raw, off)
-    off += 8
-    fp = raw[off : off + 32]
+    fp = raw[off + 8 :]
     kind = _KIND_FROM_CODE[kind_code]
-    kernel = Kernel(kind, gamma) if kind is not KernelKind.LINEAR else Kernel(kind)
+    try:
+        kernel = Kernel(kind, gamma) if kind is not KernelKind.LINEAR else Kernel(kind)
+    except ValueError as e:
+        raise DataError(f"{path}: {e}") from None
     return TrainedModel(
         kernel=kernel,
         support_vectors=sv,

@@ -6,6 +6,7 @@ error, 3 data error.
 """
 
 import argparse
+import os
 import sys
 
 from . import codebook as cb
@@ -21,7 +22,6 @@ from .pipeline import (
     parse_labels,
     train_codebook,
     train_model,
-    write_alarm_log,
 )
 
 
@@ -102,16 +102,24 @@ def _overrides(args) -> dict:
     return out
 
 
+def _alarm_log(path):
+    """The alarm log file, opened before any frame is read (the null
+    device when `path` is unset); an unwritable path is a config error."""
+    try:
+        return open(path or os.devnull, "w")
+    except OSError as e:
+        raise ConfigError(f"cannot write alarm log {path}: {e.strerror}") from None
+
+
 def _cmd_detect(args) -> int:
     config = PipelineConfig.from_file(args.config, _overrides(args))
     pipeline = DetectionPipeline(config)
-    alarms = []
     frames = frame_dir_source(args.frames, skip_bad=True)
-    for event in pipeline.run(frames, args.video_id):
-        alarms.append(event)
-        print(format_alarm(event))
-    if args.alarms:
-        write_alarm_log(alarms, args.alarms)
+    with _alarm_log(args.alarms) as log:
+        for event in pipeline.run(frames, args.video_id):
+            line = format_alarm(event)
+            print(line)
+            log.write(line + "\n")
     print(pipeline.stats.summary(), file=sys.stderr)
     return 0
 
@@ -119,9 +127,9 @@ def _cmd_detect(args) -> int:
 def _cmd_evaluate(args) -> int:
     config = PipelineConfig.from_file(args.config, _overrides(args))
     labels = parse_labels(args.labels)
-    report, alarms = evaluate(args.dataset, config, labels)
-    if args.alarms_out:
-        write_alarm_log(alarms, args.alarms_out)
+    with _alarm_log(args.alarms_out) as log:
+        report, alarms = evaluate(args.dataset, config, labels)
+        log.writelines(format_alarm(a) + "\n" for a in alarms)
     print(report.format_table())
     return 0
 

@@ -11,6 +11,7 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -287,10 +288,14 @@ def write_codebook(cb: Codebook, path) -> None:
 
 
 def read_codebook(path) -> Codebook:
-    with open(path, "rb") as f:
-        raw = f.read()
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as e:
+        raise DataError(f"cannot read codebook {path}: {e}") from None
     if raw[:4] != CODEBOOK_MAGIC:
         raise DataError(f"{path}: bad codebook magic {raw[:4]!r}")
+    if len(raw) < 16:
+        raise DataError(f"{path}: codebook is {len(raw)} bytes, shorter than its header")
     version, k, dim = struct.unpack_from("<III", raw, 4)
     if version != CODEBOOK_VERSION:
         raise DataError(f"{path}: unsupported codebook version {version}")

@@ -51,6 +51,8 @@ def read_ppm(path) -> np.ndarray:
         raise DataError(f"{path}: malformed PPM header {fields!r}") from None
     if maxval != 255:
         raise DataError(f"{path}: PPM maxval must be 255, got {maxval}")
+    if width < 1 or height < 1:
+        raise DataError(f"{path}: PPM is {width}x{height}, with no pixel")
     need = width * height * 3
     raw = data[pos : pos + need]
     if len(raw) != need:

@@ -50,16 +50,12 @@ class SectionLabel:
     fire: bool
 
 
-_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
-
 # the two fields whose config key is not their name
 _KEYS = {"codebook_path": "codebook", "model_path": "model"}
 
 
 def _parse(kind, text: str):
-    """A config value of the field type `kind`; raises KeyError or ValueError."""
-    if kind is bool:
-        return _BOOLEANS[text.lower()]
+    """A config value of the field type `kind`; raises ValueError."""
     if get_origin(kind) is tuple:
         item = get_args(kind)[0]
         return tuple(item(s) for s in text.split(","))
@@ -80,7 +76,6 @@ class PipelineConfig(ProposalConfig):
     m: int = 10
     t1: float = 0.15
     t2: float = 0.40
-    unstable_area_inverted: bool = False
     iou_threshold: float = 0.3
     track_max_gap: int = 5  # in decision ticks; scaled by the stride
     mask_dump_dir: str = ""
@@ -130,7 +125,7 @@ class PipelineConfig(ProposalConfig):
         values = {}
         try:
             text = Path(path).read_text()
-        except OSError as e:
+        except (OSError, UnicodeDecodeError) as e:
             raise ConfigError(f"cannot read config {path}: {e}") from None
         for lineno, line in enumerate(text.splitlines(), 1):
             line = line.split("#", 1)[0].strip()
@@ -159,7 +154,7 @@ class PipelineConfig(ProposalConfig):
                     preset = StabilityThresholds.preset(value)
                 else:
                     kwargs[by_key[key].name] = _parse(by_key[key].type, value)
-            except (KeyError, ValueError):
+            except ValueError:
                 raise ConfigError(f"{path}: bad value for {key}: {value!r}") from None
         if preset is not None:
             kwargs.setdefault("t1", preset.t1)
@@ -231,12 +226,14 @@ class DetectionPipeline:
             StabilityThresholds(cfg.t1, cfg.t2),
             cfg.iou_threshold,
             cfg.track_max_gap * cfg.decision_stride,
-            cfg.unstable_area_inverted,
         )
-        track_log = open(cfg.track_log, "w") if cfg.track_log else None
         mask_dir = Path(cfg.mask_dump_dir) if cfg.mask_dump_dir else None
-        if mask_dir:
-            mask_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            if mask_dir:
+                mask_dir.mkdir(parents=True, exist_ok=True)
+            track_log = open(cfg.track_log, "w") if cfg.track_log else None
+        except OSError as e:
+            raise ConfigError(f"cannot write {e.filename}: {e.strerror}") from None
         t_run = time.perf_counter()
         paused = 0.0
         try:
@@ -562,19 +559,26 @@ class EvalReport:
 
 def parse_labels(path) -> List[SectionLabel]:
     """One section per line: `video_id start_frame end_frame fire|nofire`."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as e:
+        raise DataError(f"cannot read labels {path}: {e}") from None
     labels = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
-        if len(parts) != 4 or parts[3] not in ("fire", "nofire"):
-            raise DataError(
-                f"{path}:{lineno}: expected 'video start end fire|nofire', got {line!r}"
-            )
-        labels.append(
-            SectionLabel(parts[0], int(parts[1]), int(parts[2]), parts[3] == "fire")
+        bad = DataError(
+            f"{path}:{lineno}: expected 'video start end fire|nofire', got {line!r}"
         )
+        if len(parts) != 4 or parts[3] not in ("fire", "nofire"):
+            raise bad
+        try:
+            start, end = int(parts[1]), int(parts[2])
+        except ValueError:
+            raise bad from None
+        labels.append(SectionLabel(parts[0], start, end, parts[3] == "fire"))
     _check_overlaps(labels, path)
     return labels
 

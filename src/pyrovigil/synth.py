@@ -104,12 +104,6 @@ def nonfire_patch(seed, size: int = 64) -> Frame:
     return makers[seed % len(makers)](seed, size)
 
 
-def make_patch_set(n_fire: int, n_nonfire: int, seed: int = 0, size: int = 64):
-    fire = [fire_patch(seed * 7919 + i, size) for i in range(n_fire)]
-    nonfire = [nonfire_patch(seed * 104729 + i, size) for i in range(n_nonfire)]
-    return fire, nonfire
-
-
 def red_noise_patch(seed, size: int = 48) -> Frame:
     rng = _rng(seed, 0x0ED)
     px = np.empty((size, size, 3))

@@ -11,7 +11,7 @@ flame signature and confirms fire. Both comparisons are strict.
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -65,7 +65,6 @@ class BlobTrack:
     track_id: int
     state: TrackState = TrackState.PENDING
     samples: deque = field(default_factory=lambda: deque(maxlen=WINDOW))
-    frames_observed: int = 0
     last_seen: int = -1
     bbox: tuple = (0, 0, 0, 0)
     last_margin: float = 0.0
@@ -76,7 +75,6 @@ class BlobTrack:
             (float(blob.perimeter), float(blob.area), float(d[0]), float(d[1]),
              float(d[2]), float(d[3]))
         )
-        self.frames_observed += 1
         self.last_seen = frame_index
         self.bbox = blob.bbox
         self.last_margin = margin
@@ -113,53 +111,20 @@ def window_stats(samples):
 
 
 def classify_stability(
-    mu_p, sd_p, mu_a, sd_a, sd_d,
-    thresholds: StabilityThresholds,
-    unstable_area_inverted: bool = False,
+    mu_p, sd_p, mu_a, sd_a, sd_d, thresholds: StabilityThresholds
 ) -> Stability:
     """Strict-inequality band test on the window statistics.
 
     Stable when every ratio is under t1 (the third clause compares the
-    quadrant stddev against the area mean). Unstable when any exceeds
-    t2; `unstable_area_inverted` flips the middle unstable clause to
-    `sd_a < t2 * mu_a`, a comparison mode that overlaps the stable band
-    (stability is evaluated first either way).
+    quadrant stddev against the area mean); otherwise unstable when any
+    exceeds t2.
     """
     t1, t2 = thresholds.t1, thresholds.t2
     if sd_p < t1 * mu_p and sd_a < t1 * mu_a and sd_d < t1 * mu_a:
         return Stability.STABLE
-    mid_unstable = (sd_a < t2 * mu_a) if unstable_area_inverted else (sd_a > t2 * mu_a)
-    if sd_p > t2 * mu_p or mid_unstable or sd_d > t2 * mu_a:
+    if sd_p > t2 * mu_p or sd_a > t2 * mu_a or sd_d > t2 * mu_a:
         return Stability.UNSTABLE
     return Stability.UNDECIDED
-
-
-def stability(
-    track: BlobTrack,
-    thresholds: StabilityThresholds,
-    unstable_area_inverted: bool = False,
-) -> Stability:
-    """Stability of a track; UNDECIDED until the window is full."""
-    if not track.buffer_full:
-        return Stability.UNDECIDED
-    return classify_stability(
-        *window_stats(track.samples), thresholds, unstable_area_inverted
-    )
-
-
-def verdict(track: BlobTrack, stab: Stability) -> TrackState:
-    """Resolve a PENDING track with a full window.
-
-    Static shapes (lamps) and transients (passing lights) are rejected;
-    the persistent-but-varying middle band is confirmed as fire.
-    """
-    if track.state is not TrackState.PENDING or not track.buffer_full:
-        return track.state
-    if stab is Stability.UNDECIDED:
-        track.state = TrackState.FIRE_CONFIRMED
-    else:
-        track.state = TrackState.REJECTED
-    return track.state
 
 
 def bbox_iou(a, b) -> float:
@@ -172,87 +137,69 @@ def bbox_iou(a, b) -> float:
     return inter / union if union > 0 else 0.0
 
 
-def associate(
-    tracks: List[BlobTrack],
-    blobs: List[Blob],
-    frame_index: int,
-    margins: Optional[List[float]] = None,
-    iou_threshold: float = 0.3,
-    max_gap: int = 5,
-    next_id: int = 1,
-):
-    """Greedy best-IoU matching of blobs onto live tracks.
-
-    Unmatched blobs spawn new PENDING tracks; tracks unseen for more
-    than `max_gap` frames are dropped (a vanished blob is not fire).
-    Returns (live_tracks, closed_tracks, next_id).
-    """
-    if margins is None:
-        margins = [0.0] * len(blobs)
-    pairs = []
-    for ti, tr in enumerate(tracks):
-        for bi, blob in enumerate(blobs):
-            iou = bbox_iou(tr.bbox, blob.bbox)
-            if iou >= iou_threshold:
-                pairs.append((-iou, ti, bi))
-    pairs.sort()
-    used_t = set()
-    used_b = set()
-    for _, ti, bi in pairs:
-        if ti in used_t or bi in used_b:
-            continue
-        used_t.add(ti)
-        used_b.add(bi)
-        tracks[ti].add_sample(blobs[bi], frame_index, margins[bi])
-    for bi, blob in enumerate(blobs):
-        if bi in used_b:
-            continue
-        tr = BlobTrack(track_id=next_id)
-        next_id += 1
-        tr.add_sample(blob, frame_index, margins[bi])
-        tracks.append(tr)
-    live, closed = [], []
-    for tr in tracks:
-        if frame_index - tr.last_seen >= max_gap:
-            if tr.state is TrackState.PENDING:
-                tr.state = TrackState.REJECTED
-            closed.append(tr)
-        else:
-            live.append(tr)
-    return live, closed, next_id
-
-
 class Tracker:
-    """Frame-ordered track book-keeping plus verdict evaluation."""
+    """Stage 3: follows classifier-positive blobs across decision frames
+    and gives each track one verdict once its window is full."""
 
     def __init__(
         self,
         thresholds: StabilityThresholds = None,
         iou_threshold: float = 0.3,
         max_gap: int = 5,
-        unstable_area_inverted: bool = False,
     ):
         self.thresholds = thresholds or StabilityThresholds.indoor()
         self.iou_threshold = iou_threshold
         self.max_gap = max_gap
-        self.unstable_area_inverted = unstable_area_inverted
         self.tracks: List[BlobTrack] = []
         self._next_id = 1
 
     def update(self, blobs, frame_index, margins=None):
         """Feed one frame of classifier-positive blobs. Returns tracks
-        newly confirmed as fire on this frame."""
-        self.tracks, _, self._next_id = associate(
-            self.tracks, blobs, frame_index, margins,
-            self.iou_threshold, self.max_gap, self._next_id,
-        )
+        newly confirmed as fire on this frame.
+
+        Blobs go onto live tracks greedily by best IoU (at least
+        `iou_threshold`); an unmatched blob starts a new PENDING track,
+        and a track unseen for `max_gap` frames is dropped (a vanished
+        blob is not fire). A track whose window fills at this frame is
+        confirmed when its shape variation sits in the flame
+        band and rejected when it is stable or unstable.
+        """
+        if margins is None:
+            margins = [0.0] * len(blobs)
+        tracks = self.tracks
+        pairs = []
+        for ti, tr in enumerate(tracks):
+            for bi, blob in enumerate(blobs):
+                iou = bbox_iou(tr.bbox, blob.bbox)
+                if iou >= self.iou_threshold:
+                    pairs.append((-iou, ti, bi))
+        pairs.sort()
+        used_t = set()
+        used_b = set()
+        for _, ti, bi in pairs:
+            if ti in used_t or bi in used_b:
+                continue
+            used_t.add(ti)
+            used_b.add(bi)
+            tracks[ti].add_sample(blobs[bi], frame_index, margins[bi])
+        for bi, blob in enumerate(blobs):
+            if bi in used_b:
+                continue
+            tr = BlobTrack(track_id=self._next_id)
+            self._next_id += 1
+            tr.add_sample(blob, frame_index, margins[bi])
+            tracks.append(tr)
+        self.tracks = [tr for tr in tracks if frame_index - tr.last_seen < self.max_gap]
         confirmed = []
         for tr in self.tracks:
+            # a window fills only at a frame that adds to it, and is
+            # judged there
             if tr.state is not TrackState.PENDING or not tr.buffer_full:
                 continue
-            if tr.last_seen != frame_index:
-                continue
-            stab = stability(tr, self.thresholds, self.unstable_area_inverted)
-            if verdict(tr, stab) is TrackState.FIRE_CONFIRMED:
+            stab = classify_stability(*window_stats(tr.samples), self.thresholds)
+            if stab is Stability.UNDECIDED:
+                tr.state = TrackState.FIRE_CONFIRMED
                 confirmed.append(tr)
+            else:
+                tr.state = TrackState.REJECTED
         return confirmed

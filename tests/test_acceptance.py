@@ -26,16 +26,22 @@ from pyrovigil.synth import SceneSpec, SyntheticScene, fire_patch, nonfire_patch
 from pyrovigil.temporal import (
     Stability,
     StabilityThresholds,
+    Tracker,
+    TrackState,
     classify_stability,
     spatial_distribution,
-    stability,
-    verdict,
-    TrackState,
+    window_stats,
 )
 from pyrovigil.proposal import extract_blobs
 
 from test_codebook import brute_force_nn, encode_oracle
-from test_temporal import flame_band_samples, track_from_samples
+from test_temporal import (
+    flame_band_blobs,
+    flame_band_samples,
+    samples_of,
+    square_blob,
+    verdict_frame,
+)
 
 
 def _report(name, detail=""):
@@ -154,12 +160,14 @@ def test_criterion_5_temporal_logic():
     t0 = time.perf_counter()
     rng = np.random.default_rng(55)
 
-    # constant blob: STABLE for any t1 > 0
+    # constant blob: STABLE for any t1 > 0, and the tracker rejects it
     for t1 in (1e-9, 1e-3, 0.1, 0.9):
         th = StabilityThresholds(t1, t1 * 2)
-        tr = track_from_samples([(60.0, 300.0, 75.0, 75.0, 75.0, 75.0)] * 25)
-        assert stability(tr, th) is Stability.STABLE
-        assert verdict(tr, stability(tr, th)) is TrackState.REJECTED
+        window = [(60.0, 300.0, 75.0, 75.0, 75.0, 75.0)] * 25
+        assert classify_stability(*window_stats(window), th) is Stability.STABLE
+        tracker = Tracker(th)
+        assert verdict_frame(tracker, [square_blob(20, 20, 12)] * 25) == (None, [])
+        assert tracker.tracks[0].state is TrackState.REJECTED
 
     # strict-inequality boundaries
     th = StabilityThresholds(0.15, 0.5)
@@ -170,10 +178,15 @@ def test_criterion_5_temporal_logic():
         classify_stability(1.0, 0.0, 1.0, 0.5 + 1e-12, 0.0, th) is Stability.UNSTABLE
     )
 
-    # hand-built 25-frame window in the flame band confirms fire
-    tr = track_from_samples(flame_band_samples())
-    assert stability(tr, StabilityThresholds(0.15, 0.40)) is Stability.UNDECIDED
-    assert verdict(tr, Stability.UNDECIDED) is TrackState.FIRE_CONFIRMED
+    # a 25-frame window in the flame band confirms fire: the hand-built
+    # one and the one a tracker holds after flickering blobs
+    th = StabilityThresholds(0.15, 0.40)
+    for window in (flame_band_samples(), samples_of(flame_band_blobs())):
+        assert classify_stability(*window_stats(window), th) is Stability.UNDECIDED
+    tracker = Tracker(th)
+    first, confirmed = verdict_frame(tracker, flame_band_blobs())
+    assert first == 24 and confirmed == tracker.tracks
+    assert confirmed[0].state is TrackState.FIRE_CONFIRMED
 
     # quadrant counts partition the area for arbitrary blobs
     for _ in range(50):

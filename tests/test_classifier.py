@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -320,6 +321,37 @@ class TestModelIO:
         path = tmp_path / "m.pvsm"
         write_model(model, path)
         assert path.read_bytes()[:4] == b"PVSM"
+
+    @pytest.mark.parametrize("size, match", [(60, "payload"), (20, "header")])
+    def test_truncated_rejected(self, rng, tmp_path, size, match):
+        X = rng.normal(size=(6, 2))
+        y = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
+        path = tmp_path / "m.pvsm"
+        write_model(train(X, y, kernel=RBF1, C=1.0), path)
+        path.write_bytes(path.read_bytes()[:size])
+        with pytest.raises(DataError, match=match):
+            read_model(path)
+
+    @pytest.mark.parametrize(
+        "offset, field, match",
+        [(8, struct.pack("<I", 7), "unknown kernel code 7"),
+         (12, struct.pack("<d", -1.0), "gamma > 0")],
+        ids=["kernel code", "gamma"],
+    )
+    def test_bad_kernel_rejected(self, rng, tmp_path, offset, field, match):
+        X = rng.normal(size=(6, 2))
+        y = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
+        path = tmp_path / "m.pvsm"
+        write_model(train(X, y, kernel=RBF1, C=1.0), path)
+        raw = bytearray(path.read_bytes())
+        raw[offset : offset + len(field)] = field
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DataError, match=match):
+            read_model(path)
+
+    def test_missing_file_rejected(self, tmp_path):
+        with pytest.raises(DataError, match="cannot read model"):
+            read_model(tmp_path / "missing.pvsm")
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.pvsm"

@@ -169,7 +169,7 @@ BAD_CONFIG = [
     ("stats_window=0",),
     ("m=600", "camera=moving"),  # more neighbors than the 500 codebook words
     ("track_max_gap=0",),
-    ("unstable_area_inverted=ture",),
+    ("unstable_area_inverted=0",),  # not a config key
     ("iou_threshold=1.5",),  # no blob ever matches a track
     ("iou_threshold=0",),
     ("ladder=300",),  # every rung above 8-bit intensity: no blob
@@ -200,6 +200,66 @@ def test_bad_config_value_exits_2(tmp_path, capsys, synth_artifacts, overrides):
     err = capsys.readouterr().err
     assert code == 2
     assert "config error" in err and overrides[0].split("=")[0] in err
+
+
+# An output path that cannot be written is a config error (exit 2) found
+# before the first frame: the frames here would stop detection with a
+# data error (exit 3) at frame 1.
+BAD_OUTPUTS = [
+    ("detect", "--set", "track_log={tmp}/nodir/t.log"),
+    ("detect", "--set", "mask_dump_dir={tmp}/a_file"),
+    ("detect", "--alarms", "{tmp}/nodir/a.log"),
+    ("evaluate", "--alarms-out", "{tmp}/nodir/a.log"),
+]
+
+
+@pytest.mark.parametrize("case", BAD_OUTPUTS, ids=lambda c: " ".join(c[:2]))
+def test_unwritable_output_exits_2(tmp_path, capsys, synth_artifacts, case):
+    command, flag, value = case
+    frames_dir = tmp_path / "ds" / "clip"
+    frames_dir.mkdir(parents=True)
+    write_ppm(frames_dir / "000000.ppm", np.zeros((60, 80, 3), np.uint8))
+    write_ppm(frames_dir / "000001.ppm", np.zeros((40, 80, 3), np.uint8))
+    (tmp_path / "a_file").write_text("")
+    cfg = tmp_path / "pipe.cfg"
+    cfg.write_text(
+        f"codebook={synth_artifacts['codebook_path']}\n"
+        f"model={synth_artifacts['model_path']}\ndecision_stride=1\n"
+    )
+    if command == "detect":
+        argv = ["detect", "--frames", str(frames_dir)]
+    else:
+        labels = tmp_path / "labels.txt"
+        labels.write_text("clip 0 200 fire\n")
+        argv = ["evaluate", "--labels", str(labels), "--dataset", str(tmp_path / "ds")]
+    argv += ["--config", str(cfg), flag, value.format(tmp=tmp_path)]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "config error: cannot write" in err
+
+
+def test_missing_labels_file_exits_3(tmp_path, capsys, synth_artifacts):
+    cfg = tmp_path / "pipe.cfg"
+    cfg.write_text(
+        f"codebook={synth_artifacts['codebook_path']}\n"
+        f"model={synth_artifacts['model_path']}\n"
+    )
+    code = main(["evaluate", "--config", str(cfg), "--dataset", str(tmp_path),
+                 "--labels", str(tmp_path / "missing.txt")])
+    assert code == 3
+    assert "data error: cannot read labels" in capsys.readouterr().err
+
+
+def test_missing_codebook_file_exits_3(tmp_path, capsys, synth_artifacts):
+    code = main([
+        "train-model", "--fire", str(synth_artifacts["fire_dir"]),
+        "--nonfire", str(synth_artifacts["nonfire_dir"]),
+        "--codebook", str(tmp_path / "missing.pvcb"), "--out", str(tmp_path / "m.pvsm"),
+    ])
+    assert code == 3
+    assert "data error: cannot read codebook" in capsys.readouterr().err
+    assert not (tmp_path / "m.pvsm").exists()
 
 
 def test_selftest_quick(capsys):

@@ -366,6 +366,16 @@ class TestCodebookIO:
         with pytest.raises(DataError, match="bytes"):
             read_codebook(path)
 
+    def test_shorter_than_header_rejected(self, tmp_path):
+        path = tmp_path / "short.pvcb"
+        path.write_bytes(b"PVCB\x01\x00\x00\x00")
+        with pytest.raises(DataError, match="header"):
+            read_codebook(path)
+
+    def test_missing_file_rejected(self, tmp_path):
+        with pytest.raises(DataError, match="cannot read codebook"):
+            read_codebook(tmp_path / "missing.pvcb")
+
     def test_fingerprint_tracks_content(self, rng, tmp_path):
         a = Codebook(rng.normal(size=(5, 6)), 1.0)
         b = Codebook(a.centers.copy(), 1.0)

@@ -236,6 +236,14 @@ class TestFrameIO:
         with pytest.raises(DataError, match="maxval"):
             read_ppm(path)
 
+    def test_ppm_without_pixels_rejected(self, tmp_path):
+        # a 0x0 frame is a data error, so a stream can skip it
+        path = tmp_path / "000000.ppm"
+        path.write_bytes(b"P6\n0 0\n255\n")
+        with pytest.raises(DataError, match="no pixel"):
+            read_ppm(path)
+        assert list(frame_dir_source(tmp_path, skip_bad=True)) == []
+
     def test_pbm_roundtrip(self, rng, tmp_path):
         mask = rng.random((10, 13)) > 0.5
         path = tmp_path / "mask_000001.pbm"

@@ -77,6 +77,14 @@ t2=0.5
         with pytest.raises(ConfigError, match="not found"):
             PipelineConfig.from_file(path)
 
+    def test_unreadable_file(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        with pytest.raises(ConfigError, match="cannot read config"):
+            PipelineConfig.from_file(path)
+        path.write_bytes(b"camera=\xff\n")
+        with pytest.raises(ConfigError, match="cannot read config"):
+            PipelineConfig.from_file(path)
+
     def test_bad_value(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("decision_stride=often\n")
@@ -101,7 +109,6 @@ t2=0.5
             "m": 6,
             "t1": 0.1,
             "t2": 0.3,
-            "unstable_area_inverted": True,
             "iou_threshold": 0.5,
             "track_max_gap": 3,
             "mask_dump_dir": "masks",
@@ -115,14 +122,14 @@ t2=0.5
             "camera=moving\nladder=230,200\nmin_blob_area=32\nrho=0.05\n"
             "lam=3.5\nvar_floor=2\nwarmup=10\nstats_window=12\n"
             "decision_stride=2\ninterval=7\nscales=9,15\nm=6\nt1=0.1\n"
-            "t2=0.3\nunstable_area_inverted=yes\niou_threshold=0.5\n"
+            "t2=0.3\niou_threshold=0.5\n"
             "track_max_gap=3\nmask_dump_dir=masks\ntrack_log=tracks.log\n"
         )
         path = tmp_path / "pipe.cfg"
         path.write_text(text)
         cfg = PipelineConfig.from_file(path)
         assert {k: getattr(cfg, k) for k in want} == want
-        for key in ("sigma", "codebook_path", "model_path"):
+        for key in ("sigma", "unstable_area_inverted", "codebook_path", "model_path"):
             path.write_text(f"{text}{key}=1\n")
             with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
                 PipelineConfig.from_file(path)
@@ -164,6 +171,20 @@ class TestLabelsAndAlarms:
         path = tmp_path / "labels.txt"
         path.write_text("v 0 200 maybe\n")
         with pytest.raises(DataError, match="fire|nofire"):
+            parse_labels(path)
+
+    def test_bad_frame_number(self, tmp_path):
+        path = tmp_path / "labels.txt"
+        path.write_text("v1 0 200 nofire\nv1 0 x fire\n")
+        with pytest.raises(DataError, match=f"{path}:2: expected"):
+            parse_labels(path)
+
+    def test_unreadable_file(self, tmp_path):
+        path = tmp_path / "labels.txt"
+        with pytest.raises(DataError, match="cannot read labels"):
+            parse_labels(path)
+        path.write_bytes(b"v 0 200 fire\n\xff\n")
+        with pytest.raises(DataError, match="cannot read labels"):
             parse_labels(path)
 
     def test_alarm_log_roundtrip(self, tmp_path):

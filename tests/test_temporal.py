@@ -11,12 +11,9 @@ from pyrovigil.temporal import (
     StabilityThresholds,
     Tracker,
     TrackState,
-    associate,
     bbox_iou,
     classify_stability,
     spatial_distribution,
-    stability,
-    verdict,
     window_stats,
 )
 
@@ -40,16 +37,6 @@ def square_blob(x, y, side):
     return make_blob(x, y, np.ones((side, side)))
 
 
-def track_from_samples(samples):
-    """Build a track directly from (perimeter, area, d1..d4) tuples."""
-    tr = BlobTrack(track_id=1)
-    for i, s in enumerate(samples):
-        tr.samples.append(tuple(float(v) for v in s))
-        tr.frames_observed += 1
-        tr.last_seen = i
-    return tr
-
-
 INDOOR = StabilityThresholds.indoor()
 
 
@@ -67,6 +54,43 @@ def flame_band_samples():
         d4 = a * 0.25 * (1 - s2)
         samples.append((80.0, a, d1, d2, d3, d4))
     return samples
+
+
+def flame_band_blobs():
+    """A window of blobs with a fixed 20x20 box, area and perimeter whose
+    7x7 hole cycles through the four quadrants: the flame signature as a
+    tracker sees it."""
+    blobs = []
+    for i in range(WINDOW):
+        m = np.ones((20, 20), dtype=bool)
+        r, c = ((2, 2), (2, 11), (11, 2), (11, 11))[i % 4]
+        m[r : r + 7, c : c + 7] = False
+        blobs.append(make_blob(20, 20, m))
+    return blobs
+
+
+def verdict_frame(tracker, blobs):
+    """Feed one blob per frame; (frame of the first confirmation or None,
+    the confirmations)."""
+    first, confirmed = None, []
+    for t, blob in enumerate(blobs):
+        new = tracker.update([blob], t)
+        if new and first is None:
+            first = t
+        confirmed += new
+    return first, confirmed
+
+
+def samples_of(blobs):
+    """The window a track holds after seeing `blobs`."""
+    tr = BlobTrack(track_id=1)
+    for i, blob in enumerate(blobs):
+        tr.add_sample(blob, i)
+    return list(tr.samples)
+
+
+def stability_of(samples, thresholds=INDOOR):
+    return classify_stability(*window_stats(samples), thresholds)
 
 
 class TestSpatialDistribution:
@@ -161,32 +185,10 @@ class TestClassifyStability:
         out = classify_stability(100.0, 1.0, 200.0, 1.0, 90.0, th)
         assert out is Stability.UNSTABLE
 
-    def test_unstable_area_inverted_mode(self):
-        th = StabilityThresholds(0.15, 0.40)
-        # a calm blob: stable beats the literal overlap (evaluated first)
-        assert (
-            classify_stability(100.0, 1.0, 200.0, 1.0, 2.0, th, unstable_area_inverted=True)
-            is Stability.STABLE
-        )
-        # moderately varying area: literal middle clause sd_a < t2*mu_a fires
-        assert (
-            classify_stability(100.0, 20.0, 200.0, 50.0, 60.0, th, unstable_area_inverted=True)
-            is Stability.UNSTABLE
-        )
-        assert (
-            classify_stability(100.0, 20.0, 200.0, 50.0, 60.0, th, unstable_area_inverted=False)
-            is Stability.UNDECIDED
-        )
-
 
 class TestStabilityOnSequences:
     def test_constant_sequence_stable(self):
-        tr = track_from_samples([(80, 400, 100, 100, 100, 100)] * WINDOW)
-        assert stability(tr, INDOOR) is Stability.STABLE
-
-    def test_partial_buffer_undecided(self):
-        tr = track_from_samples([(80, 400, 100, 100, 100, 100)] * 10)
-        assert stability(tr, INDOOR) is Stability.UNDECIDED
+        assert stability_of([(80, 400, 100, 100, 100, 100)] * WINDOW) is Stability.STABLE
 
     def test_balanced_alternation_not_unstable(self):
         # 12x100, 12x300, 1x200: sd_a/mu_a = sqrt(24/25)*100/200 ~ 0.4899
@@ -201,111 +203,150 @@ class TestStabilityOnSequences:
         # 100 vs 400 alternating: ratio ~ 0.614 > 0.5
         areas = ([100.0, 400.0] * 13)[:WINDOW]
         samples = [(50.0, a, a / 4, a / 4, a / 4, a / 4) for a in areas]
-        tr = track_from_samples(samples)
-        assert stability(tr, StabilityThresholds(0.15, 0.5)) is Stability.UNSTABLE
+        assert stability_of(samples, StabilityThresholds(0.15, 0.5)) is Stability.UNSTABLE
 
     def test_flame_band_undecided(self):
         # anchored flicker: calm perimeter/area, churning quadrants
-        tr = track_from_samples(flame_band_samples())
-        mu_p, sd_p, mu_a, sd_a, sd_d = window_stats(tr.samples)
-        assert sd_p < 0.15 * mu_p and sd_a < 0.15 * mu_a  # calm p, a
-        assert 0.15 * mu_a < sd_d < 0.40 * mu_a  # churning quadrants
-        assert stability(tr, StabilityThresholds(0.15, 0.40)) is Stability.UNDECIDED
+        for samples in (flame_band_samples(), samples_of(flame_band_blobs())):
+            mu_p, sd_p, mu_a, sd_a, sd_d = window_stats(samples)
+            assert sd_p < 0.15 * mu_p and sd_a < 0.15 * mu_a  # calm p, a
+            assert 0.15 * mu_a < sd_d < 0.40 * mu_a  # churning quadrants
+            assert stability_of(samples) is Stability.UNDECIDED
 
     def test_scale_covariance(self):
         # doubling all pixel coordinates: area x4, perimeter x~2, and the
         # ratio-based verdicts are unchanged for uniform scaling
-        small = [square_blob(0, 0, 6 + (i % 2)) for i in range(WINDOW)]
-        big = [square_blob(0, 0, 12 + 2 * (i % 2)) for i in range(WINDOW)]
-        tr_s = BlobTrack(track_id=1)
-        tr_b = BlobTrack(track_id=2)
-        for i, (s, b) in enumerate(zip(small, big)):
-            tr_s.add_sample(s, i)
-            tr_b.add_sample(b, i)
-        ss = window_stats(tr_s.samples)
-        sb = window_stats(tr_b.samples)
+        small = samples_of([square_blob(0, 0, 6 + (i % 2)) for i in range(WINDOW)])
+        big = samples_of([square_blob(0, 0, 12 + 2 * (i % 2)) for i in range(WINDOW)])
+        ss = window_stats(small)
+        sb = window_stats(big)
         assert abs(sb[2] / ss[2] - 4.0) <= 0.2  # mu_a scales ~x4
         assert 1.8 <= sb[0] / ss[0] <= 2.2  # mu_p scales ~x2
         th = StabilityThresholds(0.05, 0.2)
-        assert stability(tr_s, th) == stability(tr_b, th)
+        assert stability_of(small, th) == stability_of(big, th)
 
 
 class TestVerdict:
-    def _full_track(self, samples):
-        return track_from_samples(samples)
+    """`Tracker.update` gives a PENDING track its verdict at the frame its
+    window fills, and only then."""
 
     def test_stable_rejected(self):
-        tr = self._full_track([(80, 400, 100, 100, 100, 100)] * WINDOW)
-        assert verdict(tr, stability(tr, INDOOR)) is TrackState.REJECTED
+        tracker = Tracker(INDOOR)
+        first, _ = verdict_frame(tracker, [square_blob(20, 20, 10)] * (WINDOW + 5))
+        assert first is None
+        assert tracker.tracks[0].state is TrackState.REJECTED
 
     def test_unstable_rejected(self):
-        areas = ([100.0, 500.0] * 13)[:WINDOW]
-        tr = self._full_track([(50, a, a / 4, a / 4, a / 4, a / 4) for a in areas])
-        assert verdict(tr, stability(tr, INDOOR)) is TrackState.REJECTED
+        # 12 and 20 px squares alternate on one corner: IoU 0.36 keeps one
+        # track, area ratio sd/mu = 128/272 ~ 0.47 > t2
+        blobs = [square_blob(20, 20, (12, 20)[i % 2]) for i in range(WINDOW)]
+        assert stability_of(samples_of(blobs)) is Stability.UNSTABLE
+        tracker = Tracker(INDOOR)
+        first, _ = verdict_frame(tracker, blobs)
+        assert first is None
+        assert len(tracker.tracks) == 1
+        assert tracker.tracks[0].state is TrackState.REJECTED
 
     def test_undecided_confirms_fire(self):
-        tr = self._full_track(flame_band_samples())
-        assert verdict(tr, stability(tr, INDOOR)) is TrackState.FIRE_CONFIRMED
+        tracker = Tracker(INDOOR)
+        first, confirmed = verdict_frame(tracker, flame_band_blobs())
+        assert first == WINDOW - 1  # the frame that fills the window
+        assert confirmed == tracker.tracks
+        assert confirmed[0].state is TrackState.FIRE_CONFIRMED
 
     def test_partial_buffer_no_transition(self):
-        tr = track_from_samples([(80, 400, 100, 100, 100, 100)] * 5)
-        assert verdict(tr, stability(tr, INDOOR)) is TrackState.PENDING
+        tracker = Tracker(INDOOR)
+        verdict_frame(tracker, [square_blob(20, 20, 10)] * (WINDOW - 1))
+        assert not tracker.tracks[0].buffer_full
+        assert tracker.tracks[0].state is TrackState.PENDING
 
     def test_verdict_only_once(self):
-        tr = self._full_track([(80, 400, 100, 100, 100, 100)] * WINDOW)
-        verdict(tr, stability(tr, INDOOR))
-        state = tr.state
-        verdict(tr, Stability.UNDECIDED)  # already resolved, must not flip
-        assert tr.state is state
+        # a rejected lamp that starts to flicker stays rejected
+        tracker = Tracker(INDOOR)
+        lamp = [square_blob(20, 20, 20)] * WINDOW
+        first, _ = verdict_frame(tracker, lamp + flame_band_blobs() * 2)
+        assert first is None
+        assert len(tracker.tracks) == 1
+        assert tracker.tracks[0].state is TrackState.REJECTED
+        # a confirmed flame that goes still is not confirmed again
+        tracker = Tracker(INDOOR)
+        _, confirmed = verdict_frame(tracker, flame_band_blobs() * 2 + lamp)
+        assert len(confirmed) == 1
+        assert tracker.tracks[0].state is TrackState.FIRE_CONFIRMED
 
 
 class TestAssociate:
+    """`Tracker.update` matching blobs onto tracks."""
+
     def test_same_blob_continues_track(self):
-        tracks, _, nid = associate([], [square_blob(10, 10, 8)], 0)
-        assert len(tracks) == 1
-        tracks, _, nid = associate(tracks, [square_blob(10, 10, 8)], 1, next_id=nid)
-        assert len(tracks) == 1
-        assert len(tracks[0].samples) == 2
+        tracker = Tracker(INDOOR)
+        tracker.update([square_blob(10, 10, 8)], 0)
+        tracker.update([square_blob(10, 10, 8)], 1)
+        assert len(tracker.tracks) == 1
+        assert len(tracker.tracks[0].samples) == 2
+        assert tracker.tracks[0].last_seen == 1
 
     def test_far_blobs_two_tracks(self):
+        tracker = Tracker(INDOOR)
         blobs = [square_blob(0, 0, 5), square_blob(30, 30, 5)]
-        tracks, _, _ = associate([], blobs, 0)
-        assert len(tracks) == 2
-        assert {t.track_id for t in tracks} == {1, 2}
+        tracker.update(blobs, 0, [0.5, 1.5])
+        # new tracks start in blob order and carry the blob's margin
+        assert [(t.track_id, t.bbox, t.last_margin) for t in tracker.tracks] == [
+            (1, blobs[0].bbox, 0.5), (2, blobs[1].bbox, 1.5)
+        ]
 
     def test_drifting_blob_single_track(self):
-        tracks, nid = [], 1
+        tracker = Tracker(INDOOR)
         for t in range(WINDOW):
-            blob = square_blob(10 + 2 * t, 10, 12)  # 2 px/frame drift
-            tracks, _, nid = associate(tracks, [blob], t, next_id=nid)
-        assert len(tracks) == 1
-        assert tracks[0].buffer_full
-
-    def test_vanished_track_closes_rejected(self):
-        tracks, _, nid = associate([], [square_blob(5, 5, 6)], 0)
-        closed_all = []
-        for t in range(1, 8):
-            tracks, closed, nid = associate(tracks, [], t, next_id=nid)
-            closed_all.extend(closed)
-        assert tracks == []
-        assert len(closed_all) == 1
-        assert closed_all[0].state is TrackState.REJECTED
+            tracker.update([square_blob(10 + 2 * t, 10, 12)], t)  # 2 px/frame drift
+        assert len(tracker.tracks) == 1
+        assert tracker.tracks[0].buffer_full
 
     def test_tracks_age_out_during_empty_frames(self):
-        # a closed track is dropped, not kept for the life of the stream
+        # a track unseen for max_gap frames is dropped, not kept for the
+        # life of the stream
         tracker = Tracker(INDOOR, max_gap=5)
         tracker.update([square_blob(5, 5, 6)], 0)
         track = weakref.ref(tracker.tracks[0])
-        for t in range(1, 6):
-            tracker.update([], t)
+        tracker.update([], 4)
+        assert len(tracker.tracks) == 1  # 4 frames unseen
+        tracker.update([], 5)
         assert tracker.tracks == []
         assert track() is None
 
     def test_iou_threshold_respected(self):
-        tracks, _, nid = associate([], [square_blob(0, 0, 10)], 0)
+        tracker = Tracker(INDOOR)
+        tracker.update([square_blob(0, 0, 10)], 0)
         # far jump: IoU 0 -> same-position track misses, new track spawns
-        tracks, _, nid = associate(tracks, [square_blob(50, 50, 10)], 1, next_id=nid)
-        assert len(tracks) == 2
+        tracker.update([square_blob(50, 50, 10)], 1)
+        assert len(tracker.tracks) == 2
+        # IoU exactly at the threshold matches; just above it does not
+        a, b = square_blob(0, 0, 10), square_blob(5, 0, 10)
+        assert bbox_iou(a.bbox, b.bbox) == 1 / 3
+        for threshold, n_tracks in ((1 / 3, 1), (1 / 3 + 1e-9, 2)):
+            tracker = Tracker(INDOOR, iou_threshold=threshold)
+            tracker.update([a], 0)
+            tracker.update([b], 1)
+            assert len(tracker.tracks) == n_tracks
+
+    def test_best_iou_wins_competing_blobs(self):
+        # two blobs overlap one track: the higher IoU continues it, even
+        # when listed second; the other starts a new track
+        tracker = Tracker(INDOOR)
+        tracker.update([square_blob(0, 0, 10)], 0)
+        near, nearer = square_blob(2, 0, 10), square_blob(1, 0, 10)
+        tracker.update([near, nearer], 1, [0.1, 0.2])
+        assert [(t.track_id, t.bbox, t.last_margin) for t in tracker.tracks] == [
+            (1, nearer.bbox, 0.2), (2, near.bbox, 0.1)
+        ]
+        # on equal IoU the blob listed first wins
+        tracker = Tracker(INDOOR)
+        tracker.update([square_blob(0, 0, 10)], 0)
+        below, right = square_blob(0, 1, 10), square_blob(1, 0, 10)
+        tracker.update([below, right], 1)
+        assert [(t.track_id, t.bbox) for t in tracker.tracks] == [
+            (1, below.bbox), (2, right.bbox)
+        ]
 
     def test_bbox_iou(self):
         assert bbox_iou((0, 0, 10, 10), (0, 0, 10, 10)) == 1.0
