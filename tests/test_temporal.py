@@ -190,6 +190,17 @@ class TestStabilityOnSequences:
     def test_constant_sequence_stable(self):
         assert stability_of([(80, 400, 100, 100, 100, 100)] * WINDOW) is Stability.STABLE
 
+    def test_partial_buffer_undecided(self):
+        # ten steady samples read as stable, but a part-filled window
+        # gets no verdict yet
+        blobs = [square_blob(20, 20, 10)] * 10
+        assert stability_of(samples_of(blobs)) is Stability.STABLE
+        tracker = Tracker(INDOOR)
+        first, _ = verdict_frame(tracker, blobs)
+        assert first is None
+        assert len(tracker.tracks[0].samples) == 10
+        assert tracker.tracks[0].state is TrackState.PENDING
+
     def test_balanced_alternation_not_unstable(self):
         # 12x100, 12x300, 1x200: sd_a/mu_a = sqrt(24/25)*100/200 ~ 0.4899
         areas = [100.0] * 12 + [300.0] * 12 + [200.0]
@@ -301,6 +312,24 @@ class TestAssociate:
             tracker.update([square_blob(10 + 2 * t, 10, 12)], t)  # 2 px/frame drift
         assert len(tracker.tracks) == 1
         assert tracker.tracks[0].buffer_full
+
+    def test_vanished_track_closes_rejected(self):
+        # a flame-band track that vanishes before its window fills is
+        # closed without a fire verdict; the blob coming back starts a
+        # fresh window under a new id
+        tracker = Tracker(INDOOR, max_gap=5)
+        blobs = flame_band_blobs()
+        confirmed = []
+        for t in range(WINDOW - 1):
+            confirmed += tracker.update([blobs[t]], t)
+        vanished = tracker.tracks[0]
+        for t in range(WINDOW - 1, WINDOW + 6):
+            confirmed += tracker.update([], t)
+        assert tracker.tracks == []
+        assert vanished.state is not TrackState.FIRE_CONFIRMED
+        confirmed += tracker.update([blobs[-1]], WINDOW + 6)
+        assert [(tr.track_id, len(tr.samples)) for tr in tracker.tracks] == [(2, 1)]
+        assert confirmed == []
 
     def test_tracks_age_out_during_empty_frames(self):
         # a track unseen for max_gap frames is dropped, not kept for the
