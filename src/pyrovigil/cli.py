@@ -51,8 +51,21 @@ def _plan_from_args(args) -> SamplingPlan:
         raise ConfigError(f"bad sampling settings: {e}") from None
 
 
+def _check_writable(path, what):
+    """Fail with a config error before any training when `path` cannot be
+    written; a file that did not exist is left not existing."""
+    existed = os.path.exists(path)
+    try:
+        open(path, "ab").close()
+    except OSError as e:
+        raise ConfigError(f"cannot write {what} {path}: {e.strerror}") from None
+    if not existed:
+        os.remove(path)
+
+
 def _cmd_train_codebook(args) -> int:
     plan = _plan_from_args(args)
+    _check_writable(args.out, "codebook")
     train_codebook(
         args.patches,
         plan,
@@ -66,6 +79,7 @@ def _cmd_train_codebook(args) -> int:
 
 
 def _cmd_train_model(args) -> int:
+    _check_writable(args.out, "model")
     book = cb.read_codebook(args.codebook)
     kind = cl.KernelKind(args.kernel)
     plan = _plan_from_args(args)

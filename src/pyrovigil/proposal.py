@@ -46,14 +46,29 @@ class Blob:
 
 def _bg_update(mean, var, gray, rho, lam, var_floor, warmup_phase):
     d = gray - mean
+    new = np.empty_like(mean)
+    term = np.empty_like(mean)
     if warmup_phase:
         fg = np.zeros(gray.shape, dtype=bool)
+        learn = True
     else:
-        std = np.maximum(np.sqrt(var), var_floor)
-        fg = np.abs(d) > lam * std
-    learn = ~fg
-    mean[learn] = (1.0 - rho) * mean[learn] + rho * gray[learn]
-    var[learn] = (1.0 - rho) * var[learn] + rho * d[learn] ** 2
+        bound = np.sqrt(var, out=term)
+        np.maximum(bound, var_floor, out=bound)
+        bound *= lam
+        fg = np.abs(d, out=new) > bound
+        learn = ~fg
+    # (1 - rho) * mean + rho * gray and (1 - rho) * var + rho * d**2 in
+    # this operand order, which the bits depend on, over the whole frame;
+    # written back only where the model learns
+    np.multiply(mean, 1.0 - rho, out=new)
+    np.multiply(gray, rho, out=term)
+    new += term
+    np.copyto(mean, new, where=learn)
+    np.multiply(var, 1.0 - rho, out=new)
+    np.square(d, out=term)
+    term *= rho
+    new += term
+    np.copyto(var, new, where=learn)
     return fg
 
 
@@ -138,23 +153,24 @@ def multi_level_threshold(
 # morphology and connected components
 
 
-def binary_open3(mask):
-    """3x3 morphological open; pixels outside the frame read as background."""
+def _pad1(mask):
+    """`mask` inside a one-pixel border of background."""
     h, w = mask.shape
-    p = np.pad(mask, 1, constant_values=False)
-    # the zero pad makes outside-of-frame read as background
-    er = (
-        p[:-2, :-2] & p[:-2, 1:-1] & p[:-2, 2:]
-        & p[1:-1, :-2] & p[1:-1, 1:-1] & p[1:-1, 2:]
-        & p[2:, :-2] & p[2:, 1:-1] & p[2:, 2:]
-    )
-    q = np.pad(er, 1, constant_values=False)
-    out = (
-        q[:-2, :-2] | q[:-2, 1:-1] | q[:-2, 2:]
-        | q[1:-1, :-2] | q[1:-1, 1:-1] | q[1:-1, 2:]
-        | q[2:, :-2] | q[2:, 1:-1] | q[2:, 2:]
-    )
-    return out
+    canvas = np.zeros((h + 2, w + 2), dtype=bool)
+    canvas[1:-1, 1:-1] = mask
+    return canvas
+
+
+def binary_open3(mask):
+    """3x3 morphological open; pixels outside the frame read as background.
+
+    Each 3x3 window is taken as a row of three, then a column of three of
+    those rows: the same AND (erosion) and OR (dilation) of nine pixels."""
+    p = _pad1(mask)
+    rows = p[:, :-2] & p[:, 1:-1] & p[:, 2:]
+    q = _pad1(rows[:-2] & rows[1:-1] & rows[2:])
+    rows = q[:, :-2] | q[:, 1:-1] | q[:, 2:]
+    return rows[:-2] | rows[1:-1] | rows[2:]
 
 
 def label_components(mask):
@@ -203,7 +219,7 @@ def _blob_from_coords(ys, xs):
     bw, bh = x1 - x0 + 1, y1 - y0 + 1
     local = np.zeros((bh, bw), dtype=bool)
     local[ys - y0, xs - x0] = True
-    p = np.pad(local, 1, constant_values=False)
+    p = _pad1(local)
     interior = p[:-2, 1:-1] & p[2:, 1:-1] & p[1:-1, :-2] & p[1:-1, 2:]
     perimeter = int((local & ~interior).sum())
     return Blob(

@@ -238,7 +238,7 @@ def test_criterion_7_realtime_throughput(synth_artifacts):
         decision_stride=5,
     ).validate()
     pipeline = DetectionPipeline(config)
-    list(pipeline.run(frames[:10], "warmup"))  # JIT + cache warm
+    list(pipeline.run(frames[:10], "warmup"))  # warm caches before timing
     t0 = time.perf_counter()
     list(pipeline.run(frames, "fps"))
     elapsed = time.perf_counter() - t0

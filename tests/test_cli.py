@@ -239,6 +239,38 @@ def test_unwritable_output_exits_2(tmp_path, capsys, synth_artifacts, case):
     assert "config error: cannot write" in err
 
 
+# Training checks its output path before any work: the inputs here would
+# stop training with a data error (exit 3).
+BAD_TRAIN_OUTPUTS = [
+    ("train-codebook", "--patches", "{tmp}/empty", "--out", "{tmp}/nodir/cb.pvcb"),
+    ("train-codebook", "--patches", "{tmp}/empty", "--out", "{tmp}"),
+    ("train-model", "--fire", "{tmp}/empty", "--nonfire", "{tmp}/empty",
+     "--codebook", "{tmp}/missing.pvcb", "--out", "{tmp}/nodir/m.pvsm"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv", BAD_TRAIN_OUTPUTS, ids=["codebook nodir", "codebook dir", "model nodir"]
+)
+def test_unwritable_training_output_exits_2(tmp_path, capsys, argv):
+    (tmp_path / "empty").mkdir()
+    code = main([a.format(tmp=tmp_path) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "config error: cannot write" in err
+
+
+def test_failed_training_leaves_no_output(tmp_path, capsys):
+    (tmp_path / "empty").mkdir()
+    out = tmp_path / "cb.pvcb"
+    code = main([
+        "train-codebook", "--patches", str(tmp_path / "empty"), "--out", str(out),
+    ])
+    assert code == 3
+    assert "data error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_labels_file_exits_3(tmp_path, capsys, synth_artifacts):
     cfg = tmp_path / "pipe.cfg"
     cfg.write_text(

@@ -464,6 +464,37 @@ class TestCascade:
         assert len(fields) == 9  # frame id state p a d1 d2 d3 d4
         assert sum(float(v) for v in fields[5:9]) == float(fields[4])
 
+    @pytest.mark.parametrize(
+        "camera",
+        [
+            "moving",
+            pytest.param(
+                "static",
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="warm-up blindness: a flame burning through the "
+                    "background warm-up is absorbed into the background",
+                ),
+            ),
+        ],
+    )
+    def test_flame_from_first_frame_alarms(self, synth_artifacts, camera):
+        scene = SyntheticScene(SceneSpec(seed=7, flame_onset=0))
+        config = PipelineConfig(
+            codebook_path=str(synth_artifacts["codebook_path"]),
+            model_path=str(synth_artifacts["model_path"]),
+            camera=camera,
+            decision_stride=1,
+        ).validate()
+        alarms = list(DetectionPipeline(config).run(scene.frames(150)))
+        fx, fy, fw, fh = scene.flame_region()
+        on_flame = [
+            a for a in alarms
+            if fx <= a.bbox[0] and a.bbox[0] + a.bbox[2] <= fx + fw
+            and fy <= a.bbox[1] and a.bbox[1] + a.bbox[3] <= fy + fh
+        ]
+        assert on_flame, f"no alarm on the flame; alarms: {alarms}"
+
 
 class TestDecide:
     """The decision stage on its own: one frame's blobs in, the fire blobs

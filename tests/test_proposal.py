@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from pyrovigil.imaging import ColorSpace, Frame
+from pyrovigil.imaging import ColorSpace, Frame, luma
 from pyrovigil.proposal import (
     BackgroundModel,
+    _bg_update,
     ProposalConfig,
     ProposalEngine,
     binary_open3,
@@ -69,6 +70,64 @@ def _spiral(n):
     return mask
 
 
+def _bg_update_gather(mean, var, gray, rho, lam, var_floor, warmup_phase):
+    """Reference background update: gathers the learning pixels, updates
+    them and scatters them back."""
+    d = gray - mean
+    if warmup_phase:
+        fg = np.zeros(gray.shape, dtype=bool)
+    else:
+        std = np.maximum(np.sqrt(var), var_floor)
+        fg = np.abs(d) > lam * std
+    learn = ~fg
+    mean[learn] = (1.0 - rho) * mean[learn] + rho * gray[learn]
+    var[learn] = (1.0 - rho) * var[learn] + rho * d[learn] ** 2
+    return fg
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _open3_oracle(mask):
+    """Reference 3x3 open: per-pixel erosion, then dilation; pixels off the
+    frame are background."""
+    h, w = mask.shape
+
+    def window(m, y, x):
+        return [
+            0 <= y + dy < h and 0 <= x + dx < w and bool(m[y + dy, x + dx])
+            for dy in (-1, 0, 1)
+            for dx in (-1, 0, 1)
+        ]
+
+    eroded = np.zeros((h, w), dtype=bool)
+    opened = np.zeros((h, w), dtype=bool)
+    for y in range(h):
+        for x in range(w):
+            eroded[y, x] = all(window(mask, y, x))
+    for y in range(h):
+        for x in range(w):
+            opened[y, x] = any(window(eroded, y, x))
+    return opened
+
+
+def _perimeter_oracle(local):
+    """Pixels of the box-local mask with a 4-neighbour off the mask or off
+    the box."""
+    h, w = local.shape
+    count = 0
+    for y in range(h):
+        for x in range(w):
+            if not local[y, x]:
+                continue
+            for ny, nx in ((y - 1, x), (y + 1, x), (y, x - 1), (y, x + 1)):
+                if not (0 <= ny < h and 0 <= nx < w and local[ny, nx]):
+                    count += 1
+                    break
+    return count
+
+
 class TestBackgroundModel:
     def test_static_scene_empty_after_warmup(self, rng):
         bg = BackgroundModel(20, 30, warmup=25)
@@ -125,6 +184,50 @@ class TestBackgroundModel:
             bg.update(rng.uniform(0, 255, (8, 8)))
         assert (bg.var >= 0).all()
 
+    def test_update_matches_gather_oracle(self, rng):
+        lam, var_floor = 2.5, 4.0
+        scene = SyntheticScene(SceneSpec(seed=7, flame_onset=12))
+        synth = [luma(scene.frame(t).pixels) for t in range(30)]
+        noise = [rng.uniform(0, 255, (240, 320)) for _ in range(4)]
+        # (frame, rho, warm-up): warm-up at 1/t, then the configured rate
+        # with the flame appearing, then random frames and rho = 1
+        steps = [(synth[t], 1.0 / (t + 1), True) for t in range(1, 10)]
+        steps += [(synth[t], 0.01, False) for t in range(10, 30)]
+        steps += [(noise[0], 1.0, True), (noise[1], 0.01, False)]
+        steps += [(noise[2], 1.0, False), (noise[3], 0.01, False)]
+        mean, var = synth[0].copy(), np.full((240, 320), var_floor * var_floor)
+        want_mean, want_var = mean.copy(), var.copy()
+        clamped = False
+        for gray, rho, warmup in steps:
+            clamped |= bool((var < var_floor * var_floor).any())
+            fg = _bg_update(mean, var, gray, rho, lam, var_floor, warmup)
+            want_fg = _bg_update_gather(
+                want_mean, want_var, gray, rho, lam, var_floor, warmup
+            )
+            assert np.array_equal(fg, want_fg)
+            assert _same_bits(mean, want_mean) and _same_bits(var, want_var)
+        assert clamped  # some pixels had their deviation raised to the floor
+
+    def test_update_matches_gather_oracle_at_the_bound(self, rng):
+        lam, var_floor = 2.5, 4.0
+        mean = rng.uniform(0, 255, (240, 320))
+        var = rng.uniform(0, 40, (240, 320))
+        # rows 0-1: std 4 exactly; rows 2-3: std 1, raised to the floor 4;
+        # both put the bound lam * std at 10 exactly
+        mean[:4] = 100.0
+        var[:2], var[2:4] = 16.0, 1.0
+        gray = rng.uniform(0, 255, (240, 320))
+        gray[:4, 0::3] = 110.0  # |d| == bound: background
+        gray[:4, 1::3] = 90.0
+        gray[:4, 2::3] = np.nextafter(110.0, 200.0)  # just past it
+        want_mean, want_var = mean.copy(), var.copy()
+        fg = _bg_update(mean, var, gray, 0.01, lam, var_floor, False)
+        want_fg = _bg_update_gather(want_mean, want_var, gray, 0.01, lam, var_floor, False)
+        assert not fg[:4, 0::3].any() and not fg[:4, 1::3].any()
+        assert fg[:4, 2::3].all()
+        assert np.array_equal(fg, want_fg)
+        assert _same_bits(mean, want_mean) and _same_bits(var, want_var)
+
 
 class TestMultiLevelThreshold:
     def test_black_scene_top_rung(self):
@@ -175,6 +278,22 @@ class TestMorphology:
         mask = np.ones((6, 6), dtype=bool)
         out = binary_open3(mask)
         assert out.all()  # erosion keeps the 4x4 interior; dilation refills
+
+    @pytest.mark.parametrize("density", [0.1, 0.5, 0.7, 0.9])
+    def test_open_matches_oracle(self, rng, density):
+        for _ in range(6):
+            h, w = rng.integers(3, 41, 2)
+            mask = rng.random((h, w)) < density
+            assert np.array_equal(binary_open3(mask), _open3_oracle(mask))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 12), (12, 1), (2, 2), (3, 3)])
+    def test_open_matches_oracle_on_thin_masks(self, rng, shape):
+        for mask in (np.ones(shape, dtype=bool), rng.random(shape) < 0.6):
+            out = binary_open3(mask)
+            assert out.shape == mask.shape
+            assert np.array_equal(out, _open3_oracle(mask))
+        # nothing under three pixels across survives the erosion
+        assert binary_open3(np.ones(shape, dtype=bool)).all() == (shape == (3, 3))
 
 
 class TestLabeling:
@@ -313,6 +432,14 @@ class TestExtractBlobs:
         blobs = extract_blobs(mask)
         assert len(blobs) == 1
         assert blobs[0].area == 3
+
+    @pytest.mark.parametrize("density", [0.3, 0.6, 0.85])
+    def test_perimeter_matches_oracle(self, rng, density):
+        mask = rng.random((40, 50)) < density
+        blobs = extract_blobs(mask)
+        assert blobs
+        for b in blobs:
+            assert b.perimeter == _perimeter_oracle(b.mask)
 
 
 class TestPropose:
