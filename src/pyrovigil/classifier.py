@@ -107,15 +107,6 @@ def _base_matrix(kind: KernelKind, X, Y):
     return chi2_distance_matrix(X, Y)
 
 
-def kernel_eval(kernel: Kernel, a, b) -> float:
-    """Kernel value of two vectors."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(kernel_matrix(kernel, a[None, :], b[None, :])[0, 0])
-
-
 # ---------------------------------------------------------------------------
 # SMO solver (maximal violating pair)
 
@@ -410,6 +401,16 @@ def read_model(path) -> TrainedModel:
     off += count * 8
     (bias,) = struct.unpack_from("<d", raw, off)
     fp = raw[off + 8 :]
+    for name, value in (
+        ("gamma", gamma),
+        ("C", C),
+        ("class weights", (w_pos, w_neg)),
+        ("support vectors", sv),
+        ("coefficients", coef),
+        ("bias", bias),
+    ):
+        if not np.isfinite(value).all():
+            raise DataError(f"{path}: model {name} must be finite")
     kind = _KIND_FROM_CODE[kind_code]
     try:
         kernel = Kernel(kind, gamma) if kind is not KernelKind.LINEAR else Kernel(kind)

@@ -191,11 +191,6 @@ class NNIndex:
     def size(self) -> int:
         return self.points.shape[0]
 
-    def query(self, q: np.ndarray, m: int):
-        """m nearest centers of one query: (indices, distances) ascending."""
-        idx, d2 = self.query_batch(np.asarray(q, dtype=np.float64)[None, :], m)
-        return idx[0], d2[0]
-
     def query_batch(self, Q: np.ndarray, m: int):
         """m nearest centers of each row of Q: (indices, distances), each
         (n, m), rows ascending by distance with ties to the lower index."""
@@ -234,16 +229,6 @@ def _soft_weights(dists, sigma):
         k_vals[dead, 0] = 1.0
         sums = k_vals.sum(axis=1)
     return k_vals / sums[:, None]
-
-
-def soft_assign(descriptor: np.ndarray, nn_index: NNIndex, params: EncoderParams):
-    """Weights of one descriptor against its m nearest centers.
-
-    Returns (center_indices, weights); weights sum to 1.
-    """
-    idx, dist = nn_index.query(np.asarray(descriptor, dtype=np.float64), params.m)
-    w = _soft_weights(dist[None, :], params.sigma)[0]
-    return idx, w
 
 
 def encode(
@@ -305,12 +290,9 @@ def read_codebook(path) -> Codebook:
     centers = np.frombuffer(raw, dtype="<f8", count=k * dim, offset=16)
     centers = centers.reshape(k, dim).astype(np.float64)
     (sigma,) = struct.unpack_from("<d", raw, 16 + k * dim * 8)
+    if not np.isfinite(centers).all():
+        raise DataError(f"{path}: codebook centers must be finite")
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise DataError(f"{path}: codebook sigma must be finite and > 0, got {sigma}")
     return Codebook(centers, sigma)
 
-
-def export_codebook_text(cb: Codebook, path) -> None:
-    """One center per line, full-precision text, for diffing."""
-    with open(path, "w") as f:
-        f.write(f"# k={cb.k} dim={cb.dim} sigma={cb.sigma!r}\n")
-        for row in cb.centers:
-            f.write(" ".join(format(v, ".17g") for v in row) + "\n")

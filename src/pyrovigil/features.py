@@ -22,14 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .imaging import (
-    CHANNEL_DOMAINS,
-    ColorSpace,
-    Frame,
-    IntegralImage,
-    convert,
-    integral,
-)
+from .imaging import CHANNEL_DOMAINS, ColorSpace, Frame, convert, integral
 
 SURF_DIM = 64
 COLOR_DIM = 24
@@ -61,17 +54,6 @@ class SamplingPlan:
 
 def haar_margin(scale: int) -> int:
     return max(1, int(scale / 9.0 + 0.5))
-
-
-def kernel_fits(cx: int, cy: int, scale: int, width: int, height: int) -> bool:
-    h = haar_margin(scale)
-    x0, y0 = cx - scale // 2, cy - scale // 2
-    return (
-        x0 - h >= 0
-        and y0 - h >= 0
-        and x0 + scale - 1 + h <= width - 1
-        and y0 + scale - 1 + h <= height - 1
-    )
 
 
 def _subregion_lut(scale: int) -> np.ndarray:
@@ -168,68 +150,6 @@ def _lab_bin_params():
     return lo, inv
 
 
-def surf_descriptor(ii: IntegralImage, center, scale: int) -> np.ndarray:
-    """Upright 64-dim SURF vector at one kernel placement."""
-    cx, cy = center
-    if not kernel_fits(cx, cy, scale, ii.width, ii.height):
-        raise ValueError(
-            f"SURF kernel (center=({cx}, {cy}), scale={scale}) exceeds "
-            f"{ii.width}x{ii.height} image bounds"
-        )
-    cxs = np.array([cx], dtype=np.int64)
-    cys = np.array([cy], dtype=np.int64)
-    return _surf_batch(
-        ii.table[0],
-        cxs,
-        cys,
-        scale,
-        haar_margin(scale),
-        _subregion_lut(scale),
-        _gauss_weights(scale),
-    )[0]
-
-
-def local_color_histogram(frame: Frame, center, scale: int) -> np.ndarray:
-    """24-bin LAB histogram (8 per channel) over one kernel scope, clipped
-    to the frame; each channel block L1-normalized. Only the scope's
-    pixels are converted to LAB."""
-    cx, cy = center
-    x0, y0 = cx - scale // 2, cy - scale // 2
-    if (
-        x0 + scale <= 0
-        or y0 + scale <= 0
-        or x0 >= frame.width
-        or y0 >= frame.height
-    ):
-        raise ValueError(f"kernel scope at ({cx}, {cy}) misses the frame entirely")
-    wx0, wy0 = max(0, x0), max(0, y0)
-    lab = _lab_window(
-        frame, wx0, wy0, min(frame.width, x0 + scale), min(frame.height, y0 + scale)
-    )
-    lo, inv = _lab_bin_params()
-    return _local_hist_batch(
-        lab,
-        np.array([cx - wx0], dtype=np.int64),
-        np.array([cy - wy0], dtype=np.int64),
-        scale,
-        lo,
-        inv,
-    )[0]
-
-
-def _lab_window(frame: Frame, x0: int, y0: int, x1: int, y1: int) -> np.ndarray:
-    """LAB pixels of the frame rectangle [x0, x1) x [y0, y1); an RGB frame
-    has only those pixels converted, which gives the bits of the
-    full-frame conversion's slice."""
-    pixels = frame.pixels[y0:y1, x0:x1]
-    if frame.space is ColorSpace.LAB:
-        return pixels
-    if frame.space is ColorSpace.RGB:
-        crop = Frame(pixels, ColorSpace.RGB, frame.index)
-        return convert(crop, ColorSpace.LAB).pixels
-    raise ValueError(f"cannot derive LAB pixels from {frame.space.value} frame")
-
-
 def _hist96(values, lo, inv_width):
     out = np.zeros(96, dtype=np.float64)
     for c in range(3):
@@ -270,14 +190,6 @@ def histogram_from_pixels(
     return bins
 
 
-def global_histogram(
-    frame: Frame, space: ColorSpace, mask: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """(96,) color histogram of a frame (or masked region) in `space`."""
-    pixels = frame.pixels if frame.space is space else convert(frame, space).pixels
-    return histogram_from_pixels(pixels, space, mask)
-
-
 class SampleContext:
     """Per-frame precomputation shared by all descriptor extractions.
 
@@ -310,7 +222,11 @@ class SampleContext:
         """
         wx0, wy0, wx1, wy1 = self._window
         if not (wx0 <= x0 and wy0 <= y0 and x1 <= wx1 and y1 <= wy1):
-            self._lab = _lab_window(self.frame, x0, y0, x1, y1)
+            # only the window's pixels are converted, which gives the
+            # bits of the full-frame conversion's slice
+            pixels = self.frame.pixels[y0:y1, x0:x1]
+            crop = Frame(pixels, ColorSpace.RGB, self.frame.index)
+            self._lab = convert(crop, ColorSpace.LAB).pixels
             self._window = (x0, y0, x1, y1)
             wx0, wy0 = x0, y0
         return self._lab[y0 - wy0 : y1 - wy0, x0 - wx0 : x1 - wx0]

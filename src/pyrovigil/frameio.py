@@ -83,31 +83,6 @@ def write_pbm(path, mask: np.ndarray) -> None:
         f.write(packed.tobytes())
 
 
-def read_pbm(path) -> np.ndarray:
-    data = Path(path).read_bytes()
-    if not data.startswith(b"P4"):
-        raise DataError(f"{path}: not a binary PBM (P4)")
-    pos = 2
-    fields = []
-    while len(fields) < 2:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        fields.append(data[start:pos])
-    pos += 1
-    w, h = (int(f) for f in fields)
-    stride = (w + 7) // 8
-    raw = np.frombuffer(data[pos : pos + stride * h], dtype=np.uint8)
-    bits = np.unpackbits(raw.reshape(h, stride), axis=1)[:, :w]
-    return bits.astype(bool)
-
-
 def read_png(path) -> np.ndarray:
     try:
         from PIL import Image
@@ -115,8 +90,11 @@ def read_png(path) -> np.ndarray:
         raise DataError(
             f"{path}: PNG support requires pillow (pip install pyrovigil[png])"
         ) from None
-    with Image.open(path) as im:
-        return np.asarray(im.convert("RGB"), dtype=np.uint8)
+    try:
+        with Image.open(path) as im:
+            return np.asarray(im.convert("RGB"), dtype=np.uint8)
+    except OSError as e:  # pillow's decode errors are OSErrors
+        raise DataError(f"{path}: cannot decode PNG: {e}") from None
 
 
 def read_image(path) -> np.ndarray:

@@ -139,14 +139,6 @@ class IntegralImage:
     table: np.ndarray  # (channels, h+1, w+1)
     frame_index: int = 0
 
-    @property
-    def height(self) -> int:
-        return self.table.shape[1] - 1
-
-    @property
-    def width(self) -> int:
-        return self.table.shape[2] - 1
-
 
 def integral_table(channels):
     """(c, h+1, w+1) cumulative sums of a (c, h, w) array, zero-padded."""
@@ -164,13 +156,3 @@ def integral(frame: Frame) -> IntegralImage:
         channels = np.ascontiguousarray(np.moveaxis(frame.pixels, 2, 0))
     return IntegralImage(integral_table(channels), frame.index)
 
-
-def rect_sum(ii: IntegralImage, x: int, y: int, w: int, h: int, channel: int = 0) -> float:
-    """Sum of pixels in the w*h rectangle with top-left (x, y)."""
-    if w < 0 or h < 0 or x < 0 or y < 0 or x + w > ii.width or y + h > ii.height:
-        raise ValueError(
-            f"rectangle (x={x}, y={y}, w={w}, h={h}) exceeds "
-            f"{ii.width}x{ii.height} image bounds"
-        )
-    t = ii.table[channel]
-    return float(t[y + h, x + w] - t[y, x + w] - t[y + h, x] + t[y, x])

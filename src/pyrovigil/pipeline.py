@@ -353,7 +353,7 @@ def _iter_patch_frames(directory):
     yield from frame_dir_source(directory)
 
 
-def harvest_descriptors(patch_dirs, plan: SamplingPlan, log=None):
+def harvest_descriptors(patch_dirs, plan: SamplingPlan):
     """All local descriptors from every patch under the given dirs."""
     rows = []
     patches = 0
@@ -455,7 +455,9 @@ def train_model(
     """Encode fire/non-fire patches, optionally grid-search (C, gamma) by
     cross-validation on the training split, fit the final model, and
     report accuracy on the held-out fifth."""
-    params = cb.EncoderParams(m=min(m, book.k), sigma=book.sigma)
+    if m > book.k:
+        raise ConfigError(f"m={m} exceeds the codebook's {book.k} words")
+    params = cb.EncoderParams(m=m, sigma=book.sigma)
     nn_index = cb.NNIndex(book.centers)
     fire_feats, fire_fail = encode_patches(fire_dir, nn_index, params, plan)
     non_feats, non_fail = encode_patches(nonfire_dir, nn_index, params, plan)
@@ -526,10 +528,6 @@ class EvalReport:
     fn: int
     per_section: List[Tuple[SectionLabel, bool]] = field(default_factory=list)
 
-    @classmethod
-    def from_counts(cls, tp, tn, fp, fn):
-        return cls(tp, tn, fp, fn)
-
     @property
     def precision(self) -> Optional[float]:
         d = self.tp + self.fp
@@ -596,34 +594,12 @@ def _check_overlaps(labels, origin):
                 raise DataError(f"{origin}: overlapping sections in {vid}: {a} / {b}")
 
 
-def write_alarm_log(alarms: Iterable[AlarmEvent], path) -> None:
-    with open(path, "w") as f:
-        for a in alarms:
-            f.write(format_alarm(a) + "\n")
-
-
 def format_alarm(a: AlarmEvent) -> str:
     x, y, w, h = a.bbox
     return (
         f"{a.video_id} {a.frame_index} {a.track_id} "
         f"{x},{y},{w},{h} {format(a.margin, '.9g')}"
     )
-
-
-def parse_alarm_log(path) -> List[AlarmEvent]:
-    alarms = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 5:
-            raise DataError(f"{path}:{lineno}: malformed alarm line {line!r}")
-        bbox = tuple(int(v) for v in parts[3].split(","))
-        alarms.append(
-            AlarmEvent(parts[0], int(parts[1]), int(parts[2]), bbox, float(parts[4]))
-        )
-    return alarms
 
 
 def evaluate_sections(alarms: Iterable[AlarmEvent], labels: List[SectionLabel]) -> EvalReport:

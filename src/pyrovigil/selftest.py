@@ -10,7 +10,7 @@ import numpy as np
 from . import codebook as cb
 from .features import SamplingPlan
 from .frameio import write_ppm
-from .imaging import ColorSpace, Frame, integral, rect_sum
+from .imaging import ColorSpace, Frame, integral
 from .pipeline import DetectionPipeline, PipelineConfig, train_codebook, train_model
 from .synth import SceneSpec, SyntheticScene, fire_patch, nonfire_patch
 
@@ -24,11 +24,12 @@ def _check(name, ok, detail=""):
 
 def _integral_check(rng):
     px = rng.integers(0, 256, (16, 16)).astype(np.float64)
-    ii = integral(Frame(px, ColorSpace.GRAY))
+    t = integral(Frame(px, ColorSpace.GRAY)).table[0]
     for _ in range(25):
         x, y = int(rng.integers(0, 16)), int(rng.integers(0, 16))
         w, h = int(rng.integers(0, 16 - x + 1)), int(rng.integers(0, 16 - y + 1))
-        if rect_sum(ii, x, y, w, h) != px[y : y + h, x : x + w].sum():
+        corners = t[y + h, x + w] - t[y, x + w] - t[y + h, x] + t[y, x]
+        if corners != px[y : y + h, x : x + w].sum():
             return False
     return True
 
@@ -36,9 +37,8 @@ def _integral_check(rng):
 def _nn_index_check(rng):
     pts = rng.normal(size=(200, 16))
     idx = cb.NNIndex(pts)
-    for _ in range(30):
-        q = rng.normal(size=16)
-        got, _ = idx.query(q, 5)
+    queries = rng.normal(size=(30, 16))
+    for q, got in zip(queries, idx.query_batch(queries, 5)[0]):
         d2 = ((pts - q) ** 2).sum(axis=1)
         want = np.lexsort((np.arange(200), d2))[:5]
         if not np.array_equal(got, want):

@@ -11,16 +11,16 @@ import numpy as np
 
 from pyrovigil import codebook as cb
 from pyrovigil import classifier as cl
-from pyrovigil.features import SamplingPlan, global_histogram
+from pyrovigil.features import SamplingPlan, histogram_from_pixels
 from pyrovigil.frameio import write_ppm
-from pyrovigil.imaging import ColorSpace, Frame, integral, rect_sum
+from pyrovigil.imaging import ColorSpace, Frame, convert, integral
 from pyrovigil.pipeline import (
     DetectionPipeline,
     EvalReport,
     PipelineConfig,
+    format_alarm,
     train_codebook,
     train_model,
-    write_alarm_log,
 )
 from pyrovigil.synth import SceneSpec, SyntheticScene, fire_patch, nonfire_patch
 from pyrovigil.temporal import (
@@ -34,6 +34,7 @@ from pyrovigil.temporal import (
 )
 from pyrovigil.proposal import extract_blobs
 
+from oracles import corner_sum
 from test_codebook import brute_force_nn, encode_oracle
 from test_temporal import (
     flame_band_blobs,
@@ -50,7 +51,7 @@ def _report(name, detail=""):
 
 
 def test_criterion_1_metric_arithmetic():
-    report = EvalReport.from_counts(tp=361, tn=305, fp=27, fn=81)
+    report = EvalReport(tp=361, tn=305, fp=27, fn=81)
     precision_pct = 100.0 * report.precision
     recall_pct = 100.0 * report.recall
     assert abs(precision_pct - 93.04) <= 0.01
@@ -72,7 +73,7 @@ def test_criterion_2_oracle_equivalence():
     nn = cb.NNIndex(centers)
     for _ in range(200):
         q = rng.normal(size=88)
-        got_i, got_d = nn.query(q, 10)
+        (got_i,), (got_d,) = nn.query_batch(q[None], 10)
         want_i, want_d = brute_force_nn(centers, q, 10)
         assert np.array_equal(got_i, want_i)
         assert np.array_equal(got_d, want_d)
@@ -88,7 +89,7 @@ def test_criterion_2_oracle_equivalence():
         for yy in range(y, y + h):
             for xx in range(x, x + w):
                 brute += px[yy, xx]
-        assert rect_sum(ii, x, y, w, h) == brute
+        assert corner_sum(ii.table[0], x, y, w, h) == brute
 
     # soft-assignment encoding vs linear-scan accumulation
     centers10 = rng.normal(size=(10, 88))
@@ -141,7 +142,8 @@ def test_criterion_4_normalization_invariants():
     params = cb.EncoderParams(m=10, sigma=0.7)
     for trial in range(100):
         img = rng.integers(0, 256, (20, 24, 3)).astype(float)
-        hist = global_histogram(Frame(img, ColorSpace.RGB), ColorSpace.LAB)
+        lab = convert(Frame(img, ColorSpace.RGB), ColorSpace.LAB).pixels
+        hist = histogram_from_pixels(lab, ColorSpace.LAB)
         assert abs(hist.sum() - 3.0) <= 1e-9
         n = int(rng.integers(1, 60))
         D = rng.normal(size=(n, 88))
@@ -284,7 +286,7 @@ def test_criterion_8_determinism(synth_artifacts, tmp_path):
         pipeline = DetectionPipeline(config)
         alarms = list(pipeline.run(scene.frames(150), "det"))
         log_path = tmp_path / f"alarms_{run}.log"
-        write_alarm_log(alarms, log_path)
+        log_path.write_text("".join(format_alarm(a) + "\n" for a in alarms))
         logs.append(log_path.read_bytes())
     assert logs[0] == logs[1]
     _report("criterion 8: determinism", "codebook, model, alarm log bit-identical")

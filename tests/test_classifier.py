@@ -11,7 +11,6 @@ from pyrovigil.classifier import (
     chi2_distance_matrix,
     cross_validate,
     decision_function,
-    kernel_eval,
     kernel_matrix,
     predict,
     read_model,
@@ -27,11 +26,11 @@ RBF1 = Kernel(KernelKind.RBF, 1.0)
 class TestKernels:
     def test_rbf_self_is_one(self, rng):
         a = rng.normal(size=9)
-        assert kernel_eval(RBF1, a, a) == 1.0
+        assert kernel_matrix(RBF1, a[None], a[None])[0, 0] == 1.0
 
     def test_linear_zero_vector(self, rng):
-        a = rng.normal(size=5)
-        assert kernel_eval(Kernel(KernelKind.LINEAR), a, np.zeros(5)) == 0.0
+        a = rng.normal(size=(1, 5))
+        assert kernel_matrix(Kernel(KernelKind.LINEAR), a, np.zeros((1, 5)))[0, 0] == 0.0
 
     def test_chi2_fixed_histograms(self):
         # scalar evaluation oracle: sum (a-b)^2/(a+b) = 0.48095238...,
@@ -41,17 +40,17 @@ class TestKernels:
         dist = sum(
             (x - y) ** 2 / (x + y) for x, y in zip(a, b) if x + y > 0
         )
-        got = kernel_eval(Kernel(KernelKind.CHI2, 0.5), a, b)
+        got = kernel_matrix(Kernel(KernelKind.CHI2, 0.5), [a], [b])[0, 0]
         assert abs(got - math.exp(-0.5 * dist)) <= 1e-12
         assert abs(got - 0.7862533655434848) <= 1e-12
 
     def test_chi2_zero_over_zero(self):
-        k = kernel_eval(Kernel(KernelKind.CHI2, 1.0), [0.0, 0.5], [0.0, 0.5])
-        assert k == 1.0
+        x = [[0.0, 0.5]]
+        assert kernel_matrix(Kernel(KernelKind.CHI2, 1.0), x, x)[0, 0] == 1.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
-            kernel_eval(RBF1, np.zeros(3), np.zeros(4))
+            kernel_matrix(RBF1, np.zeros((1, 3)), np.zeros((1, 4)))
 
     def test_gamma_validation(self):
         with pytest.raises(ValueError):
@@ -357,4 +356,30 @@ class TestModelIO:
         path = tmp_path / "junk.pvsm"
         path.write_bytes(b"WHAT" + b"\x00" * 100)
         with pytest.raises(DataError, match="magic"):
+            read_model(path)
+
+    @pytest.mark.parametrize(
+        "name", ["gamma", "C", "class weights", "support vectors", "coefficients", "bias"]
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_field_rejected(self, rng, tmp_path, name, value):
+        # a NaN bias made every margin NaN, so detection ran and never alarmed
+        X = rng.normal(size=(6, 2))
+        y = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
+        model = train(X, y, kernel=RBF1, C=1.0)
+        count = model.support_vectors.shape[0]
+        offset = {
+            "gamma": 12,
+            "C": 20,
+            "class weights": 36,
+            "support vectors": 52 + 8,
+            "coefficients": 52 + count * 16,
+            "bias": 52 + count * 24,
+        }[name]
+        path = tmp_path / "m.pvsm"
+        write_model(model, path)
+        raw = bytearray(path.read_bytes())
+        raw[offset : offset + 8] = struct.pack("<d", value)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DataError, match=f"m.pvsm: model {name} must be finite"):
             read_model(path)

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from pyrovigil.classifier import read_model, write_model
 from pyrovigil.cli import main
+from pyrovigil.codebook import Codebook, write_codebook
 from pyrovigil.frameio import write_ppm
-from pyrovigil.pipeline import parse_alarm_log
 from pyrovigil.synth import SceneSpec, SyntheticScene, blue_noise_patch, red_noise_patch
+
+from oracles import parse_alarm_log
 
 
 def _write_patches(tmp_path):
@@ -292,6 +295,51 @@ def test_missing_codebook_file_exits_3(tmp_path, capsys, synth_artifacts):
     assert code == 3
     assert "data error: cannot read codebook" in capsys.readouterr().err
     assert not (tmp_path / "m.pvsm").exists()
+
+
+def test_detect_with_non_finite_model_exits_3(tmp_path, capsys, synth_artifacts):
+    # a NaN bias made every margin NaN: detection ran, exited 0, never alarmed
+    model = read_model(synth_artifacts["model_path"])
+    model.bias = float("nan")
+    model_path = tmp_path / "nan.pvsm"
+    write_model(model, model_path)
+    frames_dir = tmp_path / "frames"
+    frames_dir.mkdir()
+    write_ppm(frames_dir / "000000.ppm", np.zeros((60, 80, 3), np.uint8))
+    cfg = tmp_path / "pipe.cfg"
+    cfg.write_text(f"codebook={synth_artifacts['codebook_path']}\nmodel={model_path}\n")
+    code = main(["detect", "--config", str(cfg), "--frames", str(frames_dir)])
+    assert code == 3
+    assert "nan.pvsm: model bias must be finite" in capsys.readouterr().err
+
+
+def test_train_model_with_zero_sigma_codebook_exits_3(tmp_path, capsys, synth_artifacts):
+    book = synth_artifacts["codebook"]
+    bad = tmp_path / "sigma0.pvcb"
+    write_codebook(Codebook(book.centers, 0.0), bad)
+    out = tmp_path / "m.pvsm"
+    code = main([
+        "train-model", "--fire", str(synth_artifacts["fire_dir"]),
+        "--nonfire", str(synth_artifacts["nonfire_dir"]),
+        "--codebook", str(bad), "--out", str(out),
+    ])
+    assert code == 3
+    assert "sigma0.pvcb: codebook sigma must be finite and > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_model_m_above_codebook_words_exits_2(tmp_path, capsys, synth_artifacts):
+    # detection rejects this m; training used to clamp it to the word count
+    out = tmp_path / "m.pvsm"
+    code = main([
+        "train-model", "--fire", str(synth_artifacts["fire_dir"]),
+        "--nonfire", str(synth_artifacts["nonfire_dir"]),
+        "--codebook", str(synth_artifacts["codebook_path"]), "--out", str(out),
+        "--m", "501",
+    ])
+    assert code == 2
+    assert "config error: m=501 exceeds the codebook's 500 words" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_selftest_quick(capsys):

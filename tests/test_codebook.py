@@ -7,13 +7,12 @@ from pyrovigil.codebook import (
     Codebook,
     EncoderParams,
     NNIndex,
+    _soft_weights,
     encode,
-    export_codebook_text,
     gaussian_kernel,
     kmeans,
     raw_bow_histogram,
     read_codebook,
-    soft_assign,
     write_codebook,
 )
 from pyrovigil.errors import DataError
@@ -24,6 +23,13 @@ def brute_force_nn(points, q, m):
     d2 = ((points - q) ** 2).sum(axis=1)
     order = np.lexsort((np.arange(points.shape[0]), d2))[:m]
     return order, np.sqrt(d2[order])
+
+
+def soft_weights(idx, descriptor, m, sigma):
+    """(center indices, weights) of one descriptor: a one-row
+    `query_batch` call and its row of soft-assignment weights."""
+    got, dist = idx.query_batch(descriptor[None], m)
+    return got[0], _soft_weights(dist, sigma)[0]
 
 
 def encode_oracle(descriptors, centers, m, sigma):
@@ -116,14 +122,14 @@ class TestNNIndex:
     def test_query_center_is_itself(self, rng):
         pts = rng.normal(size=(50, 8))
         idx = NNIndex(pts)
-        got, dist = idx.query(pts[17], 1)
+        (got,), (dist,) = idx.query_batch(pts[17][None], 1)
         assert got[0] == 17
         assert dist[0] == 0.0
 
     def test_query_all_returns_sorted(self, rng):
         pts = rng.normal(size=(40, 6))
         idx = NNIndex(pts)
-        got, dist = idx.query(rng.normal(size=6), 40)
+        (got,), (dist,) = idx.query_batch(rng.normal(size=6)[None], 40)
         assert sorted(got.tolist()) == list(range(40))
         assert np.all(np.diff(dist) >= 0)
 
@@ -132,7 +138,7 @@ class TestNNIndex:
         idx = NNIndex(pts)
         for _ in range(200):
             q = rng.normal(size=88)
-            got, dist = idx.query(q, 10)
+            (got,), (dist,) = idx.query_batch(q[None], 10)
             want, wdist = brute_force_nn(pts, q, 10)
             assert np.array_equal(got, want)
             assert np.array_equal(dist, wdist)
@@ -143,16 +149,16 @@ class TestNNIndex:
             [[2.0, 0.0], [0.0, 2.0], [-2.0, 0.0], [0.0, -2.0], [5.0, 5.0]]
         )
         idx = NNIndex(pts)
-        got, dist = idx.query(np.array([0.0, 0.0]), 3)
+        (got,), (dist,) = idx.query_batch(np.array([0.0, 0.0])[None], 3)
         assert got.tolist() == [0, 1, 2]
         assert np.allclose(dist, 2.0)
 
     def test_m_bounds(self, rng):
         idx = NNIndex(rng.normal(size=(10, 3)))
         with pytest.raises(ValueError):
-            idx.query(np.zeros(3), 0)
+            idx.query_batch(np.zeros(3)[None], 0)
         with pytest.raises(ValueError):
-            idx.query(np.zeros(3), 11)
+            idx.query_batch(np.zeros(3)[None], 11)
 
     def test_batch_matches_single(self, rng):
         pts = rng.normal(size=(120, 12))
@@ -160,7 +166,7 @@ class TestNNIndex:
         Q = rng.normal(size=(30, 12))
         bi, bd = idx.query_batch(Q, 4)
         for row, q in enumerate(Q):
-            si, sd = idx.query(q, 4)
+            (si,), (sd,) = idx.query_batch(q[None], 4)
             assert np.array_equal(bi[row], si)
             assert np.array_equal(bd[row], sd)
         ei, ed = idx.query_batch(np.zeros((0, 12)), 4)
@@ -188,7 +194,7 @@ class TestNNIndex:
             ]
             for m in (1, 5, n):
                 for q in queries:
-                    got_i, got_d = idx.query(q, m)
+                    (got_i,), (got_d,) = idx.query_batch(q[None], m)
                     want_i, want_d = brute_force_nn(pts, q, m)
                     assert np.array_equal(got_i, want_i)
                     assert np.array_equal(got_d, want_d)
@@ -222,7 +228,7 @@ class TestNNIndex:
     def test_duplicate_points_tolerated(self):
         pts = np.tile(np.array([[1.0, 1.0]]), (40, 1))
         idx = NNIndex(pts)
-        got, dist = idx.query(np.array([1.0, 1.0]), 3)
+        (got,), (dist,) = idx.query_batch(np.array([1.0, 1.0])[None], 3)
         assert got.tolist() == [0, 1, 2]
         assert np.allclose(dist, 0.0)
 
@@ -231,7 +237,7 @@ class TestSoftAssign:
     def test_m1_single_weight(self, rng):
         pts = rng.normal(size=(20, 5))
         idx = NNIndex(pts)
-        _, w = soft_assign(rng.normal(size=5), idx, EncoderParams(m=1, sigma=0.5))
+        _, w = soft_weights(idx, rng.normal(size=5), 1, 0.5)
         assert w.tolist() == [1.0]
 
     def test_equidistant_uniform(self):
@@ -239,7 +245,7 @@ class TestSoftAssign:
             [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [9.0, 9.0]]
         )
         idx = NNIndex(pts)
-        _, w = soft_assign(np.zeros(2), idx, EncoderParams(m=4, sigma=1.0))
+        _, w = soft_weights(idx, np.zeros(2), 4, 1.0)
         assert np.allclose(w, 0.25)
 
     def test_two_distance_ratio_matches_formula(self):
@@ -248,7 +254,7 @@ class TestSoftAssign:
         sigma = 1.7
         pts = np.array([[sigma, 0.0], [-2.0 * sigma, 0.0], [50.0, 50.0]])
         idx = NNIndex(pts)
-        _, w = soft_assign(np.zeros(2), idx, EncoderParams(m=2, sigma=sigma))
+        _, w = soft_weights(idx, np.zeros(2), 2, sigma)
         e1, e2 = math.exp(-0.5), math.exp(-2.0)
         assert abs(w[0] - e1 / (e1 + e2)) <= 1e-12
         assert abs(w[1] - e2 / (e1 + e2)) <= 1e-12
@@ -257,14 +263,14 @@ class TestSoftAssign:
     def test_underflow_falls_back_to_nearest(self):
         pts = np.array([[1000.0, 0.0], [2000.0, 0.0], [3000.0, 0.0]])
         idx = NNIndex(pts)
-        _, w = soft_assign(np.zeros(2), idx, EncoderParams(m=2, sigma=1e-3))
+        _, w = soft_weights(idx, np.zeros(2), 2, 1e-3)
         assert w.tolist() == [1.0, 0.0]
 
     def test_weights_sum_to_one(self, rng):
         pts = rng.normal(size=(64, 8))
         idx = NNIndex(pts)
         for _ in range(20):
-            _, w = soft_assign(rng.normal(size=8), idx, EncoderParams(m=10, sigma=0.8))
+            _, w = soft_weights(idx, rng.normal(size=8), 10, 0.8)
             assert abs(w.sum() - 1.0) <= 1e-12
 
     def test_gaussian_kernel_formula(self):
@@ -311,8 +317,8 @@ class TestEncode:
         centers = rng.normal(size=(25, 6))
         idx = NNIndex(centers)
         d = rng.normal(size=6)
-        i1, w1 = soft_assign(d, idx, EncoderParams(m=6, sigma=0.3))
-        i2, w2 = soft_assign(d, idx, EncoderParams(m=6, sigma=3.0))
+        i1, w1 = soft_weights(idx, d, 6, 0.3)
+        i2, w2 = soft_weights(idx, d, 6, 3.0)
         assert np.array_equal(i1, i2)
         assert not np.allclose(w1, w2)
 
@@ -384,11 +390,26 @@ class TestCodebookIO:
         assert a.fingerprint() != c.fingerprint()
         assert len(a.fingerprint()) == 32
 
-    def test_text_export(self, rng, tmp_path):
-        book = Codebook(rng.normal(size=(4, 5)), 2.0)
-        path = tmp_path / "book.txt"
-        export_codebook_text(book, path)
-        lines = path.read_text().splitlines()
-        assert len(lines) == 5  # header + 4 centers
-        row = np.array([float(v) for v in lines[1].split()])
-        assert np.array_equal(row, book.centers[0])
+
+    @pytest.mark.parametrize(
+        "center, sigma, match",
+        [
+            (np.nan, 1.0, "centers must be finite"),
+            (-np.inf, 1.0, "centers must be finite"),
+            (0.5, np.nan, "sigma must be finite and > 0"),
+            (0.5, np.inf, "sigma must be finite and > 0"),
+            (0.5, 0.0, "sigma must be finite and > 0"),
+            (0.5, -1.0, "sigma must be finite and > 0"),
+        ],
+        ids=["nan center", "inf center", "nan sigma", "inf sigma", "zero sigma",
+             "negative sigma"],
+    )
+    def test_bad_values_rejected(self, rng, tmp_path, center, sigma, match):
+        # a NaN center is never returned as a neighbor, and a bad sigma
+        # fails encoding; both are data errors naming the file
+        centers = rng.normal(size=(3, 4))
+        centers[1, 2] = center
+        path = tmp_path / "bad.pvcb"
+        write_codebook(Codebook(centers, sigma), path)
+        with pytest.raises(DataError, match=f"bad.pvcb: codebook {match}"):
+            read_codebook(path)

@@ -14,19 +14,16 @@ from pyrovigil.features import (
     _local_hist_batch,
     _subregion_lut,
     _surf_batch,
-    global_histogram,
     haar_margin,
     histogram_from_pixels,
-    kernel_fits,
-    local_color_histogram,
     sample,
     sample_positions,
-    surf_descriptor,
 )
 from pyrovigil.imaging import CHANNEL_DOMAINS, ColorSpace, Frame, convert, integral
 from pyrovigil.proposal import Blob, ProposalConfig, ProposalEngine
 from pyrovigil.synth import SceneSpec, SyntheticScene
 
+from oracles import kernel_fits
 from test_imaging import _ref_lab
 
 
@@ -85,10 +82,25 @@ def _gray_frame(px):
     return Frame(np.asarray(px, dtype=float), ColorSpace.GRAY)
 
 
+def _surf(table, cx, cy, scale):
+    """SURF vector at one placement: a one-row `_surf_batch` call."""
+    return _surf_batch(
+        table, np.array([cx]), np.array([cy]), scale, haar_margin(scale),
+        _subregion_lut(scale), _gauss_weights(scale),
+    )[0]
+
+
+def _local_hist(frame, cx, cy, scale):
+    """Local LAB histogram of one kernel scope: a one-row
+    `_local_hist_batch` call on the frame's LAB."""
+    lab = convert(frame, ColorSpace.LAB).pixels
+    lo, inv = _lab_bin_params()
+    return _local_hist_batch(lab, np.array([cx]), np.array([cy]), scale, lo, inv)[0]
+
+
 class TestGlobalHistogram:
     def test_uniform_midgray_single_bins(self):
-        frame = Frame(np.full((8, 8, 3), 128.0), ColorSpace.RGB)
-        hist = global_histogram(frame, ColorSpace.RGB)
+        hist = histogram_from_pixels(np.full((8, 8, 3), 128.0), ColorSpace.RGB)
         for c in range(3):
             block = hist[c * 32 : c * 32 + 32]
             assert (block > 0).sum() == 1
@@ -97,14 +109,15 @@ class TestGlobalHistogram:
     def test_total_mass_is_three(self, rng):
         img = rng.integers(0, 256, (20, 30, 3)).astype(float)
         for space in (ColorSpace.RGB, ColorSpace.LAB):
-            hist = global_histogram(Frame(img, ColorSpace.RGB), space)
+            pixels = convert(Frame(img, ColorSpace.RGB), space).pixels
+            hist = histogram_from_pixels(pixels, space)
             assert abs(hist.sum() - 3.0) <= 1e-9
             assert (hist >= 0).all()
 
     def test_two_pixel_split(self):
         # channel 0 values 10 and 200 land in different bins: 0.5 each
         img = np.array([[[10.0, 0.0, 0.0], [200.0, 0.0, 0.0]]])
-        hist = global_histogram(Frame(img, ColorSpace.RGB), ColorSpace.RGB)
+        hist = histogram_from_pixels(img, ColorSpace.RGB)
         block = hist[:32]
         assert sorted(block[block > 0].tolist()) == [0.5, 0.5]
         assert block[int(10 / 255 * 32)] == 0.5
@@ -114,13 +127,14 @@ class TestGlobalHistogram:
         img = rng.integers(0, 256, (6, 6, 3)).astype(float)
         mask = np.zeros((6, 6), dtype=bool)
         mask[0, 0] = True
-        hist = global_histogram(Frame(img, ColorSpace.RGB), ColorSpace.RGB, mask)
+        hist = histogram_from_pixels(img, ColorSpace.RGB, mask)
         assert (hist > 0).sum() <= 3
 
     def test_empty_mask_errors(self):
-        frame = Frame(np.zeros((4, 4, 3)), ColorSpace.RGB)
         with pytest.raises(ValueError, match="empty mask"):
-            global_histogram(frame, ColorSpace.RGB, np.zeros((4, 4), dtype=bool))
+            histogram_from_pixels(
+                np.zeros((4, 4, 3)), ColorSpace.RGB, np.zeros((4, 4), dtype=bool)
+            )
 
     def test_mass_conservation_over_partition(self, rng):
         # raw bin counts of disjoint parts sum exactly to the whole
@@ -140,7 +154,7 @@ class TestGlobalHistogram:
 class TestSurf:
     def test_constant_image_zero_vector(self):
         ii = integral(_gray_frame(np.full((21, 21), 55.0)))
-        vec = surf_descriptor(ii, (10, 10), 9)
+        vec = _surf(ii.table[0], 10, 10, 9)
         assert np.all(vec == 0.0)
 
     def test_matches_brute_force_oracle(self, rng):
@@ -150,7 +164,7 @@ class TestSurf:
             for _ in range(5):
                 cx = int(rng.integers(12, 28))
                 cy = int(rng.integers(12, 28))
-                got = surf_descriptor(ii, (cx, cy), scale)
+                got = _surf(ii.table[0], cx, cy, scale)
                 want = surf_oracle(px, cx, cy, scale)
                 assert np.allclose(got, want, atol=1e-10)
 
@@ -158,7 +172,7 @@ class TestSurf:
         px = np.full((31, 31), 10.0)
         px[:, 15:] = 200.0  # vertical edge at x=15
         ii = integral(_gray_frame(px))
-        vec = surf_descriptor(ii, (15, 15), 9).reshape(4, 4, 4)
+        vec = _surf(ii.table[0], 15, 15, 9).reshape(4, 4, 4)
         # the edge crosses subregion column su where x=15 falls: window
         # starts at 11, local u = 4 -> su = min(3, 16//9) = 1
         for sv in range(4):
@@ -170,13 +184,8 @@ class TestSurf:
     def test_unit_norm_on_nonflat(self, rng):
         px = rng.integers(0, 256, (30, 30)).astype(float)
         ii = integral(_gray_frame(px))
-        vec = surf_descriptor(ii, (14, 14), 9)
+        vec = _surf(ii.table[0], 14, 14, 9)
         assert abs(np.linalg.norm(vec) - 1.0) <= 1e-6
-
-    def test_out_of_bounds_errors(self):
-        ii = integral(_gray_frame(np.zeros((20, 20))))
-        with pytest.raises(ValueError, match="bounds"):
-            surf_descriptor(ii, (2, 10), 9)
 
     def test_mirror_equivariance(self, rng):
         # horizontally mirroring the image mirrors the dx sign pattern;
@@ -184,10 +193,8 @@ class TestSurf:
         px = rng.integers(0, 256, (36, 36)).astype(float)
         mirrored = px[:, ::-1].copy()
         scale, cx, cy = 12, 17, 18
-        v1 = surf_descriptor(integral(_gray_frame(px)), (cx, cy), scale)
-        v2 = surf_descriptor(
-            integral(_gray_frame(mirrored)), (36 - cx, cy), scale
-        )
+        v1 = _surf(integral(_gray_frame(px)).table[0], cx, cy, scale)
+        v2 = _surf(integral(_gray_frame(mirrored)).table[0], 36 - cx, cy, scale)
         a = v1.reshape(4, 4, 4)
         b = v2.reshape(4, 4, 4)
         for sv in range(4):
@@ -201,7 +208,7 @@ class TestSurf:
 class TestLocalColorHistogram:
     def test_uniform_patch(self):
         frame = Frame(np.full((15, 15, 3), 80.0), ColorSpace.RGB)
-        hist = local_color_histogram(frame, (7, 7), 9)
+        hist = _local_hist(frame, 7, 7, 9)
         for c in range(3):
             block = hist[c * 8 : c * 8 + 8]
             assert block.max() == 1.0
@@ -209,14 +216,14 @@ class TestLocalColorHistogram:
 
     def test_mass_is_three(self, rng):
         img = rng.integers(0, 256, (20, 20, 3)).astype(float)
-        hist = local_color_histogram(Frame(img, ColorSpace.RGB), (10, 10), 9)
+        hist = _local_hist(Frame(img, ColorSpace.RGB), 10, 10, 9)
         assert abs(hist.sum() - 3.0) <= 1e-9
 
     def test_half_red_half_green(self):
         img = np.zeros((10, 10, 3))
         img[:, :5] = (200.0, 30.0, 30.0)  # red half
         img[:, 5:] = (30.0, 180.0, 30.0)  # green half
-        hist = local_color_histogram(Frame(img, ColorSpace.RGB), (5, 4), 10)
+        hist = _local_hist(Frame(img, ColorSpace.RGB), 5, 4, 10)
         # oracle: a* bins of the two colors via the reference conversion
         _, a_red, _ = _ref_lab(200, 30, 30)
         _, a_green, _ = _ref_lab(30, 180, 30)
@@ -229,23 +236,8 @@ class TestLocalColorHistogram:
 
     def test_clipped_scope(self):
         img = np.full((12, 12, 3), 50.0)
-        hist = local_color_histogram(Frame(img, ColorSpace.RGB), (0, 0), 9)
+        hist = _local_hist(Frame(img, ColorSpace.RGB), 0, 0, 9)
         assert abs(hist.sum() - 3.0) <= 1e-9
-
-    def test_matches_full_frame_conversion(self, rng):
-        # only the scope is converted; the oracle converts the whole frame
-        frame = Frame(rng.integers(0, 256, (23, 31, 3)).astype(float), ColorSpace.RGB)
-        lab = convert(frame, ColorSpace.LAB).pixels
-        lo, inv = _lab_bin_params()
-        scopes = [(0, 0, 9), (30, 22, 9), (15, 11, 10), (30, 0, 4), (0, 22, 15),
-                  (15, 11, 40), (-3, 5, 9), (1, 1, 1)]
-        for cx, cy, scale in scopes:
-            got = local_color_histogram(frame, (cx, cy), scale)
-            want = _local_hist_batch(
-                lab, np.array([cx]), np.array([cy]), scale, lo, inv
-            )[0]
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-
 
     @pytest.mark.parametrize("scale", [3, 9, 15, 27])
     def test_batch_matches_loop_oracle(self, rng, scale):

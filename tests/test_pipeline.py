@@ -17,11 +17,9 @@ from pyrovigil.pipeline import (
     evaluate,
     evaluate_sections,
     format_alarm,
-    parse_alarm_log,
     parse_labels,
     train_codebook,
     train_model,
-    write_alarm_log,
 )
 from pyrovigil.synth import (
     SceneSpec,
@@ -30,6 +28,8 @@ from pyrovigil.synth import (
     fire_patch,
     red_noise_patch,
 )
+
+from oracles import parse_alarm_log
 
 
 class TestConfig:
@@ -193,7 +193,7 @@ class TestLabelsAndAlarms:
             AlarmEvent("vid2", 7, 1, (0, 0, 5, 5), -0.5),
         ]
         path = tmp_path / "alarms.log"
-        write_alarm_log(alarms, path)
+        path.write_text("".join(format_alarm(a) + "\n" for a in alarms))
         assert parse_alarm_log(path) == alarms
 
     def test_alarm_format(self):
@@ -203,7 +203,7 @@ class TestLabelsAndAlarms:
 
 class TestEvalReport:
     def test_from_counts_arithmetic(self):
-        report = EvalReport.from_counts(tp=361, tn=305, fp=27, fn=81)
+        report = EvalReport(tp=361, tn=305, fp=27, fn=81)
         assert abs(100 * report.precision - 93.04) <= 0.01
         assert abs(100 * report.recall - 81.67) <= 0.01
 
@@ -217,7 +217,7 @@ class TestEvalReport:
         assert "n/a" in table
 
     def test_table_rows(self):
-        table = EvalReport.from_counts(361, 305, 27, 81).format_table()
+        table = EvalReport(361, 305, 27, 81).format_table()
         assert "True positive   361" in table.replace("  ", " ").replace("  ", " ") or "361" in table
         assert "93.04%" in table
         assert "81.67%" in table
@@ -244,7 +244,7 @@ class TestEvalReport:
         labels = [SectionLabel("v", 0, 200, True)]
         alarms = [AlarmEvent("v", 10, 1, (1, 1, 2, 2), 0.75)]
         path = tmp_path / "alarms.log"
-        write_alarm_log(alarms, path)
+        path.write_text("".join(format_alarm(a) + "\n" for a in alarms))
         r1 = evaluate_sections(parse_alarm_log(path), labels)
         r2 = evaluate_sections(parse_alarm_log(path), labels)
         assert r1.format_table() == r2.format_table()
@@ -580,6 +580,21 @@ def test_benchmark_trace_targets_exist(monkeypatch):
         assert tracer.missing == []
     finally:
         tracer.uninstall()
+
+
+def test_benchmark_kernel_cases_run(monkeypatch):
+    # perfbench/kernels.py calls module-private kernels by name, and
+    # perfbench/run.py records `accel.NUMBA_ACTIVE`; a deleted or renamed
+    # one must fail here rather than end a benchmark run before it measures
+    from pathlib import Path
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from kernels import _cases
+    from pyrovigil.accel import NUMBA_ACTIVE
+
+    assert NUMBA_ACTIVE in (False, True)
+    for _, call in _cases(np.random.default_rng(7)):
+        call()
 
 
 class TestTrainCodebook:
