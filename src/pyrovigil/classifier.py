@@ -7,6 +7,7 @@ rebalanced by sample count. The dual objective is recorded every
 iteration and is non-decreasing, which the tests assert.
 """
 
+import math
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
@@ -30,8 +31,13 @@ class Kernel:
     gamma: float = 0.0
 
     def __post_init__(self):
-        if self.kind is not KernelKind.LINEAR and self.gamma <= 0:
-            raise ValueError(f"{self.kind.value} kernel needs gamma > 0")
+        # NaN fails every comparison, so `gamma <= 0` would let it through
+        if self.kind is not KernelKind.LINEAR and not (
+            math.isfinite(self.gamma) and self.gamma > 0
+        ):
+            raise ValueError(
+                f"{self.kind.value} kernel needs a finite gamma > 0, got {self.gamma}"
+            )
 
 
 MODEL_MAGIC = b"PVSM"
@@ -189,8 +195,8 @@ def train(
     X, y = _as_samples(X, y)
     if not np.isfinite(X).all():
         raise ValueError("training features contain non-finite values")
-    if C <= 0:
-        raise ValueError(f"C must be positive, got {C}")
+    if not (math.isfinite(C) and C > 0):
+        raise ValueError(f"C must be finite and > 0, got {C}")
     if not ((y > 0).any() and (y < 0).any()):
         raise ValueError("need at least one sample of each label")
     w_pos, w_neg = _class_weights(y, balance)

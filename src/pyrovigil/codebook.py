@@ -48,8 +48,8 @@ class EncoderParams:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError(f"neighbor count m must be >= 1, got {self.m}")
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise ValueError(f"sigma must be finite and > 0, got {self.sigma}")
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,14 @@
 workflows and the sectioned precision/recall evaluation harness.
 
 `DetectionPipeline.run` is one loop over the stages. Per frame: `_admit`
-checks the frame against the stream, and `_propose` finds candidate
-blobs. Every `decision_stride` frames, `decide` encodes each blob (dense
-local descriptors + global LAB histogram) and classifies it, and
-`_verify` feeds the classifier-positive blobs to the temporal tracker; a
-track confirmed as fire emits exactly one alarm event. Stages
-short-circuit, so an empty candidate mask costs no classifier work.
+checks the frame against the stream. Every `decision_stride` frames,
+`_propose` finds candidate blobs, `decide` encodes each blob (dense local
+descriptors + global LAB histogram) and classifies it, and `_verify`
+feeds the classifier-positive blobs to the temporal tracker; a track
+confirmed as fire emits exactly one alarm event. The frames in between
+are only absorbed (`_absorb`) by the background model and the rolling
+brightness. Stages short-circuit, so an empty candidate mask costs no
+classifier work.
 """
 
 import math
@@ -239,9 +241,10 @@ class DetectionPipeline:
         try:
             for pos, frame in enumerate(frames):
                 engine = self._admit(frame, engine)
-                blobs = self._propose(engine, frame, mask_dir)
                 if pos % cfg.decision_stride:
+                    self._absorb(engine, frame)
                     continue
+                blobs = self._propose(engine, frame, mask_dir)
                 fire_blobs, margins = self.decide(frame, engine.gray, blobs)
                 for tr in self._verify(tracker, frame.index, fire_blobs, margins, track_log):
                     stats.alarms += 1
@@ -274,8 +277,17 @@ class DetectionPipeline:
             raise DataError(f"frame {frame.index} follows frame {engine.index}")
         return engine
 
+    def _absorb(self, engine: ProposalEngine, frame: Frame):
+        """Stage 1 on a frame that is not decided: the background model and
+        the rolling brightness take it in; no blobs are extracted."""
+        t0 = time.perf_counter()
+        engine.absorb(frame)
+        self.stats.proposal_s += time.perf_counter() - t0
+        self.stats.frames += 1
+
     def _propose(self, engine: ProposalEngine, frame: Frame, mask_dir) -> list:
-        """Stage 1: the frame's candidate blobs; dumps the cleaned mask."""
+        """Stage 1 on a decision frame: its candidate blobs; dumps the
+        cleaned mask."""
         t0 = time.perf_counter()
         blobs, cand = engine.propose(frame)
         self.stats.proposal_s += time.perf_counter() - t0

@@ -288,7 +288,11 @@ class ProposalEngine:
     """Stateful stage-1 wrapper: owns the background model (static camera)
     and the rolling brightness statistics for threshold selection.
 
-    `gray` holds the luma of the last frame proposed, so that later stages
+    Every frame must be absorbed, so that the background model and the
+    rolling brightness see the whole stream; only the frames whose blobs
+    are wanted need `propose`, which absorbs the frame itself.
+
+    `gray` holds the luma of the last frame absorbed, so that later stages
     of the same frame need not compute it again, and `index` its index."""
 
     def __init__(self, config: ProposalConfig, width: int, height: int):
@@ -307,8 +311,20 @@ class ProposalEngine:
         self.gray: Optional[np.ndarray] = None
         self.index: Optional[int] = None
 
+    def absorb(self, frame: Frame) -> Optional[np.ndarray]:
+        """Take in one frame: its luma, its mean intensity for the rolling
+        brightness, and a background model update. Returns the frame's
+        foreground mask, or None without a background model."""
+        self.gray = gray = _intensity(frame)
+        self.index = frame.index
+        self._recent_means.append(float(gray.mean()))
+        if len(self._recent_means) > self.config.stats_window:
+            self._recent_means.pop(0)
+        return None if self.model is None else self.model.update(gray)
+
     def propose(self, frame: Frame):
-        """Candidate blobs of the frame plus the cleaned mask they came from.
+        """Absorb the frame; return its candidate blobs plus the cleaned
+        mask they came from.
 
         The brightness threshold is picked for the mean intensity of the
         last `stats_window` frames. With a background model the candidate
@@ -316,14 +332,10 @@ class ProposalEngine:
         brightness mask stands alone. The mask is cleaned by one 3x3
         morphological open before labeling.
         """
-        self.gray = gray = _intensity(frame)
-        self.index = frame.index
-        self._recent_means.append(float(gray.mean()))
-        if len(self._recent_means) > self.config.stats_window:
-            self._recent_means.pop(0)
+        fg = self.absorb(frame)
         mean_intensity = sum(self._recent_means) / len(self._recent_means)
-        thr = multi_level_threshold(gray, mean_intensity, self.config.ladder)
-        mask = thr.mask if self.model is None else self.model.update(gray) & thr.mask
+        thr = multi_level_threshold(self.gray, mean_intensity, self.config.ladder)
+        mask = thr.mask if fg is None else fg & thr.mask
         cleaned = binary_open3(np.ascontiguousarray(mask))
         min_area = self.config.scaled_min_area(frame.width, frame.height)
         return extract_blobs(cleaned, min_area), CandidateMask(cleaned, thr.threshold)

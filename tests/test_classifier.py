@@ -24,6 +24,12 @@ RBF1 = Kernel(KernelKind.RBF, 1.0)
 
 
 class TestKernels:
+    @pytest.mark.parametrize("kind", [KernelKind.RBF, KernelKind.CHI2])
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
+    def test_gamma_must_be_finite_and_positive(self, kind, gamma):
+        with pytest.raises(ValueError, match="gamma > 0"):
+            Kernel(kind, gamma)
+
     def test_rbf_self_is_one(self, rng):
         a = rng.normal(size=9)
         assert kernel_matrix(RBF1, a[None], a[None])[0, 0] == 1.0
@@ -216,6 +222,15 @@ class TestTrain:
             train(X, np.ones(10), kernel=RBF1, C=1.0)
         with pytest.raises(ValueError, match="C must be"):
             train(X, y, kernel=RBF1, C=0.0)
+
+    @pytest.mark.parametrize("C", [math.nan, math.inf])
+    def test_non_finite_C_rejected(self, rng, C):
+        # a NaN C once trained a model with no support vector and bias 0,
+        # whose zero margin reads every row as fire
+        X = rng.normal(size=(8, 2))
+        y = np.where(np.arange(8) < 4, 1.0, -1.0)
+        with pytest.raises(ValueError, match="C must be finite and > 0"):
+            train(X, y, kernel=RBF1, C=C)
 
     def test_nonconvergence_carries_violation(self, rng):
         X = rng.normal(size=(40, 4))

@@ -343,6 +343,11 @@ class TestEncoderParams:
         with pytest.raises(ValueError):
             EncoderParams(m=3, sigma=0.0)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -1.0])
+    def test_sigma_must_be_finite_and_positive(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be finite and > 0"):
+            EncoderParams(m=3, sigma=sigma)
+
 
 class TestCodebookIO:
     def test_roundtrip_bit_exact(self, rng, tmp_path):

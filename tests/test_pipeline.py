@@ -412,18 +412,55 @@ class TestCascade:
         assert 0.0 < pipeline.stats.total_s <= wall - alarms * pause
 
     def test_mask_dump(self, synth_artifacts, tmp_path):
+        # masks are made, and dumped, on decision frames only
         config = PipelineConfig(
             codebook_path=str(synth_artifacts["codebook_path"]),
             model_path=str(synth_artifacts["model_path"]),
+            decision_stride=5,
             mask_dump_dir=str(tmp_path / "masks"),
         ).validate()
         pipeline = DetectionPipeline(config)
         frames = (
-            Frame(np.zeros((40, 60, 3)), ColorSpace.RGB, index=i) for i in range(3)
+            Frame(np.zeros((40, 60, 3)), ColorSpace.RGB, index=i) for i in range(6)
         )
         list(pipeline.run(frames))
         dumped = sorted(p.name for p in (tmp_path / "masks").iterdir())
-        assert dumped == ["mask_000000.pbm", "mask_000001.pbm", "mask_000002.pbm"]
+        assert dumped == ["mask_000000.pbm", "mask_000005.pbm"]
+        assert pipeline.stats.frames == 6
+
+    @pytest.mark.parametrize("camera", ["static", "moving"])
+    def test_blobs_extracted_on_decision_frames_only(
+        self, synth_artifacts, monkeypatch, camera
+    ):
+        # every frame is absorbed; blobs are proposed every 5th frame,
+        # counted by position in the stream, not by frame index
+        from pyrovigil.proposal import ProposalEngine
+
+        calls = {"absorb": [], "propose": []}
+        proposed = []
+        for name in calls:
+            original = getattr(ProposalEngine, name)
+
+            def counted(engine, frame, _name=name, _original=original):
+                calls[_name].append(frame.index)
+                result = _original(engine, frame)
+                if _name == "propose":
+                    proposed.extend(result[0])
+                return result
+
+            monkeypatch.setattr(ProposalEngine, name, counted)
+        config = PipelineConfig(
+            codebook_path=str(synth_artifacts["codebook_path"]),
+            model_path=str(synth_artifacts["model_path"]),
+            camera=camera,
+            decision_stride=5,
+        ).validate()
+        pipeline = DetectionPipeline(config)
+        list(pipeline.run(SyntheticScene(SceneSpec(seed=7)).frames(12, 103)))
+        assert calls["propose"] == [103, 108, 113]
+        assert calls["absorb"] == list(range(103, 115))
+        assert pipeline.stats.frames == 12
+        assert pipeline.stats.blobs_proposed == len(proposed)
 
     def test_alarms_reconstructable_from_track_log(self, synth_artifacts, tmp_path):
         scene = SyntheticScene(SceneSpec(seed=7, flame_onset=40))
@@ -595,6 +632,29 @@ def test_benchmark_kernel_cases_run(monkeypatch):
     assert NUMBA_ACTIVE in (False, True)
     for _, call in _cases(np.random.default_rng(7)):
         call()
+
+
+def test_benchmark_end_to_end_run():
+    # a failure in perfbench's input writers, its training child or its
+    # end-to-end path must fail here rather than only in a benchmark run;
+    # the run writes under the repository's .perfbench/
+    import json
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "static_stride5",
+         "--seconds", "0", "--trace", "0"],
+        cwd=Path(__file__).resolve().parents[1],
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
 
 
 class TestTrainCodebook:

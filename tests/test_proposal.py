@@ -489,3 +489,47 @@ class TestPropose:
         assert mask.threshold == pick_threshold(px.mean()) == 190.0
         assert np.array_equal(mask.mask, px >= 190.0)
         assert [b.bbox for b in blobs] == [(4, 4, 8, 8)]
+
+
+def _blob_key(b):
+    return (b.bbox, b.area, b.perimeter, b.centroid, b.mask.shape, b.mask.tobytes())
+
+
+class TestAbsorb:
+    """`absorb` on the frames between decisions leaves the engine in the
+    state `propose` on every frame would, so decision frames give the
+    same blobs and masks bit for bit."""
+
+    @pytest.mark.parametrize("camera", ["static", "moving"])
+    def test_matches_propose_on_every_frame(self, camera):
+        scene = SyntheticScene(SceneSpec(seed=7, flame_onset=40))
+        cfg = ProposalConfig(camera=camera)
+        every = ProposalEngine(cfg, 320, 240)  # proposes on every frame
+        strided = ProposalEngine(cfg, 320, 240)  # absorbs 4 frames in 5
+        blobs_seen = 0
+        for frame in scene.frames(120):
+            want_blobs, want_cand = every.propose(frame)
+            if frame.index % 5:
+                fg = strided.absorb(frame)
+                if camera == "moving":
+                    assert fg is None
+                else:
+                    assert fg.dtype == bool and fg.shape == (240, 320)
+            else:
+                got_blobs, got_cand = strided.propose(frame)
+                assert [_blob_key(b) for b in got_blobs] == [
+                    _blob_key(b) for b in want_blobs
+                ]
+                assert np.array_equal(got_cand.mask, want_cand.mask)
+                assert got_cand.threshold == want_cand.threshold
+                blobs_seen += len(got_blobs)
+            if camera == "static":
+                assert _same_bits(strided.model.mean, every.model.mean)
+                assert _same_bits(strided.model.var, every.model.var)
+                assert strided.model.frames_absorbed == every.model.frames_absorbed
+            else:
+                assert strided.model is None
+            assert strided._recent_means == every._recent_means
+            assert _same_bits(strided.gray, every.gray)
+            assert strided.index == every.index == frame.index
+        assert blobs_seen > 10
