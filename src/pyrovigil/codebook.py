@@ -161,6 +161,10 @@ def _dedup_centers(X, C):
 # ---------------------------------------------------------------------------
 # neighbor index
 
+# OpenBLAS multiplies on one thread while m * n * k <= 65536 *
+# GEMM_MULTITHREAD_THRESHOLD (4 unless built otherwise)
+_ONE_THREAD_MADDS = 65536 * 4
+
 
 class NNIndex:
     """Exact m-nearest-neighbor index over codebook centers.
@@ -171,6 +175,12 @@ class NNIndex:
     the bound of its m-th smallest expanded distance, and the shortlist
     is rescored as ((c - q) ** 2).sum(), the expression of the
     linear-scan oracle, then ordered by (distance, lower index).
+
+    The product is taken in blocks of rows and centers with at most
+    `_ONE_THREAD_MADDS` multiply-adds each. OpenBLAS runs a product of that
+    size on the calling thread; a larger one wakes its worker threads,
+    which keep spinning on a CPU for a while after the call returns, so a
+    stream that queries every few milliseconds would hold a second CPU.
     """
 
     def __init__(self, points: np.ndarray):
@@ -178,6 +188,7 @@ class NNIndex:
         if self.points.ndim != 2 or self.points.shape[0] == 0:
             raise ValueError("index needs a non-empty (k, dim) point matrix")
         self._sq = (self.points * self.points).sum(axis=1)
+        self._points_t = np.ascontiguousarray(self.points.T)
         # With S = |q|^2 + max|c|^2: an expanded distance is within
         # (2 dim + 3) eps S of the exact one, the oracle's direct sum within
         # a relative (dim + 2) eps, and the m-th smallest distance is below
@@ -191,6 +202,21 @@ class NNIndex:
     def size(self) -> int:
         return self.points.shape[0]
 
+    def _dot_centers(self, Q):
+        """Q @ points.T, one block of rows and centers per BLAS call."""
+        n, dim = Q.shape
+        out = np.empty((n, self.size))
+        rows = max(1, min(n, 64))
+        step = max(1, _ONE_THREAD_MADDS // (rows * max(1, dim)))
+        for r in range(0, n, rows):
+            for s in range(0, self.size, step):
+                np.matmul(
+                    Q[r : r + rows],
+                    self._points_t[:, s : s + step],
+                    out=out[r : r + rows, s : s + step],
+                )
+        return out
+
     def query_batch(self, Q: np.ndarray, m: int):
         """m nearest centers of each row of Q: (indices, distances), each
         (n, m), rows ascending by distance with ties to the lower index."""
@@ -198,7 +224,7 @@ class NNIndex:
             raise ValueError(f"m must be in [1, {self.size}], got {m}")
         Q = np.ascontiguousarray(np.asarray(Q, dtype=np.float64))
         q2 = (Q * Q).sum(axis=1)
-        approx = q2[:, None] + self._sq - 2.0 * (Q @ self.points.T)
+        approx = q2[:, None] + self._sq - 2.0 * self._dot_centers(Q)
         kth = np.partition(approx, m - 1, axis=1)[:, m - 1 : m]
         limit = kth + self._slack * (q2[:, None] + self._sq_max)
         width = int((approx <= limit).sum(axis=1).max(initial=m))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pyrovigil.codebook import (
+    _ONE_THREAD_MADDS,
     Codebook,
     EncoderParams,
     NNIndex,
@@ -220,6 +221,30 @@ class TestNNIndex:
         Q = rng.normal(size=(320, 88))
         got_i, got_d = NNIndex(pts).query_batch(Q, 10)
         assert got_i.shape == got_d.shape == (320, 10)
+        for row, q in enumerate(Q):
+            want_i, want_d = brute_force_nn(pts, q, 10)
+            assert np.array_equal(got_i[row], want_i)
+            assert np.array_equal(got_d[row], want_d)
+
+    @pytest.mark.parametrize("rows", [1, 12, 40, 300])
+    def test_products_small_enough_for_one_blas_thread(self, rng, monkeypatch, rows):
+        # OpenBLAS runs larger products on worker threads, which then spin
+        # after the call; the blocks must still cover Q @ centers.T once
+        pts = rng.normal(size=(500, 88))
+        Q = rng.normal(size=(rows, 88))
+        idx = NNIndex(pts)
+        sizes = []
+        matmul = np.matmul
+
+        def spy(a, b, *args, **kw):
+            sizes.append(a.shape[0] * a.shape[1] * b.shape[1])
+            return matmul(a, b, *args, **kw)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        got_i, got_d = idx.query_batch(Q, 10)
+        monkeypatch.undo()
+        assert max(sizes) <= _ONE_THREAD_MADDS
+        assert sum(sizes) == rows * 88 * 500
         for row, q in enumerate(Q):
             want_i, want_d = brute_force_nn(pts, q, 10)
             assert np.array_equal(got_i[row], want_i)
