@@ -2,9 +2,9 @@
 
 Working-set selection is the maximal violating pair; the solver stops
 when the KKT violation drops to `tol` (default 1e-3). Per-sample box
-caps are C times a class weight, so unbalanced training sets can be
-rebalanced by sample count. The dual objective is recorded every
-iteration and is non-decreasing, which the tests assert.
+caps are C times a class weight that balances the two labels by sample
+count. The dual objective is recorded every iteration and is
+non-decreasing, which the tests assert.
 """
 
 import math
@@ -16,6 +16,7 @@ from typing import Optional
 
 import numpy as np
 
+from .codebook import squared_distances
 from .errors import ConvergenceError, DataError
 
 
@@ -83,16 +84,6 @@ def chi2_distance_matrix(X, Y):
     return out
 
 
-def _sq_euclid_matrix(X, Y):
-    d2 = (
-        (X * X).sum(axis=1)[:, None]
-        + (Y * Y).sum(axis=1)[None, :]
-        - 2.0 * (X @ Y.T)
-    )
-    np.maximum(d2, 0.0, out=d2)
-    return d2
-
-
 def kernel_matrix(kernel: Kernel, X: np.ndarray, Y: Optional[np.ndarray] = None):
     X = np.ascontiguousarray(np.asarray(X, dtype=np.float64))
     Y = X if Y is None else np.ascontiguousarray(np.asarray(Y, dtype=np.float64))
@@ -109,7 +100,7 @@ def _base_matrix(kind: KernelKind, X, Y):
     if kind is KernelKind.LINEAR:
         return X @ Y.T
     if kind is KernelKind.RBF:
-        return _sq_euclid_matrix(X, Y)
+        return squared_distances(X, Y)
     return chi2_distance_matrix(X, Y)
 
 
@@ -157,11 +148,9 @@ def _smo_solve(K, y, Cvec, tol, max_iter):
     return alpha, G, it, float(violation), trace[:it]
 
 
-def _class_weights(y, balance):
+def _class_weights(y):
     n_pos = int((y > 0).sum())
     n_neg = int((y < 0).sum())
-    if not balance:
-        return 1.0, 1.0
     nmax = max(n_pos, n_neg)
     return n_neg / nmax, n_pos / nmax
 
@@ -183,7 +172,6 @@ def train(
     y,
     kernel: Kernel = Kernel(KernelKind.RBF, 1.0),
     C: float = 1.0,
-    balance: bool = True,
     tol: float = 1e-3,
     max_iter: int = 200_000,
     codebook_fingerprint: Optional[bytes] = None,
@@ -199,7 +187,7 @@ def train(
         raise ValueError(f"C must be finite and > 0, got {C}")
     if not ((y > 0).any() and (y < 0).any()):
         raise ValueError("need at least one sample of each label")
-    w_pos, w_neg = _class_weights(y, balance)
+    w_pos, w_neg = _class_weights(y)
     Cvec = np.where(y > 0, C * w_pos, C * w_neg)
     K = kernel_matrix(kernel, X)
     alpha, G, it, violation, trace = _smo_solve(
@@ -296,7 +284,6 @@ def cross_validate(
     c_values=None,
     gamma_values=None,
     seed: int = 0,
-    balance: bool = True,
     tol: float = 1e-3,
     max_iter: int = 20_000,
 ) -> CVReport:
@@ -335,7 +322,7 @@ def cross_validate(
                 tr = np.setdiff1d(np.arange(X.shape[0]), te)
                 K_tr = np.ascontiguousarray(K_full[np.ix_(tr, tr)])
                 y_tr = y[tr]
-                w_pos, w_neg = _class_weights(y_tr, balance)
+                w_pos, w_neg = _class_weights(y_tr)
                 Cvec = np.where(y_tr > 0, C * w_pos, C * w_neg)
                 alpha, G, _, _, _ = _smo_solve(K_tr, y_tr, Cvec, tol, max_iter)
                 b = _bias(alpha, y_tr, G, Cvec)

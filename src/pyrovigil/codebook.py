@@ -25,7 +25,6 @@ CODEBOOK_VERSION = 1
 class Codebook:
     centers: np.ndarray  # (k, dim)
     sigma: float
-    trained_on: str = ""
     sse_trace: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     @property
@@ -56,18 +55,23 @@ class EncoderParams:
 # k-means
 
 
+def squared_distances(X, Y):
+    """(nx, ny) squared Euclidean distances |x|^2 + |y|^2 - 2 x.y between
+    the rows of X and of Y, floored at 0."""
+    d2 = (X * X).sum(axis=1)[:, None] + (Y * Y).sum(axis=1)[None, :] - 2.0 * (X @ Y.T)
+    np.maximum(d2, 0.0, out=d2)
+    return d2
+
+
 def _assign_points(X, C):
     n = X.shape[0]
     k = C.shape[0]
     assign = np.empty(n, dtype=np.int64)
     best = np.empty(n, dtype=np.float64)
-    c2 = (C * C).sum(axis=1)
     chunk = max(1, (1 << 22) // max(1, k))
     for s in range(0, n, chunk):
         e = min(n, s + chunk)
-        Xc = X[s:e]
-        d2 = (Xc * Xc).sum(axis=1)[:, None] + c2[None, :] - 2.0 * (Xc @ C.T)
-        np.maximum(d2, 0.0, out=d2)
+        d2 = squared_distances(X[s:e], C)
         a = d2.argmin(axis=1)
         assign[s:e] = a
         best[s:e] = d2[np.arange(e - s), a]

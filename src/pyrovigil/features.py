@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .imaging import CHANNEL_DOMAINS, ColorSpace, Frame, convert, integral
+from .imaging import LAB_DOMAINS, ColorSpace, Frame, convert, integral
 
 SURF_DIM = 64
 COLOR_DIM = 24
@@ -46,10 +46,6 @@ class SamplingPlan:
             raise ValueError("scales must be non-empty")
         if any(s < 3 for s in self.scales):
             raise ValueError(f"kernel scales must be >= 3, got {self.scales}")
-
-    def fingerprint(self) -> str:
-        scales = ",".join(str(s) for s in self.scales)
-        return f"interval={self.interval};scales={scales}"
 
 
 def haar_margin(scale: int) -> int:
@@ -111,83 +107,63 @@ def _surf_batch(table, cxs, cys, scale, hmar, sub, weights):
     return out / safe[:, None]
 
 
-def _local_hist_batch(lab, cxs, cys, scale, lo, inv_width):
-    """(n, 24) LAB histograms, 8 bins per channel, of the kernel scopes
-    centered at (cxs, cys) in `lab`, each clipped to it; each channel
-    block is L1-normalized, and a scope with no pixel in `lab` is zero."""
-    n = cxs.shape[0]
-    height, width = lab.shape[0], lab.shape[1]
-    bins = LOCAL_BINS_PER_CHANNEL
-    grid = np.arange(scale)
-    ys = (cys - scale // 2)[:, None] + grid
-    xs = (cxs - scale // 2)[:, None] + grid
-    row_in = (ys >= 0) & (ys < height)
-    col_in = (xs >= 0) & (xs < width)
-    inside = row_in[:, :, None] & col_in[:, None, :]
-    # (3, n, scale, scale): channel first, so the binning runs over long rows
-    values = np.moveaxis(lab, 2, 0)[
-        :, np.clip(ys, 0, height - 1)[:, :, None], np.clip(xs, 0, width - 1)[:, None, :]
-    ]
-    per_channel = (3, 1, 1, 1)
+def _lab_bin_params(bins):
+    """(lo, inv): the per-channel offset and scale that map a LAB value to
+    its bin among `bins` equal bins of the channel's domain."""
+    lo = np.array([d[0] for d in LAB_DOMAINS])
+    inv = np.array([bins / (d[1] - d[0]) for d in LAB_DOMAINS])
+    return lo, inv
+
+
+def _lab_histograms(values, lo, inv_width, bins):
+    """(n, 3 * bins) histograms of channel-first LAB values (3, n, ...):
+    row j bins values[:, j], values past a domain end in its end bin, and
+    each channel block is L1-normalized."""
+    n = values.shape[1]
+    per_channel = (3,) + (1,) * (values.ndim - 1)
+    per_row = (1, n) + (1,) * (values.ndim - 2)
     keys = (values - lo.reshape(per_channel)) * inv_width.reshape(per_channel)
     keys = np.clip(keys.astype(np.int64), 0, bins - 1)
-    # one bincount over (kernel, channel, bin); a scope pixel outside `lab`
-    # counts into a spare kernel row n, which is dropped
-    kernel = np.where(inside, np.arange(n)[:, None, None], n)
-    keys += kernel * (3 * bins) + np.arange(0, 3 * bins, bins).reshape(per_channel)
-    counts = np.bincount(keys.ravel(), minlength=(n + 1) * 3 * bins)[: n * 3 * bins]
+    # one bincount over (row, channel, bin)
+    keys += np.arange(0, 3 * bins, bins).reshape(per_channel)
+    keys += np.arange(0, n * 3 * bins, 3 * bins).reshape(per_row)
+    counts = np.bincount(keys.ravel(), minlength=n * 3 * bins)
     counts = counts.reshape(n, 3, bins).astype(np.float64)
     totals = counts.sum(axis=2, keepdims=True)
     return (counts / np.maximum(totals, 1.0)).reshape(n, 3 * bins)
 
 
-def _lab_bin_params():
-    domains = CHANNEL_DOMAINS[ColorSpace.LAB]
-    lo = np.array([d[0] for d in domains])
-    inv = np.array(
-        [LOCAL_BINS_PER_CHANNEL / (d[1] - d[0]) for d in domains]
-    )
-    return lo, inv
-
-
-def _hist96(values, lo, inv_width):
-    out = np.zeros(96, dtype=np.float64)
-    for c in range(3):
-        b = np.clip(
-            ((values[:, c] - lo[c]) * inv_width[c]).astype(np.int64), 0, 31
-        )
-        out[c * 32 : c * 32 + 32] = np.bincount(b, minlength=32)
-    return out
+def _local_hist_batch(lab, cxs, cys, scale, lo, inv_width):
+    """(n, 24) LAB histograms, 8 bins per channel, of the kernel scopes
+    centered at (cxs, cys), each of which lies inside `lab`; each channel
+    block is L1-normalized."""
+    grid = np.arange(scale)
+    ys = (cys - scale // 2)[:, None] + grid
+    xs = (cxs - scale // 2)[:, None] + grid
+    # (3, n, scale, scale): channel first, so the binning runs over long rows
+    values = np.moveaxis(lab, 2, 0)[:, ys[:, :, None], xs[:, None, :]]
+    return _lab_histograms(values, lo, inv_width, LOCAL_BINS_PER_CHANNEL)
 
 
 def histogram_from_pixels(
-    pixels: np.ndarray, space: ColorSpace, mask: Optional[np.ndarray] = None
+    lab: np.ndarray, mask: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """(96,) histogram of (h, w, 3) pixels already in `space`: three
-    concatenated 32-bin per-channel histograms, each L1-normalized."""
-    if space is ColorSpace.GRAY:
-        raise ValueError("global histogram needs a 3-channel color space")
+    """(96,) histogram of (h, w, 3) LAB pixels: three concatenated 32-bin
+    per-channel histograms, each L1-normalized."""
+    values = np.moveaxis(lab, 2, 0)
     if mask is not None:
         m = np.asarray(mask, dtype=bool)
-        if m.shape != pixels.shape[:2]:
+        if m.shape != lab.shape[:2]:
             raise ValueError(
-                f"mask shape {m.shape} does not match pixels {pixels.shape[:2]}"
+                f"mask shape {m.shape} does not match pixels {lab.shape[:2]}"
             )
-        values = pixels[m]
-        if values.shape[0] == 0:
+        values = values[:, m]
+        if values.shape[1] == 0:
             raise ValueError("empty mask region: no pixels to histogram")
-    else:
-        values = pixels.reshape(-1, 3)
-    domains = CHANNEL_DOMAINS[space]
-    lo = np.array([d[0] for d in domains])
-    inv = np.array([GLOBAL_BINS_PER_CHANNEL / (d[1] - d[0]) for d in domains])
-    bins = _hist96(np.ascontiguousarray(values), lo, inv)
-    for c in range(3):
-        block = bins[c * 32 : c * 32 + 32]
-        total = block.sum()
-        if total > 0:
-            block /= total
-    return bins
+    lo, inv = _lab_bin_params(GLOBAL_BINS_PER_CHANNEL)
+    return _lab_histograms(
+        values.reshape(3, 1, -1), lo, inv, GLOBAL_BINS_PER_CHANNEL
+    )[0]
 
 
 class SampleContext:
@@ -317,7 +293,7 @@ def sample(
     y1 = min(frame.height, ry + rh + largest - 1 - largest // 2)
 
     table = ctx.gray_ii.table[0]
-    lo, inv = _lab_bin_params()
+    lo, inv = _lab_bin_params(LOCAL_BINS_PER_CHANNEL)
     out = np.empty((sum(cxs.shape[0] for _, cxs, _ in placements), DESCRIPTOR_DIM))
     row = 0
     for scale, cxs, cys in placements:

@@ -1,6 +1,6 @@
 """Frame representation, color-space conversion, and integral images.
 
-Frames are immutable float64 pixel grids tagged with a color space.
+Frames are read-only float64 pixel grids tagged with a color space.
 All conversions are defined from RGB (8-bit sRGB input assumed):
 
 * GRAY: BT.601 luma, weights 0.299/0.587/0.114.
@@ -20,12 +20,8 @@ class ColorSpace(Enum):
     GRAY = "gray"
 
 
-# Per-channel value domains, used for histogram binning.
-CHANNEL_DOMAINS = {
-    ColorSpace.RGB: ((0.0, 255.0), (0.0, 255.0), (0.0, 255.0)),
-    ColorSpace.LAB: ((0.0, 100.0), (-128.0, 127.0), (-128.0, 127.0)),
-    ColorSpace.GRAY: ((0.0, 255.0),),
-}
+# (lo, hi) domain of each LAB channel, used for histogram binning.
+LAB_DOMAINS = ((0.0, 100.0), (-128.0, 127.0), (-128.0, 127.0))
 
 LUMA_WEIGHTS = (0.299, 0.587, 0.114)
 
@@ -42,7 +38,9 @@ _D65 = (0.95047, 1.0, 1.08883)
 
 @dataclass(frozen=True)
 class Frame:
-    """One decoded image: (h, w, 3) pixels, or (h, w) for GRAY."""
+    """One decoded image: (h, w, 3) pixels, or (h, w) for GRAY. `pixels`
+    is a read-only view: a contiguous float64 array passed in is shared,
+    not copied, and its owner can still write it."""
 
     pixels: np.ndarray
     space: ColorSpace = ColorSpace.RGB
@@ -60,6 +58,7 @@ class Frame:
                 )
         if px.shape[0] < 1 or px.shape[1] < 1:
             raise ValueError("frame must contain at least one pixel")
+        px = px.view()
         px.flags.writeable = False
         object.__setattr__(self, "pixels", px)
 
@@ -129,15 +128,14 @@ def convert(frame: Frame, target: ColorSpace) -> Frame:
 
 @dataclass(frozen=True)
 class IntegralImage:
-    """Cumulative-sum tables, one (h+1, w+1) plane per source channel.
+    """Cumulative-sum table of a gray frame, one (h+1, w+1) plane.
 
-    table[c, y, x] is the sum of source pixels in [0, x) x [0, y); row 0
+    table[0, y, x] is the sum of source pixels in [0, x) x [0, y); row 0
     and column 0 are zero. float64 sums are exact for integer-valued
     sources up to 2**53, which covers 8-bit frames at any plausible size.
     """
 
-    table: np.ndarray  # (channels, h+1, w+1)
-    frame_index: int = 0
+    table: np.ndarray  # (1, h+1, w+1)
 
 
 def integral_table(channels):
@@ -149,10 +147,8 @@ def integral_table(channels):
 
 
 def integral(frame: Frame) -> IntegralImage:
-    """Integral image of a frame; per-channel tables for color frames."""
-    if frame.space is ColorSpace.GRAY:
-        channels = frame.pixels[np.newaxis, :, :]
-    else:
-        channels = np.ascontiguousarray(np.moveaxis(frame.pixels, 2, 0))
-    return IntegralImage(integral_table(channels), frame.index)
+    """Integral image of a GRAY frame."""
+    if frame.space is not ColorSpace.GRAY:
+        raise ValueError(f"integral image needs a gray frame, got {frame.space.value}")
+    return IntegralImage(integral_table(frame.pixels[np.newaxis, :, :]))
 

@@ -24,6 +24,8 @@ from . import codebook as cb
 from . import classifier as cl
 from .errors import ConfigError, DataError
 from .features import (
+    DESCRIPTOR_DIM,
+    GLOBAL_BINS_PER_CHANNEL,
     SampleContext,
     SamplingPlan,
     histogram_from_pixels,
@@ -209,6 +211,16 @@ class DetectionPipeline:
                 "model/codebook pairing violated: the model was trained "
                 "against a different codebook"
             )
+        if codebook.dim != DESCRIPTOR_DIM:
+            raise DataError(
+                f"codebook words are {codebook.dim}-dim, descriptors {DESCRIPTOR_DIM}-dim"
+            )
+        row_dim = codebook.k + 3 * GLOBAL_BINS_PER_CHANNEL
+        if model.dim != row_dim:
+            raise DataError(
+                f"model takes {model.dim} features, but the codebook's "
+                f"{codebook.k} words give {row_dim}"
+            )
         if not (math.isfinite(codebook.sigma) and codebook.sigma > 0):
             raise DataError(f"codebook sigma must be finite and > 0, got {codebook.sigma}")
         if config.m > codebook.k:
@@ -324,9 +336,7 @@ class DetectionPipeline:
                 continue
             t0 = time.perf_counter()
             x, y, w, h = blob.bbox
-            ghist = histogram_from_pixels(
-                ctx.lab(x, y, x + w, y + h), ColorSpace.LAB, blob.mask
-            )
+            ghist = histogram_from_pixels(ctx.lab(x, y, x + w, y + h), blob.mask)
             row = cb.encode(descs, self.index, self.params, ghist)
             label, margin = cl.predict(self.model, row)
             stats.classify_s += time.perf_counter() - t0
@@ -397,7 +407,6 @@ def train_codebook(
             f"({distinct} distinct) from {patches} patches, need k={k}"
         )
     book = cb.kmeans(X, k, iterations, seed)
-    book.trained_on = f"patches={patches};descriptors={X.shape[0]};{plan.fingerprint()}"
     if log:
         log(
             f"codebook: {X.shape[0]} descriptors from {patches} patches, "
@@ -417,9 +426,7 @@ def encode_patches(
         try:
             ctx = SampleContext(frame)
             descs = sample(frame, plan, ctx=ctx)
-            ghist = histogram_from_pixels(
-                ctx.lab(0, 0, frame.width, frame.height), ColorSpace.LAB, None
-            )
+            ghist = histogram_from_pixels(ctx.lab(0, 0, frame.width, frame.height))
             feats.append(cb.encode(descs, nn_index, params, ghist))
         except ValueError as e:
             failures.append((frame.index, str(e)))
@@ -503,7 +510,7 @@ def train_model(
         else cl.Kernel(kernel_kind, gamma)
     )
     model = cl.train(
-        X[train_idx], y[train_idx], kernel=kernel, C=C, balance=True,
+        X[train_idx], y[train_idx], kernel=kernel, C=C,
         codebook_fingerprint=book.fingerprint(),
     )
     margins = cl.decision_function(model, X[test_idx])

@@ -104,24 +104,6 @@ def nonfire_patch(seed, size: int = 64) -> Frame:
     return makers[seed % len(makers)](seed, size)
 
 
-def red_noise_patch(seed, size: int = 48) -> Frame:
-    rng = _rng(seed, 0x0ED)
-    px = np.empty((size, size, 3))
-    px[:, :, 0] = rng.uniform(150, 255, (size, size))
-    px[:, :, 1] = rng.uniform(0, 80, (size, size))
-    px[:, :, 2] = rng.uniform(0, 80, (size, size))
-    return Frame(px, ColorSpace.RGB)
-
-
-def blue_noise_patch(seed, size: int = 48) -> Frame:
-    rng = _rng(seed, 0xB1E)
-    px = np.empty((size, size, 3))
-    px[:, :, 0] = rng.uniform(0, 80, (size, size))
-    px[:, :, 1] = rng.uniform(0, 80, (size, size))
-    px[:, :, 2] = rng.uniform(150, 255, (size, size))
-    return Frame(px, ColorSpace.RGB)
-
-
 # ---------------------------------------------------------------------------
 # benchmark scene
 

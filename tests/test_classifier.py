@@ -188,7 +188,7 @@ class TestTrain:
         X = np.vstack([np.full((3, 2), 1.0) + np.eye(3, 2) * 0.1,
                        np.full((9, 2), -1.0) + np.arange(9)[:, None] * 0.01])
         y = np.concatenate([np.ones(3), -np.ones(9)])
-        model = train(X, y, kernel=RBF1, C=1.0, balance=True)
+        model = train(X, y, kernel=RBF1, C=1.0)
         w_pos, w_neg = model.class_weights
         assert abs(w_pos / w_neg - 9.0 / 3.0) <= 1e-12
         assert max(w_pos, w_neg) == 1.0
@@ -198,7 +198,7 @@ class TestTrain:
         # saturate the box and the solver still satisfies the KKT gap
         X = np.array([[1.0, 1.0], [1.0, 1.0], [3.0, 0.0], [-3.0, 0.0]])
         y = np.array([1.0, -1.0, 1.0, -1.0])
-        model = train(X, y, kernel=RBF1, C=2.0, balance=False)
+        model = train(X, y, kernel=RBF1, C=2.0)
         assert model.final_violation <= 1e-3
         assert np.all(np.abs(model.coef) <= 2.0 + 1e-12)
 

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from pyrovigil.classifier import read_model, write_model
+from pyrovigil.classifier import read_model, train, write_model
 from pyrovigil.cli import main
 from pyrovigil.codebook import Codebook, write_codebook
 from pyrovigil.frameio import write_ppm
-from pyrovigil.synth import SceneSpec, SyntheticScene, blue_noise_patch, red_noise_patch
+from pyrovigil.synth import SceneSpec, SyntheticScene
 
+from noise_patches import blue_noise_patch, red_noise_patch
 from oracles import parse_alarm_log
 
 
@@ -311,6 +312,36 @@ def test_detect_with_non_finite_model_exits_3(tmp_path, capsys, synth_artifacts)
     code = main(["detect", "--config", str(cfg), "--frames", str(frames_dir)])
     assert code == 3
     assert "nan.pvsm: model bias must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("book_dim, model_dim, message", [
+    (88, 50, "model takes 50 features, but the codebook's 20 words give 116"),
+    (50, 116, "codebook words are 50-dim, descriptors 88-dim"),
+], ids=["model", "codebook"])
+def test_detect_with_wrong_sized_model_or_codebook_exits_3(
+    tmp_path, capsys, book_dim, model_dim, message
+):
+    # without a codebook fingerprint in the model, a size mismatch used to
+    # raise a raw ValueError at the first classified blob
+    rng = np.random.default_rng(3)
+    cb_path, model_path = tmp_path / "cb.pvcb", tmp_path / "m.pvsm"
+    write_codebook(Codebook(rng.normal(size=(20, book_dim)), 0.5), cb_path)
+    y = np.repeat([1.0, -1.0], 5)
+    write_model(train(rng.normal(size=(10, model_dim)), y), model_path)
+    frames_dir = tmp_path / "frames"
+    frames_dir.mkdir()
+    scene = SyntheticScene(SceneSpec(seed=7, flame_onset=0))
+    for t in range(3):
+        write_ppm(frames_dir / f"{t:06d}.ppm", scene.frame(t).pixels)
+    cfg = tmp_path / "pipe.cfg"
+    cfg.write_text(
+        f"codebook={cb_path}\nmodel={model_path}\ncamera=moving\ndecision_stride=1\n"
+    )
+    code = main(["detect", "--config", str(cfg), "--frames", str(frames_dir)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert f"data error: {message}" in err
+    assert "Traceback" not in err
 
 
 def test_train_model_with_zero_sigma_codebook_exits_3(tmp_path, capsys, synth_artifacts):

@@ -5,11 +5,11 @@ import pytest
 
 from pyrovigil.features import (
     GLOBAL_BINS_PER_CHANNEL,
+    LOCAL_BINS_PER_CHANNEL,
     SampleContext,
     SamplingPlan,
     _dense_centers,
     _gauss_weights,
-    _hist96,
     _lab_bin_params,
     _local_hist_batch,
     _subregion_lut,
@@ -19,7 +19,7 @@ from pyrovigil.features import (
     sample,
     sample_positions,
 )
-from pyrovigil.imaging import CHANNEL_DOMAINS, ColorSpace, Frame, convert, integral
+from pyrovigil.imaging import LAB_DOMAINS, ColorSpace, Frame, convert, integral
 from pyrovigil.proposal import Blob, ProposalConfig, ProposalEngine
 from pyrovigil.synth import SceneSpec, SyntheticScene
 
@@ -59,23 +59,32 @@ def surf_oracle(gray, cx, cy, scale):
     return vec / norm if norm > 0 else vec
 
 
-# Local color histogram oracle: one kernel at a time, its scope clipped by
-# slicing, one bincount per channel. Scopes must overlap `lab`.
+# Local color histogram oracle: one kernel at a time, its scope sliced
+# from `lab`, one bincount per channel. Scopes must lie inside `lab`.
 def local_hist_oracle(lab, cxs, cys, scale, lo, inv_width):
-    height, width = lab.shape[0], lab.shape[1]
     out = np.zeros((cxs.shape[0], 24))
-    half = scale // 2
     for j in range(cxs.shape[0]):
-        x0 = max(0, cxs[j] - half)
-        y0 = max(0, cys[j] - half)
-        x1 = min(width, cxs[j] - half + scale)
-        y1 = min(height, cys[j] - half + scale)
-        patch = lab[y0:y1, x0:x1].reshape(-1, 3)
+        x0, y0 = cxs[j] - scale // 2, cys[j] - scale // 2
+        assert x0 >= 0 and y0 >= 0
+        patch = lab[y0 : y0 + scale, x0 : x0 + scale].reshape(-1, 3)
+        assert patch.shape[0] == scale * scale
         for c in range(3):
             b = np.clip(((patch[:, c] - lo[c]) * inv_width[c]).astype(np.int64), 0, 7)
             counts = np.bincount(b, minlength=8).astype(np.float64)
             out[j, c * 8 : c * 8 + 8] = counts / counts.sum()
     return out
+
+
+# Global histogram oracle: one pixel at a time, each channel's bin from
+# its domain, clipped to the end bins; counts over the pixel count.
+def global_hist_oracle(lab, mask):
+    bins = GLOBAL_BINS_PER_CHANNEL
+    counts = np.zeros((3, bins))
+    for y, x in zip(*np.nonzero(mask)):
+        for c, (lo, hi) in enumerate(LAB_DOMAINS):
+            b = int((lab[y, x, c] - lo) * (bins / (hi - lo)))
+            counts[c, min(max(b, 0), bins - 1)] += 1
+    return (counts / counts.sum(axis=1, keepdims=True)).ravel()
 
 
 def _gray_frame(px):
@@ -94,13 +103,22 @@ def _local_hist(frame, cx, cy, scale):
     """Local LAB histogram of one kernel scope: a one-row
     `_local_hist_batch` call on the frame's LAB."""
     lab = convert(frame, ColorSpace.LAB).pixels
-    lo, inv = _lab_bin_params()
+    lo, inv = _lab_bin_params(LOCAL_BINS_PER_CHANNEL)
     return _local_hist_batch(lab, np.array([cx]), np.array([cy]), scale, lo, inv)[0]
+
+
+def _random_lab(rng, height, width):
+    """LAB values reaching past each end of the channel domains."""
+    return np.dstack([
+        rng.uniform(-10, 110, (height, width)),
+        rng.uniform(-140, 140, (height, width)),
+        rng.uniform(-140, 140, (height, width)),
+    ])
 
 
 class TestGlobalHistogram:
     def test_uniform_midgray_single_bins(self):
-        hist = histogram_from_pixels(np.full((8, 8, 3), 128.0), ColorSpace.RGB)
+        hist = histogram_from_pixels(np.tile([50.0, 0.0, 0.0], (8, 8, 1)))
         for c in range(3):
             block = hist[c * 32 : c * 32 + 32]
             assert (block > 0).sum() == 1
@@ -108,47 +126,38 @@ class TestGlobalHistogram:
 
     def test_total_mass_is_three(self, rng):
         img = rng.integers(0, 256, (20, 30, 3)).astype(float)
-        for space in (ColorSpace.RGB, ColorSpace.LAB):
-            pixels = convert(Frame(img, ColorSpace.RGB), space).pixels
-            hist = histogram_from_pixels(pixels, space)
-            assert abs(hist.sum() - 3.0) <= 1e-9
-            assert (hist >= 0).all()
+        lab = convert(Frame(img, ColorSpace.RGB), ColorSpace.LAB).pixels
+        hist = histogram_from_pixels(lab)
+        assert abs(hist.sum() - 3.0) <= 1e-9
+        assert (hist >= 0).all()
 
     def test_two_pixel_split(self):
-        # channel 0 values 10 and 200 land in different bins: 0.5 each
-        img = np.array([[[10.0, 0.0, 0.0], [200.0, 0.0, 0.0]]])
-        hist = histogram_from_pixels(img, ColorSpace.RGB)
+        # L values 10 and 90 land in different bins: 0.5 each
+        lab = np.array([[[10.0, 0.0, 0.0], [90.0, 0.0, 0.0]]])
+        hist = histogram_from_pixels(lab)
         block = hist[:32]
         assert sorted(block[block > 0].tolist()) == [0.5, 0.5]
-        assert block[int(10 / 255 * 32)] == 0.5
-        assert block[int(200 / 255 * 32)] == 0.5
+        assert block[int(10 / 100 * 32)] == 0.5
+        assert block[int(90 / 100 * 32)] == 0.5
 
     def test_mask_restricts_pixels(self, rng):
-        img = rng.integers(0, 256, (6, 6, 3)).astype(float)
+        lab = _random_lab(rng, 6, 6)
         mask = np.zeros((6, 6), dtype=bool)
         mask[0, 0] = True
-        hist = histogram_from_pixels(img, ColorSpace.RGB, mask)
-        assert (hist > 0).sum() <= 3
+        hist = histogram_from_pixels(lab, mask)
+        assert (hist > 0).sum() == 3
 
     def test_empty_mask_errors(self):
         with pytest.raises(ValueError, match="empty mask"):
-            histogram_from_pixels(
-                np.zeros((4, 4, 3)), ColorSpace.RGB, np.zeros((4, 4), dtype=bool)
-            )
+            histogram_from_pixels(np.zeros((4, 4, 3)), np.zeros((4, 4), dtype=bool))
 
-    def test_mass_conservation_over_partition(self, rng):
-        # raw bin counts of disjoint parts sum exactly to the whole
-        img = rng.integers(0, 256, (16, 16, 3)).astype(float)
-        lab = convert(Frame(img, ColorSpace.RGB), ColorSpace.LAB).pixels
-        domains = CHANNEL_DOMAINS[ColorSpace.LAB]
-        lo = np.array([d[0] for d in domains])
-        inv = np.array([GLOBAL_BINS_PER_CHANNEL / (d[1] - d[0]) for d in domains])
-        parts = rng.integers(0, 3, (16, 16))
-        whole = _hist96(lab.reshape(-1, 3), lo, inv)
-        total = np.zeros(96)
-        for p in range(3):
-            total += _hist96(lab[parts == p], lo, inv)
-        assert np.array_equal(total, whole)
+    def test_matches_per_pixel_oracle(self, rng):
+        lab = _random_lab(rng, 23, 31)
+        mask = rng.random((23, 31)) < 0.4
+        for m in (mask, None):
+            got = histogram_from_pixels(lab, m)
+            want = global_hist_oracle(lab, np.ones((23, 31), bool) if m is None else m)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestSurf:
@@ -223,7 +232,7 @@ class TestLocalColorHistogram:
         img = np.zeros((10, 10, 3))
         img[:, :5] = (200.0, 30.0, 30.0)  # red half
         img[:, 5:] = (30.0, 180.0, 30.0)  # green half
-        hist = _local_hist(Frame(img, ColorSpace.RGB), 5, 4, 10)
+        hist = _local_hist(Frame(img, ColorSpace.RGB), 5, 5, 10)
         # oracle: a* bins of the two colors via the reference conversion
         _, a_red, _ = _ref_lab(200, 30, 30)
         _, a_green, _ = _ref_lab(30, 180, 30)
@@ -234,26 +243,17 @@ class TestLocalColorHistogram:
         assert abs(a_block[bin_red] - 0.5) <= 1e-9
         assert abs(a_block[bin_green] - 0.5) <= 1e-9
 
-    def test_clipped_scope(self):
-        img = np.full((12, 12, 3), 50.0)
-        hist = _local_hist(Frame(img, ColorSpace.RGB), 0, 0, 9)
-        assert abs(hist.sum() - 3.0) <= 1e-9
-
     @pytest.mark.parametrize("scale", [3, 9, 15, 27])
     def test_batch_matches_loop_oracle(self, rng, scale):
         height, width = 37, 53
         # values past each end of the LAB domain land in the end bins
-        lab = np.dstack([
-            rng.uniform(-10, 110, (height, width)),
-            rng.uniform(-140, 140, (height, width)),
-            rng.uniform(-140, 140, (height, width)),
-        ])
-        lo, inv = _lab_bin_params()
+        lab = _random_lab(rng, height, width)
+        lo, inv = _lab_bin_params(LOCAL_BINS_PER_CHANNEL)
         half = scale // 2
-        # first and last centers whose scope still overlaps `lab`, so
-        # scopes are clipped on each side and at each corner
-        xs_edge = [half - scale + 1, 0, width - 1, width - 1 + half]
-        ys_edge = [half - scale + 1, 0, height - 1, height - 1 + half]
+        # first and last centers whose scope lies inside `lab`: scopes
+        # that touch each edge and corner of it from inside
+        xs_edge = [half, half + 1, width - scale + half - 1, width - scale + half]
+        ys_edge = [half, half + 1, height - scale + half - 1, height - scale + half]
         cxs = np.concatenate([
             np.repeat(xs_edge, 4), rng.integers(xs_edge[0], xs_edge[-1] + 1, 500)
         ])
@@ -354,7 +354,7 @@ def _full_frame_blob_features(frame, plan, blob):
     table = integral(convert(frame, ColorSpace.GRAY)).table[0]
     mask = np.zeros((frame.height, frame.width), dtype=bool)
     mask[blob.y : blob.y + blob.h, blob.x : blob.x + blob.w] = blob.mask
-    lo, inv = _lab_bin_params()
+    lo, inv = _lab_bin_params(LOCAL_BINS_PER_CHANNEL)
     out = []
     for scale in plan.scales:
         cxs, cys = _dense_centers(
@@ -369,7 +369,7 @@ def _full_frame_blob_features(frame, plan, blob):
         colors = _local_hist_batch(lab, cxs, cys, scale, lo, inv)
         for j in range(cxs.shape[0]):
             out.append(((int(cxs[j]), int(cys[j])), scale, np.concatenate([surfs[j], colors[j]])))
-    bins = histogram_from_pixels(lab, ColorSpace.LAB, mask) if out else None
+    bins = histogram_from_pixels(lab, mask) if out else None
     return out, bins
 
 
@@ -432,9 +432,7 @@ class TestWindowedSampling:
             assert np.array_equal(row.view(np.uint64), vector.view(np.uint64))
         if len(got):
             x, y, w, h = blob.bbox
-            bins = histogram_from_pixels(
-                ctx.lab(x, y, x + w, y + h), ColorSpace.LAB, blob.mask
-            )
+            bins = histogram_from_pixels(ctx.lab(x, y, x + w, y + h), blob.mask)
             assert np.array_equal(bins.view(np.uint64), want_bins.view(np.uint64))
         return len(got)
 
@@ -447,6 +445,13 @@ class TestWindowedSampling:
             for blob in blobs:
                 checked += self._check(frame, plan, blob, ctx) > 0
         assert checked >= 5
+
+    def test_context_leaves_luma_writeable(self):
+        # the luma buffer stays the caller's to reuse on the next frame
+        frame = SyntheticScene(SceneSpec(seed=7)).frame(0)
+        gray = convert(frame, ColorSpace.GRAY).pixels.copy()
+        SampleContext(frame, _gray=gray)
+        assert gray.flags.writeable
 
     @pytest.mark.parametrize("plan", WINDOW_PLANS, ids=["9", "9+15"])
     def test_blobs_at_frame_edges(self, rng, plan):
