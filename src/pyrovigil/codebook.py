@@ -124,8 +124,9 @@ def kmeans(descriptors, k: int, iterations: int = 50, rng_seed: int = 0) -> Code
             break
         prev = assign
         counts = np.bincount(assign, minlength=k).astype(np.float64)
-        sums = np.zeros_like(C)
-        np.add.at(sums, assign, X)
+        # each center's sum adds its points in index order
+        keys = (assign * X.shape[1])[:, None] + np.arange(X.shape[1])
+        sums = np.bincount(keys.ravel(), X.ravel(), k * X.shape[1]).reshape(C.shape)
         nonempty = counts > 0
         C[nonempty] = sums[nonempty] / counts[nonempty, None]
         if not nonempty.all():
@@ -280,9 +281,7 @@ def raw_bow_histogram(descriptors, nn_index: NNIndex, params: EncoderParams):
         raise ValueError("empty blob: no descriptors to encode")
     idx, dist = nn_index.query_batch(D, params.m)
     w = _soft_weights(dist, params.sigma)
-    hist = np.zeros(nn_index.size, dtype=np.float64)
-    np.add.at(hist, idx.ravel(), w.ravel())
-    return hist
+    return np.bincount(idx.ravel(), w.ravel(), nn_index.size)
 
 
 # ---------------------------------------------------------------------------

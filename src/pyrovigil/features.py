@@ -47,9 +47,20 @@ class SamplingPlan:
         if any(s < 3 for s in self.scales):
             raise ValueError(f"kernel scales must be >= 3, got {self.scales}")
 
+    def fits(self, width: int, height: int) -> bool:
+        """Whether the kernel of some scale fits a width x height frame."""
+        return any(_center_span(s, min(width, height)) for s in self.scales)
+
 
 def haar_margin(scale: int) -> int:
     return max(1, int(scale / 9.0 + 0.5))
+
+
+def _center_span(scale: int, size: int) -> range:
+    """The centers along a frame axis of `size` pixels whose kernel, window
+    plus Haar margin, fits: empty when none does."""
+    h = haar_margin(scale)
+    return range(h + scale // 2, size - h - (scale - 1 - scale // 2))
 
 
 def _subregion_lut(scale: int) -> np.ndarray:
@@ -208,24 +219,23 @@ class SampleContext:
         return self._lab[y0 - wy0 : y1 - wy0, x0 - wx0 : x1 - wx0]
 
 
-def _dense_centers(width, height, scale, interval, anchor):
-    ax, ay = anchor
-    h = haar_margin(scale)
-    half = scale // 2
-    lo_x = h + half
-    hi_x = width - 1 - h - (scale - 1 - half)
-    lo_y = h + half
-    hi_y = height - 1 - h - (scale - 1 - half)
-    if hi_x < lo_x or hi_y < lo_y:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    jx0 = max(0, -(-(lo_x - ax) // interval))  # ceil division
-    jy0 = max(0, -(-(lo_y - ay) // interval))
-    xs = np.arange(ax + jx0 * interval, hi_x + 1, interval, dtype=np.int64)
-    ys = np.arange(ay + jy0 * interval, hi_y + 1, interval, dtype=np.int64)
-    xs = xs[xs >= lo_x]
-    ys = ys[ys >= lo_y]
-    gx, gy = np.meshgrid(xs, ys)  # row-major: y outer, x inner
+def _dense_centers(width, height, scale, interval, region):
+    """Row-major centers of the grid at `interval` from the top-left pixel of
+    `region` (x, y, w, h) that lie inside it and whose kernel fits the frame."""
+    axes = []
+    for start, extent, size in zip(region[:2], region[2:], (width, height)):
+        span = _center_span(scale, size)
+        c = np.arange(start, start + extent, interval, dtype=np.int64)
+        axes.append(c[(c >= span.start) & (c < span.stop)])
+    gx, gy = np.meshgrid(*axes)  # row-major: y outer, x inner
     return gx.ravel(), gy.ravel()
+
+
+def _region_mask(frame, mask, anchor):
+    # without a mask, the region is all of the frame from `anchor` on
+    if mask is None:
+        return np.ones((frame.height - anchor[1], frame.width - anchor[0]), dtype=bool)
+    return np.asarray(mask, dtype=bool)
 
 
 def sample_positions(
@@ -236,30 +246,24 @@ def sample_positions(
 ):
     """Kernel centers per scale of the plan, as a list of (scale, cxs, cys).
 
-    Walks the anchor-aligned grid at `plan.interval` for every scale,
-    keeping positions whose kernel (window + Haar margin) fits the frame,
-    in row-major order. A mask is the boolean image of a region whose
-    top-left pixel is `anchor` (a blob's local mask at its bbox origin);
-    it restricts the centers to its true pixels. Raises when no kernel
-    fits the frame at all.
+    A mask is the boolean image of a region whose top-left pixel is
+    `anchor` (a blob's local mask at its bbox origin); without one the
+    region is the frame from `anchor` on. Walks the grid at `plan.interval`
+    from the anchor inside the region, keeping its true pixels whose kernel
+    (window + Haar margin) fits the frame, in row-major order. Raises when
+    no kernel fits the frame at all.
     """
-    placements = [
-        (s,) + _dense_centers(frame.width, frame.height, s, plan.interval, anchor)
-        for s in plan.scales
-    ]
-    if sum(cxs.shape[0] for _, cxs, _ in placements) == 0:
+    if not plan.fits(frame.width, frame.height):
         raise ValueError("no valid sample positions")
-    if mask is None:
-        return placements
-    mask = np.asarray(mask, dtype=bool)
+    mask = _region_mask(frame, mask, anchor)
     (rx, ry), (rh, rw) = anchor, mask.shape
-    kept = []
-    for scale, cxs, cys in placements:
-        inside = (cxs >= rx) & (cxs < rx + rw) & (cys >= ry) & (cys < ry + rh)
-        cxs, cys = cxs[inside], cys[inside]
+    region = (rx, ry, rw, rh)
+    placements = []
+    for scale in plan.scales:
+        cxs, cys = _dense_centers(frame.width, frame.height, scale, plan.interval, region)
         keep = mask[cys - ry, cxs - rx]
-        kept.append((scale, cxs[keep], cys[keep]))
-    return kept
+        placements.append((scale, cxs[keep], cys[keep]))
+    return placements
 
 
 def sample(
@@ -273,19 +277,16 @@ def sample(
     `sample_positions(frame, plan, mask, anchor)` in its order: the SURF
     vector in columns 0:64, the local color histogram in 64:88.
 
-    A mask that excludes everything yields no rows, while a frame too
-    small for any kernel raises. LAB is converted only over the region
-    (the whole frame without a mask) grown on each side by the largest
-    kernel's extent and clipped to the frame: the window every local
-    color histogram reads from.
+    A region with no fitting kernel on its grid yields no rows, while a
+    frame too small for any kernel raises. LAB is converted only over the
+    region grown on each side by the largest kernel's extent and clipped
+    to the frame: the window every local color histogram reads from.
     """
     if ctx is None:
         ctx = SampleContext(frame)
+    mask = _region_mask(frame, mask, anchor)
     placements = sample_positions(frame, plan, mask, anchor)
-    if mask is None:
-        rx, ry, rw, rh = 0, 0, frame.width, frame.height
-    else:
-        (rx, ry), (rh, rw) = anchor, np.shape(mask)
+    (rx, ry), (rh, rw) = anchor, mask.shape
     largest = max(plan.scales)
     x0 = max(0, rx - largest // 2)
     y0 = max(0, ry - largest // 2)

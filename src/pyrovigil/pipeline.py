@@ -275,10 +275,16 @@ class DetectionPipeline:
     def _admit(self, frame: Frame, engine: Optional[ProposalEngine]) -> ProposalEngine:
         """The stream's proposal engine, built at its first frame. A frame
         that is not RGB, not of the first frame's size, or not after the
-        last frame proposed is a DataError."""
+        last frame proposed is a DataError; a first frame that no kernel
+        scale fits is a ConfigError."""
         if frame.space is not ColorSpace.RGB:
             raise DataError(f"frame {frame.index} is {frame.space.value}, not RGB")
         if engine is None:
+            if not self.plan.fits(frame.width, frame.height):
+                raise ConfigError(
+                    f"no kernel of scales {list(self.plan.scales)} fits "
+                    f"a {frame.width}x{frame.height} frame"
+                )
             return ProposalEngine(self.config, frame.width, frame.height)
         if (frame.width, frame.height) != (engine.width, engine.height):
             raise DataError(
@@ -313,8 +319,9 @@ class DetectionPipeline:
         """Stage 2: (the blobs the SVM classifies as fire, their margins).
 
         `gray` is the frame's luma as proposal computed it (None computes
-        it again). Each blob is encoded from its local descriptors and its
-        global LAB histogram; a blob with no descriptor is not classified.
+        it again). The frame is one `_admit` took, so a kernel fits it. Each
+        blob is encoded from its local descriptors and its global LAB
+        histogram; a blob with no descriptor is not classified.
         """
         stats = self.stats
         fire_blobs, margins = [], []
@@ -325,12 +332,7 @@ class DetectionPipeline:
         stats.features_s += time.perf_counter() - t0
         for blob in blobs:
             t0 = time.perf_counter()
-            try:
-                descs = sample(
-                    frame, self.plan, mask=blob.mask, anchor=(blob.x, blob.y), ctx=ctx
-                )
-            except ValueError:  # no kernel fits the frame
-                descs = ()
+            descs = sample(frame, self.plan, mask=blob.mask, anchor=(blob.x, blob.y), ctx=ctx)
             stats.features_s += time.perf_counter() - t0
             if len(descs) == 0:
                 continue

@@ -7,6 +7,7 @@ the top rung, a bright one the bottom, so bright backgrounds do not
 flood the candidate mask while dim scenes still stay selective.
 """
 
+from collections import deque
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -129,14 +130,8 @@ def pick_threshold(mean_intensity: float, ladder=DEFAULT_LADDER) -> float:
     t1, tl = rungs[0], rungs[-1]
     q = min(1.0, max(0.0, mean_intensity / 255.0))
     target = t1 - (t1 - tl) * q
-    best = rungs[0]
-    best_err = abs(target - rungs[0])
-    for r in rungs[1:]:
-        err = abs(target - r)
-        if err < best_err:
-            best = r
-            best_err = err
-    return best
+    # min keeps the first of equally near rungs: the higher one
+    return min(rungs, key=lambda r: abs(target - r))
 
 
 def multi_level_threshold(
@@ -174,13 +169,15 @@ def binary_open3(mask):
 
 
 def label_components(mask):
-    """8-connected labels of a boolean mask, numbered 1..count in the raster
-    order of each component's first pixel.
+    """8-connected components of a boolean mask as horizontal runs in raster
+    order, (rows, starts, ends, labels, count): run i covers columns
+    [starts[i], ends[i]) of row rows[i], and labels[i] numbers its component
+    1..count in the raster order of each component's first pixel.
 
-    Works on horizontal runs, not pixels (He, Chao & Suzuki, IEEE TIP 2008).
-    A run is a span [start, end) of flat indices in the mask padded with one
-    background column; runs in adjacent rows touch when their spans overlap
-    or meet diagonally. Roots hook to the smallest root they touch, so each
+    Works on runs, not pixels (He, Chao & Suzuki, IEEE TIP 2008). A run is
+    first a span of flat indices in the mask padded with one background
+    column; runs in adjacent rows touch when their spans overlap or meet
+    diagonally. Roots hook to the smallest root they touch, so each
     component's root is its first run.
     """
     h, w = np.shape(mask)
@@ -205,12 +202,8 @@ def label_components(mask):
             root = root[root]
     first = root == np.arange(starts.size)
     number = np.cumsum(first, dtype=np.int32)[root]
-    # paint in the unpadded grid: drop one pad column per row above
-    paint = np.zeros(h * w + 1, dtype=np.int32)
-    paint[starts - starts // stride] = number
-    paint[ends - ends // stride] -= number
-    labels = np.cumsum(paint, out=paint)[:-1].reshape(h, w)
-    return labels, int(first.sum())
+    # a run ends at the latest in its row's pad column
+    return starts // stride, starts % stride, ends % stride, number, int(first.sum())
 
 
 def _blob_from_coords(ys, xs):
@@ -236,23 +229,20 @@ def _blob_from_coords(ys, xs):
 
 def extract_blobs(mask: np.ndarray, min_area: int = 1) -> List[Blob]:
     """8-connected components of a mask, small ones dropped, area-descending."""
-    m = np.ascontiguousarray(np.asarray(mask, dtype=bool))
-    labels, count = label_components(m)
-    if count == 0:
-        return []
-    flat = labels.ravel()
-    idx = np.nonzero(flat)[0]
-    order = np.argsort(flat[idx], kind="stable")
-    idx = idx[order]
-    lbl = flat[idx]
-    bounds = np.searchsorted(lbl, np.arange(1, count + 2))
-    w = m.shape[1]
+    rows, starts, ends, labels, count = label_components(np.asarray(mask, dtype=bool))
+    lengths = ends - starts
+    area = np.bincount(labels, weights=lengths, minlength=count + 1)
+    # each component's runs, still in raster order
+    order = np.argsort(labels, kind="stable")
+    bounds = np.searchsorted(labels[order], np.arange(1, count + 2))
     blobs = []
-    for i in range(count):
-        seg = idx[bounds[i] : bounds[i + 1]]
-        if seg.size < min_area:
-            continue
-        blobs.append(_blob_from_coords(seg // w, seg % w))
+    for i in np.flatnonzero(area[1:] >= min_area):
+        seg = order[bounds[i] : bounds[i + 1]]
+        n = lengths[seg]
+        # the runs' pixels in raster order
+        ys = np.repeat(rows[seg], n)
+        xs = np.arange(ys.size) + np.repeat(starts[seg] - (np.cumsum(n) - n), n)
+        blobs.append(_blob_from_coords(ys, xs))
     blobs.sort(key=lambda b: (-b.area, b.y, b.x))
     return blobs
 
@@ -307,7 +297,7 @@ class ProposalEngine:
             if config.camera == "static"
             else None
         )
-        self._recent_means: List[float] = []
+        self._recent_means = deque(maxlen=config.stats_window)
         self.gray: Optional[np.ndarray] = None
         self.index: Optional[int] = None
 
@@ -318,8 +308,6 @@ class ProposalEngine:
         self.gray = gray = _intensity(frame)
         self.index = frame.index
         self._recent_means.append(float(gray.mean()))
-        if len(self._recent_means) > self.config.stats_window:
-            self._recent_means.pop(0)
         return None if self.model is None else self.model.update(gray)
 
     def propose(self, frame: Frame):

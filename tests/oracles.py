@@ -22,6 +22,15 @@ def kernel_fits(cx, cy, scale, width, height):
     )
 
 
+def paint_runs(shape, rows, starts, ends, labels):
+    """The label image of `label_components` runs: run i paints columns
+    [starts[i], ends[i]) of row rows[i] with labels[i]; 0 elsewhere."""
+    image = np.zeros(shape, dtype=np.int32)
+    for r, a, b, n in zip(rows, starts, ends, labels):
+        image[r, a:b] = n
+    return image
+
+
 def corner_sum(table, x, y, w, h):
     """Sum of the w*h source rectangle with top-left (x, y), read from the
     four corners of one (h+1, w+1) integral-image plane."""

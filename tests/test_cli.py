@@ -206,6 +206,27 @@ def test_bad_config_value_exits_2(tmp_path, capsys, synth_artifacts, overrides):
     assert "config error" in err and overrides[0].split("=")[0] in err
 
 
+def test_detect_with_no_fitting_scale_exits_2(tmp_path, capsys, synth_artifacts):
+    frames_dir = tmp_path / "frames"
+    frames_dir.mkdir()
+    scene = SyntheticScene(SceneSpec(seed=7))
+    for t in range(3):
+        write_ppm(frames_dir / f"{t:06d}.ppm", scene.frame(t).pixels)
+    cfg = tmp_path / "pipe.cfg"
+    cfg.write_text(
+        f"codebook={synth_artifacts['codebook_path']}\n"
+        f"model={synth_artifacts['model_path']}\n"
+    )
+    code = main([
+        "detect", "--config", str(cfg), "--frames", str(frames_dir),
+        "--set", "scales=251",
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "config error: no kernel of scales [251] fits a 320x240 frame" in err
+    assert "Traceback" not in err
+
+
 # An output path that cannot be written is a config error (exit 2) found
 # before the first frame: the frames here would stop detection with a
 # data error (exit 3) at frame 1.

@@ -266,17 +266,14 @@ class TestLocalColorHistogram:
 
 
 def enumerate_valid_centers(width, height, scale, interval, anchor=(0, 0)):
-    """Position oracle: test every pixel against the fit rule directly."""
-    out = []
-    for cy in range(height):
-        for cx in range(width):
-            if (cx - anchor[0]) % interval or (cy - anchor[1]) % interval:
-                continue
-            if cx < anchor[0] or cy < anchor[1]:
-                continue
-            if kernel_fits(cx, cy, scale, width, height):
-                out.append((cx, cy))
-    return out
+    """Position oracle: test every grid point from the anchor to the frame's
+    edges against the fit rule directly, in row-major order."""
+    return [
+        (cx, cy)
+        for cy in range(anchor[1], height, interval)
+        for cx in range(anchor[0], width, interval)
+        if kernel_fits(cx, cy, scale, width, height)
+    ]
 
 
 def centers(placements):
@@ -336,6 +333,36 @@ class TestSampling:
         oracle = enumerate_valid_centers(40, 40, 9, 9, anchor=(7, 6))
         assert sorted(c for c, _ in centers(placements)) == sorted(oracle)
 
+    def test_region_without_fitting_kernel_gives_no_rows(self, rng):
+        # the region's grid holds no kernel that fits; the frame has some
+        img = rng.integers(0, 256, (40, 40, 3)).astype(float)
+        frame = Frame(img, ColorSpace.RGB)
+        for anchor in ((0, 0), (35, 0), (0, 36), (35, 36)):
+            descs = sample(
+                frame, SamplingPlan(), mask=np.ones((4, 5), dtype=bool), anchor=anchor
+            )
+            assert descs.shape == (0, 88)
+
+    @pytest.mark.parametrize("scale,interval", [(9, 9), (9, 4), (15, 7), (27, 5)])
+    def test_dense_centers_stay_in_region(self, rng, scale, interval):
+        width, height = 64, 48
+        regions = [(0, 0, width, height)]
+        for w, h in ((64, 1), (1, 48), (20, 15), (3, 3)):
+            regions += [(x, y, w, h) for x in (0, width - w) for y in (0, height - h)]
+        for _ in range(40):
+            w, h = int(rng.integers(1, width + 1)), int(rng.integers(1, height + 1))
+            x, y = int(rng.integers(0, width - w + 1)), int(rng.integers(0, height - h + 1))
+            regions.append((x, y, w, h))
+        for x, y, w, h in regions:
+            cxs, cys = _dense_centers(width, height, scale, interval, (x, y, w, h))
+            want = [
+                (cx, cy)
+                for cx, cy in enumerate_valid_centers(width, height, scale, interval, (x, y))
+                if cx < x + w and cy < y + h
+            ]
+            assert cxs.dtype == cys.dtype == np.int64
+            assert list(zip(cxs.tolist(), cys.tolist())) == want
+
     def test_descriptor_dimensions(self, rng):
         img = rng.integers(0, 256, (30, 30, 3)).astype(float)
         descs = sample(Frame(img, ColorSpace.RGB), SamplingPlan())
@@ -357,11 +384,14 @@ def _full_frame_blob_features(frame, plan, blob):
     lo, inv = _lab_bin_params(LOCAL_BINS_PER_CHANNEL)
     out = []
     for scale in plan.scales:
-        cxs, cys = _dense_centers(
-            frame.width, frame.height, scale, plan.interval, (blob.x, blob.y)
-        )
-        keep = mask[cys, cxs]
-        cxs, cys = cxs[keep], cys[keep]
+        grid = [
+            c
+            for c in enumerate_valid_centers(
+                frame.width, frame.height, scale, plan.interval, (blob.x, blob.y)
+            )
+            if mask[c[1], c[0]]
+        ]
+        cxs, cys = np.array(grid, dtype=np.int64).reshape(-1, 2).T
         surfs = _surf_batch(
             table, cxs, cys, scale, haar_margin(scale),
             _subregion_lut(scale), _gauss_weights(scale),
@@ -382,6 +412,13 @@ def _edge_blobs(rng, width, height):
         for x in (0, (width - bw) // 2, width - bw):
             for y in (0, (height - bh) // 2, height - bh):
                 boxes.append((x, y, bw, bh))
+    # strips along each edge, small boxes in each corner (most too close
+    # to it for any kernel), and the whole frame
+    for bw, bh in ((width, 1), (1, height), (width, 12), (12, height), (5, 4)):
+        for x in sorted({0, width - bw}):
+            for y in sorted({0, height - bh}):
+                boxes.append((x, y, bw, bh))
+    boxes.append((0, 0, width, height))
     for _ in range(12):
         bw, bh = int(rng.integers(1, 60)), int(rng.integers(1, 60))
         boxes.append((
@@ -421,11 +458,8 @@ class TestWindowedSampling:
     def _check(self, frame, plan, blob, ctx):
         want, want_bins = _full_frame_blob_features(frame, plan, blob)
         anchor = (blob.x, blob.y)
-        try:
-            got = sample(frame, plan, mask=blob.mask, anchor=anchor, ctx=ctx)
-            placements = sample_positions(frame, plan, mask=blob.mask, anchor=anchor)
-        except ValueError:
-            got, placements = np.zeros((0, 88)), []
+        got = sample(frame, plan, mask=blob.mask, anchor=anchor, ctx=ctx)
+        placements = sample_positions(frame, plan, mask=blob.mask, anchor=anchor)
         assert centers(placements) == [(c, s) for c, s, _ in want]
         assert got.shape == (len(want), 88)
         for row, (_, _, vector) in zip(got, want):

@@ -356,6 +356,26 @@ class TestCascade:
         with pytest.raises(DataError, match="frame 2 is 80x40"):
             list(pipeline.run(frames))
 
+    def test_no_kernel_fits_first_frame_is_config_error(self, synth_artifacts):
+        # a 251-pixel kernel does not fit 320x240; without the check the
+        # stream ran with no blob ever classified
+        config = PipelineConfig(
+            codebook_path=str(synth_artifacts["codebook_path"]),
+            model_path=str(synth_artifacts["model_path"]),
+            camera="moving",
+            scales=(251,),
+        ).validate()
+        pulled = []
+
+        def frames():
+            for frame in SyntheticScene(SceneSpec(seed=7)).frames(5):
+                pulled.append(frame.index)
+                yield frame
+
+        with pytest.raises(ConfigError, match=r"scales \[251\] fits a 320x240 frame"):
+            list(DetectionPipeline(config).run(frames()))
+        assert pulled == [0]
+
     def test_gray_frame_is_data_error(self, synth_artifacts):
         # a bright square reaches the classifier stage on the first frame
         config = PipelineConfig(

@@ -15,6 +15,8 @@ from pyrovigil.proposal import (
 )
 from pyrovigil.synth import SceneSpec, SyntheticScene
 
+from oracles import paint_runs
+
 
 def _flood_fill_labels(mask):
     """Reference labeller: per-pixel 8-connected flood fill, components
@@ -38,12 +40,60 @@ def _flood_fill_labels(mask):
     return labels, count
 
 
+def _painted_labels(mask):
+    """(label image, count) painted from the runs of `label_components`."""
+    rows, starts, ends, labels, count = label_components(mask)
+    return paint_runs(np.shape(mask), rows, starts, ends, labels), count
+
+
 def _assert_matches_flood_fill(mask):
-    labels, count = label_components(mask)
+    rows, starts, ends, labels, count = label_components(mask)
     want_labels, want_count = _flood_fill_labels(mask)
-    assert labels.dtype == np.int32 and labels.shape == mask.shape
     assert count == want_count
-    assert np.array_equal(labels, want_labels)
+    assert np.array_equal(paint_runs(mask.shape, rows, starts, ends, labels), want_labels)
+    # maximal, non-empty runs in raster order
+    assert np.all(starts < ends)
+    same_row = rows[1:] == rows[:-1]
+    assert np.all(rows[1:] >= rows[:-1])
+    assert np.all(ends[:-1][same_row] < starts[1:][same_row])
+    assert int((ends - starts).sum()) == int(mask.sum())
+
+
+def _count(mask):
+    return label_components(mask)[-1]
+
+
+def _blobs_from_flood_fill(mask, min_area):
+    """Reference blobs: each flood-fill component's pixels, bbox, area,
+    perimeter (`_perimeter_oracle`) and centroid as exact integer sums over
+    the area; sorted like `extract_blobs`."""
+    labels, count = _flood_fill_labels(mask)
+    blobs = []
+    for k in range(1, count + 1):
+        ys, xs = np.nonzero(labels == k)
+        if ys.size < min_area:
+            continue
+        x0, y0 = int(xs.min()), int(ys.min())
+        local = labels[y0 : ys.max() + 1, x0 : xs.max() + 1] == k
+        blobs.append((
+            (x0, y0, local.shape[1], local.shape[0]),
+            int(ys.size),
+            _perimeter_oracle(local),
+            (int(xs.sum()) / ys.size, int(ys.sum()) / ys.size),
+            local,
+        ))
+    blobs.sort(key=lambda b: (-b[1], b[0][1], b[0][0]))
+    return blobs
+
+
+def _assert_blobs_match_oracle(mask, min_area=1):
+    got = extract_blobs(mask, min_area)
+    want = _blobs_from_flood_fill(mask, min_area)
+    assert len(got) == len(want)
+    for b, (bbox, area, perimeter, centroid, local) in zip(got, want):
+        assert b.bbox == bbox and b.area == area and b.perimeter == perimeter
+        assert [c.hex() for c in b.centroid] == [c.hex() for c in centroid]
+        assert b.mask.dtype == bool and np.array_equal(b.mask, local)
 
 
 def _serpentine(h, w):
@@ -242,6 +292,13 @@ class TestMultiLevelThreshold:
         assert mask.threshold == 160.0
         assert mask.mask.all()
 
+    def test_equally_near_rungs_pick_the_higher(self):
+        # mean 63.75 targets 205, halfway between 220 and 190
+        assert pick_threshold(63.75) == 220.0
+        assert pick_threshold(63.75, (160.0, 190.0, 220.0)) == 220.0
+        # mean 191.25 targets 175, halfway between 190 and 160
+        assert pick_threshold(191.25) == 190.0
+
     def test_midgray_with_saturated_patch(self):
         gray = np.full((30, 30), 128.0)
         gray[5:10, 5:12] = 255.0
@@ -301,19 +358,17 @@ class TestLabeling:
         mask = np.zeros((10, 10), dtype=bool)
         mask[1:4, 1:4] = True
         mask[6:9, 6:9] = True
-        labels, count = label_components(np.ascontiguousarray(mask))
+        labels, count = _painted_labels(np.ascontiguousarray(mask))
         assert count == 2
         assert set(np.unique(labels)) == {0, 1, 2}
 
     def test_diagonal_is_connected(self):
         mask = np.zeros((4, 4), dtype=bool)
         mask[0, 0] = mask[1, 1] = mask[2, 2] = True
-        _, count = label_components(np.ascontiguousarray(mask))
-        assert count == 1
+        assert _count(np.ascontiguousarray(mask)) == 1
 
     def test_partition_property(self, rng):
         mask = binary_open3(rng.random((40, 40)) > 0.45)
-        labels, count = label_components(np.ascontiguousarray(mask))
         blobs = extract_blobs(mask, min_area=1)
         assert sum(b.area for b in blobs) == int(mask.sum())
         # no pixel in two blobs
@@ -342,8 +397,8 @@ class TestLabelingOracle:
     def test_all_true_and_all_false(self, shape):
         _assert_matches_flood_fill(np.ones(shape, dtype=bool))
         _assert_matches_flood_fill(np.zeros(shape, dtype=bool))
-        assert label_components(np.ones(shape, dtype=bool))[1] == 1
-        assert label_components(np.zeros(shape, dtype=bool))[1] == 0
+        assert _count(np.ones(shape, dtype=bool)) == 1
+        assert _count(np.zeros(shape, dtype=bool)) == 0
 
     def test_frame_border_blobs(self):
         mask = np.zeros((20, 30), dtype=bool)
@@ -354,21 +409,21 @@ class TestLabelingOracle:
         mask[8:12, -1] = True  # right column
         mask[-1, 0] = True  # bottom-left pixel
         _assert_matches_flood_fill(mask)
-        assert label_components(mask)[1] == 6
+        assert _count(mask) == 6
 
     @pytest.mark.parametrize("shape", [(31, 40), (40, 31), (7, 64)])
     def test_serpentine(self, shape):
         mask = _serpentine(*shape)
         _assert_matches_flood_fill(mask)
         _assert_matches_flood_fill(np.ascontiguousarray(mask.T))
-        assert label_components(mask)[1] == 1
+        assert _count(mask) == 1
 
     @pytest.mark.parametrize("n", [5, 16, 33])
     def test_spiral(self, n):
         mask = _spiral(n)
         _assert_matches_flood_fill(mask)
         _assert_matches_flood_fill(np.ascontiguousarray(mask[:, ::-1]))
-        assert label_components(mask)[1] == 1
+        assert _count(mask) == 1
 
     def test_diagonal_chains(self):
         eye = np.eye(12, 15, dtype=bool)
@@ -381,7 +436,7 @@ class TestLabelingOracle:
         w[:, 19:39] |= v
         _assert_matches_flood_fill(v)
         _assert_matches_flood_fill(w)
-        assert label_components(v)[1] == 1 and label_components(w)[1] == 1
+        assert _count(v) == 1 and _count(w) == 1
         # parallel anti-diagonals two columns apart stay separate
         hatch = np.zeros((12, 30), dtype=bool)
         for x0 in range(12, 30, 2):
@@ -433,6 +488,37 @@ class TestExtractBlobs:
         assert len(blobs) == 1
         assert blobs[0].area == 3
 
+    @pytest.mark.parametrize("density", [0.1, 0.3, 0.5, 0.7, 0.9])
+    def test_matches_flood_fill_oracle(self, rng, density):
+        for _ in range(20):
+            h, w = rng.integers(1, 50, 2)
+            _assert_blobs_match_oracle(rng.random((h, w)) < density)
+        mask = rng.random((60, 80)) < density
+        for min_area in (1, 5, 40):
+            _assert_blobs_match_oracle(mask, min_area)
+
+    @pytest.mark.parametrize("shape", [(31, 40), (40, 31), (7, 64)])
+    def test_serpentine_matches_oracle(self, shape):
+        _assert_blobs_match_oracle(_serpentine(*shape))
+        _assert_blobs_match_oracle(np.ascontiguousarray(_serpentine(*shape).T))
+
+    @pytest.mark.parametrize("n", [5, 16, 33])
+    def test_spiral_matches_oracle(self, n):
+        _assert_blobs_match_oracle(_spiral(n))
+        _assert_blobs_match_oracle(np.ascontiguousarray(_spiral(n)[:, ::-1]))
+
+    def test_frame_border_blobs_match_oracle(self):
+        mask = np.zeros((20, 30), dtype=bool)
+        mask[0, :] = True
+        mask[5:15, 0] = True
+        mask[-3:, -3:] = True
+        mask[-1, 10:20] = True
+        mask[8:12, -1] = True
+        mask[-1, 0] = True
+        _assert_blobs_match_oracle(mask)
+        _assert_blobs_match_oracle(mask, min_area=4)
+        _assert_blobs_match_oracle(np.ones((7, 9), dtype=bool))
+
     @pytest.mark.parametrize("density", [0.3, 0.6, 0.85])
     def test_perimeter_matches_oracle(self, rng, density):
         mask = rng.random((40, 50)) < density
@@ -479,6 +565,12 @@ class TestPropose:
         assert cfg.scaled_min_area(320, 240) == 64
         assert cfg.scaled_min_area(640, 480) == 256
         assert cfg.scaled_min_area(160, 120) == 16
+
+    def test_rolling_brightness_keeps_last_window(self):
+        engine = ProposalEngine(ProposalConfig(camera="moving", stats_window=3), 8, 8)
+        for level in (10.0, 20.0, 30.0, 40.0, 50.0):
+            engine.absorb(Frame(np.full((8, 8), level), ColorSpace.GRAY))
+        assert list(engine._recent_means) == [30.0, 40.0, 50.0]
 
     def test_moving_camera_threshold_only(self):
         px = np.full((30, 30), 100.0)
