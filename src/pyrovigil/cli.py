@@ -6,8 +6,10 @@ error, 3 data error.
 """
 
 import argparse
+import math
 import os
 import sys
+from contextlib import nullcontext
 
 from . import codebook as cb
 from . import classifier as cl
@@ -40,7 +42,7 @@ def _checked(kind, ok, requirement):
 _POSITIVE_INT = _checked(int, lambda v: v >= 1, "an integer >= 1")
 _SEED = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _FOLDS = _checked(int, lambda v: v >= 2, "an integer >= 2")
-_POSITIVE = _checked(float, lambda v: v > 0, "> 0")
+_POSITIVE = _checked(float, lambda v: math.isfinite(v) and v > 0, "finite and > 0")
 
 
 def _plan_from_args(args) -> SamplingPlan:
@@ -116,21 +118,24 @@ def _overrides(args) -> dict:
     return out
 
 
-def _alarm_log(path):
-    """The alarm log file, opened before any frame is read (the null
-    device when `path` is unset); an unwritable path is a config error."""
+def _output(path, what):
+    """An output file opened before any frame is read (a context giving
+    None when `path` is unset); an unwritable path is a config error."""
+    if not path:
+        return nullcontext()
     try:
-        return open(path or os.devnull, "w")
+        return open(path, "w")
     except OSError as e:
-        raise ConfigError(f"cannot write alarm log {path}: {e.strerror}") from None
+        raise ConfigError(f"cannot write {what} {path}: {e.strerror}") from None
 
 
 def _cmd_detect(args) -> int:
     config = PipelineConfig.from_file(args.config, _overrides(args))
     pipeline = DetectionPipeline(config)
     frames = frame_dir_source(args.frames, skip_bad=True)
-    with _alarm_log(args.alarms) as log:
-        for event in pipeline.run(frames, args.video_id):
+    alarm_path = args.alarms or os.devnull
+    with _output(alarm_path, "alarm log") as log, _output(args.trace, "trace") as trace:
+        for event in pipeline.run(frames, args.video_id, trace):
             line = format_alarm(event)
             print(line)
             log.write(line + "\n")
@@ -141,8 +146,9 @@ def _cmd_detect(args) -> int:
 def _cmd_evaluate(args) -> int:
     config = PipelineConfig.from_file(args.config, _overrides(args))
     labels = parse_labels(args.labels)
-    with _alarm_log(args.alarms_out) as log:
-        report, alarms = evaluate(args.dataset, config, labels)
+    alarm_path = args.alarms_out or os.devnull
+    with _output(alarm_path, "alarm log") as log, _output(args.trace, "trace") as trace:
+        report, alarms = evaluate(args.dataset, config, labels, trace)
         log.writelines(format_alarm(a) + "\n" for a in alarms)
     print(report.format_table())
     return 0
@@ -195,6 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     dt.add_argument("--frames", required=True)
     dt.add_argument("--video-id", default="stream")
     dt.add_argument("--alarms", help="write the alarm log here")
+    dt.add_argument("--trace", help="write one JSON record per decision frame here")
     dt.add_argument("--set", action="append", metavar="KEY=VALUE",
                     help="override a config field (repeatable)")
     dt.set_defaults(func=_cmd_detect)
@@ -204,6 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--labels", required=True)
     ev.add_argument("--dataset", required=True)
     ev.add_argument("--alarms-out")
+    ev.add_argument("--trace", help="write one JSON record per decision frame here")
     ev.add_argument("--set", action="append", metavar="KEY=VALUE",
                     help="override a config field (repeatable)")
     ev.set_defaults(func=_cmd_evaluate)

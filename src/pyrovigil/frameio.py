@@ -1,10 +1,9 @@
-"""Frame and mask file I/O.
+"""Frame file I/O.
 
 Frame sequences are directories of sequentially numbered image files
 (``%06d.ppm`` / ``%06d.png``), sorted numerically. Binary PPM (P6,
 maxval 255) is the native, bit-exact format; PNG works when pillow is
-installed. Candidate-mask debug dumps are written as PBM (P4), one file
-per frame, foreground bits set.
+installed.
 """
 
 import logging
@@ -24,7 +23,10 @@ _NUM_RE = re.compile(r"(\d+)")
 
 def read_ppm(path) -> np.ndarray:
     """Read a binary P6 PPM with maxval 255 into a (h, w, 3) uint8 array."""
-    data = Path(path).read_bytes()
+    try:
+        data = Path(path).read_bytes()
+    except OSError as e:
+        raise DataError(f"cannot read frame {path}: {e}") from None
     if not data.startswith(b"P6"):
         raise DataError(f"{path}: not a binary PPM (P6)")
     # Header: magic, width, height, maxval, separated by whitespace;
@@ -71,16 +73,6 @@ def write_ppm(path, pixels: np.ndarray) -> None:
     with open(path, "wb") as f:
         f.write(b"P6\n%d %d\n255\n" % (w, h))
         f.write(arr.tobytes())
-
-
-def write_pbm(path, mask: np.ndarray) -> None:
-    """Write a boolean mask as binary P4; True pixels become set bits."""
-    m = np.asarray(mask, dtype=bool)
-    h, w = m.shape
-    packed = np.packbits(m, axis=1)
-    with open(path, "wb") as f:
-        f.write(b"P4\n%d %d\n" % (w, h))
-        f.write(packed.tobytes())
 
 
 def read_png(path) -> np.ndarray:

@@ -9,9 +9,10 @@ feeds the classifier-positive blobs to the temporal tracker; a track
 confirmed as fire emits exactly one alarm event. The frames in between
 are only absorbed (`_absorb`) by the background model and the rolling
 brightness. Stages short-circuit, so an empty candidate mask costs no
-classifier work.
+classifier work, and do no I/O: `run` alone writes the optional trace.
 """
 
+import json
 import math
 import time
 from dataclasses import dataclass, field, fields
@@ -31,7 +32,7 @@ from .features import (
     histogram_from_pixels,
     sample,
 )
-from .frameio import frame_dir_source, list_frame_files, write_pbm
+from .frameio import frame_dir_source, list_frame_files
 from .imaging import ColorSpace, Frame
 from .proposal import ProposalConfig, ProposalEngine
 from .temporal import StabilityThresholds, Tracker
@@ -82,8 +83,6 @@ class PipelineConfig(ProposalConfig):
     t2: float = 0.40
     iou_threshold: float = 0.3
     track_max_gap: int = 5  # in decision ticks; scaled by the stride
-    mask_dump_dir: str = ""
-    track_log: str = ""
 
     def validate(self):
         if self.camera not in ("static", "moving"):
@@ -230,8 +229,11 @@ class DetectionPipeline:
         self.plan = SamplingPlan(config.interval, tuple(config.scales))
         self.stats = StageStats()
 
-    def run(self, frames: Iterable[Frame], video_id: str = "stream"):
-        """Yield AlarmEvents; one per track confirmation."""
+    def run(self, frames: Iterable[Frame], video_id: str = "stream", trace=None):
+        """Yield AlarmEvents; one per track confirmation. `trace`, an open
+        text stream the caller owns, gets one JSON line per decision frame
+        (`_trace_record`) before the frame's alarms; without it no record
+        is built."""
         cfg = self.config
         stats = StageStats()
         self.stats = stats
@@ -241,13 +243,6 @@ class DetectionPipeline:
             cfg.iou_threshold,
             cfg.track_max_gap * cfg.decision_stride,
         )
-        mask_dir = Path(cfg.mask_dump_dir) if cfg.mask_dump_dir else None
-        try:
-            if mask_dir:
-                mask_dir.mkdir(parents=True, exist_ok=True)
-            track_log = open(cfg.track_log, "w") if cfg.track_log else None
-        except OSError as e:
-            raise ConfigError(f"cannot write {e.filename}: {e.strerror}") from None
         t_run = time.perf_counter()
         paused = 0.0
         try:
@@ -256,9 +251,13 @@ class DetectionPipeline:
                 if pos % cfg.decision_stride:
                     self._absorb(engine, frame)
                     continue
-                blobs = self._propose(engine, frame, mask_dir)
+                blobs, threshold = self._propose(engine, frame)
                 fire_blobs, margins = self.decide(frame, engine.gray, blobs)
-                for tr in self._verify(tracker, frame.index, fire_blobs, margins, track_log):
+                confirmed = self._verify(tracker, frame.index, fire_blobs, margins)
+                if trace is not None:
+                    trace.write(_trace_record(video_id, frame.index, threshold, engine.model,
+                                              blobs, fire_blobs, margins, tracker))
+                for tr in confirmed:
                     stats.alarms += 1
                     t0 = time.perf_counter()
                     try:
@@ -269,8 +268,6 @@ class DetectionPipeline:
                         paused += time.perf_counter() - t0
         finally:
             stats.total_s = time.perf_counter() - t_run - paused
-            if track_log:
-                track_log.close()
 
     def _admit(self, frame: Frame, engine: Optional[ProposalEngine]) -> ProposalEngine:
         """The stream's proposal engine, built at its first frame. A frame
@@ -303,17 +300,15 @@ class DetectionPipeline:
         self.stats.proposal_s += time.perf_counter() - t0
         self.stats.frames += 1
 
-    def _propose(self, engine: ProposalEngine, frame: Frame, mask_dir) -> list:
-        """Stage 1 on a decision frame: its candidate blobs; dumps the
-        cleaned mask."""
+    def _propose(self, engine: ProposalEngine, frame: Frame):
+        """Stage 1 on a decision frame: (its candidate blobs, the threshold
+        rung used)."""
         t0 = time.perf_counter()
         blobs, cand = engine.propose(frame)
         self.stats.proposal_s += time.perf_counter() - t0
         self.stats.frames += 1
         self.stats.blobs_proposed += len(blobs)
-        if mask_dir:
-            write_pbm(mask_dir / f"mask_{frame.index:06d}.pbm", cand.mask)
-        return blobs
+        return blobs, cand.threshold
 
     def decide(self, frame: Frame, gray: Optional[np.ndarray], blobs):
         """Stage 2: (the blobs the SVM classifies as fire, their margins).
@@ -348,22 +343,28 @@ class DetectionPipeline:
                 margins.append(margin)
         return fire_blobs, margins
 
-    def _verify(self, tracker: Tracker, frame_index, fire_blobs, margins, track_log):
-        """Stage 3: the tracks confirmed as fire at this frame; logs each
-        track seen at it."""
+    def _verify(self, tracker: Tracker, frame_index, fire_blobs, margins):
+        """Stage 3: the tracks confirmed as fire at this frame."""
         t0 = time.perf_counter()
         confirmed = tracker.update(fire_blobs, frame_index, margins)
         self.stats.temporal_s += time.perf_counter() - t0
-        if track_log:
-            for tr in tracker.tracks:
-                if tr.last_seen != frame_index:
-                    continue
-                p, a, d1, d2, d3, d4 = tr.samples[-1]
-                track_log.write(
-                    f"{frame_index} {tr.track_id} {tr.state.value} "
-                    f"{p:g} {a:g} {d1:g} {d2:g} {d3:g} {d4:g}\n"
-                )
         return confirmed
+
+
+def _trace_record(video, frame, threshold, bg_model, blobs, fire, margins, tracker):
+    """A decision frame's JSON line: the ladder rung used, the frames the
+    background model has absorbed (null without one), the blobs' boxes and
+    areas, the fire blobs' boxes and margins, and the tracks sampled here."""
+    return json.dumps({
+        "video": video,
+        "frame": frame,
+        "threshold": threshold,
+        "bg_frames": None if bg_model is None else bg_model.frames_absorbed,
+        "blobs": [[*b.bbox, b.area] for b in blobs],
+        "fire": [[*b.bbox, m] for b, m in zip(fire, margins)],
+        "tracks": [[tr.track_id, tr.state.value, *tr.samples[-1]]
+                   for tr in tracker.tracks if tr.last_seen == frame],
+    }) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -646,9 +647,9 @@ def evaluate_sections(alarms: Iterable[AlarmEvent], labels: List[SectionLabel]) 
     return EvalReport(tp, tn, fp, fn, per_section)
 
 
-def evaluate(dataset_root, config: PipelineConfig, labels: List[SectionLabel]):
+def evaluate(dataset_root, config: PipelineConfig, labels: List[SectionLabel], trace=None):
     """Run detection over every labeled video under `dataset_root` (one
-    frame directory per video id) and score the sections."""
+    frame directory per video id, each traced to `trace`); score the sections."""
     root = Path(dataset_root)
     videos = sorted({s.video_id for s in labels})
     by_video = {v: [s for s in labels if s.video_id == v] for v in videos}
@@ -665,5 +666,5 @@ def evaluate(dataset_root, config: PipelineConfig, labels: List[SectionLabel]):
                 raise DataError(
                     f"frame {idx} of video {vid!r} is not covered by any section"
                 )
-        alarms.extend(pipeline.run(frame_dir_source(vdir, skip_bad=True), vid))
+        alarms.extend(pipeline.run(frame_dir_source(vdir, skip_bad=True), vid, trace))
     return evaluate_sections(alarms, labels), alarms

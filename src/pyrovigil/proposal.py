@@ -290,6 +290,8 @@ class ProposalEngine:
         self.width, self.height = width, height
         if config.camera not in ("static", "moving"):
             raise ValueError(f"camera must be 'static' or 'moving', got {config.camera!r}")
+        if config.stats_window < 1:
+            raise ValueError(f"stats_window must be >= 1, got {config.stats_window}")
         self.model = (
             BackgroundModel(
                 height, width, config.rho, config.lam, config.var_floor, config.warmup

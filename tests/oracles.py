@@ -37,18 +37,6 @@ def corner_sum(table, x, y, w, h):
     return float(table[y + h, x + w] - table[y, x + w] - table[y + h, x] + table[y, x])
 
 
-def read_pbm(path):
-    """A binary P4 mask as a boolean array; set bits are True."""
-    data = Path(path).read_bytes()
-    assert data.startswith(b"P4"), f"{path}: not a binary PBM (P4)"
-    fields = data.split(maxsplit=3)  # magic, width, height, payload
-    w, h = int(fields[1]), int(fields[2])
-    stride = (w + 7) // 8
-    raw = np.frombuffer(data[len(data) - stride * h :], dtype=np.uint8)
-    bits = np.unpackbits(raw.reshape(h, stride), axis=1)[:, :w]
-    return bits.astype(bool)
-
-
 def parse_alarm_log(path):
     """AlarmEvents of an alarm log of `format_alarm` lines."""
     alarms = []

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,27 @@ def test_detect_frame_size_change_is_data_error(tmp_path, capsys, synth_artifact
     assert "data error: frame 1 is 80x40" in capsys.readouterr().err
 
 
+def test_detect_skips_directory_named_like_a_frame(tmp_path, capsys, synth_artifacts, caplog):
+    # a directory is not a frame: it is logged and skipped like an
+    # undecodable one, not a raw IsADirectoryError
+    frames_dir = tmp_path / "frames"
+    frames_dir.mkdir()
+    for t in (0, 1, 2):
+        write_ppm(frames_dir / f"{t:06d}.ppm", np.zeros((60, 80, 3), np.uint8))
+    (frames_dir / "000009.ppm").mkdir()
+    cfg = tmp_path / "pipe.cfg"
+    cfg.write_text(
+        f"codebook={synth_artifacts['codebook_path']}\n"
+        f"model={synth_artifacts['model_path']}\n"
+    )
+    with caplog.at_level("WARNING", logger="pyrovigil.frameio"):
+        code = main(["detect", "--config", str(cfg), "--frames", str(frames_dir)])
+    err = capsys.readouterr().err
+    assert code == 0
+    assert "frames=3" in err
+    assert "000009.ppm" in caplog.text
+
+
 def test_bad_scales_flag_is_config_error(tmp_path, capsys):
     fire_dir, non_dir = _write_patches(tmp_path)
     code = main([
@@ -138,6 +161,8 @@ BAD_NUMBERS = [
     ("train-model", "--m", "0"),
     ("train-model", "--C", "-1"),
     ("train-model", "--gamma", "0"),
+    ("train-model", "--C", "inf"),  # raised ValueError after encoding every patch
+    ("train-model", "--gamma", "inf"),
     ("train-model", "--cv", "--folds", "0"),
     ("train-model", "--cv", "--folds", "1"),
     ("train-model", "--seed", "-1"),
@@ -182,6 +207,8 @@ BAD_CONFIG = [
     ("lam=nan",),  # no pixel foreground: no blob
     ("var_floor=nan",),
     ("preset=space",),
+    ("track_log=x",),  # keys of old config files, now the --trace option
+    ("mask_dump_dir=x",),
 ]
 
 
@@ -231,8 +258,8 @@ def test_detect_with_no_fitting_scale_exits_2(tmp_path, capsys, synth_artifacts)
 # before the first frame: the frames here would stop detection with a
 # data error (exit 3) at frame 1.
 BAD_OUTPUTS = [
-    ("detect", "--set", "track_log={tmp}/nodir/t.log"),
-    ("detect", "--set", "mask_dump_dir={tmp}/a_file"),
+    ("detect", "--trace", "{tmp}/nodir/t.jsonl"),
+    ("evaluate", "--trace", "{tmp}/a_file/t.jsonl"),
     ("detect", "--alarms", "{tmp}/nodir/a.log"),
     ("evaluate", "--alarms-out", "{tmp}/nodir/a.log"),
 ]
@@ -262,6 +289,49 @@ def test_unwritable_output_exits_2(tmp_path, capsys, synth_artifacts, case):
     err = capsys.readouterr().err
     assert code == 2
     assert "config error: cannot write" in err
+
+
+def _dark_clip(frames_dir, count):
+    frames_dir.mkdir(parents=True)
+    for t in range(count):
+        write_ppm(frames_dir / f"{t:06d}.ppm", np.zeros((60, 80, 3), np.uint8))
+
+
+def _trace_keys(path):
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    return [(r["video"], r["frame"]) for r in records]
+
+
+def test_detect_trace(tmp_path, capsys, synth_artifacts):
+    _dark_clip(tmp_path / "frames", 6)
+    cfg = tmp_path / "pipe.cfg"
+    cfg.write_text(
+        f"codebook={synth_artifacts['codebook_path']}\n"
+        f"model={synth_artifacts['model_path']}\n"
+    )
+    trace = tmp_path / "t.jsonl"
+    code = main(["detect", "--config", str(cfg), "--frames", str(tmp_path / "frames"),
+                 "--video-id", "clip", "--trace", str(trace)])
+    assert code == 0
+    assert _trace_keys(trace) == [("clip", 0), ("clip", 5)]  # decision frames
+
+
+def test_evaluate_trace_keeps_every_clip(tmp_path, capsys, synth_artifacts):
+    # one trace over the whole run: each clip's records, tagged with its id
+    for vid in ("a", "b"):
+        _dark_clip(tmp_path / "ds" / vid, 6)
+    labels = tmp_path / "labels.txt"
+    labels.write_text("a 0 200 nofire\nb 0 200 nofire\n")
+    cfg = tmp_path / "pipe.cfg"
+    cfg.write_text(
+        f"codebook={synth_artifacts['codebook_path']}\n"
+        f"model={synth_artifacts['model_path']}\n"
+    )
+    trace = tmp_path / "t.jsonl"
+    code = main(["evaluate", "--config", str(cfg), "--labels", str(labels),
+                 "--dataset", str(tmp_path / "ds"), "--trace", str(trace)])
+    assert code == 0
+    assert _trace_keys(trace) == [("a", 0), ("a", 5), ("b", 0), ("b", 5)]
 
 
 # Training checks its output path before any work: the inputs here would

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from pyrovigil.errors import DataError
-from pyrovigil.frameio import frame_dir_source, read_ppm, write_pbm, write_ppm
+from pyrovigil.frameio import frame_dir_source, read_ppm, write_ppm
 from pyrovigil.imaging import ColorSpace, Frame, convert, integral, luma
 
-from oracles import corner_sum, read_pbm
+from oracles import corner_sum
 
 
 # independent scalar reference for sRGB -> XYZ(D65) -> CIELAB
@@ -249,12 +249,6 @@ class TestFrameIO:
         with pytest.raises(DataError, match="no pixel"):
             read_ppm(path)
         assert list(frame_dir_source(tmp_path, skip_bad=True)) == []
-
-    def test_pbm_roundtrip(self, rng, tmp_path):
-        mask = rng.random((10, 13)) > 0.5
-        path = tmp_path / "mask_000001.pbm"
-        write_pbm(path, mask)
-        assert np.array_equal(read_pbm(path), mask)
 
     def test_frame_dir_sorted_numerically(self, tmp_path):
         for n in (10, 2, 33):

@@ -1,3 +1,5 @@
+import io
+import json
 import time
 from dataclasses import fields, replace
 
@@ -25,6 +27,10 @@ from pyrovigil.synth import SceneSpec, SyntheticScene, fire_patch
 
 from noise_patches import blue_noise_patch, red_noise_patch
 from oracles import parse_alarm_log
+
+
+def _trace_records(trace):
+    return [json.loads(line) for line in trace.getvalue().splitlines()]
 
 
 class TestConfig:
@@ -106,8 +112,6 @@ t2=0.5
             "t2": 0.3,
             "iou_threshold": 0.5,
             "track_max_gap": 3,
-            "mask_dump_dir": "masks",
-            "track_log": "tracks.log",
         }
         assert set(want) == {f.name for f in fields(PipelineConfig)}
         default = PipelineConfig()
@@ -118,7 +122,7 @@ t2=0.5
             "lam=3.5\nvar_floor=2\nwarmup=10\nstats_window=12\n"
             "decision_stride=2\ninterval=7\nscales=9,15\nm=6\nt1=0.1\n"
             "t2=0.3\niou_threshold=0.5\n"
-            "track_max_gap=3\nmask_dump_dir=masks\ntrack_log=tracks.log\n"
+            "track_max_gap=3\n"
         )
         path = tmp_path / "pipe.cfg"
         path.write_text(text)
@@ -447,21 +451,26 @@ class TestCascade:
         assert alarms >= 1
         assert 0.0 < pipeline.stats.total_s <= wall - alarms * pause
 
-    def test_mask_dump(self, synth_artifacts, tmp_path):
-        # masks are made, and dumped, on decision frames only
+    def test_trace_on_decision_frames_only(self, synth_artifacts):
+        # a record per decision frame; the background model absorbs every
+        # frame, so it has seen 1 frame at frame 0 and 6 at frame 5
         config = PipelineConfig(
             codebook_path=str(synth_artifacts["codebook_path"]),
             model_path=str(synth_artifacts["model_path"]),
             decision_stride=5,
-            mask_dump_dir=str(tmp_path / "masks"),
         ).validate()
         pipeline = DetectionPipeline(config)
         frames = (
             Frame(np.zeros((40, 60, 3)), ColorSpace.RGB, index=i) for i in range(6)
         )
-        list(pipeline.run(frames))
-        dumped = sorted(p.name for p in (tmp_path / "masks").iterdir())
-        assert dumped == ["mask_000000.pbm", "mask_000005.pbm"]
+        trace = io.StringIO()
+        list(pipeline.run(frames, "dark", trace))
+        records = _trace_records(trace)
+        assert [(r["video"], r["frame"], r["bg_frames"]) for r in records] == [
+            ("dark", 0, 1), ("dark", 5, 6),
+        ]
+        assert all(r["blobs"] == r["fire"] == r["tracks"] == [] for r in records)
+        assert all(r["threshold"] == 220.0 for r in records)  # a dark scene: top rung
         assert pipeline.stats.frames == 6
 
     @pytest.mark.parametrize("camera", ["static", "moving"])
@@ -498,44 +507,101 @@ class TestCascade:
         assert pipeline.stats.frames == 12
         assert pipeline.stats.blobs_proposed == len(proposed)
 
-    def test_alarms_reconstructable_from_track_log(self, synth_artifacts, tmp_path):
+    def test_alarms_reconstructable_from_track_log(self, synth_artifacts):
+        # the trace's track rows hold each track's history up to its verdict
         scene = SyntheticScene(SceneSpec(seed=7, flame_onset=40))
-        log_path = tmp_path / "tracks.log"
         config = PipelineConfig(
             codebook_path=str(synth_artifacts["codebook_path"]),
             model_path=str(synth_artifacts["model_path"]),
             decision_stride=1,
             warmup=20,
-            track_log=str(log_path),
         ).validate()
         pipeline = DetectionPipeline(config)
-        alarms = list(pipeline.run(scene.frames(120), "log"))
+        trace = io.StringIO()
+        alarms = list(pipeline.run(scene.frames(120), "log", trace))
         assert alarms
-        rows = [line.split() for line in log_path.read_text().splitlines()]
+        records = _trace_records(trace)
+        assert {r["video"] for r in records} == {"log"}
         for a in alarms:
-            history = [r for r in rows if int(r[1]) == a.track_id]
-            at_alarm = [r for r in history if int(r[0]) == a.frame_index]
-            assert len(history) >= 25  # a full verification window
-            assert at_alarm and at_alarm[0][2] == "fire_confirmed"
+            states = [
+                row[1]
+                for r in records if r["frame"] <= a.frame_index
+                for row in r["tracks"] if row[0] == a.track_id
+            ]
+            assert len(states) >= 25  # a full verification window
+            assert states[-1] == "fire_confirmed"
+            assert set(states[:-1]) == {"pending"}
+            at_alarm = next(r for r in records if r["frame"] == a.frame_index)
+            assert [*a.bbox, a.margin] in at_alarm["fire"]
 
-    def test_track_log_format(self, synth_artifacts, tmp_path):
+    def test_track_log_format(self, synth_artifacts):
         spec = SceneSpec(seed=5, flame_onset=0, with_car=False, with_lamp=False)
         scene = SyntheticScene(spec)
-        log_path = tmp_path / "tracks.log"
         config = PipelineConfig(
             codebook_path=str(synth_artifacts["codebook_path"]),
             model_path=str(synth_artifacts["model_path"]),
             camera="moving",
             decision_stride=1,
-            track_log=str(log_path),
         ).validate()
         pipeline = DetectionPipeline(config)
-        list(pipeline.run(scene.frames(10)))
-        lines = log_path.read_text().splitlines()
-        assert lines
-        fields = lines[0].split()
-        assert len(fields) == 9  # frame id state p a d1 d2 d3 d4
-        assert sum(float(v) for v in fields[5:9]) == float(fields[4])
+        trace = io.StringIO()
+        list(pipeline.run(scene.frames(10), trace=trace))
+        records = _trace_records(trace)
+        assert [r["frame"] for r in records] == list(range(10))
+        keys = {"video", "frame", "threshold", "bg_frames", "blobs", "fire", "tracks"}
+        rows = []
+        for r in records:
+            assert set(r) == keys
+            assert r["video"] == "stream" and r["bg_frames"] is None
+            assert r["threshold"] in config.ladder
+            boxes = [b[:4] for b in r["blobs"]]
+            assert all(len(b) == 5 and b[4] >= config.min_blob_area for b in r["blobs"])
+            assert all(len(f) == 5 and f[:4] in boxes and f[4] >= 0 for f in r["fire"])
+            rows += r["tracks"]
+        assert sum(len(r["blobs"]) for r in records) == pipeline.stats.blobs_proposed
+        assert rows
+        for track_id, state, p, a, d1, d2, d3, d4 in rows:
+            assert state in ("pending", "fire_confirmed", "rejected")
+            assert 0 < p <= a
+            assert d1 + d2 + d3 + d4 == a
+
+    def test_untraced_run_builds_no_record(self, synth_artifacts, monkeypatch):
+        import pyrovigil.pipeline as pipeline_module
+
+        def forbidden(*args):
+            raise AssertionError("a trace record was built without a trace")
+
+        monkeypatch.setattr(pipeline_module, "_trace_record", forbidden)
+        spec = SceneSpec(seed=5, flame_onset=0, with_car=False, with_lamp=False)
+        config = PipelineConfig(
+            codebook_path=str(synth_artifacts["codebook_path"]),
+            model_path=str(synth_artifacts["model_path"]),
+            camera="moving",
+            decision_stride=1,
+        ).validate()
+        pipeline = DetectionPipeline(config)
+        list(pipeline.run(SyntheticScene(spec).frames(5)))
+        assert pipeline.stats.classifier_calls > 0
+        with pytest.raises(AssertionError, match="trace record"):
+            list(pipeline.run(SyntheticScene(spec).frames(5), trace=io.StringIO()))
+
+    def test_trace_leaves_alarms_unchanged(self, synth_artifacts):
+        # the flame burns from frame 0 and is confirmed at frame 24
+        spec = SceneSpec(seed=5, flame_onset=0, with_car=False, with_lamp=False)
+        config = PipelineConfig(
+            codebook_path=str(synth_artifacts["codebook_path"]),
+            model_path=str(synth_artifacts["model_path"]),
+            camera="moving",
+            decision_stride=1,
+        ).validate()
+        pipeline = DetectionPipeline(config)
+        plain = [format_alarm(a) for a in pipeline.run(SyntheticScene(spec).frames(30))]
+        trace = io.StringIO()
+        traced = [
+            format_alarm(a) for a in pipeline.run(SyntheticScene(spec).frames(30), trace=trace)
+        ]
+        assert plain and traced == plain
+        assert len(_trace_records(trace)) == 30
 
     @pytest.mark.parametrize(
         "camera",

@@ -572,6 +572,11 @@ class TestPropose:
             engine.absorb(Frame(np.full((8, 8), level), ColorSpace.GRAY))
         assert list(engine._recent_means) == [30.0, 40.0, 50.0]
 
+    def test_empty_rolling_window_rejected(self):
+        # an empty window left the first propose dividing by zero
+        with pytest.raises(ValueError, match="stats_window must be >= 1"):
+            ProposalEngine(ProposalConfig(camera="moving", stats_window=0), 8, 8)
+
     def test_moving_camera_threshold_only(self):
         px = np.full((30, 30), 100.0)
         px[4:12, 4:12] = 255.0
