@@ -118,6 +118,15 @@ def _overrides(args) -> dict:
     return out
 
 
+def _check_outputs(*outputs):
+    """`_check_writable` on each (path, what) whose path is set, all before
+    any output is opened, so that a config error leaves every file as it
+    was."""
+    for path, what in outputs:
+        if path:
+            _check_writable(path, what)
+
+
 def _output(path, what):
     """An output file opened before any frame is read (a context giving
     None when `path` is unset); an unwritable path is a config error."""
@@ -134,6 +143,7 @@ def _cmd_detect(args) -> int:
     pipeline = DetectionPipeline(config)
     frames = frame_dir_source(args.frames, skip_bad=True)
     alarm_path = args.alarms or os.devnull
+    _check_outputs((alarm_path, "alarm log"), (args.trace, "trace"))
     with _output(alarm_path, "alarm log") as log, _output(args.trace, "trace") as trace:
         for event in pipeline.run(frames, args.video_id, trace):
             line = format_alarm(event)
@@ -147,6 +157,7 @@ def _cmd_evaluate(args) -> int:
     config = PipelineConfig.from_file(args.config, _overrides(args))
     labels = parse_labels(args.labels)
     alarm_path = args.alarms_out or os.devnull
+    _check_outputs((alarm_path, "alarm log"), (args.trace, "trace"))
     with _output(alarm_path, "alarm log") as log, _output(args.trace, "trace") as trace:
         report, alarms = evaluate(args.dataset, config, labels, trace)
         log.writelines(format_alarm(a) + "\n" for a in alarms)

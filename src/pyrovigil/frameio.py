@@ -102,7 +102,7 @@ def load_frame(path, index: Optional[int] = None) -> Frame:
     if index is None:
         m = _NUM_RE.search(Path(path).stem)
         index = int(m.group(1)) if m else 0
-    return Frame(read_image(path).astype(np.float64), ColorSpace.RGB, index)
+    return Frame(read_image(path), ColorSpace.RGB, index)
 
 
 def list_frame_files(directory):

@@ -1,7 +1,9 @@
 """Frame representation, color-space conversion, and integral images.
 
-Frames are read-only float64 pixel grids tagged with a color space.
-All conversions are defined from RGB (8-bit sRGB input assumed):
+Frames are read-only pixel grids tagged with a color space. RGB pixels
+are 8-bit sRGB, held as uint8: an RGB array of any other dtype raises a
+ValueError. GRAY and LAB pixels are float64. All conversions are defined
+from RGB:
 
 * GRAY: BT.601 luma, weights 0.299/0.587/0.114.
 * LAB:  sRGB linearization -> XYZ (D65, 2 deg) -> CIELAB; L in [0, 100],
@@ -38,16 +40,24 @@ _D65 = (0.95047, 1.0, 1.08883)
 
 @dataclass(frozen=True)
 class Frame:
-    """One decoded image: (h, w, 3) pixels, or (h, w) for GRAY. `pixels`
-    is a read-only view: a contiguous float64 array passed in is shared,
-    not copied, and its owner can still write it."""
+    """One decoded image: (h, w, 3) pixels, or (h, w) for GRAY. RGB pixels
+    must be uint8, and any other dtype raises a ValueError; GRAY and LAB
+    pixels are taken as float64. `pixels` is a read-only view: a
+    contiguous array of the space's dtype passed in is shared, not copied,
+    and its owner can still write it."""
 
     pixels: np.ndarray
     space: ColorSpace = ColorSpace.RGB
     index: int = 0
 
     def __post_init__(self):
-        px = np.ascontiguousarray(np.asarray(self.pixels, dtype=np.float64))
+        if self.space is ColorSpace.RGB:
+            px = np.asarray(self.pixels)
+            if px.dtype != np.uint8:
+                raise ValueError(f"RGB frame must be uint8, got {px.dtype}")
+        else:
+            px = np.asarray(self.pixels, dtype=np.float64)
+        px = np.ascontiguousarray(px)
         if self.space is ColorSpace.GRAY:
             if px.ndim != 2:
                 raise ValueError(f"GRAY frame must be 2-d, got shape {px.shape}")
@@ -71,10 +81,21 @@ class Frame:
         return self.pixels.shape[1]
 
 
-def luma(pixels: np.ndarray) -> np.ndarray:
-    """BT.601 luma of an (h, w, 3) RGB array."""
+def luma(pixels: np.ndarray, out=None, scratch=None) -> np.ndarray:
+    """BT.601 luma of an (h, w, 3) RGB array, (R*0.299 + G*0.587) + B*0.114
+    in float64. `out` takes the result and `scratch` the products: (h, w)
+    float64 planes, allocated when not given."""
     r, g, b = LUMA_WEIGHTS
-    return pixels[:, :, 0] * r + pixels[:, :, 1] * g + pixels[:, :, 2] * b
+    if out is None:
+        out = np.empty(pixels.shape[:2])
+    if scratch is None:
+        scratch = np.empty_like(out)
+    np.multiply(pixels[:, :, 0], r, out=out)
+    np.multiply(pixels[:, :, 1], g, out=scratch)
+    out += scratch
+    np.multiply(pixels[:, :, 2], b, out=scratch)
+    out += scratch
+    return out
 
 
 def _srgb_channel_to_linear(c):
@@ -84,24 +105,30 @@ def _srgb_channel_to_linear(c):
     return np.where(c <= 0.04045, lo, hi)
 
 
+# sRGB linearization of every 8-bit value, from the expression above
+_SRGB_LINEAR = _srgb_channel_to_linear(np.arange(256, dtype=np.float64))
+
+
 def _lab_f(t):
     d3 = (6.0 / 29.0) ** 3
     return np.where(t > d3, np.cbrt(t), t / (3.0 * (6.0 / 29.0) ** 2) + 4.0 / 29.0)
 
 
 def rgb_to_lab(px):
-    """CIELAB of an (h, w, 3) array of 8-bit sRGB values."""
+    """CIELAB of an (h, w, 3) array of 8-bit sRGB values (uint8, or any
+    dtype holding integers in [0, 255]), in float64."""
+    # the table holds the bits the expression gives for each value
+    lin = _SRGB_LINEAR[np.asarray(px).astype(np.uint8, copy=False)]
     # One (w, 3) @ (3, 3) BLAS product per row, small enough to stay on one
     # thread. Each takes the matrix kernel, so a crop converts to the bits
     # of the full-frame slice; a 1-pixel-wide image would take the vector
     # kernel, which rounds differently, so its column is doubled.
-    lin = _srgb_channel_to_linear(px)
     wide = lin if lin.shape[1] > 1 else np.concatenate([lin, lin], axis=1)
     xyz = (wide @ _SRGB_TO_XYZ.T)[:, : lin.shape[1]]
     fx = _lab_f(xyz[:, :, 0] / _D65[0])
     fy = _lab_f(xyz[:, :, 1] / _D65[1])
     fz = _lab_f(xyz[:, :, 2] / _D65[2])
-    out = np.empty_like(px)
+    out = np.empty(lin.shape)
     out[:, :, 0] = 116.0 * fy - 16.0
     out[:, :, 1] = 500.0 * (fx - fy)
     out[:, :, 2] = 200.0 * (fy - fz)
@@ -142,7 +169,11 @@ def integral_table(channels):
     """(c, h+1, w+1) cumulative sums of a (c, h, w) array, zero-padded."""
     c, h, w = channels.shape
     out = np.zeros((c, h + 1, w + 1), dtype=np.float64)
-    out[:, 1:, 1:] = channels.cumsum(axis=1).cumsum(axis=2)
+    # both sums run in place in the table: frame-sized temporaries on each
+    # decision frame made the allocator map fresh pages for them
+    sums = out[:, 1:, 1:]
+    np.cumsum(channels, axis=1, out=sums)
+    np.cumsum(sums, axis=2, out=sums)
     return out
 
 

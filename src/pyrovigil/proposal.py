@@ -45,31 +45,34 @@ class Blob:
 # background model
 
 
-def _bg_update(mean, var, gray, rho, lam, var_floor, warmup_phase):
-    d = gray - mean
-    new = np.empty_like(mean)
-    term = np.empty_like(mean)
+def _bg_update(mean, var, gray, rho, lam, var_floor, warmup_phase, planes, fg):
+    """One step of the running Gaussian, in place: `fg` (bool) receives the
+    foreground mask, and `planes`, three float64 planes of the frame's
+    shape, are scratch."""
+    d, a, b = planes
+    np.subtract(gray, mean, out=d)
     if warmup_phase:
-        fg = np.zeros(gray.shape, dtype=bool)
-        learn = True
+        fg.fill(False)
     else:
-        bound = np.sqrt(var, out=term)
+        bound = np.sqrt(var, out=a)
         np.maximum(bound, var_floor, out=bound)
         bound *= lam
-        fg = np.abs(d, out=new) > bound
-        learn = ~fg
+        np.greater(np.abs(d, out=b), bound, out=fg)
+    # foreground pixels keep their old values, written back after the update
+    held = np.flatnonzero(fg)
+    mean_flat, var_flat = mean.reshape(-1), var.reshape(-1)
+    old_mean, old_var = mean_flat[held], var_flat[held]
     # (1 - rho) * mean + rho * gray and (1 - rho) * var + rho * d**2 in
-    # this operand order, which the bits depend on, over the whole frame;
-    # written back only where the model learns
-    np.multiply(mean, 1.0 - rho, out=new)
-    np.multiply(gray, rho, out=term)
-    new += term
-    np.copyto(mean, new, where=learn)
-    np.multiply(var, 1.0 - rho, out=new)
-    np.square(d, out=term)
-    term *= rho
-    new += term
-    np.copyto(var, new, where=learn)
+    # this operand order, which the bits depend on
+    np.multiply(mean, 1.0 - rho, out=mean)
+    np.multiply(gray, rho, out=a)
+    mean += a
+    np.multiply(var, 1.0 - rho, out=var)
+    np.square(d, out=a)
+    a *= rho
+    var += a
+    mean_flat[held] = old_mean
+    var_flat[held] = old_var
     return fg
 
 
@@ -80,6 +83,9 @@ class BackgroundModel:
     tracks the plain cumulative average until the configured rate takes
     over. After the warm-up only background pixels keep learning, which
     stops foreground objects from being absorbed.
+
+    The model owns its scratch planes and its foreground mask: the mask
+    `update` returns is overwritten by the next update.
     """
 
     def __init__(self, height, width, rho=0.01, lam=2.5, var_floor=4.0, warmup=25):
@@ -94,6 +100,8 @@ class BackgroundModel:
         self.mean = np.zeros((height, width), dtype=np.float64)
         self.var = np.zeros((height, width), dtype=np.float64)
         self.frames_absorbed = 0
+        self._planes = tuple(np.empty((height, width)) for _ in range(3))
+        self._fg = np.zeros((height, width), dtype=bool)
 
     def update(self, gray: np.ndarray) -> np.ndarray:
         """Absorb one intensity frame and return its foreground mask."""
@@ -107,13 +115,14 @@ class BackgroundModel:
             self.mean[:] = gray
             self.var[:] = self.var_floor * self.var_floor
             self.frames_absorbed = 1
-            return np.zeros(gray.shape, dtype=bool)
+            self._fg.fill(False)
+            return self._fg
         t = self.frames_absorbed + 1
         rho_eff = max(self.rho, 1.0 / t)
         warmup_phase = self.frames_absorbed < self.warmup
         fg = _bg_update(
             self.mean, self.var, gray, rho_eff, self.lam, self.var_floor,
-            warmup_phase,
+            warmup_phase, self._planes, self._fg,
         )
         self.frames_absorbed = t
         return fg
@@ -266,14 +275,6 @@ class ProposalConfig:
         return max(1, round(self.min_blob_area * (width * height) / REFERENCE_PIXELS))
 
 
-def _intensity(frame: Frame) -> np.ndarray:
-    if frame.space is ColorSpace.GRAY:
-        return frame.pixels
-    if frame.space is ColorSpace.RGB:
-        return luma(frame.pixels)
-    raise ValueError(f"cannot derive intensity from {frame.space.value} frame")
-
-
 class ProposalEngine:
     """Stateful stage-1 wrapper: owns the background model (static camera)
     and the rolling brightness statistics for threshold selection.
@@ -283,7 +284,9 @@ class ProposalEngine:
     are wanted need `propose`, which absorbs the frame itself.
 
     `gray` holds the luma of the last frame absorbed, so that later stages
-    of the same frame need not compute it again, and `index` its index."""
+    of the same frame need not compute it again, and `index` its index.
+    The engine owns the luma planes: the next frame absorbed overwrites
+    `gray`, as it does the foreground mask `absorb` returns."""
 
     def __init__(self, config: ProposalConfig, width: int, height: int):
         self.config = config
@@ -300,6 +303,7 @@ class ProposalEngine:
             else None
         )
         self._recent_means = deque(maxlen=config.stats_window)
+        self._luma_planes = (np.empty((height, width)), np.empty((height, width)))
         self.gray: Optional[np.ndarray] = None
         self.index: Optional[int] = None
 
@@ -307,7 +311,13 @@ class ProposalEngine:
         """Take in one frame: its luma, its mean intensity for the rolling
         brightness, and a background model update. Returns the frame's
         foreground mask, or None without a background model."""
-        self.gray = gray = _intensity(frame)
+        if frame.space is ColorSpace.GRAY:
+            gray = frame.pixels
+        elif frame.space is ColorSpace.RGB:
+            gray = luma(frame.pixels, *self._luma_planes)
+        else:
+            raise ValueError(f"cannot derive intensity from {frame.space.value} frame")
+        self.gray = gray
         self.index = frame.index
         self._recent_means.append(float(gray.mean()))
         return None if self.model is None else self.model.update(gray)

@@ -27,6 +27,11 @@ def _value_noise(rng, h, w, cell, lo, hi):
     return np.kron(g, np.ones((cell, cell)))[:h, :w]
 
 
+def _rgb_frame(px, index=0):
+    """An RGB frame of `px` rounded to 8 bits, as `write_ppm` rounds."""
+    return Frame(np.clip(np.rint(px), 0, 255).astype(np.uint8), ColorSpace.RGB, index)
+
+
 def _ellipse(h, w, cx, cy, rx, ry):
     yy, xx = np.ogrid[:h, :w]
     return ((xx - cx) / rx) ** 2 + ((yy - cy) / ry) ** 2 <= 1.0
@@ -50,7 +55,7 @@ def _paint_fire(rng, shape_mask):
 def fire_patch(seed, size: int = 64) -> Frame:
     rng = _rng(seed, 0xF1FE)
     mask = np.ones((size, size), dtype=bool)
-    return Frame(_paint_fire(rng, mask), ColorSpace.RGB)
+    return _rgb_frame(_paint_fire(rng, mask))
 
 
 def lamp_patch(seed, size: int = 64) -> Frame:
@@ -60,7 +65,7 @@ def lamp_patch(seed, size: int = 64) -> Frame:
     for c in range(3):
         px[:, :, c] = base + _value_noise(rng, size, size, 8, -3.0, 3.0)
     px[:, :, 2] -= rng.uniform(0.0, 6.0)
-    return Frame(np.clip(px, 0, 255), ColorSpace.RGB)
+    return _rgb_frame(px)
 
 
 def carlight_patch(seed, size: int = 64) -> Frame:
@@ -69,7 +74,7 @@ def carlight_patch(seed, size: int = 64) -> Frame:
     px[:, :, 0] = 252.0 + _value_noise(rng, size, size, 8, -2.0, 3.0)
     px[:, :, 1] = 246.0 + _value_noise(rng, size, size, 8, -4.0, 3.0)
     px[:, :, 2] = 212.0 + _value_noise(rng, size, size, 8, -8.0, 8.0)
-    return Frame(np.clip(px, 0, 255), ColorSpace.RGB)
+    return _rgb_frame(px)
 
 
 def cool_patch(seed, size: int = 64) -> Frame:
@@ -88,7 +93,7 @@ def cool_patch(seed, size: int = 64) -> Frame:
         g = _value_noise(rng, size, size, 6, 40.0, 180.0)
         for c in range(3):
             px[:, :, c] = g + _value_noise(rng, size, size, 8, -10.0, 10.0)
-    return Frame(np.clip(px, 0, 255), ColorSpace.RGB)
+    return _rgb_frame(px)
 
 
 def dark_patch(seed, size: int = 64) -> Frame:
@@ -96,7 +101,7 @@ def dark_patch(seed, size: int = 64) -> Frame:
     px = np.empty((size, size, 3))
     for c in range(3):
         px[:, :, c] = _value_noise(rng, size, size, 8, 10.0, 60.0)
-    return Frame(np.clip(px, 0, 255), ColorSpace.RGB)
+    return _rgb_frame(px)
 
 
 def nonfire_patch(seed, size: int = 64) -> Frame:
@@ -178,7 +183,7 @@ class SyntheticScene:
             mask = self.flame_mask(t)
             fire = _paint_fire(rng, mask)
             px[mask] = fire[mask]
-        return Frame(np.clip(np.rint(px), 0, 255), ColorSpace.RGB, index=t)
+        return _rgb_frame(px, t)
 
     def frames(self, count: int, start: int = 0):
         for t in range(start, start + count):

@@ -12,7 +12,8 @@ def _noise_patch(seed, salt, size, hot_channel):
     for c in range(3):
         lo, hi = (150, 255) if c == hot_channel else (0, 80)
         px[:, :, c] = rng.uniform(lo, hi, (size, size))
-    return Frame(px, ColorSpace.RGB)
+    # rounded as `write_ppm` rounds, so a patch file holds the same pixels
+    return Frame(np.rint(px).astype(np.uint8), ColorSpace.RGB)
 
 
 def red_noise_patch(seed, size: int = 48) -> Frame:

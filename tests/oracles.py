@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 
 from pyrovigil.features import haar_margin
+from pyrovigil.imaging import _D65, _SRGB_TO_XYZ, _lab_f, _srgb_channel_to_linear
 from pyrovigil.pipeline import AlarmEvent
 
 
@@ -20,6 +21,31 @@ def kernel_fits(cx, cy, scale, width, height):
         and x0 + scale - 1 + h <= width - 1
         and y0 + scale - 1 + h <= height - 1
     )
+
+
+def rgb_to_lab_float(px):
+    """CIELAB of (h, w, 3) sRGB values as float64 arithmetic from start to
+    end: the expression `imaging.rgb_to_lab` replaced with a table lookup
+    for 8-bit input, which must keep its bits."""
+    px = np.asarray(px, dtype=np.float64)
+    lin = _srgb_channel_to_linear(px)
+    wide = lin if lin.shape[1] > 1 else np.concatenate([lin, lin], axis=1)
+    xyz = (wide @ _SRGB_TO_XYZ.T)[:, : lin.shape[1]]
+    fx = _lab_f(xyz[:, :, 0] / _D65[0])
+    fy = _lab_f(xyz[:, :, 1] / _D65[1])
+    fz = _lab_f(xyz[:, :, 2] / _D65[2])
+    out = np.empty_like(px)
+    out[:, :, 0] = 116.0 * fy - 16.0
+    out[:, :, 1] = 500.0 * (fx - fy)
+    out[:, :, 2] = 200.0 * (fy - fz)
+    return out
+
+
+def luma_float(px):
+    """BT.601 luma of (h, w, 3) pixels widened to float64 first, in the
+    operand order `imaging.luma` keeps."""
+    px = np.asarray(px, dtype=np.float64)
+    return px[:, :, 0] * 0.299 + px[:, :, 1] * 0.587 + px[:, :, 2] * 0.114
 
 
 def paint_runs(shape, rows, starts, ends, labels):

@@ -141,7 +141,7 @@ def test_criterion_4_normalization_invariants():
     nn = cb.NNIndex(centers)
     params = cb.EncoderParams(m=10, sigma=0.7)
     for trial in range(100):
-        img = rng.integers(0, 256, (20, 24, 3)).astype(float)
+        img = rng.integers(0, 256, (20, 24, 3)).astype(np.uint8)
         lab = convert(Frame(img, ColorSpace.RGB), ColorSpace.LAB).pixels
         hist = histogram_from_pixels(lab)
         assert abs(hist.sum() - 3.0) <= 1e-9

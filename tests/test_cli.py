@@ -265,9 +265,9 @@ BAD_OUTPUTS = [
 ]
 
 
-@pytest.mark.parametrize("case", BAD_OUTPUTS, ids=lambda c: " ".join(c[:2]))
-def test_unwritable_output_exits_2(tmp_path, capsys, synth_artifacts, case):
-    command, flag, value = case
+def _output_argv(tmp_path, synth_artifacts, command):
+    """`detect` or `evaluate` argv up to its output flags, over one clip
+    whose second frame changes size."""
     frames_dir = tmp_path / "ds" / "clip"
     frames_dir.mkdir(parents=True)
     write_ppm(frames_dir / "000000.ppm", np.zeros((60, 80, 3), np.uint8))
@@ -284,11 +284,33 @@ def test_unwritable_output_exits_2(tmp_path, capsys, synth_artifacts, case):
         labels = tmp_path / "labels.txt"
         labels.write_text("clip 0 200 fire\n")
         argv = ["evaluate", "--labels", str(labels), "--dataset", str(tmp_path / "ds")]
-    argv += ["--config", str(cfg), flag, value.format(tmp=tmp_path)]
-    code = main(argv)
+    return argv + ["--config", str(cfg)]
+
+
+@pytest.mark.parametrize("case", BAD_OUTPUTS, ids=lambda c: " ".join(c[:2]))
+def test_unwritable_output_exits_2(tmp_path, capsys, synth_artifacts, case):
+    command, flag, value = case
+    argv = _output_argv(tmp_path, synth_artifacts, command)
+    code = main(argv + [flag, value.format(tmp=tmp_path)])
     err = capsys.readouterr().err
     assert code == 2
     assert "config error: cannot write" in err
+
+
+@pytest.mark.parametrize("command, alarms_flag", [
+    ("detect", "--alarms"), ("evaluate", "--alarms-out"),
+])
+def test_unwritable_trace_keeps_alarm_log(tmp_path, capsys, synth_artifacts,
+                                          command, alarms_flag):
+    # every output path is checked before any is opened, so a command that
+    # stops on an unwritable trace leaves an earlier alarm log as it was
+    alarms = tmp_path / "alarms.log"
+    alarms.write_text("scene 220 1 65,156,31,53 0.721099594\n")
+    argv = _output_argv(tmp_path, synth_artifacts, command)
+    argv += [alarms_flag, str(alarms), "--trace", str(tmp_path / "nodir" / "t.jsonl")]
+    assert main(argv) == 2
+    assert "config error: cannot write trace" in capsys.readouterr().err
+    assert alarms.read_text() == "scene 220 1 65,156,31,53 0.721099594\n"
 
 
 def _dark_clip(frames_dir, count):

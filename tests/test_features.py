@@ -125,7 +125,7 @@ class TestGlobalHistogram:
             assert block.max() == 1.0
 
     def test_total_mass_is_three(self, rng):
-        img = rng.integers(0, 256, (20, 30, 3)).astype(float)
+        img = rng.integers(0, 256, (20, 30, 3)).astype(np.uint8)
         lab = convert(Frame(img, ColorSpace.RGB), ColorSpace.LAB).pixels
         hist = histogram_from_pixels(lab)
         assert abs(hist.sum() - 3.0) <= 1e-9
@@ -216,7 +216,7 @@ class TestSurf:
 
 class TestLocalColorHistogram:
     def test_uniform_patch(self):
-        frame = Frame(np.full((15, 15, 3), 80.0), ColorSpace.RGB)
+        frame = Frame(np.full((15, 15, 3), 80, np.uint8), ColorSpace.RGB)
         hist = _local_hist(frame, 7, 7, 9)
         for c in range(3):
             block = hist[c * 8 : c * 8 + 8]
@@ -224,14 +224,14 @@ class TestLocalColorHistogram:
             assert (block > 0).sum() == 1
 
     def test_mass_is_three(self, rng):
-        img = rng.integers(0, 256, (20, 20, 3)).astype(float)
+        img = rng.integers(0, 256, (20, 20, 3)).astype(np.uint8)
         hist = _local_hist(Frame(img, ColorSpace.RGB), 10, 10, 9)
         assert abs(hist.sum() - 3.0) <= 1e-9
 
     def test_half_red_half_green(self):
-        img = np.zeros((10, 10, 3))
-        img[:, :5] = (200.0, 30.0, 30.0)  # red half
-        img[:, 5:] = (30.0, 180.0, 30.0)  # green half
+        img = np.zeros((10, 10, 3), np.uint8)
+        img[:, :5] = (200, 30, 30)  # red half
+        img[:, 5:] = (30, 180, 30)  # green half
         hist = _local_hist(Frame(img, ColorSpace.RGB), 5, 5, 10)
         # oracle: a* bins of the two colors via the reference conversion
         _, a_red, _ = _ref_lab(200, 30, 30)
@@ -285,7 +285,7 @@ def centers(placements):
 
 class TestSampling:
     def test_27x27_grid_count(self, rng):
-        img = rng.integers(0, 256, (27, 27, 3)).astype(float)
+        img = rng.integers(0, 256, (27, 27, 3)).astype(np.uint8)
         frame = Frame(img, ColorSpace.RGB)
         plan = SamplingPlan(interval=9, scales=(9,))
         descs = sample(frame, plan)
@@ -298,7 +298,7 @@ class TestSampling:
         for _ in range(5):
             w = int(rng.integers(24, 60))
             h = int(rng.integers(24, 60))
-            img = rng.integers(0, 256, (h, w, 3)).astype(float)
+            img = rng.integers(0, 256, (h, w, 3)).astype(np.uint8)
             plan = SamplingPlan(interval=7, scales=(9, 12))
             descs = sample(Frame(img, ColorSpace.RGB), plan)
             expected = sum(
@@ -307,7 +307,7 @@ class TestSampling:
             assert len(descs) == expected
 
     def test_deterministic(self, rng):
-        img = rng.integers(0, 256, (40, 40, 3)).astype(float)
+        img = rng.integers(0, 256, (40, 40, 3)).astype(np.uint8)
         frame = Frame(img, ColorSpace.RGB)
         plan = SamplingPlan()
         a = sample(frame, plan)
@@ -316,18 +316,18 @@ class TestSampling:
         assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
     def test_all_zero_mask_gives_empty_list(self, rng):
-        img = rng.integers(0, 256, (30, 30, 3)).astype(float)
+        img = rng.integers(0, 256, (30, 30, 3)).astype(np.uint8)
         frame = Frame(img, ColorSpace.RGB)
         descs = sample(frame, SamplingPlan(), mask=np.zeros((30, 30), dtype=bool))
         assert descs.shape == (0, 88)
 
     def test_too_small_frame_raises(self):
-        frame = Frame(np.zeros((8, 8, 3)), ColorSpace.RGB)
+        frame = Frame(np.zeros((8, 8, 3), np.uint8), ColorSpace.RGB)
         with pytest.raises(ValueError, match="no valid sample positions"):
             sample(frame, SamplingPlan(interval=9, scales=(9,)))
 
     def test_anchor_shifts_grid(self, rng):
-        img = rng.integers(0, 256, (40, 40, 3)).astype(float)
+        img = rng.integers(0, 256, (40, 40, 3)).astype(np.uint8)
         frame = Frame(img, ColorSpace.RGB)
         placements = sample_positions(frame, SamplingPlan(), anchor=(7, 6))
         oracle = enumerate_valid_centers(40, 40, 9, 9, anchor=(7, 6))
@@ -335,7 +335,7 @@ class TestSampling:
 
     def test_region_without_fitting_kernel_gives_no_rows(self, rng):
         # the region's grid holds no kernel that fits; the frame has some
-        img = rng.integers(0, 256, (40, 40, 3)).astype(float)
+        img = rng.integers(0, 256, (40, 40, 3)).astype(np.uint8)
         frame = Frame(img, ColorSpace.RGB)
         for anchor in ((0, 0), (35, 0), (0, 36), (35, 36)):
             descs = sample(
@@ -364,7 +364,7 @@ class TestSampling:
             assert list(zip(cxs.tolist(), cys.tolist())) == want
 
     def test_descriptor_dimensions(self, rng):
-        img = rng.integers(0, 256, (30, 30, 3)).astype(float)
+        img = rng.integers(0, 256, (30, 30, 3)).astype(np.uint8)
         descs = sample(Frame(img, ColorSpace.RGB), SamplingPlan())
         assert descs.ndim == 2 and descs.shape[1] == 88 and descs.shape[0] > 0
         norms = np.linalg.norm(descs[:, 0:64], axis=1)
@@ -441,7 +441,8 @@ def _scene_blobs(camera, spec):
         frame = scene.frame(t)
         blobs, _ = engine.propose(frame)
         if t >= 100 and t % 7 == 0:
-            found.append((frame, blobs, engine.gray))
+            # the engine overwrites its luma plane at the next frame
+            found.append((frame, blobs, engine.gray.copy()))
     return found
 
 

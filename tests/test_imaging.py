@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 import types
 
 import numpy as np
@@ -6,9 +7,11 @@ import pytest
 
 from pyrovigil.errors import DataError
 from pyrovigil.frameio import frame_dir_source, read_ppm, write_ppm
-from pyrovigil.imaging import ColorSpace, Frame, convert, integral, luma
+from pyrovigil.imaging import (
+    ColorSpace, Frame, convert, integral, integral_table, luma, rgb_to_lab,
+)
 
-from oracles import corner_sum
+from oracles import corner_sum, luma_float, rgb_to_lab_float
 
 
 # independent scalar reference for sRGB -> XYZ(D65) -> CIELAB
@@ -31,7 +34,7 @@ def _ref_lab(r8, g8, b8):
 
 
 def _rgb_frame(*pixels):
-    arr = np.array(pixels, dtype=np.float64).reshape(1, -1, 3)
+    arr = np.array(pixels, dtype=np.uint8).reshape(1, -1, 3)
     return Frame(arr, ColorSpace.RGB)
 
 
@@ -51,7 +54,7 @@ class TestConvert:
 
     def test_lab_reference_on_random_colors(self, rng):
         colors = rng.integers(0, 256, (20, 3))
-        frame = Frame(colors.reshape(1, 20, 3).astype(float), ColorSpace.RGB)
+        frame = Frame(colors.reshape(1, 20, 3).astype(np.uint8), ColorSpace.RGB)
         lab = convert(frame, ColorSpace.LAB).pixels[0]
         for i, (r, g, b) in enumerate(colors):
             assert np.allclose(lab[i], _ref_lab(r, g, b), atol=1e-9)
@@ -63,7 +66,7 @@ class TestConvert:
         assert abs(g2 - 29.9) < 1e-9
 
     def test_deterministic(self, rng):
-        img = rng.integers(0, 256, (13, 17, 3)).astype(float)
+        img = rng.integers(0, 256, (13, 17, 3)).astype(np.uint8)
         a = convert(Frame(img, ColorSpace.RGB), ColorSpace.LAB).pixels
         b = convert(Frame(img, ColorSpace.RGB), ColorSpace.LAB).pixels
         assert a.tobytes() == b.tobytes()
@@ -74,7 +77,7 @@ class TestConvert:
             convert(lab, ColorSpace.GRAY)
 
     def test_preserves_dims_and_index(self, rng):
-        img = rng.integers(0, 256, (7, 5, 3)).astype(float)
+        img = rng.integers(0, 256, (7, 5, 3)).astype(np.uint8)
         out = convert(Frame(img, ColorSpace.RGB, index=41), ColorSpace.LAB)
         assert (out.height, out.width, out.index) == (7, 5, 41)
 
@@ -109,7 +112,7 @@ class TestLabCrops:
         from pyrovigil.synth import SceneSpec, SyntheticScene
 
         if source == "noise":
-            frame = Frame(rng.integers(0, 256, (240, 320, 3)).astype(float))
+            frame = Frame(rng.integers(0, 256, (240, 320, 3)).astype(np.uint8))
         else:
             frame = SyntheticScene(SceneSpec(seed=7)).frame(130)
         full = convert(frame, ColorSpace.LAB).pixels
@@ -121,27 +124,88 @@ class TestLabCrops:
             ), (x0, y0, w, h)
 
 
+class TestLabTable:
+    """`rgb_to_lab` linearizes 8-bit values through a table; it must give
+    the bits of the float64 expression it replaced."""
+
+    def test_every_value(self):
+        values = np.arange(256, dtype=np.uint8)
+        # each value in each channel, beside different values in the others
+        px = np.stack([values, np.roll(values, 85), np.roll(values, 170)], axis=1)
+        for shift in range(3):
+            rgb = np.roll(px, shift, axis=1).reshape(1, 256, 3)
+            assert np.array_equal(
+                _bits(rgb_to_lab(rgb)), _bits(rgb_to_lab_float(rgb))
+            )
+
+    def test_random_frames(self, rng):
+        for shape in [(240, 320, 3), (7, 1, 3), (1, 9, 3), (1, 1, 3)]:
+            px = rng.integers(0, 256, shape).astype(np.uint8)
+            want = _bits(rgb_to_lab_float(px))
+            assert np.array_equal(_bits(rgb_to_lab(px)), want)
+            # integer-valued float64, as the benchmark's kernel case passes
+            assert np.array_equal(_bits(rgb_to_lab(px.astype(np.float64))), want)
+
+    def test_scene_crops(self, rng):
+        from pyrovigil.synth import SceneSpec, SyntheticScene
+
+        frame = SyntheticScene(SceneSpec(seed=7)).frame(130)
+        for x0, y0, w, h in _crop_boxes(rng, frame.height, frame.width, 200):
+            px = frame.pixels[y0 : y0 + h, x0 : x0 + w]
+            lab = convert(Frame(px, ColorSpace.RGB), ColorSpace.LAB).pixels
+            assert np.array_equal(_bits(lab), _bits(rgb_to_lab_float(px))), (x0, y0, w, h)
+
+
+class TestLuma:
+    def test_owned_planes_match_float_luma(self, rng):
+        from pyrovigil.synth import SceneSpec, SyntheticScene
+
+        h, w = 240, 320
+        out, scratch = np.empty((h, w)), np.empty((h, w))
+        frames = [
+            rng.integers(0, 256, (h, w, 3)).astype(np.uint8),
+            SyntheticScene(SceneSpec(seed=7)).frame(130).pixels,
+        ]
+        for px in frames:
+            got = luma(px, out, scratch)
+            assert got is out
+            want = _bits(luma_float(px))
+            assert np.array_equal(_bits(got), want)
+            assert np.array_equal(_bits(luma(px)), want)
+            assert np.array_equal(_bits(luma(px.astype(np.float64))), want)
+
+
 class TestFrame:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            Frame(np.zeros((4, 4)), ColorSpace.RGB)
+            Frame(np.zeros((4, 4), np.uint8), ColorSpace.RGB)
         with pytest.raises(ValueError):
             Frame(np.zeros((4, 4, 3)), ColorSpace.GRAY)
         with pytest.raises(ValueError):
-            Frame(np.zeros((0, 4, 3)), ColorSpace.RGB)
+            Frame(np.zeros((0, 4, 3), np.uint8), ColorSpace.RGB)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.int16])
+    def test_rgb_must_be_uint8(self, dtype):
+        with pytest.raises(ValueError, match=f"RGB frame must be uint8, got {np.dtype(dtype)}"):
+            Frame(np.zeros((4, 4, 3), dtype), ColorSpace.RGB)
+
+    def test_gray_and_lab_are_float64(self):
+        gray = Frame(np.zeros((4, 4), np.uint8), ColorSpace.GRAY)
+        lab = Frame(np.zeros((4, 4, 3), np.float32), ColorSpace.LAB)
+        assert gray.pixels.dtype == lab.pixels.dtype == np.float64
 
     def test_immutable(self):
-        f = Frame(np.zeros((2, 2, 3)), ColorSpace.RGB)
+        f = Frame(np.zeros((2, 2, 3), np.uint8), ColorSpace.RGB)
         with pytest.raises(ValueError):
-            f.pixels[0, 0, 0] = 1.0
+            f.pixels[0, 0, 0] = 1
 
     @pytest.mark.parametrize("space, shape", [
         (ColorSpace.RGB, (4, 4, 3)), (ColorSpace.GRAY, (4, 4)),
     ])
     def test_caller_array_stays_writeable(self, space, shape):
-        # the frame shares the caller's float64 array without a copy, but
-        # only its own handle is read-only
-        px = np.zeros(shape)
+        # the frame shares the caller's array of its space's dtype without
+        # a copy, but only its own handle is read-only
+        px = np.zeros(shape, np.uint8 if space is ColorSpace.RGB else np.float64)
         f = Frame(px, space)
         assert np.shares_memory(f.pixels, px)
         assert px.flags.writeable
@@ -177,8 +241,21 @@ class TestIntegral:
             brute = float(px[y : y + h, x : x + w].sum())
             assert corner_sum(ii.table[0], x, y, w, h) == brute
 
+    def test_sums_in_place_with_the_bits_of_two_cumsums(self, rng):
+        gray = rng.uniform(0, 255, (240, 320))
+        want = gray.cumsum(axis=0).cumsum(axis=1)
+        tracemalloc.start()
+        try:
+            table = integral_table(gray[np.newaxis])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(_bits(table[0, 1:, 1:]), _bits(want))
+        # the table itself, and no frame-sized temporary
+        assert peak < table.nbytes + gray.nbytes // 2
+
     def test_color_frame_raises(self, rng):
-        px = rng.integers(0, 256, (4, 4, 3)).astype(float)
+        px = rng.integers(0, 256, (4, 4, 3)).astype(np.uint8)
         with pytest.raises(ValueError, match="needs a gray frame, got rgb"):
             integral(Frame(px, ColorSpace.RGB))
 

@@ -257,7 +257,7 @@ class TestCascade:
         ).validate()
         pipeline = DetectionPipeline(config)
         frames = (
-            Frame(np.zeros((60, 80, 3)), ColorSpace.RGB, index=i) for i in range(30)
+            Frame(np.zeros((60, 80, 3), np.uint8), ColorSpace.RGB, index=i) for i in range(30)
         )
         alarms = list(pipeline.run(frames))
         assert alarms == []
@@ -353,9 +353,9 @@ class TestCascade:
         ).validate()
         pipeline = DetectionPipeline(config)
         frames = [
-            Frame(np.zeros((60, 80, 3)), ColorSpace.RGB, index=0),
-            Frame(np.zeros((60, 80, 3)), ColorSpace.RGB, index=1),
-            Frame(np.zeros((40, 80, 3)), ColorSpace.RGB, index=2),
+            Frame(np.zeros((60, 80, 3), np.uint8), ColorSpace.RGB, index=0),
+            Frame(np.zeros((60, 80, 3), np.uint8), ColorSpace.RGB, index=1),
+            Frame(np.zeros((40, 80, 3), np.uint8), ColorSpace.RGB, index=2),
         ]
         with pytest.raises(DataError, match="frame 2 is 80x40"):
             list(pipeline.run(frames))
@@ -400,7 +400,7 @@ class TestCascade:
             model_path=str(synth_artifacts["model_path"]),
         ).validate()
         frames = [
-            Frame(np.zeros((60, 80, 3)), ColorSpace.RGB, index=i) for i in indices
+            Frame(np.zeros((60, 80, 3), np.uint8), ColorSpace.RGB, index=i) for i in indices
         ]
         with pytest.raises(DataError, match=f"frame {indices[2]} follows frame {indices[1]}"):
             list(DetectionPipeline(config).run(frames))
@@ -414,9 +414,9 @@ class TestCascade:
         original = imaging.luma
         calls = []
 
-        def counted(pixels):
+        def counted(pixels, *planes):
             calls.append(pixels.shape)
-            return original(pixels)
+            return original(pixels, *planes)
 
         monkeypatch.setattr(imaging, "luma", counted)
         monkeypatch.setattr(proposal, "luma", counted)
@@ -461,7 +461,7 @@ class TestCascade:
         ).validate()
         pipeline = DetectionPipeline(config)
         frames = (
-            Frame(np.zeros((40, 60, 3)), ColorSpace.RGB, index=i) for i in range(6)
+            Frame(np.zeros((40, 60, 3), np.uint8), ColorSpace.RGB, index=i) for i in range(6)
         )
         trace = io.StringIO()
         list(pipeline.run(frames, "dark", trace))
@@ -656,7 +656,7 @@ class TestDecide:
         monkeypatch.setattr(pipeline_module, "SampleContext", forbidden)
         monkeypatch.setattr(cl, "predict", forbidden)
         pipeline = self._pipeline(synth_artifacts)
-        frame = Frame(np.zeros((60, 80, 3)), ColorSpace.RGB)
+        frame = Frame(np.zeros((60, 80, 3), np.uint8), ColorSpace.RGB)
         assert pipeline.decide(frame, None, []) == ([], [])
         assert pipeline.stats.classifier_calls == 0
 

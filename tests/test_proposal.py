@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from pyrovigil.proposal import (
 )
 from pyrovigil.synth import SceneSpec, SyntheticScene
 
-from oracles import paint_runs
+from oracles import luma_float, paint_runs
 
 
 def _flood_fill_labels(mask):
@@ -135,6 +137,12 @@ def _bg_update_gather(mean, var, gray, rho, lam, var_floor, warmup_phase):
     return fg
 
 
+def _owned_buffers(shape):
+    """Scratch planes and a foreground mask for `_bg_update`, filled with
+    values it must overwrite."""
+    return tuple(np.full(shape, np.nan) for _ in range(3)), np.ones(shape, dtype=bool)
+
+
 def _same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
@@ -247,10 +255,13 @@ class TestBackgroundModel:
         steps += [(noise[2], 1.0, False), (noise[3], 0.01, False)]
         mean, var = synth[0].copy(), np.full((240, 320), var_floor * var_floor)
         want_mean, want_var = mean.copy(), var.copy()
+        # one set of buffers for every step, as a model reuses its own
+        planes, fg_out = _owned_buffers((240, 320))
         clamped = False
         for gray, rho, warmup in steps:
             clamped |= bool((var < var_floor * var_floor).any())
-            fg = _bg_update(mean, var, gray, rho, lam, var_floor, warmup)
+            fg = _bg_update(mean, var, gray, rho, lam, var_floor, warmup, planes, fg_out)
+            assert fg is fg_out
             want_fg = _bg_update_gather(
                 want_mean, want_var, gray, rho, lam, var_floor, warmup
             )
@@ -271,7 +282,9 @@ class TestBackgroundModel:
         gray[:4, 1::3] = 90.0
         gray[:4, 2::3] = np.nextafter(110.0, 200.0)  # just past it
         want_mean, want_var = mean.copy(), var.copy()
-        fg = _bg_update(mean, var, gray, 0.01, lam, var_floor, False)
+        fg = _bg_update(
+            mean, var, gray, 0.01, lam, var_floor, False, *_owned_buffers((240, 320))
+        )
         want_fg = _bg_update_gather(want_mean, want_var, gray, 0.01, lam, var_floor, False)
         assert not fg[:4, 0::3].any() and not fg[:4, 1::3].any()
         assert fg[:4, 2::3].all()
@@ -630,3 +643,23 @@ class TestAbsorb:
             assert _same_bits(strided.gray, every.gray)
             assert strided.index == every.index == frame.index
         assert blobs_seen > 10
+
+    @pytest.mark.parametrize("camera", ["static", "moving"])
+    def test_absorb_allocates_no_frame_plane(self, camera):
+        # luma and the background update go to planes the engine owns; what
+        # one absorb allocates is smaller than one float64 plane
+        scene = SyntheticScene(SceneSpec(seed=7, flame_onset=30))
+        engine = ProposalEngine(ProposalConfig(camera=camera), 320, 240)
+        frames = list(scene.frames(40))
+        for frame in frames[:-1]:
+            engine.absorb(frame)
+        assert camera == "moving" or engine.model.frames_absorbed > engine.model.warmup
+        tracemalloc.start()
+        try:
+            fg = engine.absorb(frames[-1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 320 * 240 * 8
+        assert _same_bits(engine.gray, luma_float(frames[-1].pixels))
+        assert camera == "moving" or fg.any()  # the flame is foreground
