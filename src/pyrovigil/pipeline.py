@@ -67,11 +67,12 @@ def _parse(kind, text: str):
     return kind(text)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig(ProposalConfig):
     """Every setting of the cascade; the proposal stage's come from
     `ProposalConfig`. Each field is a config key, under its own name but
-    for `codebook` and `model`."""
+    for `codebook` and `model`. Ranges are checked when the config is
+    built (ValueError); `validate` checks the files."""
 
     codebook_path: str = ""
     model_path: str = ""
@@ -84,36 +85,21 @@ class PipelineConfig(ProposalConfig):
     iou_threshold: float = 0.3
     track_max_gap: int = 5  # in decision ticks; scaled by the stride
 
-    def validate(self):
-        if self.camera not in ("static", "moving"):
-            raise ConfigError(f"camera must be static or moving, got {self.camera!r}")
+    def __post_init__(self):
+        super().__post_init__()
         if self.decision_stride < 1:
-            raise ConfigError("decision_stride must be >= 1")
-        if not 0 < self.t1 < self.t2:
-            raise ConfigError(f"need 0 < t1 < t2, got t1={self.t1} t2={self.t2}")
-        if self.m < 1:
-            raise ConfigError("m must be >= 1")
-        if not 0 < self.rho <= 1:
-            raise ConfigError(f"rho must be in (0, 1], got {self.rho}")
-        # lam <= 0 marks every pixel foreground; NaN marks none
-        if not (math.isfinite(self.lam) and self.lam > 0):
-            raise ConfigError(f"lam must be finite and > 0, got {self.lam}")
-        if not (math.isfinite(self.var_floor) and self.var_floor >= 0):
-            raise ConfigError(f"var_floor must be finite and >= 0, got {self.var_floor}")
-        if self.stats_window < 1:
-            raise ConfigError("stats_window must be >= 1")
+            raise ValueError(f"decision_stride must be >= 1, got {self.decision_stride}")
         if self.track_max_gap < 1:
-            raise ConfigError("track_max_gap must be >= 1")
-        if len(self.ladder) < 1:
-            raise ConfigError("threshold ladder must not be empty")
-        if not all(0 < rung <= 255 for rung in self.ladder):
-            raise ConfigError(f"ladder rungs must be in (0, 255], got {self.ladder}")
+            raise ValueError(f"track_max_gap must be >= 1, got {self.track_max_gap}")
         if not 0 < self.iou_threshold <= 1:
-            raise ConfigError(f"iou_threshold must be in (0, 1], got {self.iou_threshold}")
-        try:
-            SamplingPlan(self.interval, tuple(self.scales))
-        except ValueError as e:
-            raise ConfigError(f"bad sampling settings: {e}") from None
+            raise ValueError(f"iou_threshold must be in (0, 1], got {self.iou_threshold}")
+        # the stages' own settings objects check the rest
+        StabilityThresholds(self.t1, self.t2)
+        cb.EncoderParams(self.m)
+        SamplingPlan(self.interval, tuple(self.scales))
+
+    def validate(self):
+        """This config, after checking that its codebook and model files exist."""
         for name, p in (("codebook", self.codebook_path), ("model", self.model_path)):
             if not p:
                 raise ConfigError(f"{name} path not set")
@@ -162,7 +148,10 @@ class PipelineConfig(ProposalConfig):
         if preset is not None:
             kwargs.setdefault("t1", preset.t1)
             kwargs.setdefault("t2", preset.t2)
-        return cls(**kwargs)
+        try:
+            return cls(**kwargs)
+        except ValueError as e:
+            raise ConfigError(f"{path}: {e}") from None
 
 
 @dataclass

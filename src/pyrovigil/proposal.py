@@ -7,6 +7,7 @@ the top rung, a bright one the bottom, so bright backgrounds do not
 flood the candidate mask while dim scenes still stay selective.
 """
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -33,12 +34,46 @@ class Blob:
     h: int
     area: int
     perimeter: int
-    centroid: tuple
     mask: np.ndarray  # (h, w) bool, local to the bounding box
 
     @property
     def bbox(self):
         return (self.x, self.y, self.w, self.h)
+
+
+@dataclass(frozen=True)
+class ProposalConfig:
+    """Stage 1's settings, each range-checked when the config is built
+    (ValueError)."""
+
+    camera: str = "static"  # static | moving
+    ladder: Tuple[float, ...] = DEFAULT_LADDER
+    min_blob_area: int = 64  # at 320x240; scaled by resolution ratio
+    rho: float = 0.01
+    lam: float = 2.5
+    var_floor: float = 4.0
+    warmup: int = 25
+    stats_window: int = 25
+
+    def __post_init__(self):
+        if self.camera not in ("static", "moving"):
+            raise ValueError(f"camera must be static or moving, got {self.camera!r}")
+        if not self.ladder:
+            raise ValueError("threshold ladder must not be empty")
+        if not all(0 < rung <= 255 for rung in self.ladder):
+            raise ValueError(f"ladder rungs must be in (0, 255], got {self.ladder}")
+        if not 0 < self.rho <= 1:
+            raise ValueError(f"rho must be in (0, 1], got {self.rho}")
+        # lam <= 0 marks every pixel foreground; NaN marks none
+        if not (math.isfinite(self.lam) and self.lam > 0):
+            raise ValueError(f"lam must be finite and > 0, got {self.lam}")
+        if not (math.isfinite(self.var_floor) and self.var_floor >= 0):
+            raise ValueError(f"var_floor must be finite and >= 0, got {self.var_floor}")
+        if self.stats_window < 1:
+            raise ValueError(f"stats_window must be >= 1, got {self.stats_window}")
+
+    def scaled_min_area(self, width: int, height: int) -> int:
+        return max(1, round(self.min_blob_area * (width * height) / REFERENCE_PIXELS))
 
 
 # ---------------------------------------------------------------------------
@@ -88,15 +123,12 @@ class BackgroundModel:
     `update` returns is overwritten by the next update.
     """
 
-    def __init__(self, height, width, rho=0.01, lam=2.5, var_floor=4.0, warmup=25):
-        if rho <= 0 or rho > 1:
-            raise ValueError(f"rho must be in (0, 1], got {rho}")
-        self.height = height
-        self.width = width
-        self.rho = float(rho)
-        self.lam = float(lam)
-        self.var_floor = float(var_floor)
-        self.warmup = int(warmup)
+    def __init__(self, height, width, config: ProposalConfig = ProposalConfig()):
+        self.height, self.width = height, width
+        self.rho = float(config.rho)
+        self.lam = float(config.lam)
+        self.var_floor = float(config.var_floor)
+        self.warmup = int(config.warmup)
         self.mean = np.zeros((height, width), dtype=np.float64)
         self.var = np.zeros((height, width), dtype=np.float64)
         self.frames_absorbed = 0
@@ -231,7 +263,6 @@ def _blob_from_coords(ys, xs):
         h=bh,
         area=int(ys.size),
         perimeter=perimeter,
-        centroid=(float(xs.mean()), float(ys.mean())),
         mask=local,
     )
 
@@ -260,21 +291,6 @@ def extract_blobs(mask: np.ndarray, min_area: int = 1) -> List[Blob]:
 # the proposal stage
 
 
-@dataclass
-class ProposalConfig:
-    camera: str = "static"  # static | moving
-    ladder: Tuple[float, ...] = DEFAULT_LADDER
-    min_blob_area: int = 64  # at 320x240; scaled by resolution ratio
-    rho: float = 0.01
-    lam: float = 2.5
-    var_floor: float = 4.0
-    warmup: int = 25
-    stats_window: int = 25
-
-    def scaled_min_area(self, width: int, height: int) -> int:
-        return max(1, round(self.min_blob_area * (width * height) / REFERENCE_PIXELS))
-
-
 class ProposalEngine:
     """Stateful stage-1 wrapper: owns the background model (static camera)
     and the rolling brightness statistics for threshold selection.
@@ -291,17 +307,7 @@ class ProposalEngine:
     def __init__(self, config: ProposalConfig, width: int, height: int):
         self.config = config
         self.width, self.height = width, height
-        if config.camera not in ("static", "moving"):
-            raise ValueError(f"camera must be 'static' or 'moving', got {config.camera!r}")
-        if config.stats_window < 1:
-            raise ValueError(f"stats_window must be >= 1, got {config.stats_window}")
-        self.model = (
-            BackgroundModel(
-                height, width, config.rho, config.lam, config.var_floor, config.warmup
-            )
-            if config.camera == "static"
-            else None
-        )
+        self.model = BackgroundModel(height, width, config) if config.camera == "static" else None
         self._recent_means = deque(maxlen=config.stats_window)
         self._luma_planes = (np.empty((height, width)), np.empty((height, width)))
         self.gray: Optional[np.ndarray] = None

@@ -19,6 +19,10 @@ from .proposal import Blob
 
 WINDOW = 25
 
+# (t1, t2) per scene; outdoor flames are pushed around by airflow, so
+# wider bands
+_PRESETS = {"indoor": (0.15, 0.40), "outdoor": (0.25, 0.60)}
+
 
 class TrackState(Enum):
     PENDING = "pending"
@@ -42,22 +46,11 @@ class StabilityThresholds:
             raise ValueError(f"need 0 < t1 < t2, got t1={self.t1}, t2={self.t2}")
 
     @classmethod
-    def indoor(cls):
-        return cls(0.15, 0.40)
-
-    @classmethod
-    def outdoor(cls):
-        # outdoor flames are pushed around by airflow, so wider bands
-        return cls(0.25, 0.60)
-
-    @classmethod
     def preset(cls, name: str):
-        name = name.lower()
-        if name == "indoor":
-            return cls.indoor()
-        if name == "outdoor":
-            return cls.outdoor()
-        raise ValueError(f"unknown thresholds preset {name!r}")
+        try:
+            return cls(*_PRESETS[name.lower()])
+        except KeyError:
+            raise ValueError(f"unknown thresholds preset {name!r}") from None
 
 
 @dataclass
@@ -147,7 +140,7 @@ class Tracker:
         iou_threshold: float = 0.3,
         max_gap: int = 5,
     ):
-        self.thresholds = thresholds or StabilityThresholds.indoor()
+        self.thresholds = thresholds or StabilityThresholds.preset("indoor")
         self.iou_threshold = iou_threshold
         self.max_gap = max_gap
         self.tracks: List[BlobTrack] = []

@@ -429,7 +429,7 @@ def _edge_blobs(rng, width, height):
     for x, y, bw, bh in boxes:
         mask = rng.random((bh, bw)) < 0.7
         mask[0, 0] = mask[-1, -1] = True
-        blobs.append(Blob(x, y, bw, bh, int(mask.sum()), 0, (x, y), mask))
+        blobs.append(Blob(x, y, bw, bh, int(mask.sum()), 0, mask))
     return blobs
 
 

@@ -1,7 +1,7 @@
 import io
 import json
 import time
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -23,6 +23,7 @@ from pyrovigil.pipeline import (
     train_codebook,
     train_model,
 )
+from pyrovigil.proposal import ProposalConfig
 from pyrovigil.synth import SceneSpec, SyntheticScene, fire_patch
 
 from noise_patches import blue_noise_patch, red_noise_patch
@@ -145,6 +146,47 @@ t2=0.5
         )
         with pytest.raises(ConfigError, match="t1"):
             PipelineConfig.from_file(path)
+
+
+# Settings that crashed the library path, or silently stopped detection
+# from ever alarming: each is refused when its config is built.
+BAD_SETTINGS = [
+    ("camera", "ptz"),
+    ("rho", 0.0),
+    ("rho", 2.0),
+    ("stats_window", 0),
+    ("ladder", (300.0,)),  # every rung above 8-bit intensity: no blob
+    ("ladder", ()),
+    ("lam", -1.0),  # every pixel foreground: background subtraction off
+    ("lam", 0.0),
+    ("lam", float("nan")),  # no pixel foreground: no blob
+    ("var_floor", float("nan")),
+    ("decision_stride", 0),
+    ("track_max_gap", 0),
+    ("iou_threshold", 0.0),
+    ("iou_threshold", 1.5),  # no blob ever matches a track
+    ("t1", 0.5),  # above the default t2
+    ("m", 0),
+    ("interval", 0),
+    ("scales", (2,)),
+]
+
+
+@pytest.mark.parametrize("key, value", BAD_SETTINGS, ids=lambda v: str(v))
+def test_bad_setting_raises_when_config_built(key, value):
+    named = rf"\b{key}\b"
+    with pytest.raises(ValueError, match=named):
+        PipelineConfig(**{key: value})
+    if key in {f.name for f in fields(ProposalConfig)}:
+        with pytest.raises(ValueError, match=named):
+            ProposalConfig(**{key: value})
+
+
+@pytest.mark.parametrize("cls", [ProposalConfig, PipelineConfig])
+def test_built_config_is_frozen(cls):
+    config = cls()
+    with pytest.raises(FrozenInstanceError):
+        config.rho = 0.5
 
 
 class TestLabelsAndAlarms:

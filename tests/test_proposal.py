@@ -67,8 +67,7 @@ def _count(mask):
 
 def _blobs_from_flood_fill(mask, min_area):
     """Reference blobs: each flood-fill component's pixels, bbox, area,
-    perimeter (`_perimeter_oracle`) and centroid as exact integer sums over
-    the area; sorted like `extract_blobs`."""
+    and perimeter (`_perimeter_oracle`); sorted like `extract_blobs`."""
     labels, count = _flood_fill_labels(mask)
     blobs = []
     for k in range(1, count + 1):
@@ -81,7 +80,6 @@ def _blobs_from_flood_fill(mask, min_area):
             (x0, y0, local.shape[1], local.shape[0]),
             int(ys.size),
             _perimeter_oracle(local),
-            (int(xs.sum()) / ys.size, int(ys.sum()) / ys.size),
             local,
         ))
     blobs.sort(key=lambda b: (-b[1], b[0][1], b[0][0]))
@@ -92,9 +90,8 @@ def _assert_blobs_match_oracle(mask, min_area=1):
     got = extract_blobs(mask, min_area)
     want = _blobs_from_flood_fill(mask, min_area)
     assert len(got) == len(want)
-    for b, (bbox, area, perimeter, centroid, local) in zip(got, want):
+    for b, (bbox, area, perimeter, local) in zip(got, want):
         assert b.bbox == bbox and b.area == area and b.perimeter == perimeter
-        assert [c.hex() for c in b.centroid] == [c.hex() for c in centroid]
         assert b.mask.dtype == bool and np.array_equal(b.mask, local)
 
 
@@ -188,7 +185,7 @@ def _perimeter_oracle(local):
 
 class TestBackgroundModel:
     def test_static_scene_empty_after_warmup(self, rng):
-        bg = BackgroundModel(20, 30, warmup=25)
+        bg = BackgroundModel(20, 30, ProposalConfig(warmup=25))
         scene = rng.normal(100.0, 1.5, (20, 30))
         fg = None
         for _ in range(50):
@@ -197,7 +194,7 @@ class TestBackgroundModel:
 
     def test_appearing_square_detected(self):
         base = np.full((40, 40), 90.0)
-        bg = BackgroundModel(40, 40, warmup=25)
+        bg = BackgroundModel(40, 40, ProposalConfig(warmup=25))
         for _ in range(30):
             bg.update(base)
         lit = base.copy()
@@ -212,7 +209,7 @@ class TestBackgroundModel:
         assert np.array_equal(fg, want)
 
     def test_rho_one_is_frame_differencing(self, rng):
-        bg = BackgroundModel(5, 5, rho=1.0, warmup=3)
+        bg = BackgroundModel(5, 5, ProposalConfig(rho=1.0, warmup=3))
         a = rng.uniform(0, 255, (5, 5))
         b = rng.uniform(0, 255, (5, 5))
         bg.update(a)
@@ -227,7 +224,7 @@ class TestBackgroundModel:
     def test_mean_converges_on_noisy_static_scene(self, rng):
         sigma_n = 3.0
         truth = rng.uniform(60, 120, (16, 16))
-        bg = BackgroundModel(16, 16, rho=0.01, warmup=25)
+        bg = BackgroundModel(16, 16, ProposalConfig(rho=0.01, warmup=25))
         frames = 120
         for _ in range(frames):
             bg.update(truth + rng.normal(0, sigma_n, (16, 16)))
@@ -491,7 +488,6 @@ class TestExtractBlobs:
         assert b.bbox == (4, 3, 10, 6)
         assert b.area == 60
         assert b.perimeter == 2 * (10 + 6) - 4
-        assert b.centroid == (8.5, 5.5)
         assert b.mask.shape == (6, 10) and b.mask.all()
 
     def test_eight_connectivity(self):
@@ -602,7 +598,7 @@ class TestPropose:
 
 
 def _blob_key(b):
-    return (b.bbox, b.area, b.perimeter, b.centroid, b.mask.shape, b.mask.tobytes())
+    return (b.bbox, b.area, b.perimeter, b.mask.shape, b.mask.tobytes())
 
 
 class TestAbsorb:

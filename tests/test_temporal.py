@@ -21,14 +21,12 @@ from pyrovigil.temporal import (
 def make_blob(x, y, mask):
     mask = np.asarray(mask, dtype=bool)
     h, w = mask.shape
-    ys, xs = np.nonzero(mask)
     p = np.pad(mask, 1)
     interior = p[:-2, 1:-1] & p[2:, 1:-1] & p[1:-1, :-2] & p[1:-1, 2:]
     return Blob(
         x=x, y=y, w=w, h=h,
         area=int(mask.sum()),
         perimeter=int((mask & ~interior).sum()),
-        centroid=(x + float(xs.mean()), y + float(ys.mean())),
         mask=mask,
     )
 
@@ -37,7 +35,7 @@ def square_blob(x, y, side):
     return make_blob(x, y, np.ones((side, side)))
 
 
-INDOOR = StabilityThresholds.indoor()
+INDOOR = StabilityThresholds.preset("indoor")
 
 
 def flame_band_samples():
