@@ -70,17 +70,24 @@ class TrainedModel:
 
 
 def chi2_distance_matrix(X, Y):
-    """(nx, ny) chi-square distances sum((x - y)^2 / (x + y)), 0/0 terms as 0."""
+    """(nx, ny) chi-square distances sum((x - y)^2 / (x + y)), 0/0 terms as 0.
+
+    One row of X at a time, through (ny, d) buffers reused for every row."""
     nx, d = X.shape
     ny = Y.shape[0]
     out = np.empty((nx, ny), dtype=np.float64)
-    chunk = max(1, (1 << 22) // max(1, ny * d))
-    for s in range(0, nx, chunk):
-        e = min(nx, s + chunk)
-        diff = X[s:e, None, :] - Y[None, :, :]
-        den = X[s:e, None, :] + Y[None, :, :]
-        terms = np.where(den != 0.0, diff * diff / np.where(den == 0.0, 1.0, den), 0.0)
-        out[s:e] = terms.sum(axis=2)
+    diff = np.empty((ny, d))
+    den = np.empty((ny, d))
+    zero = np.empty((ny, d), dtype=bool)
+    for i in range(nx):
+        np.subtract(X[i], Y, out=diff)
+        np.add(X[i], Y, out=den)
+        np.equal(den, 0.0, out=zero)
+        np.copyto(den, 1.0, where=zero)
+        np.multiply(diff, diff, out=diff)
+        np.divide(diff, den, out=diff)
+        np.copyto(diff, 0.0, where=zero)
+        diff.sum(axis=1, out=out[i])
     return out
 
 

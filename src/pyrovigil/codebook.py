@@ -55,11 +55,36 @@ class EncoderParams:
 # k-means
 
 
+# Values per block of the in-place passes below (256 KB of float64): a
+# block and its companion buffer stay in a core's cache, where the
+# whole-array temporaries of a one-expression pass would not.
+_BLOCK_VALUES = 1 << 15
+# k-means++ seeding gathers the rows it must rescore while they are at
+# most this share of all rows; past it, a pass in place over every row
+# is cheaper than the gather.
+_GATHER_FRACTION = 0.7
+
+
 def squared_distances(X, Y):
-    """(nx, ny) squared Euclidean distances |x|^2 + |y|^2 - 2 x.y between
-    the rows of X and of Y, floored at 0."""
-    d2 = (X * X).sum(axis=1)[:, None] + (Y * Y).sum(axis=1)[None, :] - 2.0 * (X @ Y.T)
-    np.maximum(d2, 0.0, out=d2)
+    """(nx, ny) squared Euclidean distances (|x|^2 + |y|^2) - 2 x.y between
+    the rows of X and of Y, floored at 0.
+
+    One `X @ Y.T` product; the rest is evaluated in blocks of rows written
+    into the product itself, with the operand order of the one expression,
+    so the bits are those of the expression."""
+    d2 = X @ Y.T
+    xx = (X * X).sum(axis=1)
+    yy = (Y * Y).sum(axis=1)
+    nx, ny = d2.shape
+    rows = max(1, _BLOCK_VALUES // max(1, ny))
+    norms = np.empty((min(nx, rows), ny))
+    for s in range(0, nx, rows):
+        block = d2[s : s + rows]
+        part = norms[: block.shape[0]]
+        np.add(xx[s : s + rows, None], yy, out=part)
+        block *= 2.0
+        np.subtract(part, block, out=block)
+        np.maximum(block, 0.0, out=block)
     return d2
 
 
@@ -78,17 +103,83 @@ def _assign_points(X, C):
     return assign, best
 
 
+def _rescore(X, c, out, block, idx=None):
+    """out[j] = ((X[idx[j]] - c) ** 2).sum() for each j, or for each row of X
+    when idx is None, in blocks of rows through the buffer `block`."""
+    m = out.shape[0]
+    rows = block.shape[0]
+    for s in range(0, m, rows):
+        e = min(m, s + rows)
+        part = block[: e - s]
+        if idx is None:
+            np.subtract(X[s:e], c, out=part)
+        else:
+            # idx is in range; "clip" writes straight into `part`, where
+            # "raise" would copy through a buffer
+            np.take(X, idx[s:e], axis=0, out=part, mode="clip")
+            np.subtract(part, c, out=part)
+        np.square(part, out=part)
+        part.sum(axis=1, out=out[s:e])
+    return out
+
+
 def _plusplus_seed(X, k, rng):
-    n = X.shape[0]
-    chosen = np.empty(k, dtype=np.int64)
-    chosen[0] = int(rng.integers(n))
-    d2 = ((X - X[chosen[0]]) ** 2).sum(axis=1)
+    """k-means++ seeding: each next center is drawn with probability
+    proportional to d2, a point's squared distance to its nearest chosen
+    center, its owner. Points that a new center provably cannot come nearer
+    to are skipped; the rest are rescored with ((x - c) ** 2).sum(), so every
+    d2 value, and so every draw, has the bits of a full pass."""
+    n, dim = X.shape
+    eps = np.finfo(np.float64).eps
+    # A sum of dim squared differences is within a relative g = (dim + 2) eps
+    # of the exact squared distance. Let D_a be the sum for a point and its
+    # owner, D_e for its owner and the new center, and skip the point when
+    # D_e / q > D_a, with q = 4 (1 + s). Then the exact distances obey
+    # e > 2 r a with r^2 = (1 + s)(1 - eps)(1 - g) / (1 + g), and by the
+    # triangle inequality b >= e - a > (2r - 1) a >= r a for the new center,
+    # whose sum is then at least D_a once r^2 >= (1 + g) / (1 - g). That
+    # needs s >= 4g + eps + O(g^2); s = 8 (dim + 2) eps leaves a factor of
+    # two. Underflow adds at most dim 2^-1074 to a sum, which the slack
+    # absorbs for a D_a of 2^-900 or more; a point with a smaller D_a sits so
+    # near its owner that a D_e of 2^-800 or more puts the new center farther
+    # by far. An overflowed D_e proves nothing. So only a D_e in
+    # [2^-800, inf) is used.
+    q = 4.0 * (1.0 + 8.0 * (dim + 2) * eps)
+    block = np.empty((min(n, max(1, _BLOCK_VALUES // max(1, dim))), dim))
+    centers = np.empty((k, dim))
+    d2 = np.empty(n)
+    new = np.empty(n)
+    probs = np.empty(n)
+    owner = np.zeros(n, dtype=np.int64)
+    centers[0] = X[int(rng.integers(n))]
+    _rescore(X, centers[0], d2, block)
+    # where the bound prunes little its test costs more than it saves, so a
+    # test that leaves most rows live is followed by 1, 3, 7, ... steps that
+    # pass over every row untested, until a test prunes again
+    gap = wait = 0
     for i in range(1, k):
-        total = d2.sum()
-        probs = d2 / total
-        chosen[i] = int(rng.choice(n, p=probs))
-        d2 = np.minimum(d2, ((X - X[chosen[i]]) ** 2).sum(axis=1))
-    return X[chosen].copy()
+        np.divide(d2, d2.sum(), out=probs)
+        c = centers[i]
+        c[:] = X[int(rng.choice(n, p=probs))]
+        if wait:
+            wait -= 1
+        else:
+            apart = ((centers[:i] - c) ** 2).sum(axis=1)
+            cutoff = np.where((apart >= 2.0**-800) & (apart < np.inf), apart / q, 0.0)
+            live = np.flatnonzero(cutoff[owner] <= d2)
+            gap = 0 if live.size <= _GATHER_FRACTION * n else 2 * gap + 1
+            wait = gap
+        if gap:
+            nd = _rescore(X, c, new, block)
+            np.copyto(owner, i, where=nd < d2)
+            np.minimum(d2, nd, out=d2)
+        else:
+            nd = _rescore(X, c, new[: live.size], block, live)
+            closer = nd < d2[live]
+            moved = live[closer]
+            d2[moved] = nd[closer]
+            owner[moved] = i
+    return centers
 
 
 def kmeans(descriptors, k: int, iterations: int = 50, rng_seed: int = 0) -> Codebook:

@@ -63,6 +63,39 @@ def corner_sum(table, x, y, w, h):
     return float(table[y + h, x + w] - table[y, x + w] - table[y + h, x] + table[y, x])
 
 
+def plusplus_seed_loop(X, k, rng):
+    """k-means++ seeding as one full pass over X per chosen center: the loop
+    `codebook._plusplus_seed` replaced, whose centers it must keep bit for
+    bit, and so every draw from `rng`."""
+    n = X.shape[0]
+    chosen = np.empty(k, dtype=np.int64)
+    chosen[0] = int(rng.integers(n))
+    d2 = ((X - X[chosen[0]]) ** 2).sum(axis=1)
+    for i in range(1, k):
+        total = d2.sum()
+        probs = d2 / total
+        chosen[i] = int(rng.choice(n, p=probs))
+        d2 = np.minimum(d2, ((X - X[chosen[i]]) ** 2).sum(axis=1))
+    return X[chosen].copy()
+
+
+def squared_distances_expr(X, Y):
+    """`codebook.squared_distances` as the one expression it evaluates in
+    blocks, floored at 0."""
+    d2 = (X * X).sum(axis=1)[:, None] + (Y * Y).sum(axis=1)[None, :] - 2.0 * (X @ Y.T)
+    np.maximum(d2, 0.0, out=d2)
+    return d2
+
+
+def chi2_distance_expr(X, Y):
+    """`classifier.chi2_distance_matrix` as one expression over (nx, ny, d)
+    temporaries: sum((x - y)^2 / (x + y)) with 0/0 terms as 0."""
+    diff = X[:, None, :] - Y[None, :, :]
+    den = X[:, None, :] + Y[None, :, :]
+    terms = np.where(den != 0.0, diff * diff / np.where(den == 0.0, 1.0, den), 0.0)
+    return terms.sum(axis=2)
+
+
 def parse_alarm_log(path):
     """AlarmEvents of an alarm log of `format_alarm` lines."""
     alarms = []

@@ -19,6 +19,8 @@ from pyrovigil.classifier import (
 )
 from pyrovigil.errors import ConvergenceError, DataError
 
+from oracles import chi2_distance_expr
+
 
 RBF1 = Kernel(KernelKind.RBF, 1.0)
 
@@ -74,6 +76,18 @@ class TestKernels:
                     if a + b > 0
                 )
                 assert abs(D[i, j] - want) <= 1e-12
+
+    def test_chi2_matrix_keeps_the_expression_bits(self, rng):
+        # histograms with zero bins, some zero in both rows (0/0 terms)
+        X = rng.random((40, 596))
+        Y = rng.random((30, 596))
+        X[:, ::7] = 0.0
+        Y[:, ::5] = 0.0
+        X[::3, 11] = 0.0
+        X /= X.sum(axis=1, keepdims=True)
+        Y /= Y.sum(axis=1, keepdims=True)
+        got = chi2_distance_matrix(X, Y)
+        assert np.array_equal(got.view(np.uint64), chi2_distance_expr(X, Y).view(np.uint64))
 
     def test_gram_psd_spot_check(self, rng):
         X = rng.random((20, 12))

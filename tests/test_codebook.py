@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from pyrovigil import codebook
 from pyrovigil.codebook import (
+    _BLOCK_VALUES,
     _ONE_THREAD_MADDS,
     Codebook,
     EncoderParams,
@@ -14,9 +16,12 @@ from pyrovigil.codebook import (
     kmeans,
     raw_bow_histogram,
     read_codebook,
+    squared_distances,
     write_codebook,
 )
 from pyrovigil.errors import DataError
+
+from oracles import plusplus_seed_loop, squared_distances_expr
 
 
 def brute_force_nn(points, q, m):
@@ -117,6 +122,149 @@ class TestKMeans:
         book = kmeans(X, 4, iterations=20, rng_seed=3)
         d2 = ((X[:, None, :] - book.centers[None]) ** 2).sum(axis=2)
         assert abs(book.sigma - np.sqrt(d2.min(axis=1)).mean()) <= 1e-9
+
+
+def bits(a):
+    return np.ascontiguousarray(np.asarray(a, dtype=np.float64)).view(np.uint64)
+
+
+def kmeans_with(monkeypatch, X, k, iterations, seed, oracle, initial=None):
+    """(seeded centers, codebook) of one `kmeans` run, with the oracle seeding
+    loop and one-expression `squared_distances` patched in when `oracle`.
+    `initial` replaces the seeding with fixed centers."""
+    seeded = []
+    seed_fn = plusplus_seed_loop if oracle else codebook._plusplus_seed
+
+    def recorded(X, k, rng):
+        C = seed_fn(X, k, rng) if initial is None else initial.copy()
+        seeded.append(C.copy())
+        return C
+
+    with monkeypatch.context() as m:
+        m.setattr(codebook, "_plusplus_seed", recorded)
+        if oracle:
+            m.setattr(codebook, "squared_distances", squared_distances_expr)
+        book = kmeans(X, k, iterations, seed)
+    return seeded[0], book
+
+
+def assert_same_kmeans(monkeypatch, X, k, iterations, seed, initial=None):
+    want_seed, want = kmeans_with(monkeypatch, X, k, iterations, seed, True, initial)
+    got_seed, got = kmeans_with(monkeypatch, X, k, iterations, seed, False, initial)
+    assert np.array_equal(bits(got_seed), bits(want_seed))
+    assert np.array_equal(bits(got.centers), bits(want.centers))
+    assert np.array_equal(bits(got.sigma), bits(want.sigma))
+    assert np.array_equal(bits(got.sse_trace), bits(want.sse_trace))
+
+
+def clustered(rng, n, dim, groups):
+    centers = rng.normal(scale=10.0, size=(groups, dim))
+    return centers[rng.integers(groups, size=n)] + rng.normal(size=(n, dim))
+
+
+class TestKMeansBits:
+    """The pruned seeding and the blocked distances keep the bits of the
+    plain loop and the one expression, draw for draw."""
+
+    def test_normal_across_the_product_chunk(self, monkeypatch):
+        # 9000 rows pass the (1 << 22) // 500 = 8388-row chunk of _assign_points
+        X = np.random.default_rng(0).normal(size=(9000, 88))
+        assert_same_kmeans(monkeypatch, X, 500, 2, 3)
+
+    def test_normal_low_dimension(self, monkeypatch):
+        X = np.random.default_rng(1).normal(size=(7200, 16))
+        assert_same_kmeans(monkeypatch, X, 500, 2, 3)
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_clustered(self, monkeypatch, seed):
+        X = clustered(np.random.default_rng(2), 3000, 16, 40)
+        assert_same_kmeans(monkeypatch, X, 200, 3, seed)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_uniform_plane(self, monkeypatch, seed):
+        # in two dimensions many new centers lie just under twice a point's
+        # distance from its owner, where the bound must not skip
+        X = np.random.default_rng(0).random((500, 2))
+        assert_same_kmeans(monkeypatch, X, 100, 3, seed)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_duplicate_heavy(self, monkeypatch, seed):
+        # 64 distinct points, each repeated: many points sit at distance 0
+        # from a chosen center
+        X = np.random.default_rng(3).integers(0, 4, size=(400, 3)).astype(np.float64)
+        assert_same_kmeans(monkeypatch, X, 40, 5, seed)
+
+    def test_k_equals_n(self, monkeypatch):
+        X = np.random.default_rng(4).normal(size=(60, 5))
+        assert_same_kmeans(monkeypatch, X, 60, 5, 7)
+
+    def test_reseeds_an_empty_cluster(self, monkeypatch):
+        # the first center starts far from every point and owns none, so
+        # the first update moves it to the point farthest from its center
+        rng = np.random.default_rng(5)
+        X = clustered(rng, 300, 4, 6)
+        initial = np.concatenate([np.full((1, 4), 1e3), X[:9]])
+        counts = []
+        assign_points = codebook._assign_points
+
+        def counted(X, C):
+            assign, best = assign_points(X, C)
+            counts.append(np.bincount(assign, minlength=C.shape[0]))
+            return assign, best
+
+        monkeypatch.setattr(codebook, "_assign_points", counted)
+        assert_same_kmeans(monkeypatch, X, 10, 6, 0, initial)
+        assert counts[0][0] == 0 and (counts[1] > 0).all()
+
+    def test_seeding_prunes_and_passes_in_place(self, monkeypatch):
+        # clustered data: early centers rescore every row in place, later
+        # ones gather the few rows the bound cannot rule out
+        X = clustered(np.random.default_rng(2), 3000, 16, 40)
+        gathered = []
+        rescore = codebook._rescore
+
+        def recorded(X, c, out, block, idx=None):
+            gathered.append(None if idx is None else idx.size)
+            return rescore(X, c, out, block, idx)
+
+        monkeypatch.setattr(codebook, "_rescore", recorded)
+        codebook._plusplus_seed(X, 200, np.random.default_rng(0))
+        steps = gathered[1:]  # the first center's pass is always in place
+        sizes = [m for m in steps if m is not None]
+        assert None in steps and sizes
+        assert np.median(sizes) < 0.2 * X.shape[0]
+
+
+class TestSquaredDistances:
+    def _check(self, X, Y):
+        got = squared_distances(X, Y)
+        assert np.array_equal(bits(got), bits(squared_distances_expr(X, Y)))
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, 2, None])
+    def test_rows_around_the_block(self, rng, extra):
+        k = 500
+        block = _BLOCK_VALUES // k
+        n = 1 if extra is None else (block + extra if extra < 2 else 2 * block + 1)
+        C = rng.normal(size=(k, 88))
+        # rows equal to centers cancel to about 0 and below, which is floored
+        X = np.concatenate([C[: min(n, 7)], rng.normal(size=(n, 88))])[:n]
+        self._check(X, C)
+
+    def test_svm_gram_matrix(self, rng):
+        X = rng.random((160, 596))
+        X /= X.sum(axis=1, keepdims=True)
+        self._check(X, X)
+
+    def test_svm_predict_shape(self, rng):
+        support = rng.random((55, 596))
+        self._check(support, rng.random((1, 596)))
+        self._check(support, support[3:4])
+
+    def test_floored_at_zero(self, rng):
+        X = rng.normal(size=(40, 30)) * 1e3
+        d2 = squared_distances(X, X)
+        assert (d2 >= 0.0).all()
+        assert (np.diag(d2) <= 1e-6 * (X * X).sum(axis=1)).all()
 
 
 class TestNNIndex:
