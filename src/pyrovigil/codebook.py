@@ -55,14 +55,10 @@ class EncoderParams:
 # k-means
 
 
-# Values per block of the in-place passes below (256 KB of float64): a
+# Values per block of the blocked passes below (256 KB of float64): a
 # block and its companion buffer stay in a core's cache, where the
 # whole-array temporaries of a one-expression pass would not.
 _BLOCK_VALUES = 1 << 15
-# k-means++ seeding gathers the rows it must rescore while they are at
-# most this share of all rows; past it, a pass in place over every row
-# is cheaper than the gather.
-_GATHER_FRACTION = 0.7
 
 
 def squared_distances(X, Y):
@@ -103,21 +99,18 @@ def _assign_points(X, C):
     return assign, best
 
 
-def _rescore(X, c, out, block, idx=None):
-    """out[j] = ((X[idx[j]] - c) ** 2).sum() for each j, or for each row of X
-    when idx is None, in blocks of rows through the buffer `block`."""
+def _rescore(X, c, out, block, idx):
+    """out[j] = ((X[idx[j]] - c) ** 2).sum() for each j, in blocks of rows
+    gathered into the buffer `block`."""
     m = out.shape[0]
     rows = block.shape[0]
     for s in range(0, m, rows):
         e = min(m, s + rows)
         part = block[: e - s]
-        if idx is None:
-            np.subtract(X[s:e], c, out=part)
-        else:
-            # idx is in range; "clip" writes straight into `part`, where
-            # "raise" would copy through a buffer
-            np.take(X, idx[s:e], axis=0, out=part, mode="clip")
-            np.subtract(part, c, out=part)
+        # idx is in range; "clip" writes straight into `part`, where
+        # "raise" would copy through a buffer
+        np.take(X, idx[s:e], axis=0, out=part, mode="clip")
+        np.subtract(part, c, out=part)
         np.square(part, out=part)
         part.sum(axis=1, out=out[s:e])
     return out
@@ -152,33 +145,19 @@ def _plusplus_seed(X, k, rng):
     probs = np.empty(n)
     owner = np.zeros(n, dtype=np.int64)
     centers[0] = X[int(rng.integers(n))]
-    _rescore(X, centers[0], d2, block)
-    # where the bound prunes little its test costs more than it saves, so a
-    # test that leaves most rows live is followed by 1, 3, 7, ... steps that
-    # pass over every row untested, until a test prunes again
-    gap = wait = 0
+    _rescore(X, centers[0], d2, block, np.arange(n))
     for i in range(1, k):
         np.divide(d2, d2.sum(), out=probs)
         c = centers[i]
         c[:] = X[int(rng.choice(n, p=probs))]
-        if wait:
-            wait -= 1
-        else:
-            apart = ((centers[:i] - c) ** 2).sum(axis=1)
-            cutoff = np.where((apart >= 2.0**-800) & (apart < np.inf), apart / q, 0.0)
-            live = np.flatnonzero(cutoff[owner] <= d2)
-            gap = 0 if live.size <= _GATHER_FRACTION * n else 2 * gap + 1
-            wait = gap
-        if gap:
-            nd = _rescore(X, c, new, block)
-            np.copyto(owner, i, where=nd < d2)
-            np.minimum(d2, nd, out=d2)
-        else:
-            nd = _rescore(X, c, new[: live.size], block, live)
-            closer = nd < d2[live]
-            moved = live[closer]
-            d2[moved] = nd[closer]
-            owner[moved] = i
+        apart = ((centers[:i] - c) ** 2).sum(axis=1)
+        cutoff = np.where((apart >= 2.0**-800) & (apart < np.inf), apart / q, 0.0)
+        live = np.flatnonzero(cutoff[owner] <= d2)
+        nd = _rescore(X, c, new[: live.size], block, live)
+        closer = nd < d2[live]
+        moved = live[closer]
+        d2[moved] = nd[closer]
+        owner[moved] = i
     return centers
 
 
@@ -195,6 +174,8 @@ def kmeans(descriptors, k: int, iterations: int = 50, rng_seed: int = 0) -> Code
     if X.ndim != 2:
         raise ValueError(f"descriptors must be 2-d, got shape {X.shape}")
     n = X.shape[0]
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     if n < k:

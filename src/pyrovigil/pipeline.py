@@ -392,11 +392,12 @@ def train_codebook(
 ) -> cb.Codebook:
     """Harvest descriptors from training patches and cluster them."""
     X, patches = harvest_descriptors(patch_dirs, plan)
+    # k distinct descriptors would each become a word, with sigma 0
     distinct = np.unique(X, axis=0).shape[0] if X.shape[0] else 0
-    if X.shape[0] < k or distinct < k:
+    if distinct <= k:
         raise DataError(
             f"insufficient descriptors: {X.shape[0]} collected "
-            f"({distinct} distinct) from {patches} patches, need k={k}"
+            f"({distinct} distinct) from {patches} patches, need over k={k} distinct"
         )
     book = cb.kmeans(X, k, iterations, seed)
     if log:
@@ -490,9 +491,14 @@ def train_model(
 
     report_cv = None
     if cv:
-        report_cv = cl.cross_validate(
-            X[train_idx], y[train_idx], kernel_kind, folds=folds, seed=seed
-        )
+        try:
+            report_cv = cl.cross_validate(
+                X[train_idx], y[train_idx], kernel_kind, folds=folds, seed=seed
+            )
+        except ValueError as e:
+            raise DataError(
+                f"cross-validation over {folds} folds of the training split: {e}"
+            ) from None
         C = report_cv.best_c
         gamma = report_cv.best_gamma if kernel_kind is not cl.KernelKind.LINEAR else 0.0
 

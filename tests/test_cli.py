@@ -7,7 +7,7 @@ from pyrovigil.classifier import read_model, train, write_model
 from pyrovigil.cli import main
 from pyrovigil.codebook import Codebook, write_codebook
 from pyrovigil.frameio import write_ppm
-from pyrovigil.synth import SceneSpec, SyntheticScene
+from pyrovigil.synth import SceneSpec, SyntheticScene, fire_patch, nonfire_patch
 
 from noise_patches import blue_noise_patch, red_noise_patch
 from oracles import parse_alarm_log
@@ -385,6 +385,50 @@ def test_failed_training_leaves_no_output(tmp_path, capsys):
     ])
     assert code == 3
     assert "data error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("per_class, folds, left", [(5, 5, 4), (8, 7, 6)])
+def test_cross_validation_with_too_few_patches_exits_3(
+    tmp_path, capsys, per_class, folds, left
+):
+    # the held-out fifth leaves fewer training patches per class than folds;
+    # this used to end in a raw ValueError traceback
+    fire_dir, non_dir = tmp_path / "fire", tmp_path / "nonfire"
+    fire_dir.mkdir()
+    non_dir.mkdir()
+    for i in range(per_class):
+        write_ppm(fire_dir / f"{i:06d}.ppm", fire_patch(i).pixels)
+        write_ppm(non_dir / f"{i:06d}.ppm", nonfire_patch(i).pixels)
+    cb_path, out = tmp_path / "cb.pvcb", tmp_path / "m.pvsm"
+    code = main([
+        "train-codebook", "--patches", str(fire_dir), "--patches", str(non_dir),
+        "--out", str(cb_path), "--k", "32", "--iterations", "5",
+    ])
+    assert code == 0
+    code = main([
+        "train-model", "--fire", str(fire_dir), "--nonfire", str(non_dir),
+        "--codebook", str(cb_path), "--out", str(out), "--cv", "--folds", str(folds),
+    ])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert f"{folds} folds" in err and f"got {left} / {left}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_codebook_of_only_k_distinct_descriptors_exits_3(tmp_path, capsys):
+    # k distinct descriptors make every one a word, sigma 0, and a file
+    # that read_codebook refuses
+    d = tmp_path / "flat"
+    d.mkdir()
+    for i, v in enumerate((10, 50, 90, 130)):
+        write_ppm(d / f"{i:06d}.ppm", np.full((27, 27, 3), v, np.uint8))
+    out = tmp_path / "cb.pvcb"
+    code = main(["train-codebook", "--patches", str(d), "--out", str(out), "--k", "4"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "data error: insufficient descriptors: 16 collected (4 distinct)" in err
     assert not out.exists()
 
 

@@ -20,6 +20,8 @@ from pyrovigil.codebook import (
     write_codebook,
 )
 from pyrovigil.errors import DataError
+from pyrovigil.features import SamplingPlan, sample
+from pyrovigil.synth import fire_patch, nonfire_patch
 
 from oracles import plusplus_seed_loop, squared_distances_expr
 
@@ -92,6 +94,11 @@ class TestKMeans:
         book = kmeans(X, 6, iterations=15, rng_seed=2)
         assert np.unique(book.centers, axis=0).shape[0] == 6
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one(self, rng, k):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            kmeans(rng.normal(size=(4, 8)), k)
+
     def test_not_enough_distinct(self):
         X = np.tile(np.array([[1.0, 2.0]]), (10, 1))
         with pytest.raises(ValueError, match="distinct"):
@@ -162,6 +169,19 @@ def clustered(rng, n, dim, groups):
     return centers[rng.integers(groups, size=n)] + rng.normal(size=(n, dim))
 
 
+def recorded_gathers(monkeypatch):
+    """The number of rows each `_rescore` call gathers, in call order."""
+    gathered = []
+    rescore = codebook._rescore
+
+    def recorded(X, c, out, block, idx):
+        gathered.append(idx.size)
+        return rescore(X, c, out, block, idx)
+
+    monkeypatch.setattr(codebook, "_rescore", recorded)
+    return gathered
+
+
 class TestKMeansBits:
     """The pruned seeding and the blocked distances keep the bits of the
     plain loop and the one expression, draw for draw."""
@@ -216,23 +236,27 @@ class TestKMeansBits:
         assert_same_kmeans(monkeypatch, X, 10, 6, 0, initial)
         assert counts[0][0] == 0 and (counts[1] > 0).all()
 
-    def test_seeding_prunes_and_passes_in_place(self, monkeypatch):
-        # clustered data: early centers rescore every row in place, later
-        # ones gather the few rows the bound cannot rule out
+    def test_seeding_prunes(self, monkeypatch):
+        # clustered data: every step gathers only the rows the bound
+        # cannot rule out, and those are few
         X = clustered(np.random.default_rng(2), 3000, 16, 40)
-        gathered = []
-        rescore = codebook._rescore
-
-        def recorded(X, c, out, block, idx=None):
-            gathered.append(None if idx is None else idx.size)
-            return rescore(X, c, out, block, idx)
-
-        monkeypatch.setattr(codebook, "_rescore", recorded)
+        gathered = recorded_gathers(monkeypatch)
         codebook._plusplus_seed(X, 200, np.random.default_rng(0))
-        steps = gathered[1:]  # the first center's pass is always in place
-        sizes = [m for m in steps if m is not None]
-        assert None in steps and sizes
-        assert np.median(sizes) < 0.2 * X.shape[0]
+        assert gathered[0] == X.shape[0] and len(gathered) == 200
+        assert np.median(gathered[1:]) < 0.2 * X.shape[0]
+
+    def test_seeding_on_patch_descriptors(self, monkeypatch):
+        # the descriptors training clusters: equal bits, and the bound prunes
+        X = np.concatenate(
+            [sample(make(i), SamplingPlan()) for i in range(20)
+             for make in (fire_patch, nonfire_patch)]
+        )
+        assert X.shape == (1440, 88)
+        gathered = recorded_gathers(monkeypatch)
+        got = codebook._plusplus_seed(X, 100, np.random.default_rng(3))
+        want = plusplus_seed_loop(X, 100, np.random.default_rng(3))
+        assert np.array_equal(bits(got), bits(want))
+        assert np.median(gathered[1:]) < 0.6 * X.shape[0]
 
 
 class TestSquaredDistances:
