@@ -11,14 +11,12 @@ purpose updates these constants and says why for each one.
 
 import hashlib
 
-import numpy as np
 import pytest
 
 import pyrovigil.classifier as cl
 import pyrovigil.pipeline as pipeline_module
-from pyrovigil.imaging import Frame
 from pyrovigil.pipeline import DetectionPipeline, PipelineConfig, format_alarm
-from pyrovigil.synth import SceneSpec, SyntheticScene
+from pyrovigil.synth import SceneSpec, SyntheticScene, fire_patch, nonfire_patch
 
 CODEBOOK_SHA256 = "42aad5a2deb104f23db9902b920452ed2de822285fd33cc334d15c6b52365620"
 MODEL_SHA256 = "7ab11b5d03ef6d1279f1310bc4535f66e484608577e677acdd025b0721e47439"
@@ -50,15 +48,47 @@ def test_trained_files_match_reference(synth_artifacts):
     assert _sha256(synth_artifacts["model_path"]) == MODEL_SHA256
 
 
+# SHA-256 over the uint8 bytes of frames 0, 13, ..., 390 of
+# SceneSpec(seed, flame_onset=0, flame_base): the flame burns in every
+# frame, at the default base, touching the lamp, and clipped by the
+# top-left and by the bottom-right corner
+SCENE_PIXELS = {
+    (7, None): "837b0638c754d3b8c3856b129ca709e884971f7afb91f22f017d948c879dbc6f",
+    (7, (200, 120)): "2c2579cd9f64b936a24bc9d31dd813bfcf6f1784e561357e2f47108fcfaef822",
+    (7, (5, 30)): "8a10b7bd2d32e2f052865dd450df68bfdb2bcb0d6105fff3ca91c372be0de9c6",
+    (7, (318, 239)): "534c3bb9822e46af6b1f377fe38b44942c35ae6382549a6be39ffde744f2c960",
+    (11, None): "3a64d710a98c441f6dab6d74ec37ec4de90e5ce756e40efb643edfca32966929",
+    (11, (200, 120)): "6e2816220e7e50366d12986312ee56aa1215eba68c6e09915b3093704e36ecab",
+    (11, (5, 30)): "7c0aed64626e711cd301e268fc2a1237c69e7d396032f91bbccee20154d18525",
+    (11, (318, 239)): "6ced52c375f443d2dbea8d50cfca034bd0b25132f164871860f32a78cd579c75",
+}
+# SHA-256 over fire_patch(i) then nonfire_patch(i), for i < 40
+PATCH_PIXELS = "0073f9ed168d5842654a3ace31d39d4d76222e59ebe917893cb3168bfbea51c6"
+
+
+@pytest.mark.parametrize("seed,base", sorted(SCENE_PIXELS, key=str))
+def test_scene_pixels(seed, base):
+    kwargs = {} if base is None else {"flame_base": base}
+    scene = SyntheticScene(SceneSpec(seed=seed, flame_onset=0, **kwargs))
+    digest = hashlib.sha256()
+    for t in range(0, 400, 13):
+        digest.update(scene.frame(t).pixels.tobytes())
+    assert digest.hexdigest() == SCENE_PIXELS[seed, base]
+
+
+def test_patch_pixels():
+    digest = hashlib.sha256()
+    for i in range(40):
+        digest.update(fire_patch(i).pixels.tobytes())
+        digest.update(nonfire_patch(i).pixels.tobytes())
+    assert digest.hexdigest() == PATCH_PIXELS
+
+
 @pytest.fixture(scope="module")
 def reference_frames():
-    # 8-bit, as the benchmark reads the scene back from PPM files; rendered
-    # once for every workload (115 MB)
-    scene = SyntheticScene(SceneSpec(seed=7, flame_onset=100))
-    return [
-        Frame(f.pixels.astype(np.uint8), f.space, f.index)
-        for f in scene.frames(SCENE_FRAMES)
-    ]
+    # rendered once for every workload (115 MB), as 8-bit frames like the
+    # ones the benchmark reads back from PPM files
+    return list(SyntheticScene(SceneSpec(seed=7, flame_onset=100)).frames(SCENE_FRAMES))
 
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
