@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .imaging import LAB_DOMAINS, ColorSpace, Frame, convert, integral
+from .imaging import LAB_DOMAINS, ColorSpace, Frame, convert, integral, luma
 
 SURF_DIM = 64
 COLOR_DIM = 24
@@ -178,7 +178,8 @@ def histogram_from_pixels(
 
 
 class SampleContext:
-    """Per-frame precomputation shared by all descriptor extractions.
+    """Per-frame precomputation shared by all descriptor extractions, from
+    an RGB frame and its luma `gray` (`imaging.luma(frame.pixels)`).
 
     The gray integral image covers the whole frame: SURF box sums over
     non-integer luma taken from a cropped cumulative sum would not give
@@ -186,17 +187,11 @@ class SampleContext:
     descriptors and histogram read only the pixels around it.
     """
 
-    def __init__(self, frame: Frame, *, _gray: Optional[np.ndarray] = None):
-        # _gray: the frame's luma, when the caller has already computed it
+    def __init__(self, frame: Frame, gray: np.ndarray):
         if frame.space is not ColorSpace.RGB:
             raise ValueError(f"sampling expects an RGB frame, got {frame.space.value}")
         self.frame = frame
-        gray = (
-            convert(frame, ColorSpace.GRAY)
-            if _gray is None
-            else Frame(_gray, ColorSpace.GRAY, frame.index)
-        )
-        self.gray_ii = integral(gray)
+        self.gray_ii = integral(Frame(gray, ColorSpace.GRAY, frame.index))
         self._window = (0, 0, 0, 0)
         self._lab = np.zeros((0, 0, 3))
 
@@ -283,7 +278,7 @@ def sample(
     to the frame: the window every local color histogram reads from.
     """
     if ctx is None:
-        ctx = SampleContext(frame)
+        ctx = SampleContext(frame, luma(frame.pixels))
     mask = _region_mask(frame, mask, anchor)
     placements = sample_positions(frame, plan, mask, anchor)
     (rx, ry), (rh, rw) = anchor, mask.shape

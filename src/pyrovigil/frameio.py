@@ -9,7 +9,7 @@ installed.
 import logging
 import re
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -98,10 +98,8 @@ def read_image(path) -> np.ndarray:
     raise DataError(f"{path}: unsupported image format")
 
 
-def load_frame(path, index: Optional[int] = None) -> Frame:
-    if index is None:
-        m = _NUM_RE.search(Path(path).stem)
-        index = int(m.group(1)) if m else 0
+def load_frame(path, index: int) -> Frame:
+    """The RGB frame in the image file at `path`, numbered `index`."""
     return Frame(read_image(path), ColorSpace.RGB, index)
 
 

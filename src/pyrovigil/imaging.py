@@ -5,7 +5,7 @@ are 8-bit sRGB, held as uint8: an RGB array of any other dtype raises a
 ValueError. GRAY and LAB pixels are float64. All conversions are defined
 from RGB:
 
-* GRAY: BT.601 luma, weights 0.299/0.587/0.114.
+* GRAY: BT.601 luma (`luma`), weights 0.299/0.587/0.114.
 * LAB:  sRGB linearization -> XYZ (D65, 2 deg) -> CIELAB; L in [0, 100],
         a and b stored against a declared domain of [-128, 127].
 """
@@ -136,21 +136,15 @@ def rgb_to_lab(px):
 
 
 def convert(frame: Frame, target: ColorSpace) -> Frame:
-    """Convert an RGB frame to `target`. Conversions from other spaces are
-    not defined; requesting one raises a ValueError naming the source space."""
+    """Convert an RGB frame to LAB, the one conversion defined (`luma`
+    gives GRAY pixels); any other raises a ValueError naming both spaces."""
     if frame.space is target:
         return frame
-    if frame.space is not ColorSpace.RGB:
+    if frame.space is not ColorSpace.RGB or target is not ColorSpace.LAB:
         raise ValueError(
-            f"conversion from {frame.space.value} is unsupported (source must be rgb)"
+            f"conversion from {frame.space.value} to {target.value} is unsupported"
         )
-    if target is ColorSpace.GRAY:
-        out = luma(frame.pixels)
-    elif target is ColorSpace.LAB:
-        out = rgb_to_lab(frame.pixels)
-    else:
-        raise ValueError(f"unsupported target space {target.value}")
-    return Frame(out, target, frame.index)
+    return Frame(rgb_to_lab(frame.pixels), target, frame.index)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from .features import (
     sample,
 )
 from .frameio import frame_dir_source, list_frame_files
-from .imaging import ColorSpace, Frame
+from .imaging import ColorSpace, Frame, luma
 from .proposal import ProposalConfig, ProposalEngine
 from .temporal import StabilityThresholds, Tracker
 
@@ -299,11 +299,11 @@ class DetectionPipeline:
         self.stats.blobs_proposed += len(blobs)
         return blobs, cand.threshold
 
-    def decide(self, frame: Frame, gray: Optional[np.ndarray], blobs):
+    def decide(self, frame: Frame, gray: np.ndarray, blobs):
         """Stage 2: (the blobs the SVM classifies as fire, their margins).
 
-        `gray` is the frame's luma as proposal computed it (None computes
-        it again). The frame is one `_admit` took, so a kernel fits it. Each
+        `gray` is the frame's luma as proposal computed it (`engine.gray`).
+        The frame is one `_admit` took, so a kernel fits it. Each
         blob is encoded from its local descriptors and its global LAB
         histogram; a blob with no descriptor is not classified.
         """
@@ -312,7 +312,7 @@ class DetectionPipeline:
         if not blobs:
             return fire_blobs, margins
         t0 = time.perf_counter()
-        ctx = SampleContext(frame, _gray=gray)
+        ctx = SampleContext(frame, gray)
         stats.features_s += time.perf_counter() - t0
         for blob in blobs:
             t0 = time.perf_counter()
@@ -417,7 +417,7 @@ def encode_patches(
     feats, failures = [], []
     for frame in _iter_patch_frames(patch_dir):
         try:
-            ctx = SampleContext(frame)
+            ctx = SampleContext(frame, luma(frame.pixels))
             descs = sample(frame, plan, ctx=ctx)
             ghist = histogram_from_pixels(ctx.lab(0, 0, frame.width, frame.height))
             feats.append(cb.encode(descs, nn_index, params, ghist))

@@ -71,6 +71,10 @@ class ProposalConfig:
             raise ValueError(f"var_floor must be finite and >= 0, got {self.var_floor}")
         if self.stats_window < 1:
             raise ValueError(f"stats_window must be >= 1, got {self.stats_window}")
+        if self.warmup < 0:
+            raise ValueError(f"warmup must be >= 0, got {self.warmup}")
+        if self.min_blob_area < 0:
+            raise ValueError(f"min_blob_area must be >= 0, got {self.min_blob_area}")
 
     def scaled_min_area(self, width: int, height: int) -> int:
         return max(1, round(self.min_blob_area * (width * height) / REFERENCE_PIXELS))
@@ -314,19 +318,15 @@ class ProposalEngine:
         self.index: Optional[int] = None
 
     def absorb(self, frame: Frame) -> Optional[np.ndarray]:
-        """Take in one frame: its luma, its mean intensity for the rolling
+        """Take in one RGB frame: its luma, its mean intensity for the rolling
         brightness, and a background model update. Returns the frame's
         foreground mask, or None without a background model."""
-        if frame.space is ColorSpace.GRAY:
-            gray = frame.pixels
-        elif frame.space is ColorSpace.RGB:
-            gray = luma(frame.pixels, *self._luma_planes)
-        else:
+        if frame.space is not ColorSpace.RGB:
             raise ValueError(f"cannot derive intensity from {frame.space.value} frame")
-        self.gray = gray
+        self.gray = luma(frame.pixels, *self._luma_planes)
         self.index = frame.index
-        self._recent_means.append(float(gray.mean()))
-        return None if self.model is None else self.model.update(gray)
+        self._recent_means.append(float(self.gray.mean()))
+        return None if self.model is None else self.model.update(self.gray)
 
     def propose(self, frame: Frame):
         """Absorb the frame; return its candidate blobs plus the cleaned

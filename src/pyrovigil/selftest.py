@@ -10,7 +10,7 @@ import numpy as np
 from . import codebook as cb
 from .features import SamplingPlan
 from .frameio import write_ppm
-from .imaging import ColorSpace, Frame, integral
+from .imaging import integral_table
 from .pipeline import DetectionPipeline, PipelineConfig, train_codebook, train_model
 from .synth import SceneSpec, SyntheticScene, fire_patch, nonfire_patch
 
@@ -24,7 +24,7 @@ def _check(name, ok, detail=""):
 
 def _integral_check(rng):
     px = rng.integers(0, 256, (16, 16)).astype(np.float64)
-    t = integral(Frame(px, ColorSpace.GRAY)).table[0]
+    t = integral_table(px[None])[0]
     for _ in range(25):
         x, y = int(rng.integers(0, 16)), int(rng.integers(0, 16))
         w, h = int(rng.integers(0, 16 - x + 1)), int(rng.integers(0, 16 - y + 1))

@@ -6,6 +6,7 @@ only on the scene seed and t, so re-running a detection produces
 bit-identical input.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -24,27 +25,38 @@ def _value_noise(rng, h, w, cell, lo, hi):
     gh = h // cell + 1
     gw = w // cell + 1
     g = rng.uniform(lo, hi, (gh, gw))
-    return np.kron(g, np.ones((cell, cell)))[:h, :w]
+    return g.repeat(cell, axis=0).repeat(cell, axis=1)[:h, :w]
 
 
 def _rgb_frame(px, index=0):
-    """An RGB frame of `px` rounded to 8 bits, as `write_ppm` rounds."""
-    return Frame(np.clip(np.rint(px), 0, 255).astype(np.uint8), ColorSpace.RGB, index)
+    """An RGB frame of `px` rounded to 8 bits, as `write_ppm` rounds; `px`
+    is rounded in place."""
+    np.clip(np.rint(px, out=px), 0, 255, out=px)
+    return Frame(px.astype(np.uint8), ColorSpace.RGB, index)
 
 
 def _ellipse(h, w, cx, cy, rx, ry):
-    yy, xx = np.ogrid[:h, :w]
-    return ((xx - cx) / rx) ** 2 + ((yy - cy) / ry) ** 2 <= 1.0
+    """(ys, xs) of the pixels of an h x w frame inside the ellipse, tested
+    in its bounding box clipped to the frame: every pixel outside that box
+    lies a whole pixel beyond the ellipse."""
+    y0, x0 = max(0, math.floor(cy - ry)), max(0, math.floor(cx - rx))
+    y1, x1 = min(h, math.ceil(cy + ry) + 1), min(w, math.ceil(cx + rx) + 1)
+    yy, xx = np.ogrid[y0:y1, x0:x1]
+    ys, xs = np.nonzero(((xx - cx) / rx) ** 2 + ((yy - cy) / ry) ** 2 <= 1.0)
+    return ys + y0, xs + x0
 
 
-def _paint_fire(rng, shape_mask):
-    """Bright yellow texture: every painted pixel clears the 220 luma bar."""
-    h, w = shape_mask.shape
-    px = np.zeros((h, w, 3))
-    px[:, :, 0] = 255.0
-    px[:, :, 1] = 240.0 + _value_noise(rng, h, w, 5, 0.0, 12.0)
-    px[:, :, 2] = 90.0 + _value_noise(rng, h, w, 5, 0.0, 90.0)
-    px[~shape_mask] = 0.0
+def _paint_fire(rng, h, w, ys, xs):
+    """Bright yellow RGB texture at pixels (ys, xs) of an h x w image: every
+    painted pixel clears the 220 luma bar. Each noise grid is drawn whole,
+    which keeps the rng stream."""
+    cells = (h // 5 + 1, w // 5 + 1)
+    green = rng.uniform(0.0, 12.0, cells)[ys // 5, xs // 5]
+    blue = rng.uniform(0.0, 90.0, cells)[ys // 5, xs // 5]
+    px = np.empty(green.shape + (3,))
+    px[..., 0] = 255.0
+    px[..., 1] = 240.0 + green
+    px[..., 2] = 90.0 + blue
     return px
 
 
@@ -54,8 +66,8 @@ def _paint_fire(rng, shape_mask):
 
 def fire_patch(seed, size: int = 64) -> Frame:
     rng = _rng(seed, 0xF1FE)
-    mask = np.ones((size, size), dtype=bool)
-    return _rgb_frame(_paint_fire(rng, mask))
+    ys, xs = np.ogrid[:size, :size]
+    return _rgb_frame(_paint_fire(rng, size, size, ys, xs))
 
 
 def lamp_patch(seed, size: int = 64) -> Frame:
@@ -165,7 +177,10 @@ class SyntheticScene:
             0.36 * fw * grow,
             0.30 * fh * grow,
         )
-        return body | tip | lick
+        mask = np.zeros((h, w), dtype=bool)
+        for lobe in (body, tip, lick):
+            mask[lobe] = True
+        return mask
 
     def frame(self, t: int) -> Frame:
         spec = self.spec
@@ -177,12 +192,12 @@ class SyntheticScene:
             px[lamp] = np.array([249.0, 249.0, 242.0]) + rng.uniform(-2, 2, 3)
         if spec.with_car and spec.car_enter <= t <= spec.car_exit:
             cx = -20.0 + spec.car_speed * (t - spec.car_enter)
+            # its colour is drawn even off the frame, which keeps the rng stream
             car = _ellipse(h, w, cx, spec.car_y, *spec.car_radius)
             px[car] = np.array([253.0, 247.0, 213.0]) + rng.uniform(-2, 2, 3)
         if spec.with_flame and t >= spec.flame_onset:
-            mask = self.flame_mask(t)
-            fire = _paint_fire(rng, mask)
-            px[mask] = fire[mask]
+            ys, xs = np.nonzero(self.flame_mask(t))
+            px[ys, xs] = _paint_fire(rng, h, w, ys, xs)
         return _rgb_frame(px, t)
 
     def frames(self, count: int, start: int = 0):

@@ -206,6 +206,8 @@ BAD_CONFIG = [
     ("lam=0",),
     ("lam=nan",),  # no pixel foreground: no blob
     ("var_floor=nan",),
+    ("warmup=-1",),
+    ("min_blob_area=-5",),
     ("preset=space",),
     ("track_log=x",),  # keys of old config files, now the --trace option
     ("mask_dump_dir=x",),

@@ -19,7 +19,7 @@ from pyrovigil.features import (
     sample,
     sample_positions,
 )
-from pyrovigil.imaging import LAB_DOMAINS, ColorSpace, Frame, convert, integral
+from pyrovigil.imaging import LAB_DOMAINS, ColorSpace, Frame, convert, integral, luma
 from pyrovigil.proposal import Blob, ProposalConfig, ProposalEngine
 from pyrovigil.synth import SceneSpec, SyntheticScene
 
@@ -378,7 +378,7 @@ def _full_frame_blob_features(frame, plan, blob):
     them. Returns ([(center, scale, vector)], bins); ([], None) when the
     grid has no kernel inside the frame."""
     lab = convert(frame, ColorSpace.LAB).pixels
-    table = integral(convert(frame, ColorSpace.GRAY)).table[0]
+    table = integral(_gray_frame(luma(frame.pixels))).table[0]
     mask = np.zeros((frame.height, frame.width), dtype=bool)
     mask[blob.y : blob.y + blob.h, blob.x : blob.x + blob.w] = blob.mask
     lo, inv = _lab_bin_params(LOCAL_BINS_PER_CHANNEL)
@@ -476,7 +476,7 @@ class TestWindowedSampling:
     def test_scene_blobs(self, camera, plan):
         checked = 0
         for frame, blobs, gray in _scene_blobs(camera, SceneSpec(seed=7)):
-            ctx = SampleContext(frame, _gray=gray)
+            ctx = SampleContext(frame, gray)
             for blob in blobs:
                 checked += self._check(frame, plan, blob, ctx) > 0
         assert checked >= 5
@@ -484,14 +484,14 @@ class TestWindowedSampling:
     def test_context_leaves_luma_writeable(self):
         # the luma buffer stays the caller's to reuse on the next frame
         frame = SyntheticScene(SceneSpec(seed=7)).frame(0)
-        gray = convert(frame, ColorSpace.GRAY).pixels.copy()
-        SampleContext(frame, _gray=gray)
+        gray = luma(frame.pixels)
+        SampleContext(frame, gray)
         assert gray.flags.writeable
 
     @pytest.mark.parametrize("plan", WINDOW_PLANS, ids=["9", "9+15"])
     def test_blobs_at_frame_edges(self, rng, plan):
         frame = SyntheticScene(SceneSpec(seed=11)).frame(120)
-        ctx = SampleContext(frame)
+        ctx = SampleContext(frame, luma(frame.pixels))
         sampled = [
             self._check(frame, plan, blob, ctx)
             for blob in _edge_blobs(rng, frame.width, frame.height)

@@ -60,9 +60,9 @@ class TestConvert:
             assert np.allclose(lab[i], _ref_lab(r, g, b), atol=1e-9)
 
     def test_gray_luma_weights(self):
-        g = convert(_rgb_frame((255, 255, 255)), ColorSpace.GRAY).pixels[0, 0]
+        g = luma(_rgb_frame((255, 255, 255)).pixels)[0, 0]
         assert abs(g - 255.0) < 1e-9
-        g2 = convert(_rgb_frame((100, 0, 0)), ColorSpace.GRAY).pixels[0, 0]
+        g2 = luma(_rgb_frame((100, 0, 0)).pixels)[0, 0]
         assert abs(g2 - 29.9) < 1e-9
 
     def test_deterministic(self, rng):
@@ -70,6 +70,10 @@ class TestConvert:
         a = convert(Frame(img, ColorSpace.RGB), ColorSpace.LAB).pixels
         b = convert(Frame(img, ColorSpace.RGB), ColorSpace.LAB).pixels
         assert a.tobytes() == b.tobytes()
+
+    def test_only_lab_target(self):
+        with pytest.raises(ValueError, match="from rgb to gray"):
+            convert(_rgb_frame((1, 2, 3)), ColorSpace.GRAY)
 
     def test_unsupported_source_space(self):
         lab = convert(_rgb_frame((1, 2, 3)), ColorSpace.LAB)

@@ -161,6 +161,8 @@ BAD_SETTINGS = [
     ("lam", 0.0),
     ("lam", float("nan")),  # no pixel foreground: no blob
     ("var_floor", float("nan")),
+    ("warmup", -3),  # silently no warm-up
+    ("min_blob_area", -5),  # silently an area of 1
     ("decision_stride", 0),
     ("track_max_gap", 0),
     ("iou_threshold", 0.0),
@@ -180,6 +182,11 @@ def test_bad_setting_raises_when_config_built(key, value):
     if key in {f.name for f in fields(ProposalConfig)}:
         with pytest.raises(ValueError, match=named):
             ProposalConfig(**{key: value})
+
+
+def test_zero_warmup_and_blob_area_accepted():
+    config = ProposalConfig(warmup=0, min_blob_area=0)
+    assert config.scaled_min_area(320, 240) == 1
 
 
 @pytest.mark.parametrize("cls", [ProposalConfig, PipelineConfig])

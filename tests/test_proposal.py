@@ -537,12 +537,21 @@ class TestExtractBlobs:
             assert b.perimeter == _perimeter_oracle(b.mask)
 
 
+def _gray_rgb_frame(levels):
+    """An RGB frame with three equal channels of 8-bit `levels`, whose luma
+    is exactly those levels (as it is for each level used here)."""
+    px = np.asarray(levels).astype(np.uint8)
+    frame = Frame(np.repeat(px[:, :, None], 3, axis=2), ColorSpace.RGB)
+    assert np.array_equal(luma(frame.pixels), levels)
+    return frame
+
+
 class TestPropose:
     def test_synthetic_two_squares(self):
         px = np.full((60, 80), 40.0)
         px[10:20, 10:20] = 250.0  # 100 px bright square
         px[40:45, 50:60] = 250.0  # 50 px
-        frame = Frame(px, ColorSpace.GRAY)
+        frame = _gray_rgb_frame(px)
         cfg = ProposalConfig(camera="moving", min_blob_area=30)
         blobs, _ = ProposalEngine(cfg, 80, 60).propose(frame)
         assert len(blobs) == 2
@@ -550,7 +559,7 @@ class TestPropose:
         assert abs(blobs[1].area - 50) <= 5
 
     def test_empty_scene(self):
-        frame = Frame(np.zeros((40, 40)), ColorSpace.GRAY)
+        frame = _gray_rgb_frame(np.zeros((40, 40)))
         engine = ProposalEngine(ProposalConfig(camera="moving"), 40, 40)
         assert engine.propose(frame)[0] == []
 
@@ -561,11 +570,11 @@ class TestPropose:
         bright = base.copy()
         bright[5:15, 5:15] = 245.0  # static bright square, absorbed in warmup
         for _ in range(30):
-            blobs, mask = engine.propose(Frame(bright, ColorSpace.GRAY))
+            blobs, mask = engine.propose(_gray_rgb_frame(bright))
         assert blobs == []  # bright but background
         lit = bright.copy()
         lit[25:35, 25:35] = 250.0  # new bright square
-        blobs, mask = engine.propose(Frame(lit, ColorSpace.GRAY))
+        blobs, mask = engine.propose(_gray_rgb_frame(lit))
         assert len(blobs) == 1
         assert blobs[0].bbox[0] >= 24
 
@@ -578,8 +587,15 @@ class TestPropose:
     def test_rolling_brightness_keeps_last_window(self):
         engine = ProposalEngine(ProposalConfig(camera="moving", stats_window=3), 8, 8)
         for level in (10.0, 20.0, 30.0, 40.0, 50.0):
-            engine.absorb(Frame(np.full((8, 8), level), ColorSpace.GRAY))
+            engine.absorb(_gray_rgb_frame(np.full((8, 8), level)))
         assert list(engine._recent_means) == [30.0, 40.0, 50.0]
+
+    @pytest.mark.parametrize("space", [ColorSpace.GRAY, ColorSpace.LAB])
+    def test_only_rgb_absorbed(self, space):
+        shape = (8, 8) if space is ColorSpace.GRAY else (8, 8, 3)
+        engine = ProposalEngine(ProposalConfig(camera="moving"), 8, 8)
+        with pytest.raises(ValueError, match=f"from {space.value} frame"):
+            engine.absorb(Frame(np.zeros(shape), space))
 
     def test_empty_rolling_window_rejected(self):
         # an empty window left the first propose dividing by zero
@@ -590,7 +606,7 @@ class TestPropose:
         px = np.full((30, 30), 100.0)
         px[4:12, 4:12] = 255.0
         engine = ProposalEngine(ProposalConfig(camera="moving"), 30, 30)
-        blobs, mask = engine.propose(Frame(px, ColorSpace.GRAY))
+        blobs, mask = engine.propose(_gray_rgb_frame(px))
         assert engine.model is None
         assert mask.threshold == pick_threshold(px.mean()) == 190.0
         assert np.array_equal(mask.mask, px >= 190.0)
