@@ -301,6 +301,8 @@ def cross_validate(
     Deterministic for a fixed seed; the best cell is the first maximum in
     (C, gamma) scan order.
     """
+    if folds < 2:
+        raise ValueError(f"folds must be >= 2, got {folds}")
     X, y = _as_samples(X, y)
     n_pos = int((y > 0).sum())
     n_neg = int((y < 0).sum())

@@ -108,16 +108,6 @@ def _cmd_train_model(args) -> int:
     return 0
 
 
-def _overrides(args) -> dict:
-    out = {}
-    for item in args.set or ():
-        if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
-        key, _, value = item.partition("=")
-        out[key.strip()] = value.strip()
-    return out
-
-
 def _check_outputs(*outputs):
     """`_check_writable` on each (path, what) whose path is set, all before
     any output is opened, so that a config error leaves every file as it
@@ -139,7 +129,7 @@ def _output(path, what):
 
 
 def _cmd_detect(args) -> int:
-    config = PipelineConfig.from_file(args.config, _overrides(args))
+    config = PipelineConfig.from_file(args.config, args.set or ())
     pipeline = DetectionPipeline(config)
     frames = frame_dir_source(args.frames, skip_bad=True)
     alarm_path = args.alarms or os.devnull
@@ -154,7 +144,7 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    config = PipelineConfig.from_file(args.config, _overrides(args))
+    config = PipelineConfig.from_file(args.config, args.set or ())
     labels = parse_labels(args.labels)
     alarm_path = args.alarms_out or os.devnull
     _check_outputs((alarm_path, "alarm log"), (args.trace, "trace"))

@@ -385,6 +385,8 @@ def read_codebook(path) -> Codebook:
     version, k, dim = struct.unpack_from("<III", raw, 4)
     if version != CODEBOOK_VERSION:
         raise DataError(f"{path}: unsupported codebook version {version}")
+    if k == 0 or dim == 0:
+        raise DataError(f"{path}: codebook has {k} words of {dim} values, needs one of each")
     need = 16 + k * dim * 8 + 8
     if len(raw) != need:
         raise DataError(f"{path}: codebook payload is {len(raw)} bytes, expected {need}")

@@ -104,7 +104,8 @@ def load_frame(path, index: int) -> Frame:
 
 
 def list_frame_files(directory):
-    """Image files in a frame directory, sorted by their numeric stem."""
+    """Image files in a frame directory, sorted by their numeric stem; a
+    directory without one is a DataError."""
     directory = Path(directory)
     if not directory.is_dir():
         raise DataError(f"{directory}: not a directory")
@@ -116,6 +117,8 @@ def list_frame_files(directory):
         if not m:
             raise DataError(f"{p}: frame filename carries no sequence number")
         entries.append((int(m.group(1)), p))
+    if not entries:
+        raise DataError(f"{directory}: no .ppm/.png frames found")
     entries.sort(key=lambda e: e[0])
     for (na, pa), (nb, pb) in zip(entries, entries[1:]):
         if nb == na:
@@ -127,12 +130,19 @@ def frame_dir_source(directory, skip_bad: bool = False) -> Iterator[Frame]:
     """Yield frames from a numbered image directory in index order.
 
     With `skip_bad` a frame that fails to decode is logged and skipped
-    instead of aborting the stream.
+    instead of aborting the stream; a stream that read no frame at all is
+    a DataError at its end.
     """
+    read = 0
     for index, path in list_frame_files(directory):
         try:
-            yield load_frame(path, index)
+            frame = load_frame(path, index)
         except DataError:
             if not skip_bad:
                 raise
             logger.warning("skipping undecodable frame %s", path)
+            continue
+        read += 1
+        yield frame
+    if not read:
+        raise DataError(f"{directory}: no frame could be read")

@@ -67,6 +67,15 @@ def _parse(kind, text: str):
     return kind(text)
 
 
+def _setting(item: str, where: str):
+    """(key, value) of a `key=value` setting, both stripped; anything else
+    is a ConfigError naming `where`."""
+    key, eq, value = item.partition("=")
+    if not eq:
+        raise ConfigError(f"{where}: expected key=value, got {item!r}")
+    return key.strip(), value.strip()
+
+
 @dataclass(frozen=True)
 class PipelineConfig(ProposalConfig):
     """Every setting of the cascade; the proposal stage's come from
@@ -108,24 +117,20 @@ class PipelineConfig(ProposalConfig):
         return self
 
     @classmethod
-    def from_file(cls, path, overrides=None) -> "PipelineConfig":
-        """Plain-text key=value config with '#' comments; `overrides`
-        (key -> string value) take precedence over the file."""
-        values = {}
+    def from_file(cls, path, overrides=()) -> "PipelineConfig":
+        """Plain-text key=value config with '#' comments; `overrides`,
+        key=value strings, take precedence over the file."""
         try:
             text = Path(path).read_text()
         except (OSError, UnicodeDecodeError) as e:
             raise ConfigError(f"cannot read config {path}: {e}") from None
+        values = {}
         for lineno, line in enumerate(text.splitlines(), 1):
             line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
-        if overrides:
-            values.update(overrides)
+            if line:
+                key, value = _setting(line, f"{path}:{lineno}")
+                values[key] = value
+        values.update(_setting(item, "override") for item in overrides)
         return cls._from_dict(values, path).validate()
 
     @classmethod
@@ -180,6 +185,20 @@ class StageStats:
         )
 
 
+def _encoder(book: cb.Codebook, m: int):
+    """(neighbor index, encoder params) that encode descriptors over
+    `book`, each onto its `m` nearest words, for detection and training
+    alike. Words that are not 88-dim and a sigma that is not finite and
+    > 0 are DataErrors; an `m` above the word count is a ConfigError."""
+    if book.dim != DESCRIPTOR_DIM:
+        raise DataError(f"codebook words are {book.dim}-dim, descriptors {DESCRIPTOR_DIM}-dim")
+    if not (math.isfinite(book.sigma) and book.sigma > 0):
+        raise DataError(f"codebook sigma must be finite and > 0, got {book.sigma}")
+    if m > book.k:
+        raise ConfigError(f"m={m} exceeds the codebook's {book.k} words")
+    return cb.NNIndex(book.centers), cb.EncoderParams(m=m, sigma=book.sigma)
+
+
 class DetectionPipeline:
     """Loads model + codebook once; `run` processes one frame stream."""
 
@@ -199,22 +218,13 @@ class DetectionPipeline:
                 "model/codebook pairing violated: the model was trained "
                 "against a different codebook"
             )
-        if codebook.dim != DESCRIPTOR_DIM:
-            raise DataError(
-                f"codebook words are {codebook.dim}-dim, descriptors {DESCRIPTOR_DIM}-dim"
-            )
+        self.index, self.params = _encoder(codebook, config.m)
         row_dim = codebook.k + 3 * GLOBAL_BINS_PER_CHANNEL
         if model.dim != row_dim:
             raise DataError(
                 f"model takes {model.dim} features, but the codebook's "
                 f"{codebook.k} words give {row_dim}"
             )
-        if not (math.isfinite(codebook.sigma) and codebook.sigma > 0):
-            raise DataError(f"codebook sigma must be finite and > 0, got {codebook.sigma}")
-        if config.m > codebook.k:
-            raise ConfigError(f"m={config.m} exceeds the codebook's {codebook.k} words")
-        self.params = cb.EncoderParams(m=config.m, sigma=codebook.sigma)
-        self.index = cb.NNIndex(codebook.centers)
         self.plan = SamplingPlan(config.interval, tuple(config.scales))
         self.stats = StageStats()
 
@@ -360,25 +370,19 @@ def _trace_record(video, frame, threshold, bg_model, blobs, fire, margins, track
 # training workflows
 
 
-def _iter_patch_frames(directory):
-    files = list_frame_files(directory)
-    if not files:
-        raise DataError(f"{directory}: no .ppm/.png patches found")
-    yield from frame_dir_source(directory)
-
-
-def harvest_descriptors(patch_dirs, plan: SamplingPlan):
-    """All local descriptors from every patch under the given dirs."""
-    rows = []
-    patches = 0
-    for d in patch_dirs:
-        for frame in _iter_patch_frames(d):
-            patches += 1
-            try:
-                rows.append(sample(frame, plan))
-            except ValueError:
-                continue  # patch smaller than every kernel
-    return (np.concatenate(rows) if rows else np.zeros((0, 88))), patches
+def _patches(directory, plan: SamplingPlan):
+    """(frame, local descriptors, sample context) of each patch in a
+    directory, in index order; a patch that gives no descriptor is a
+    DataError."""
+    for frame in frame_dir_source(directory):
+        ctx = SampleContext(frame, luma(frame.pixels))
+        descs = sample(frame, plan, ctx=ctx) if plan.fits(frame.width, frame.height) else ()
+        if len(descs) == 0:
+            raise DataError(
+                f"{directory}: patch {frame.index} ({frame.width}x{frame.height}) "
+                "gives no descriptor"
+            )
+        yield frame, descs, ctx
 
 
 def train_codebook(
@@ -390,8 +394,10 @@ def train_codebook(
     out_path=None,
     log=print,
 ) -> cb.Codebook:
-    """Harvest descriptors from training patches and cluster them."""
-    X, patches = harvest_descriptors(patch_dirs, plan)
+    """Cluster the local descriptors of every patch under the given dirs."""
+    rows = [descs for d in patch_dirs for _, descs, _ in _patches(d, plan)]
+    X = np.concatenate(rows) if rows else np.zeros((0, DESCRIPTOR_DIM))
+    patches = len(rows)
     # k distinct descriptors would each become a word, with sigma 0
     distinct = np.unique(X, axis=0).shape[0] if X.shape[0] else 0
     if distinct <= k:
@@ -413,17 +419,12 @@ def train_codebook(
 def encode_patches(
     patch_dir, nn_index: cb.NNIndex, params: cb.EncoderParams, plan: SamplingPlan
 ):
-    """Encode every patch in a directory to its (k + 96,) feature row."""
-    feats, failures = [], []
-    for frame in _iter_patch_frames(patch_dir):
-        try:
-            ctx = SampleContext(frame, luma(frame.pixels))
-            descs = sample(frame, plan, ctx=ctx)
-            ghist = histogram_from_pixels(ctx.lab(0, 0, frame.width, frame.height))
-            feats.append(cb.encode(descs, nn_index, params, ghist))
-        except ValueError as e:
-            failures.append((frame.index, str(e)))
-    return feats, failures
+    """The (k + 96,) feature row of each patch in a directory."""
+    return [
+        cb.encode(descs, nn_index, params,
+                  histogram_from_pixels(ctx.lab(0, 0, frame.width, frame.height)))
+        for frame, descs, ctx in _patches(patch_dir, plan)
+    ]
 
 
 @dataclass
@@ -467,17 +468,9 @@ def train_model(
     """Encode fire/non-fire patches, optionally grid-search (C, gamma) by
     cross-validation on the training split, fit the final model, and
     report accuracy on the held-out fifth."""
-    if m > book.k:
-        raise ConfigError(f"m={m} exceeds the codebook's {book.k} words")
-    params = cb.EncoderParams(m=m, sigma=book.sigma)
-    nn_index = cb.NNIndex(book.centers)
-    fire_feats, fire_fail = encode_patches(fire_dir, nn_index, params, plan)
-    non_feats, non_fail = encode_patches(nonfire_dir, nn_index, params, plan)
-    failures = [("fire", i, msg) for i, msg in fire_fail]
-    failures += [("nonfire", i, msg) for i, msg in non_fail]
-    if failures:
-        listing = "; ".join(f"{kind} patch {i}: {msg}" for kind, i, msg in failures)
-        raise DataError(f"encoding failures: {listing}")
+    nn_index, params = _encoder(book, m)
+    fire_feats = encode_patches(fire_dir, nn_index, params, plan)
+    non_feats = encode_patches(nonfire_dir, nn_index, params, plan)
     if min(len(fire_feats), len(non_feats)) < 5:
         raise DataError(
             f"need at least 5 samples per class, got {len(fire_feats)} fire / "

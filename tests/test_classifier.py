@@ -306,6 +306,14 @@ class TestCrossValidate:
         with pytest.raises(ValueError, match="per class"):
             cross_validate(X, y, KernelKind.RBF, folds=5)
 
+    @pytest.mark.parametrize("folds", [0, 1])
+    def test_folds_below_two_rejected(self, rng, folds):
+        # 0 and 1 folds used to raise ZeroDivisionError
+        X = rng.normal(size=(12, 3))
+        y = np.repeat([1.0, -1.0], 6)
+        with pytest.raises(ValueError, match=f"folds must be >= 2, got {folds}"):
+            cross_validate(X, y, KernelKind.RBF, folds=folds)
+
     def test_linear_collapses_gamma_axis(self, rng):
         X = np.vstack([rng.normal(2, 0.3, (10, 2)), rng.normal(-2, 0.3, (10, 2))])
         y = np.concatenate([np.ones(10), -np.ones(10)])
@@ -350,7 +358,9 @@ class TestModelIO:
         write_model(model, path)
         assert path.read_bytes()[:4] == b"PVSM"
 
-    @pytest.mark.parametrize("size, match", [(60, "payload"), (20, "header")])
+    @pytest.mark.parametrize(
+        "size, match", [(60, "payload"), (-1, "payload"), (20, "header"), (51, "header")]
+    )
     def test_truncated_rejected(self, rng, tmp_path, size, match):
         X = rng.normal(size=(6, 2))
         y = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
@@ -375,6 +385,17 @@ class TestModelIO:
         raw[offset : offset + len(field)] = field
         path.write_bytes(bytes(raw))
         with pytest.raises(DataError, match=match):
+            read_model(path)
+
+    def test_other_version_rejected(self, rng, tmp_path):
+        X = rng.normal(size=(6, 2))
+        y = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
+        path = tmp_path / "m.pvsm"
+        write_model(train(X, y, kernel=RBF1, C=1.0), path)
+        raw = bytearray(path.read_bytes())
+        raw[4:8] = struct.pack("<I", 2)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DataError, match="m.pvsm: unsupported model version 2"):
             read_model(path)
 
     def test_missing_file_rejected(self, tmp_path):

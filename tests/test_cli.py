@@ -563,3 +563,103 @@ def test_evaluate_command(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "True negative" in out
     assert "n/a" in out  # no positives anywhere
+
+
+@pytest.mark.parametrize("size", [8, 12, 14])
+def test_train_codebook_patch_without_descriptor_exits_3(tmp_path, capsys, size):
+    # an 8x8 patch fits no 9-px kernel; on 12x12 and 14x14 one fits, but
+    # the grid from the corner places none. Training used to count the
+    # patch and exit 0
+    fire_dir, _ = _write_patches(tmp_path)
+    write_ppm(fire_dir / "000010.ppm", red_noise_patch(10, size).pixels)
+    out = tmp_path / "cb.pvcb"
+    code = main(["train-codebook", "--patches", str(fire_dir), "--out", str(out),
+                 "--k", "30", "--iterations", "5"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert f"data error: {fire_dir}: patch 10 ({size}x{size}) gives no descriptor" in err
+    assert not out.exists()
+
+
+def test_train_model_patch_without_descriptor_exits_3(tmp_path, capsys, synth_artifacts):
+    fire_dir, non_dir = _write_patches(tmp_path)
+    write_ppm(non_dir / "000010.ppm", blue_noise_patch(10, 12).pixels)
+    out = tmp_path / "m.pvsm"
+    code = main([
+        "train-model", "--fire", str(fire_dir), "--nonfire", str(non_dir),
+        "--codebook", str(synth_artifacts["codebook_path"]), "--out", str(out),
+    ])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert f"data error: {non_dir}: patch 10 (12x12) gives no descriptor" in err
+    assert not out.exists()
+
+
+def test_train_model_with_wrong_dim_codebook_exits_3(tmp_path, capsys):
+    # each patch used to fail with numpy's matmul error, one listing per patch
+    fire_dir, non_dir = _write_patches(tmp_path)
+    cb_path, out = tmp_path / "cb50.pvcb", tmp_path / "m.pvsm"
+    write_codebook(Codebook(np.random.default_rng(3).normal(size=(20, 50)), 0.5), cb_path)
+    code = main([
+        "train-model", "--fire", str(fire_dir), "--nonfire", str(non_dir),
+        "--codebook", str(cb_path), "--out", str(out),
+    ])
+    assert code == 3
+    assert capsys.readouterr().err == "data error: codebook words are 50-dim, descriptors 88-dim\n"
+    assert not out.exists()
+
+
+def test_train_model_with_empty_codebook_exits_3(tmp_path, capsys):
+    # a codebook of no word used to stop on m as a config error (exit 2)
+    fire_dir, non_dir = _write_patches(tmp_path)
+    cb_path, out = tmp_path / "empty.pvcb", tmp_path / "m.pvsm"
+    write_codebook(Codebook(np.zeros((0, 88)), 0.5), cb_path)
+    code = main([
+        "train-model", "--fire", str(fire_dir), "--nonfire", str(non_dir),
+        "--codebook", str(cb_path), "--out", str(out),
+    ])
+    assert code == 3
+    assert "empty.pvcb: codebook has 0 words of 88 values" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("names, message", [
+    ((), "no .ppm/.png frames found"),
+    (("000000.png", "000001.ppm"), "no frame could be read"),
+], ids=["no frame file", "undecodable"])
+def test_detect_without_readable_frame_exits_3(
+    tmp_path, capsys, caplog, synth_artifacts, names, message
+):
+    # both used to exit 0 with frames=0
+    frames_dir = tmp_path / "frames"
+    frames_dir.mkdir()
+    for name in names:
+        (frames_dir / name).write_bytes(b"\x89PNG\r\n\x1a\nnot an image")
+    cfg = tmp_path / "pipe.cfg"
+    cfg.write_text(
+        f"codebook={synth_artifacts['codebook_path']}\n"
+        f"model={synth_artifacts['model_path']}\n"
+    )
+    with caplog.at_level("WARNING", logger="pyrovigil.frameio"):
+        code = main(["detect", "--config", str(cfg), "--frames", str(frames_dir)])
+    assert code == 3
+    assert f"data error: {frames_dir}: {message}" in capsys.readouterr().err
+    assert caplog.text.count("skipping") == len(names)
+
+
+@pytest.mark.parametrize("source", ["config line", "--set item"])
+def test_setting_without_equals_exits_2(tmp_path, capsys, synth_artifacts, source):
+    cfg = tmp_path / "pipe.cfg"
+    text = (
+        f"codebook={synth_artifacts['codebook_path']}\n"
+        f"model={synth_artifacts['model_path']}\n"
+    )
+    argv = ["detect", "--config", str(cfg), "--frames", str(tmp_path)]
+    if source == "config line":
+        text += "decision_stride 2\n"
+    else:
+        argv += ["--set", "decision_stride"]
+    cfg.write_text(text)
+    code = main(argv)
+    assert code == 2
+    assert "expected key=value, got 'decision_stride" in capsys.readouterr().err

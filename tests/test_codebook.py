@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -578,6 +579,23 @@ class TestCodebookIO:
         path = tmp_path / "short.pvcb"
         path.write_bytes(b"PVCB\x01\x00\x00\x00")
         with pytest.raises(DataError, match="header"):
+            read_codebook(path)
+
+    def test_other_version_rejected(self, rng, tmp_path):
+        path = tmp_path / "book.pvcb"
+        write_codebook(Codebook(rng.normal(size=(3, 4)), 1.0), path)
+        raw = bytearray(path.read_bytes())
+        raw[4:8] = struct.pack("<I", 2)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DataError, match="book.pvcb: unsupported codebook version 2"):
+            read_codebook(path)
+
+    @pytest.mark.parametrize("k, dim", [(0, 88), (5, 0)], ids=["no word", "no value"])
+    def test_empty_codebook_rejected(self, tmp_path, k, dim):
+        # k = 0 used to pass, and training then failed on m as a config error
+        path = tmp_path / "empty.pvcb"
+        write_codebook(Codebook(np.zeros((k, dim)), 1.0), path)
+        with pytest.raises(DataError, match=f"empty.pvcb: codebook has {k} words of {dim} values"):
             read_codebook(path)
 
     def test_missing_file_rejected(self, tmp_path):

@@ -329,7 +329,22 @@ class TestFrameIO:
         path.write_bytes(b"P6\n0 0\n255\n")
         with pytest.raises(DataError, match="no pixel"):
             read_ppm(path)
-        assert list(frame_dir_source(tmp_path, skip_bad=True)) == []
+        write_ppm(tmp_path / "000001.ppm", np.zeros((2, 2, 3), np.uint8))
+        assert [f.index for f in frame_dir_source(tmp_path, skip_bad=True)] == [1]
+
+    def test_frame_dir_without_frame_file_rejected(self, tmp_path):
+        (tmp_path / "notes.txt").write_text("not a frame")
+        with pytest.raises(DataError, match="no .ppm/.png frames found"):
+            list(frame_dir_source(tmp_path))
+
+    def test_frame_dir_without_readable_frame_rejected(self, tmp_path, caplog):
+        # skipping every frame used to end the stream quietly, with no frame
+        for n in (1, 2):
+            (tmp_path / f"{n:06d}.ppm").write_bytes(b"P6\n2 2\n255\n\x00")
+        with caplog.at_level("WARNING"):
+            with pytest.raises(DataError, match="no frame could be read"):
+                list(frame_dir_source(tmp_path, skip_bad=True))
+        assert caplog.text.count("skipping") == 2
 
     def test_frame_dir_sorted_numerically(self, tmp_path):
         for n in (10, 2, 33):

@@ -6,6 +6,7 @@ from dataclasses import FrozenInstanceError, fields, replace
 import numpy as np
 import pytest
 
+from pyrovigil.codebook import Codebook
 from pyrovigil.errors import ConfigError, DataError
 from pyrovigil.features import SamplingPlan
 from pyrovigil.frameio import write_ppm
@@ -821,6 +822,19 @@ class TestTrainCodebook:
         with pytest.raises(DataError, match="insufficient descriptors"):
             train_codebook([d], SamplingPlan(), k=50, log=None)
 
+    def test_directory_without_patches_is_data_error(self, tmp_path):
+        with pytest.raises(DataError, match="no .ppm/.png frames found"):
+            train_codebook([tmp_path], SamplingPlan(), k=5, log=None)
+
+    @pytest.mark.parametrize("size", [8, 12])
+    def test_patch_without_descriptor_is_data_error(self, tmp_path, size):
+        # it used to be counted, and its directory trained on
+        for i in range(3):
+            write_ppm(tmp_path / f"{i:06d}.ppm", red_noise_patch(i, 48).pixels)
+        write_ppm(tmp_path / "000007.ppm", red_noise_patch(7, size).pixels)
+        with pytest.raises(DataError, match=f"patch 7 \\({size}x{size}\\) gives no descriptor"):
+            train_codebook([tmp_path], SamplingPlan(), k=5, log=None)
+
     def test_seed_determinism_bit_identical(self, tmp_path):
         d = tmp_path / "patches"
         d.mkdir()
@@ -930,11 +944,17 @@ class TestTrainModel:
 
         monkeypatch.setattr(imaging, "rgb_to_lab", counted)
         params = cb.EncoderParams(m=10, sigma=noise_codebook.sigma)
-        feats, failures = encode_patches(
+        feats = encode_patches(
             fire_dir, cb.NNIndex(noise_codebook.centers), params, SamplingPlan()
         )
-        assert len(feats) == 6 and failures == []
+        assert len(feats) == 6
         assert converted == [(48, 48, 3)] * 6
+
+    def test_codebook_of_other_words_is_data_error(self, tmp_path, noise_codebook):
+        fire_dir, non_dir = self._noise_dirs(tmp_path, n=6)
+        book = Codebook(noise_codebook.centers[:, :50], noise_codebook.sigma)
+        with pytest.raises(DataError, match="codebook words are 50-dim, descriptors 88-dim"):
+            train_model(fire_dir, non_dir, book, log=None)
 
     def test_cv_path(self, tmp_path, noise_codebook):
         fire_dir, non_dir = self._noise_dirs(tmp_path, n=15)
