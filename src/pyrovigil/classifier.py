@@ -60,6 +60,12 @@ class TrainedModel:
     final_violation: float = 0.0
     objective_trace: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
+    def __post_init__(self):
+        # the array `kernel_matrix` reads, so that the squared norms summed
+        # here once for every decision have the bits it would sum
+        self.support_vectors = np.ascontiguousarray(self.support_vectors, dtype=np.float64)
+        self.sv_norms = (self.support_vectors * self.support_vectors).sum(axis=1)
+
     @property
     def dim(self) -> int:
         return self.support_vectors.shape[1]
@@ -91,23 +97,24 @@ def chi2_distance_matrix(X, Y):
     return out
 
 
-def kernel_matrix(kernel: Kernel, X: np.ndarray, Y: Optional[np.ndarray] = None):
+def kernel_matrix(kernel: Kernel, X: np.ndarray, Y: Optional[np.ndarray] = None, xx=None):
+    # xx: X's squared row norms, when the caller keeps them (`squared_distances`)
     X = np.ascontiguousarray(np.asarray(X, dtype=np.float64))
     Y = X if Y is None else np.ascontiguousarray(np.asarray(Y, dtype=np.float64))
     if X.shape[1] != Y.shape[1]:
         raise ValueError(f"dimension mismatch: {X.shape[1]} vs {Y.shape[1]}")
-    base = _base_matrix(kernel.kind, X, Y)
+    base = _base_matrix(kernel.kind, X, Y, xx)
     return base if kernel.kind is KernelKind.LINEAR else np.exp(-kernel.gamma * base)
 
 
-def _base_matrix(kind: KernelKind, X, Y):
+def _base_matrix(kind: KernelKind, X, Y, xx=None):
     """The linear kernel's matrix itself, or the distances that the RBF
     (squared Euclidean) and chi-square kernels scale by -gamma and
     exponentiate."""
     if kind is KernelKind.LINEAR:
         return X @ Y.T
     if kind is KernelKind.RBF:
-        return squared_distances(X, Y)
+        return squared_distances(X, Y, xx)
     return chi2_distance_matrix(X, Y)
 
 
@@ -239,7 +246,7 @@ def decision_function(model: TrainedModel, X) -> np.ndarray:
         raise ValueError(
             f"feature dimension {X.shape[1]} does not match model {model.dim}"
         )
-    K = kernel_matrix(model.kernel, model.support_vectors, X)
+    K = kernel_matrix(model.kernel, model.support_vectors, X, model.sv_norms)
     margins = model.coef @ K + model.bias
     return margins[0] if single else margins
 

@@ -10,6 +10,7 @@ import math
 import os
 import sys
 from contextlib import nullcontext
+from itertools import chain
 
 from . import codebook as cb
 from . import classifier as cl
@@ -118,8 +119,8 @@ def _check_outputs(*outputs):
 
 
 def _output(path, what):
-    """An output file opened before any frame is read (a context giving
-    None when `path` is unset); an unwritable path is a config error."""
+    """An output file opened for writing (a context giving None when `path`
+    is unset); an unwritable path is a config error."""
     if not path:
         return nullcontext()
     try:
@@ -134,6 +135,9 @@ def _cmd_detect(args) -> int:
     frames = frame_dir_source(args.frames, skip_bad=True)
     alarm_path = args.alarms or os.devnull
     _check_outputs((alarm_path, "alarm log"), (args.trace, "trace"))
+    # the first frame is read before the outputs are opened, so a directory
+    # without one leaves an earlier alarm log and trace as they were
+    frames = chain([next(frames)], frames)
     with _output(alarm_path, "alarm log") as log, _output(args.trace, "trace") as trace:
         for event in pipeline.run(frames, args.video_id, trace):
             line = format_alarm(event)
@@ -148,8 +152,10 @@ def _cmd_evaluate(args) -> int:
     labels = parse_labels(args.labels)
     alarm_path = args.alarms_out or os.devnull
     _check_outputs((alarm_path, "alarm log"), (args.trace, "trace"))
-    with _output(alarm_path, "alarm log") as log, _output(args.trace, "trace") as trace:
+    with _output(args.trace, "trace") as trace:
         report, alarms = evaluate(args.dataset, config, labels, trace)
+    # opened once every clip has run, so a data error keeps an earlier log
+    with _output(alarm_path, "alarm log") as log:
         log.writelines(format_alarm(a) + "\n" for a in alarms)
     print(report.format_table())
     return 0

@@ -61,15 +61,16 @@ class EncoderParams:
 _BLOCK_VALUES = 1 << 15
 
 
-def squared_distances(X, Y):
+def squared_distances(X, Y, xx=None):
     """(nx, ny) squared Euclidean distances (|x|^2 + |y|^2) - 2 x.y between
-    the rows of X and of Y, floored at 0.
+    the rows of X and of Y, floored at 0. `xx`, when given, is X's
+    `(X * X).sum(axis=1)`, summed once by a caller that reuses X.
 
     One `X @ Y.T` product; the rest is evaluated in blocks of rows written
     into the product itself, with the operand order of the one expression,
     so the bits are those of the expression."""
     d2 = X @ Y.T
-    xx = (X * X).sum(axis=1)
+    xx = (X * X).sum(axis=1) if xx is None else xx
     yy = (Y * Y).sum(axis=1)
     nx, ny = d2.shape
     rows = max(1, _BLOCK_VALUES // max(1, ny))

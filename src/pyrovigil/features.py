@@ -79,20 +79,22 @@ def _surf_batch(table, cxs, cys, scale, hmar, sub, weights):
     n = cxs.shape[0]
     if n == 0:
         return np.zeros((0, 64), dtype=np.float64)
-    half = scale // 2
-    grid = np.arange(scale)
-    px = (cxs - half)[:, None, None] + grid[None, None, :]
-    py = (cys - half)[:, None, None] + grid[None, :, None]
-    px = np.broadcast_to(px, (n, scale, scale))
-    py = np.broadcast_to(py, (n, scale, scale))
+    # one gather per window of every table cell its boxes read
+    grid = np.arange(scale + 2 * hmar + 1)
+    ys = (cys - scale // 2 - hmar)[:, None] + grid
+    xs = (cxs - scale // 2 - hmar)[:, None] + grid
+    patch = table[ys[:, :, None], xs[:, None, :]]
+
+    def corner(dr, dc):  # table[py + dr, px + dc] at each window pixel (py, px)
+        return patch[:, hmar + dr : hmar + dr + scale, hmar + dc : hmar + dc + scale]
 
     def box(r0, r1, c0, c1):
         # inclusive row/col offsets relative to the sample point
         return (
-            table[py + r1 + 1, px + c1 + 1]
-            - table[py + r0, px + c1 + 1]
-            - table[py + r1 + 1, px + c0]
-            + table[py + r0, px + c0]
+            corner(r1 + 1, c1 + 1)
+            - corner(r0, c1 + 1)
+            - corner(r1 + 1, c0)
+            + corner(r0, c0)
         )
 
     dx = box(-hmar, hmar, 1, hmar) - box(-hmar, hmar, -hmar, -1)
@@ -181,17 +183,20 @@ class SampleContext:
     """Per-frame precomputation shared by all descriptor extractions, from
     an RGB frame and its luma `gray` (`imaging.luma(frame.pixels)`).
 
-    The gray integral image covers the whole frame: SURF box sums over
-    non-integer luma taken from a cropped cumulative sum would not give
-    the same bits. LAB is converted per window (`lab`), because a region's
-    descriptors and histogram read only the pixels around it.
+    The gray integral image covers the frame's columns [0, x1) and rows
+    [0, y1) of `reach` (x1, y1), or the whole frame without one. Its sums
+    run from the origin, so each cell has the bits of the whole frame's
+    table, and a read past the reach raises IndexError. LAB is converted
+    per window (`lab`), because a region's descriptors and histogram read
+    only the pixels around it.
     """
 
-    def __init__(self, frame: Frame, gray: np.ndarray):
+    def __init__(self, frame: Frame, gray: np.ndarray, reach=None):
         if frame.space is not ColorSpace.RGB:
             raise ValueError(f"sampling expects an RGB frame, got {frame.space.value}")
         self.frame = frame
-        self.gray_ii = integral(Frame(gray, ColorSpace.GRAY, frame.index))
+        x1, y1 = (frame.width, frame.height) if reach is None else reach
+        self.gray_ii = integral(Frame(gray[:y1, :x1], ColorSpace.GRAY, frame.index))
         self._window = (0, 0, 0, 0)
         self._lab = np.zeros((0, 0, 3))
 
@@ -214,16 +219,22 @@ class SampleContext:
         return self._lab[y0 - wy0 : y1 - wy0, x0 - wx0 : x1 - wx0]
 
 
-def _dense_centers(width, height, scale, interval, region):
-    """Row-major centers of the grid at `interval` from the top-left pixel of
-    `region` (x, y, w, h) that lie inside it and whose kernel fits the frame."""
-    axes = []
-    for start, extent, size in zip(region[:2], region[2:], (width, height)):
-        span = _center_span(scale, size)
-        c = np.arange(start, start + extent, interval, dtype=np.int64)
-        axes.append(c[(c >= span.start) & (c < span.stop)])
-    gx, gy = np.meshgrid(*axes)  # row-major: y outer, x inner
-    return gx.ravel(), gy.ravel()
+def sample_reach(frame: Frame, plan: SamplingPlan, blobs):
+    """(x1, y1): the `SampleContext` reach that holds every table cell the
+    SURF kernels of `plan` read in the bboxes of `blobs`."""
+    margin = max(s - 1 - s // 2 + haar_margin(s) for s in plan.scales)
+    return (
+        min(frame.width, max(b.x + b.w for b in blobs) + margin),
+        min(frame.height, max(b.y + b.h for b in blobs) + margin),
+    )
+
+
+def _grid_slice(start: int, span: range, interval: int) -> slice:
+    """The slice of a region's pixels along an axis, from `start`, that
+    holds its grid points at `interval` inside `span`."""
+    lo = max(0, span.start - start)
+    first = lo + (-lo) % interval
+    return slice(first, max(first, span.stop - start), interval)
 
 
 def _region_mask(frame, mask, anchor):
@@ -251,13 +262,14 @@ def sample_positions(
     if not plan.fits(frame.width, frame.height):
         raise ValueError("no valid sample positions")
     mask = _region_mask(frame, mask, anchor)
-    (rx, ry), (rh, rw) = anchor, mask.shape
-    region = (rx, ry, rw, rh)
+    rx, ry = anchor
     placements = []
     for scale in plan.scales:
-        cxs, cys = _dense_centers(frame.width, frame.height, scale, plan.interval, region)
-        keep = mask[cys - ry, cxs - rx]
-        placements.append((scale, cxs[keep], cys[keep]))
+        rows = _grid_slice(ry, _center_span(scale, frame.height), plan.interval)
+        cols = _grid_slice(rx, _center_span(scale, frame.width), plan.interval)
+        iy, ix = np.nonzero(mask[rows, cols])  # row-major, int64
+        cxs, cys = rx + cols.start + ix * cols.step, ry + rows.start + iy * rows.step
+        placements.append((scale, cxs, cys))
     return placements
 
 

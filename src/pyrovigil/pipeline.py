@@ -31,6 +31,7 @@ from .features import (
     SamplingPlan,
     histogram_from_pixels,
     sample,
+    sample_reach,
 )
 from .frameio import frame_dir_source, list_frame_files
 from .imaging import ColorSpace, Frame, luma
@@ -322,7 +323,7 @@ class DetectionPipeline:
         if not blobs:
             return fire_blobs, margins
         t0 = time.perf_counter()
-        ctx = SampleContext(frame, gray)
+        ctx = SampleContext(frame, gray, sample_reach(frame, self.plan, blobs))
         stats.features_s += time.perf_counter() - t0
         for blob in blobs:
             t0 = time.perf_counter()

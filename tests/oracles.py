@@ -79,6 +79,50 @@ def plusplus_seed_loop(X, k, rng):
     return X[chosen].copy()
 
 
+def surf_batch_gathers(table, cxs, cys, scale, hmar, sub, weights):
+    """`features._surf_batch` with one fancy-index gather of the table per
+    box corner, 16 in all: the body its one patch gather replaced, whose
+    bits it must keep."""
+    n = cxs.shape[0]
+    half = scale // 2
+    grid = np.arange(scale)
+    px = (cxs - half)[:, None, None] + grid[None, None, :]
+    py = (cys - half)[:, None, None] + grid[None, :, None]
+    px = np.broadcast_to(px, (n, scale, scale))
+    py = np.broadcast_to(py, (n, scale, scale))
+
+    def box(r0, r1, c0, c1):
+        # inclusive row/col offsets relative to the sample point
+        return (
+            table[py + r1 + 1, px + c1 + 1]
+            - table[py + r0, px + c1 + 1]
+            - table[py + r1 + 1, px + c0]
+            + table[py + r0, px + c0]
+        )
+
+    dx = box(-hmar, hmar, 1, hmar) - box(-hmar, hmar, -hmar, -1)
+    dy = box(1, hmar, -hmar, hmar) - box(-hmar, -1, -hmar, hmar)
+    dx = dx * weights
+    dy = dy * weights
+
+    sub_id = (sub[:, None] * 4 + sub[None, :]).ravel()  # (scale*scale,)
+    onehot = np.zeros((scale * scale, 16), dtype=np.float64)
+    onehot[np.arange(scale * scale), sub_id] = 1.0
+
+    comps = (
+        dx.reshape(n, -1) @ onehot,
+        dy.reshape(n, -1) @ onehot,
+        np.abs(dx).reshape(n, -1) @ onehot,
+        np.abs(dy).reshape(n, -1) @ onehot,
+    )
+    out = np.empty((n, 64), dtype=np.float64)
+    for c, comp in enumerate(comps):
+        out[:, c::4] = comp
+    norms = np.sqrt((out * out).sum(axis=1))
+    safe = np.where(norms == 0.0, 1.0, norms)
+    return out / safe[:, None]
+
+
 def squared_distances_expr(X, Y):
     """`codebook.squared_distances` as the one expression it evaluates in
     blocks, floored at 0."""

@@ -19,7 +19,7 @@ from pyrovigil.classifier import (
 )
 from pyrovigil.errors import ConvergenceError, DataError
 
-from oracles import chi2_distance_expr
+from oracles import chi2_distance_expr, squared_distances_expr
 
 
 RBF1 = Kernel(KernelKind.RBF, 1.0)
@@ -88,6 +88,21 @@ class TestKernels:
         Y /= Y.sum(axis=1, keepdims=True)
         got = chi2_distance_matrix(X, Y)
         assert np.array_equal(got.view(np.uint64), chi2_distance_expr(X, Y).view(np.uint64))
+
+    def test_rbf_decision_keeps_the_expression_bits(self, rng, tmp_path):
+        # the support vectors' norms are summed once per model, also for a
+        # model read back from its file
+        X = rng.random((60, 40))
+        y = np.where(X[:, 0] + X[:, 1] > 1.0, 1.0, -1.0)
+        model = train(X, y, Kernel(KernelKind.RBF, 0.5), C=4.0)
+        write_model(model, tmp_path / "m.pvsm")
+        Q = rng.random((17, 40))
+        for m in (model, read_model(tmp_path / "m.pvsm")):
+            for rows in (Q, Q[:1]):
+                dist = squared_distances_expr(m.support_vectors, rows)
+                want = m.coef @ np.exp(-m.kernel.gamma * dist) + m.bias
+                got = decision_function(m, rows)
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_gram_psd_spot_check(self, rng):
         X = rng.random((20, 12))

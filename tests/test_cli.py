@@ -663,3 +663,47 @@ def test_setting_without_equals_exits_2(tmp_path, capsys, synth_artifacts, sourc
     code = main(argv)
     assert code == 2
     assert "expected key=value, got 'decision_stride" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["detect", "evaluate"])
+def test_data_error_before_first_frame_keeps_outputs(
+    tmp_path, capsys, synth_artifacts, command
+):
+    # the frame directory holds no frame file; both commands used to open
+    # the alarm log, and detect the trace, before reading it, and so
+    # emptied them
+    frames_dir = tmp_path / "ds" / "clip"
+    frames_dir.mkdir(parents=True)
+    cfg = tmp_path / "pipe.cfg"
+    cfg.write_text(
+        f"codebook={synth_artifacts['codebook_path']}\n"
+        f"model={synth_artifacts['model_path']}\n"
+    )
+    alarms = tmp_path / "alarms.log"
+    alarms.write_text("scene 220 1 65,156,31,53 0.721099594\n")
+    if command == "detect":
+        trace = tmp_path / "t.jsonl"
+        trace.write_text('{"video": "scene"}\n')
+        argv = ["detect", "--frames", str(frames_dir), "--alarms", str(alarms),
+                "--trace", str(trace)]
+    else:
+        labels = tmp_path / "labels.txt"
+        labels.write_text("clip 0 200 fire\n")
+        argv = ["evaluate", "--labels", str(labels), "--dataset", str(tmp_path / "ds"),
+                "--alarms-out", str(alarms)]
+    assert main(argv + ["--config", str(cfg)]) == 3
+    assert f"data error: {frames_dir}: no .ppm/.png frames found" in capsys.readouterr().err
+    assert alarms.read_text() == "scene 220 1 65,156,31,53 0.721099594\n"
+    if command == "detect":
+        assert trace.read_text() == '{"video": "scene"}\n'
+
+
+def test_evaluate_data_error_after_a_clip_keeps_alarm_log(tmp_path, capsys, synth_artifacts):
+    # the alarms are written once the run has scored every clip; the second
+    # clip here changes frame size
+    argv = _output_argv(tmp_path, synth_artifacts, "evaluate")
+    alarms = tmp_path / "alarms.log"
+    alarms.write_text("scene 220 1 65,156,31,53 0.721099594\n")
+    assert main(argv + ["--alarms-out", str(alarms)]) == 3
+    assert "data error: frame 1 is 80x40" in capsys.readouterr().err
+    assert alarms.read_text() == "scene 220 1 65,156,31,53 0.721099594\n"

@@ -8,7 +8,7 @@ from pyrovigil.features import (
     LOCAL_BINS_PER_CHANNEL,
     SampleContext,
     SamplingPlan,
-    _dense_centers,
+    _center_span,
     _gauss_weights,
     _lab_bin_params,
     _local_hist_batch,
@@ -18,12 +18,13 @@ from pyrovigil.features import (
     histogram_from_pixels,
     sample,
     sample_positions,
+    sample_reach,
 )
 from pyrovigil.imaging import LAB_DOMAINS, ColorSpace, Frame, convert, integral, luma
 from pyrovigil.proposal import Blob, ProposalConfig, ProposalEngine
 from pyrovigil.synth import SceneSpec, SyntheticScene
 
-from oracles import kernel_fits
+from oracles import kernel_fits, surf_batch_gathers
 from test_imaging import _ref_lab
 
 
@@ -265,6 +266,24 @@ class TestLocalColorHistogram:
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+@pytest.mark.parametrize("scale", [9, 15, 21])
+def test_surf_batch_keeps_the_gather_bits(rng, scale):
+    # one patch gather per window, against one gather per box corner
+    gray = luma(rng.integers(0, 256, (240, 320, 3)).astype(np.uint8))
+    table = integral(_gray_frame(gray)).table[0]
+    xs, ys = _center_span(scale, 320), _center_span(scale, 240)
+    args = (scale, haar_margin(scale), _subregion_lut(scale), _gauss_weights(scale))
+    for n in (1, 2, 9, 40, 600):
+        cxs = rng.integers(xs.start, xs.stop, n)
+        cys = rng.integers(ys.start, ys.stop, n)
+        # the kernels that reach the frame's edges
+        cxs[: min(n, 2)] = (xs.start, xs.stop - 1)[: min(n, 2)]
+        cys[: min(n, 2)] = (ys.stop - 1, ys.start)[: min(n, 2)]
+        got = _surf_batch(table, cxs, cys, *args)
+        want = surf_batch_gathers(table, cxs, cys, *args)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def enumerate_valid_centers(width, height, scale, interval, anchor=(0, 0)):
     """Position oracle: test every grid point from the anchor to the frame's
     edges against the fit rule directly, in row-major order."""
@@ -344,9 +363,13 @@ class TestSampling:
             assert descs.shape == (0, 88)
 
     @pytest.mark.parametrize("scale,interval", [(9, 9), (9, 4), (15, 7), (27, 5)])
-    def test_dense_centers_stay_in_region(self, rng, scale, interval):
+    def test_positions_of_an_all_true_mask(self, rng, scale, interval):
         width, height = 64, 48
+        frame = Frame(np.zeros((height, width, 3), np.uint8), ColorSpace.RGB)
+        plan = SamplingPlan(interval, (scale,))
         regions = [(0, 0, width, height)]
+        # strips along each edge and corner squares, most of them outside
+        # the span of fitting centers on one axis or both
         for w, h in ((64, 1), (1, 48), (20, 15), (3, 3)):
             regions += [(x, y, w, h) for x in (0, width - w) for y in (0, height - h)]
         for _ in range(40):
@@ -354,12 +377,15 @@ class TestSampling:
             x, y = int(rng.integers(0, width - w + 1)), int(rng.integers(0, height - h + 1))
             regions.append((x, y, w, h))
         for x, y, w, h in regions:
-            cxs, cys = _dense_centers(width, height, scale, interval, (x, y, w, h))
+            [(s, cxs, cys)] = sample_positions(
+                frame, plan, mask=np.ones((h, w), dtype=bool), anchor=(x, y)
+            )
             want = [
                 (cx, cy)
                 for cx, cy in enumerate_valid_centers(width, height, scale, interval, (x, y))
                 if cx < x + w and cy < y + h
             ]
+            assert s == scale
             assert cxs.dtype == cys.dtype == np.int64
             assert list(zip(cxs.tolist(), cys.tolist())) == want
 
@@ -480,6 +506,52 @@ class TestWindowedSampling:
             for blob in blobs:
                 checked += self._check(frame, plan, blob, ctx) > 0
         assert checked >= 5
+
+    @pytest.mark.parametrize("plan", WINDOW_PLANS, ids=["9", "9+15"])
+    def test_reach_keeps_the_bits(self, rng, plan):
+        # a context over the blobs' reach only, as `decide` builds it
+        frame = SyntheticScene(SceneSpec(seed=11)).frame(120)
+        gray = luma(frame.pixels)
+        full = SampleContext(frame, gray)
+        width, height = frame.width, frame.height
+        blobs = _edge_blobs(rng, width, height)
+        groups = {
+            "right": [b for b in blobs if b.x + b.w == width and b.y + b.h < height],
+            "bottom": [b for b in blobs if b.y + b.h == height and b.x + b.w < width],
+            "neither": [b for b in blobs if b.x + b.w < width and b.y + b.h < height],
+        }
+        inside = 0
+        for name, group in groups.items():
+            sampled = 0
+            # each blob on its own, then the group's blobs in one context
+            for together in [[b] for b in group] + [group]:
+                reach = sample_reach(frame, plan, together)
+                inside += reach[0] < width and reach[1] < height
+                ctx = SampleContext(frame, gray, reach)
+                assert ctx.gray_ii.table.shape == (1, reach[1] + 1, reach[0] + 1)
+                for b in together:
+                    kw = dict(mask=b.mask, anchor=(b.x, b.y))
+                    got = sample(frame, plan, ctx=ctx, **kw)
+                    want = sample(frame, plan, ctx=full, **kw)
+                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+                    sampled += len(got) > 0
+            assert sampled >= 3, name
+        assert inside >= 5
+
+    def test_read_past_reach_raises(self):
+        # the last grid column and row of this blob read the table's last
+        # cells, so a reach one pixel short on either axis is caught
+        frame = SyntheticScene(SceneSpec(seed=11)).frame(120)
+        gray = luma(frame.pixels)
+        plan = SamplingPlan(interval=9, scales=(9,))
+        blob = Blob(20, 30, 19, 28, 19 * 28, 0, np.ones((28, 19), dtype=bool))
+        x1, y1 = sample_reach(frame, plan, [blob])
+        assert (x1, y1) == (20 + 19 + 5, 30 + 28 + 5)
+        kw = dict(mask=blob.mask, anchor=(blob.x, blob.y))
+        assert len(sample(frame, plan, ctx=SampleContext(frame, gray, (x1, y1)), **kw)) == 12
+        for short in ((x1 - 1, y1), (x1, y1 - 1)):
+            with pytest.raises(IndexError):
+                sample(frame, plan, ctx=SampleContext(frame, gray, short), **kw)
 
     def test_context_leaves_luma_writeable(self):
         # the luma buffer stays the caller's to reuse on the next frame
