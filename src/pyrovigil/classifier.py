@@ -11,12 +11,11 @@ import math
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .codebook import squared_distances
+from .codebook import read_binary, squared_distances
 from .errors import ConvergenceError, DataError
 
 
@@ -28,14 +27,16 @@ class KernelKind(Enum):
 
 @dataclass(frozen=True)
 class Kernel:
+    """A kernel kind and its gamma; a linear kernel carries gamma 0."""
+
     kind: KernelKind
     gamma: float = 0.0
 
     def __post_init__(self):
+        if self.kind is KernelKind.LINEAR:
+            object.__setattr__(self, "gamma", 0.0)
         # NaN fails every comparison, so `gamma <= 0` would let it through
-        if self.kind is not KernelKind.LINEAR and not (
-            math.isfinite(self.gamma) and self.gamma > 0
-        ):
+        elif not (math.isfinite(self.gamma) and self.gamma > 0):
             raise ValueError(
                 f"{self.kind.value} kernel needs a finite gamma > 0, got {self.gamma}"
             )
@@ -181,6 +182,15 @@ def _bias(alpha, y, G, Cvec):
     return float(0.5 * (m_val + M_val))
 
 
+def _fit(K, y, C, tol, max_iter):
+    """SMO on kernel matrix K with box caps C times each label's class weight:
+    (alpha, bias, class weights, iterations, violation, objective trace)."""
+    weights = _class_weights(y)
+    Cvec = np.where(y > 0, C * weights[0], C * weights[1])
+    alpha, G, it, violation, trace = _smo_solve(K, y, Cvec, tol, max_iter)
+    return alpha, _bias(alpha, y, G, Cvec), weights, it, violation, trace
+
+
 def train(
     X,
     y,
@@ -201,11 +211,8 @@ def train(
         raise ValueError(f"C must be finite and > 0, got {C}")
     if not ((y > 0).any() and (y < 0).any()):
         raise ValueError("need at least one sample of each label")
-    w_pos, w_neg = _class_weights(y)
-    Cvec = np.where(y > 0, C * w_pos, C * w_neg)
-    K = kernel_matrix(kernel, X)
-    alpha, G, it, violation, trace = _smo_solve(
-        K, y.astype(np.float64), Cvec, tol, max_iter
+    alpha, bias, weights, it, violation, trace = _fit(
+        kernel_matrix(kernel, X), y, C, tol, max_iter
     )
     if violation > tol:
         raise ConvergenceError(
@@ -213,19 +220,18 @@ def train(
             f"(violation {violation:.3e} > tol {tol:.0e})",
             violation,
         )
-    b = _bias(alpha, y, G, Cvec)
     sv = alpha > 1e-12
     return TrainedModel(
         kernel=kernel,
         support_vectors=X[sv].copy(),
         coef=(alpha * y)[sv].copy(),
-        bias=b,
+        bias=bias,
         C=C,
-        class_weights=(w_pos, w_neg),
+        class_weights=weights,
         codebook_fingerprint=codebook_fingerprint,
         n_iterations=it,
-        final_violation=float(violation),
-        objective_trace=np.asarray(trace),
+        final_violation=violation,
+        objective_trace=trace,
     )
 
 
@@ -304,9 +310,11 @@ def cross_validate(
     """Grid-search (C, gamma) by stratified k-fold accuracy.
 
     The grid defaults to integer powers of two from 2^-8 to 2^8 on both
-    axes (gamma collapses to a single dummy value for the linear kernel).
-    Deterministic for a fixed seed; the best cell is the first maximum in
-    (C, gamma) scan order.
+    axes (gamma collapses to the one value 0 for the linear kernel). Each
+    cell fits every fold with the SMO fit `train` makes; each fold's kernel
+    blocks are gathered once per gamma and shared by its C values. A fold
+    that reaches `max_iter` is scored as it stands. Deterministic for a
+    fixed seed; the best cell is the first maximum in (C, gamma) scan order.
     """
     if folds < 2:
         raise ValueError(f"folds must be >= 2, got {folds}")
@@ -330,23 +338,17 @@ def cross_validate(
     acc = np.zeros((len(c_values), len(gamma_values)))
     for gi, gamma in enumerate(gamma_values):
         K_full = base if kind is KernelKind.LINEAR else np.exp(-gamma * base)
-        for ci, C in enumerate(c_values):
-            correct = 0
-            total = 0
-            for f in range(folds):
-                te = fold_idx[f]
-                tr = np.setdiff1d(np.arange(X.shape[0]), te)
-                K_tr = np.ascontiguousarray(K_full[np.ix_(tr, tr)])
-                y_tr = y[tr]
-                w_pos, w_neg = _class_weights(y_tr)
-                Cvec = np.where(y_tr > 0, C * w_pos, C * w_neg)
-                alpha, G, _, _, _ = _smo_solve(K_tr, y_tr, Cvec, tol, max_iter)
-                b = _bias(alpha, y_tr, G, Cvec)
-                margins = (alpha * y_tr) @ K_full[np.ix_(tr, te)] + b
-                pred = np.where(margins >= 0.0, 1.0, -1.0)
-                correct += int((pred == y[te]).sum())
-                total += te.size
-            acc[ci, gi] = correct / total
+        correct = np.zeros(len(c_values), dtype=np.int64)
+        for te in fold_idx:
+            tr = np.setdiff1d(np.arange(X.shape[0]), te)
+            K_tr = np.ascontiguousarray(K_full[np.ix_(tr, tr)])
+            K_te = K_full[np.ix_(tr, te)]
+            y_tr = y[tr]
+            for ci, C in enumerate(c_values):
+                alpha, b, _, _, _, _ = _fit(K_tr, y_tr, C, tol, max_iter)
+                margins = (alpha * y_tr) @ K_te + b
+                correct[ci] += int((np.where(margins >= 0.0, 1.0, -1.0) == y[te]).sum())
+        acc[:, gi] = correct / X.shape[0]
     best_flat = int(acc.argmax())
     bi, bj = np.unravel_index(best_flat, acc.shape)
     return CVReport(
@@ -383,22 +385,11 @@ def write_model(model: TrainedModel, path) -> None:
 
 
 def read_model(path) -> TrainedModel:
-    try:
-        raw = Path(path).read_bytes()
-    except OSError as e:
-        raise DataError(f"cannot read model {path}: {e}") from None
-    if raw[:4] != MODEL_MAGIC:
-        raise DataError(f"{path}: bad model magic {raw[:4]!r}")
-    if len(raw) < 52:
-        raise DataError(f"{path}: model is {len(raw)} bytes, shorter than its header")
-    version, kind_code = struct.unpack_from("<II", raw, 4)
-    if version != MODEL_VERSION:
-        raise DataError(f"{path}: unsupported model version {version}")
+    raw, (kind_code, gamma, C, w_pos, w_neg, count, dim) = read_binary(
+        path, "model", MODEL_MAGIC, MODEL_VERSION, "<IddddII"
+    )
     if kind_code not in _KIND_FROM_CODE:
         raise DataError(f"{path}: unknown kernel code {kind_code}")
-    gamma, C = struct.unpack_from("<dd", raw, 12)
-    w_pos, w_neg = struct.unpack_from("<dd", raw, 28)
-    count, dim = struct.unpack_from("<II", raw, 44)
     need = 52 + (count * dim + count + 1) * 8 + 32
     if len(raw) != need:
         raise DataError(f"{path}: model payload is {len(raw)} bytes, expected {need}")
@@ -420,9 +411,8 @@ def read_model(path) -> TrainedModel:
     ):
         if not np.isfinite(value).all():
             raise DataError(f"{path}: model {name} must be finite")
-    kind = _KIND_FROM_CODE[kind_code]
     try:
-        kernel = Kernel(kind, gamma) if kind is not KernelKind.LINEAR else Kernel(kind)
+        kernel = Kernel(_KIND_FROM_CODE[kind_code], gamma)
     except ValueError as e:
         raise DataError(f"{path}: {e}") from None
     return TrainedModel(

@@ -20,7 +20,8 @@ from .frameio import frame_dir_source
 from .pipeline import (
     DetectionPipeline,
     PipelineConfig,
-    evaluate,
+    check_dataset,
+    evaluate_clips,
     format_alarm,
     parse_labels,
     train_codebook,
@@ -152,8 +153,12 @@ def _cmd_evaluate(args) -> int:
     labels = parse_labels(args.labels)
     alarm_path = args.alarms_out or os.devnull
     _check_outputs((alarm_path, "alarm log"), (args.trace, "trace"))
+    clips = check_dataset(args.dataset, labels)
+    pipeline = DetectionPipeline(config)
+    # opened once every clip is checked and the model read, so a data error
+    # there keeps an earlier trace
     with _output(args.trace, "trace") as trace:
-        report, alarms = evaluate(args.dataset, config, labels, trace)
+        report, alarms = evaluate_clips(clips, pipeline, labels, trace)
     # opened once every clip has run, so a data error keeps an earlier log
     with _output(alarm_path, "alarm log") as log:
         log.writelines(format_alarm(a) + "\n" for a in alarms)

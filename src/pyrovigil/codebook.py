@@ -374,18 +374,25 @@ def write_codebook(cb: Codebook, path) -> None:
         f.write(_serialize(cb))
 
 
-def read_codebook(path) -> Codebook:
+def read_binary(path, what, magic, version, header):
+    """(content, fields) of the `what` file at `path`, with the `header`
+    struct after its 4-byte magic and u32 version; a fault is a DataError."""
     try:
         raw = Path(path).read_bytes()
     except OSError as e:
-        raise DataError(f"cannot read codebook {path}: {e}") from None
-    if raw[:4] != CODEBOOK_MAGIC:
-        raise DataError(f"{path}: bad codebook magic {raw[:4]!r}")
-    if len(raw) < 16:
-        raise DataError(f"{path}: codebook is {len(raw)} bytes, shorter than its header")
-    version, k, dim = struct.unpack_from("<III", raw, 4)
-    if version != CODEBOOK_VERSION:
-        raise DataError(f"{path}: unsupported codebook version {version}")
+        raise DataError(f"cannot read {what} {path}: {e}") from None
+    if raw[:4] != magic:
+        raise DataError(f"{path}: bad {what} magic {raw[:4]!r}")
+    if len(raw) < 8 + struct.calcsize(header):
+        raise DataError(f"{path}: {what} is {len(raw)} bytes, shorter than its header")
+    (found,) = struct.unpack_from("<I", raw, 4)
+    if found != version:
+        raise DataError(f"{path}: unsupported {what} version {found}")
+    return raw, struct.unpack_from(header, raw, 8)
+
+
+def read_codebook(path) -> Codebook:
+    raw, (k, dim) = read_binary(path, "codebook", CODEBOOK_MAGIC, CODEBOOK_VERSION, "<II")
     if k == 0 or dim == 0:
         raise DataError(f"{path}: codebook has {k} words of {dim} values, needs one of each")
     need = 16 + k * dim * 8 + 8

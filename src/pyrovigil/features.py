@@ -79,6 +79,9 @@ def _surf_batch(table, cxs, cys, scale, hmar, sub, weights):
     n = cxs.shape[0]
     if n == 0:
         return np.zeros((0, 64), dtype=np.float64)
+    if n == 1:  # a one-row product rounds otherwise; two rows keep a batch's bits
+        cxs, cys = np.repeat(cxs, 2), np.repeat(cys, 2)
+        return _surf_batch(table, cxs, cys, scale, hmar, sub, weights)[:1]
     # one gather per window of every table cell its boxes read
     grid = np.arange(scale + 2 * hmar + 1)
     ys = (cys - scale // 2 - hmar)[:, None] + grid

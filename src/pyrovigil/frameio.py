@@ -19,44 +19,34 @@ from .imaging import ColorSpace, Frame
 logger = logging.getLogger(__name__)
 
 _NUM_RE = re.compile(r"(\d+)")
+# A comment runs through its newline. Without the newline a comment could
+# end at any of its blanks and hand the rest to `\s`, and a header that
+# fails to match would take quadratic time.
+_PPM_HEADER = re.compile(rb"P6" + rb"(?:\s|#[^\n]*\n)+(\d+)" * 3 + rb"\s")
 
 
 def read_ppm(path) -> np.ndarray:
-    """Read a binary P6 PPM with maxval 255 into a (h, w, 3) uint8 array."""
+    """Read a binary P6 PPM with maxval 255 into a (h, w, 3) uint8 array.
+
+    The header is `P6`, then width, height and maxval as decimal digits,
+    each after whitespace or `#` comments (a comment runs to the end of
+    its line), then one whitespace byte before the pixels."""
     try:
         data = Path(path).read_bytes()
     except OSError as e:
         raise DataError(f"cannot read frame {path}: {e}") from None
     if not data.startswith(b"P6"):
         raise DataError(f"{path}: not a binary PPM (P6)")
-    # Header: magic, width, height, maxval, separated by whitespace;
-    # '#' starts a comment running to end of line.
-    pos = 2
-    fields = []
-    while len(fields) < 3:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise DataError(f"{path}: truncated PPM header")
-        fields.append(data[start:pos])
-    pos += 1  # single whitespace byte after maxval
-    try:
-        width, height, maxval = (int(f) for f in fields)
-    except ValueError:
-        raise DataError(f"{path}: malformed PPM header {fields!r}") from None
+    header = _PPM_HEADER.match(data)
+    if header is None:
+        raise DataError(f"{path}: malformed PPM header")
+    width, height, maxval = (int(f) for f in header.groups())
     if maxval != 255:
         raise DataError(f"{path}: PPM maxval must be 255, got {maxval}")
     if width < 1 or height < 1:
         raise DataError(f"{path}: PPM is {width}x{height}, with no pixel")
     need = width * height * 3
-    raw = data[pos : pos + need]
+    raw = data[header.end() : header.end() + need]
     if len(raw) != need:
         raise DataError(f"{path}: PPM payload short ({len(raw)} of {need} bytes)")
     return np.frombuffer(raw, dtype=np.uint8).reshape(height, width, 3)

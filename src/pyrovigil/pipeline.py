@@ -493,14 +493,9 @@ def train_model(
             raise DataError(
                 f"cross-validation over {folds} folds of the training split: {e}"
             ) from None
-        C = report_cv.best_c
-        gamma = report_cv.best_gamma if kernel_kind is not cl.KernelKind.LINEAR else 0.0
+        C, gamma = report_cv.best_c, report_cv.best_gamma
 
-    kernel = (
-        cl.Kernel(kernel_kind)
-        if kernel_kind is cl.KernelKind.LINEAR
-        else cl.Kernel(kernel_kind, gamma)
-    )
+    kernel = cl.Kernel(kernel_kind, gamma)
     model = cl.train(
         X[train_idx], y[train_idx], kernel=kernel, C=C,
         codebook_fingerprint=book.fingerprint(),
@@ -636,24 +631,38 @@ def evaluate_sections(alarms: Iterable[AlarmEvent], labels: List[SectionLabel]) 
     return EvalReport(tp, tn, fp, fn, per_section)
 
 
-def evaluate(dataset_root, config: PipelineConfig, labels: List[SectionLabel], trace=None):
-    """Run detection over every labeled video under `dataset_root` (one
-    frame directory per video id, each traced to `trace`); score the sections."""
+def check_dataset(dataset_root, labels: List[SectionLabel]):
+    """(video id, frame directory) of every labeled video under
+    `dataset_root`, in id order, once each directory is found to hold
+    frame files that its sections cover."""
     root = Path(dataset_root)
-    videos = sorted({s.video_id for s in labels})
-    by_video = {v: [s for s in labels if s.video_id == v] for v in videos}
-    pipeline = DetectionPipeline(config)
-    alarms: List[AlarmEvent] = []
-    for vid in videos:
+    clips = []
+    for vid in sorted({s.video_id for s in labels}):
         vdir = root / vid
         if not vdir.is_dir():
             raise DataError(f"labels reference video {vid!r} but {vdir} is missing")
-        files = list_frame_files(vdir)
-        covered = sorted(by_video[vid], key=lambda s: s.start)
-        for idx, _ in files:
+        covered = [s for s in labels if s.video_id == vid]
+        for idx, _ in list_frame_files(vdir):
             if not any(s.start <= idx < s.end for s in covered):
                 raise DataError(
                     f"frame {idx} of video {vid!r} is not covered by any section"
                 )
+        clips.append((vid, vdir))
+    return clips
+
+
+def evaluate_clips(clips, pipeline: DetectionPipeline, labels, trace=None):
+    """Run `pipeline` over each (video id, frame directory) of `clips`,
+    each traced to `trace`; score the sections of `labels`."""
+    alarms: List[AlarmEvent] = []
+    for vid, vdir in clips:
         alarms.extend(pipeline.run(frame_dir_source(vdir, skip_bad=True), vid, trace))
     return evaluate_sections(alarms, labels), alarms
+
+
+def evaluate(dataset_root, config: PipelineConfig, labels: List[SectionLabel], trace=None):
+    """Run detection over every labeled video under `dataset_root` (one
+    frame directory per video id, each traced to `trace`); score the
+    sections. Every video is checked before the first one runs."""
+    clips = check_dataset(dataset_root, labels)
+    return evaluate_clips(clips, DetectionPipeline(config), labels, trace)

@@ -5,6 +5,14 @@ from pathlib import Path
 
 import numpy as np
 
+from pyrovigil.classifier import (
+    KernelKind,
+    _base_matrix,
+    _bias,
+    _class_weights,
+    _smo_solve,
+    stratified_folds,
+)
 from pyrovigil.features import haar_margin
 from pyrovigil.imaging import _D65, _SRGB_TO_XYZ, _lab_f, _srgb_channel_to_linear
 from pyrovigil.pipeline import AlarmEvent
@@ -138,6 +146,35 @@ def chi2_distance_expr(X, Y):
     den = X[:, None, :] + Y[None, :, :]
     terms = np.where(den != 0.0, diff * diff / np.where(den == 0.0, 1.0, den), 0.0)
     return terms.sum(axis=2)
+
+
+def cross_validate_cells(X, y, kind, folds, c_values, gamma_values, seed, tol, max_iter):
+    """`classifier.cross_validate`'s accuracy grid as one loop per (C, gamma)
+    cell, each gathering its folds' kernel blocks and fitting them by hand:
+    the body that one shared fit and per-gamma blocks replaced."""
+    base = _base_matrix(kind, X, X)
+    fold_idx = stratified_folds(y, folds, seed)
+    acc = np.zeros((len(c_values), len(gamma_values)))
+    for gi, gamma in enumerate(gamma_values):
+        K_full = base if kind is KernelKind.LINEAR else np.exp(-gamma * base)
+        for ci, C in enumerate(c_values):
+            correct = 0
+            total = 0
+            for f in range(folds):
+                te = fold_idx[f]
+                tr = np.setdiff1d(np.arange(X.shape[0]), te)
+                K_tr = np.ascontiguousarray(K_full[np.ix_(tr, tr)])
+                y_tr = y[tr]
+                w_pos, w_neg = _class_weights(y_tr)
+                Cvec = np.where(y_tr > 0, C * w_pos, C * w_neg)
+                alpha, G, _, _, _ = _smo_solve(K_tr, y_tr, Cvec, tol, max_iter)
+                b = _bias(alpha, y_tr, G, Cvec)
+                margins = (alpha * y_tr) @ K_full[np.ix_(tr, te)] + b
+                pred = np.where(margins >= 0.0, 1.0, -1.0)
+                correct += int((pred == y[te]).sum())
+                total += te.size
+            acc[ci, gi] = correct / total
+    return acc
 
 
 def parse_alarm_log(path):

@@ -17,9 +17,10 @@ from pyrovigil.classifier import (
     train,
     write_model,
 )
+from pyrovigil.codebook import Codebook, read_codebook, write_codebook
 from pyrovigil.errors import ConvergenceError, DataError
 
-from oracles import chi2_distance_expr, squared_distances_expr
+from oracles import chi2_distance_expr, cross_validate_cells, squared_distances_expr
 
 
 RBF1 = Kernel(KernelKind.RBF, 1.0)
@@ -64,6 +65,17 @@ class TestKernels:
         with pytest.raises(ValueError):
             Kernel(KernelKind.RBF, 0.0)
         Kernel(KernelKind.LINEAR)  # no gamma needed
+
+    def test_linear_kernel_carries_gamma_zero(self, rng, tmp_path):
+        kernel = Kernel(KernelKind.LINEAR, 5.0)
+        assert kernel.gamma == 0.0
+        assert kernel == Kernel(KernelKind.LINEAR)
+        X = rng.normal(size=(6, 2))
+        y = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
+        path = tmp_path / "m.pvsm"
+        write_model(train(X, y, kernel=kernel, C=1.0), path)
+        assert struct.unpack_from("<d", path.read_bytes(), 12) == (0.0,)
+        assert read_model(path).kernel == kernel
 
     def test_chi2_matrix_matches_scalar(self, rng):
         X = rng.random((6, 8))
@@ -337,6 +349,31 @@ class TestCrossValidate:
         )
         assert report.accuracy.shape == (2, 1)
 
+    @pytest.mark.parametrize("max_iter", [20_000, 30], ids=["converged", "capped"])
+    @pytest.mark.parametrize("kind", list(KernelKind), ids=lambda k: k.value)
+    def test_matches_the_per_cell_loop(self, kind, max_iter):
+        # one fit per fold and C, with the fold's kernel blocks gathered once
+        # per gamma; at 30 iterations every fold stops at the cap and is
+        # still scored
+        rng = np.random.default_rng(3)
+        X = rng.random((70, 30))
+        y = np.where(X[:, 0] + X[:, 1] + rng.normal(0, 0.3, 70) > 1.0, 1.0, -1.0)
+        c_values = 2.0 ** np.arange(-4, 9, 3)
+        gamma_values = 2.0 ** np.arange(-6, 3, 2)
+        report = cross_validate(
+            X, y, kind, c_values=c_values, gamma_values=gamma_values, seed=3,
+            max_iter=max_iter,
+        )
+        if kind is KernelKind.LINEAR:
+            gamma_values = np.array([0.0])
+        want = cross_validate_cells(
+            X, y, kind, 5, c_values, gamma_values, 3, 1e-3, max_iter
+        )
+        assert np.array_equal(report.accuracy.view(np.uint64), want.view(np.uint64))
+        bi, bj = np.unravel_index(int(want.argmax()), want.shape)
+        assert (report.best_c, report.best_gamma) == (c_values[bi], gamma_values[bj])
+        assert report.best_accuracy == want[bi, bj]
+
     def test_default_grid_is_powers_of_two(self):
         from pyrovigil.classifier import default_grid
 
@@ -448,3 +485,55 @@ class TestModelIO:
         path.write_bytes(bytes(raw))
         with pytest.raises(DataError, match=f"m.pvsm: model {name} must be finite"):
             read_model(path)
+
+
+def _codebook_file(rng, path):
+    write_codebook(Codebook(rng.normal(size=(3, 4)), 1.0), path)
+
+
+def _model_file(rng, path):
+    X = rng.normal(size=(6, 2))
+    y = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
+    write_model(train(X, y, kernel=RBF1, C=1.0), path)
+
+
+BINARY_FILES = [
+    ("codebook", "x.pvcb", _codebook_file, read_codebook),
+    ("model", "x.pvsm", _model_file, read_model),
+]
+
+
+@pytest.mark.parametrize("what, name, write, read", BINARY_FILES, ids=["pvcb", "pvsm"])
+class TestBinaryHeader:
+    """Codebook and model files share one header check, and its messages."""
+
+    def _error(self, read, path):
+        with pytest.raises(DataError) as e:
+            read(path)
+        return str(e.value)
+
+    def test_bad_magic(self, tmp_path, what, name, write, read):
+        path = tmp_path / name
+        path.write_bytes(b"NOPE" + b"\x00" * 100)
+        assert self._error(read, path) == f"{path}: bad {what} magic b'NOPE'"
+
+    @pytest.mark.parametrize("size", [4, 9, 15])
+    def test_short_header(self, rng, tmp_path, what, name, write, read, size):
+        path = tmp_path / name
+        write(rng, path)
+        path.write_bytes(path.read_bytes()[:size])
+        message = f"{path}: {what} is {size} bytes, shorter than its header"
+        assert self._error(read, path) == message
+
+    def test_wrong_version(self, rng, tmp_path, what, name, write, read):
+        path = tmp_path / name
+        write(rng, path)
+        raw = bytearray(path.read_bytes())
+        raw[4:8] = struct.pack("<I", 3)
+        path.write_bytes(bytes(raw))
+        assert self._error(read, path) == f"{path}: unsupported {what} version 3"
+
+    def test_unreadable(self, tmp_path, what, name, write, read):
+        path = tmp_path / name
+        path.mkdir()
+        assert self._error(read, path).startswith(f"cannot read {what} {path}: ")

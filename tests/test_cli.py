@@ -707,3 +707,31 @@ def test_evaluate_data_error_after_a_clip_keeps_alarm_log(tmp_path, capsys, synt
     assert main(argv + ["--alarms-out", str(alarms)]) == 3
     assert "data error: frame 1 is 80x40" in capsys.readouterr().err
     assert alarms.read_text() == "scene 220 1 65,156,31,53 0.721099594\n"
+
+
+@pytest.mark.parametrize("case", ["no frame file", "missing clip after one"])
+def test_evaluate_data_error_in_any_clip_keeps_trace(tmp_path, capsys, synth_artifacts, case):
+    # every clip is checked before the first one runs and the trace is
+    # opened; both used to empty the trace, and the second ran clip b first
+    if case == "no frame file":
+        (tmp_path / "ds" / "clip").mkdir(parents=True)
+        labels_text = "clip 0 200 fire\n"
+        message = f"data error: {tmp_path / 'ds' / 'clip'}: no .ppm/.png frames found"
+    else:
+        _dark_clip(tmp_path / "ds" / "b", 6)
+        labels_text = "b 0 200 nofire\nmissing 0 200 fire\n"
+        message = f"labels reference video 'missing' but {tmp_path / 'ds' / 'missing'} is missing"
+    labels = tmp_path / "labels.txt"
+    labels.write_text(labels_text)
+    cfg = tmp_path / "pipe.cfg"
+    cfg.write_text(
+        f"codebook={synth_artifacts['codebook_path']}\n"
+        f"model={synth_artifacts['model_path']}\n"
+    )
+    trace = tmp_path / "t.jsonl"
+    trace.write_text('{"a": "b"}\n')
+    code = main(["evaluate", "--config", str(cfg), "--labels", str(labels),
+                 "--dataset", str(tmp_path / "ds"), "--trace", str(trace)])
+    assert code == 3
+    assert message in capsys.readouterr().err
+    assert trace.read_text() == '{"a": "b"}\n'

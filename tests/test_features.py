@@ -280,8 +280,29 @@ def test_surf_batch_keeps_the_gather_bits(rng, scale):
         cxs[: min(n, 2)] = (xs.start, xs.stop - 1)[: min(n, 2)]
         cys[: min(n, 2)] = (ys.stop - 1, ys.start)[: min(n, 2)]
         got = _surf_batch(table, cxs, cys, *args)
-        want = surf_batch_gathers(table, cxs, cys, *args)
+        # a one-row call has the bits of row 0 of a two-row batch
+        rows = (np.repeat(cxs, 2), np.repeat(cys, 2)) if n == 1 else (cxs, cys)
+        want = surf_batch_gathers(table, *rows, *args)[:n]
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("scale", [9, 15, 21])
+def test_surf_one_row_call_keeps_the_batch_bits(scale):
+    # a blob with one kernel at a scale gets the row a batch would give it.
+    # 100 rows keep each `onehot` product under 10^6 multiply-adds. Past
+    # that OpenBLAS leaves its small-matrix kernel, and at scale 21, whose
+    # sums run over 441 cells, a batch from 142 rows on rounds otherwise.
+    frame = SyntheticScene(SceneSpec(seed=7)).frame(130)
+    table = integral(_gray_frame(luma(frame.pixels))).table[0]
+    xs, ys = _center_span(scale, frame.width), _center_span(scale, frame.height)
+    rng = np.random.default_rng(scale)
+    cxs = rng.integers(xs.start, xs.stop, 100)
+    cys = rng.integers(ys.start, ys.stop, 100)
+    args = (scale, haar_margin(scale), _subregion_lut(scale), _gauss_weights(scale))
+    batch = _surf_batch(table, cxs, cys, *args)
+    for i in range(100):
+        row = _surf_batch(table, cxs[i : i + 1], cys[i : i + 1], *args)
+        assert np.array_equal(row.view(np.uint64), batch[i : i + 1].view(np.uint64))
 
 
 def enumerate_valid_centers(width, height, scale, interval, anchor=(0, 0)):

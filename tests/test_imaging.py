@@ -1,4 +1,5 @@
 import sys
+import time
 import tracemalloc
 import types
 
@@ -316,6 +317,43 @@ class TestFrameIO:
         px = read_ppm(path)
         assert px.shape == (2, 2, 3)
         assert px.tobytes() == payload
+
+    @pytest.mark.parametrize("header", [
+        b"P6\n2#c\n2 255\n",  # a comment straight after a field
+        b"P6\r\n2\r\n2\r\n255\n",  # CR LF separators
+        b"P6 #w\n\t2#h\n#\n2\n255\r",
+    ], ids=["comment after field", "CR LF", "comments and blanks"])
+    def test_ppm_header_grammar(self, tmp_path, header):
+        path = tmp_path / "c.ppm"
+        payload = bytes(range(12))
+        path.write_bytes(header + payload)
+        px = read_ppm(path)
+        assert px.shape == (2, 2, 3)
+        assert px.tobytes() == payload
+
+    @pytest.mark.parametrize("data", [
+        b"P6\n2 2\n# comment with no newline",
+        b"P66 4 255\n" + bytes(72),  # used to read as width 6
+        b"P6\n+2 2\n255\n" + bytes(12),
+        b"P6\n2 2\n255#c\n" + bytes(12),  # maxval ends in one whitespace byte
+        b"P6\n2 2",
+        b"P6",
+    ], ids=["comment at end", "P66", "signed width", "comment after maxval",
+            "no maxval", "magic only"])
+    def test_ppm_malformed_header_rejected(self, tmp_path, data):
+        path = tmp_path / "bad.ppm"
+        path.write_bytes(data)
+        with pytest.raises(DataError, match=r"bad.ppm: malformed PPM header$"):
+            read_ppm(path)
+
+    def test_ppm_failed_header_match_is_linear(self, tmp_path):
+        # a comment that never ends, over 16 KiB of blanks
+        path = tmp_path / "bad.ppm"
+        path.write_bytes(b"P6 #" + b" " * (1 << 14))
+        start = time.perf_counter()
+        with pytest.raises(DataError, match="malformed PPM header"):
+            read_ppm(path)
+        assert time.perf_counter() - start < 1.0
 
     def test_ppm_rejects_wrong_maxval(self, tmp_path):
         path = tmp_path / "bad.ppm"

@@ -1004,6 +1004,22 @@ class TestEvaluateEndToEnd:
         with pytest.raises(DataError, match="missing"):
             evaluate(tmp_path, config, labels)
 
+    def test_every_clip_checked_before_one_runs(self, synth_artifacts, tmp_path):
+        # clip "a" sorts first and used to run, and trace, before "b" was found missing
+        vdir = tmp_path / "a"
+        vdir.mkdir()
+        for t in range(6):
+            write_ppm(vdir / f"{t:06d}.ppm", np.zeros((20, 20, 3), np.uint8))
+        config = PipelineConfig(
+            codebook_path=str(synth_artifacts["codebook_path"]),
+            model_path=str(synth_artifacts["model_path"]),
+        ).validate()
+        labels = [SectionLabel("a", 0, 200, False), SectionLabel("b", 0, 200, True)]
+        trace = io.StringIO()
+        with pytest.raises(DataError, match="labels reference video 'b'"):
+            evaluate(tmp_path, config, labels, trace)
+        assert trace.getvalue() == ""
+
     def test_uncovered_frames_rejected(self, synth_artifacts, tmp_path):
         root = tmp_path / "ds"
         vdir = root / "v"
