@@ -77,8 +77,6 @@ def _gauss_weights(scale: int) -> np.ndarray:
 
 def _surf_batch(table, cxs, cys, scale, hmar, sub, weights):
     n = cxs.shape[0]
-    if n == 0:
-        return np.zeros((0, 64), dtype=np.float64)
     if n == 1:  # a one-row product rounds otherwise; two rows keep a batch's bits
         cxs, cys = np.repeat(cxs, 2), np.repeat(cys, 2)
         return _surf_batch(table, cxs, cys, scale, hmar, sub, weights)[:1]
@@ -215,8 +213,7 @@ class SampleContext:
             # only the window's pixels are converted, which gives the
             # bits of the full-frame conversion's slice
             pixels = self.frame.pixels[y0:y1, x0:x1]
-            crop = Frame(pixels, ColorSpace.RGB, self.frame.index)
-            self._lab = convert(crop, ColorSpace.LAB).pixels
+            self._lab = convert(Frame(pixels, ColorSpace.RGB, self.frame.index))
             self._window = (x0, y0, x1, y1)
             wx0, wy0 = x0, y0
         return self._lab[y0 - wy0 : y1 - wy0, x0 - wx0 : x1 - wx0]

@@ -53,12 +53,13 @@ def read_ppm(path) -> np.ndarray:
 
 
 def write_ppm(path, pixels: np.ndarray) -> None:
-    """Write (h, w, 3) pixel values as binary P6, rounding to uint8."""
+    """Write (h, w, 3) uint8 pixels as binary P6; pixels of any other shape
+    or dtype raise a ValueError, as an RGB `Frame` does."""
     arr = np.asarray(pixels)
     if arr.ndim != 3 or arr.shape[2] != 3:
         raise ValueError(f"expected (h, w, 3) pixels, got shape {arr.shape}")
     if arr.dtype != np.uint8:
-        arr = np.clip(np.rint(arr), 0, 255).astype(np.uint8)
+        raise ValueError(f"PPM pixels must be uint8, got {arr.dtype}")
     h, w, _ = arr.shape
     with open(path, "wb") as f:
         f.write(b"P6\n%d %d\n255\n" % (w, h))

@@ -2,12 +2,13 @@
 
 Frames are read-only pixel grids tagged with a color space. RGB pixels
 are 8-bit sRGB, held as uint8: an RGB array of any other dtype raises a
-ValueError. GRAY and LAB pixels are float64. All conversions are defined
-from RGB:
+ValueError. GRAY pixels are float64. Both conversions are defined from
+RGB, and give float64 arrays:
 
 * GRAY: BT.601 luma (`luma`), weights 0.299/0.587/0.114.
-* LAB:  sRGB linearization -> XYZ (D65, 2 deg) -> CIELAB; L in [0, 100],
-        a and b stored against a declared domain of [-128, 127].
+* LAB:  `convert`, sRGB linearization -> XYZ (D65, 2 deg) -> CIELAB;
+        L in [0, 100], a and b stored against a declared domain of
+        [-128, 127].
 """
 
 from dataclasses import dataclass
@@ -18,7 +19,6 @@ import numpy as np
 
 class ColorSpace(Enum):
     RGB = "rgb"
-    LAB = "lab"
     GRAY = "gray"
 
 
@@ -41,10 +41,10 @@ _D65 = (0.95047, 1.0, 1.08883)
 @dataclass(frozen=True)
 class Frame:
     """One decoded image: (h, w, 3) pixels, or (h, w) for GRAY. RGB pixels
-    must be uint8, and any other dtype raises a ValueError; GRAY and LAB
-    pixels are taken as float64. `pixels` is a read-only view: a
-    contiguous array of the space's dtype passed in is shared, not copied,
-    and its owner can still write it."""
+    must be uint8, and any other dtype raises a ValueError; GRAY pixels are
+    taken as float64. `pixels` is a read-only view: a contiguous array of
+    the space's dtype passed in is shared, not copied, and its owner can
+    still write it."""
 
     pixels: np.ndarray
     space: ColorSpace = ColorSpace.RGB
@@ -52,20 +52,15 @@ class Frame:
 
     def __post_init__(self):
         if self.space is ColorSpace.RGB:
-            px = np.asarray(self.pixels)
+            px = np.ascontiguousarray(self.pixels)
             if px.dtype != np.uint8:
                 raise ValueError(f"RGB frame must be uint8, got {px.dtype}")
+            if px.ndim != 3 or px.shape[2] != 3:
+                raise ValueError(f"RGB frame must be (h, w, 3), got shape {px.shape}")
         else:
-            px = np.asarray(self.pixels, dtype=np.float64)
-        px = np.ascontiguousarray(px)
-        if self.space is ColorSpace.GRAY:
+            px = np.ascontiguousarray(self.pixels, dtype=np.float64)
             if px.ndim != 2:
                 raise ValueError(f"GRAY frame must be 2-d, got shape {px.shape}")
-        else:
-            if px.ndim != 3 or px.shape[2] != 3:
-                raise ValueError(
-                    f"{self.space.value} frame must be (h, w, 3), got shape {px.shape}"
-                )
         if px.shape[0] < 1 or px.shape[1] < 1:
             raise ValueError("frame must contain at least one pixel")
         px = px.view()
@@ -135,16 +130,9 @@ def rgb_to_lab(px):
     return out
 
 
-def convert(frame: Frame, target: ColorSpace) -> Frame:
-    """Convert an RGB frame to LAB, the one conversion defined (`luma`
-    gives GRAY pixels); any other raises a ValueError naming both spaces."""
-    if frame.space is target:
-        return frame
-    if frame.space is not ColorSpace.RGB or target is not ColorSpace.LAB:
-        raise ValueError(
-            f"conversion from {frame.space.value} to {target.value} is unsupported"
-        )
-    return Frame(rgb_to_lab(frame.pixels), target, frame.index)
+def convert(frame: Frame) -> np.ndarray:
+    """The (h, w, 3) LAB pixels of an RGB frame (`luma` gives its gray)."""
+    return rgb_to_lab(frame.pixels)
 
 
 @dataclass(frozen=True)

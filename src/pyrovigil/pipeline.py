@@ -93,7 +93,7 @@ class PipelineConfig(ProposalConfig):
     t1: float = 0.15
     t2: float = 0.40
     iou_threshold: float = 0.3
-    track_max_gap: int = 5  # in decision ticks; scaled by the stride
+    track_max_gap: int = 5  # in decision frames, counted in the stream
 
     def __post_init__(self):
         super().__post_init__()
@@ -239,9 +239,7 @@ class DetectionPipeline:
         self.stats = stats
         engine = None
         tracker = Tracker(
-            StabilityThresholds(cfg.t1, cfg.t2),
-            cfg.iou_threshold,
-            cfg.track_max_gap * cfg.decision_stride,
+            StabilityThresholds(cfg.t1, cfg.t2), cfg.iou_threshold, cfg.track_max_gap
         )
         t_run = time.perf_counter()
         paused = 0.0
@@ -253,10 +251,11 @@ class DetectionPipeline:
                     continue
                 blobs, threshold = self._propose(engine, frame)
                 fire_blobs, margins = self.decide(frame, engine.gray, blobs)
-                confirmed = self._verify(tracker, frame.index, fire_blobs, margins)
+                decision = pos // cfg.decision_stride
+                confirmed = self._verify(tracker, decision, fire_blobs, margins)
                 if trace is not None:
                     trace.write(_trace_record(video_id, frame.index, threshold, engine.model,
-                                              blobs, fire_blobs, margins, tracker))
+                                              blobs, fire_blobs, margins, tracker, decision))
                 for tr in confirmed:
                     stats.alarms += 1
                     t0 = time.perf_counter()
@@ -343,18 +342,22 @@ class DetectionPipeline:
                 margins.append(margin)
         return fire_blobs, margins
 
-    def _verify(self, tracker: Tracker, frame_index, fire_blobs, margins):
-        """Stage 3: the tracks confirmed as fire at this frame."""
+    def _verify(self, tracker: Tracker, decision: int, fire_blobs, margins):
+        """Stage 3: the tracks confirmed as fire at the stream's decision
+        frame number `decision`; the tracker counts its gaps in these, not
+        in frame numbers, which may skip."""
         t0 = time.perf_counter()
-        confirmed = tracker.update(fire_blobs, frame_index, margins)
+        confirmed = tracker.update(fire_blobs, decision, margins)
         self.stats.temporal_s += time.perf_counter() - t0
         return confirmed
 
 
-def _trace_record(video, frame, threshold, bg_model, blobs, fire, margins, tracker):
+def _trace_record(video, frame, threshold, bg_model, blobs, fire, margins, tracker,
+                  decision):
     """A decision frame's JSON line: the ladder rung used, the frames the
     background model has absorbed (null without one), the blobs' boxes and
-    areas, the fire blobs' boxes and margins, and the tracks sampled here."""
+    areas, the fire blobs' boxes and margins, and the tracks sampled here,
+    at the stream's decision frame number `decision`."""
     return json.dumps({
         "video": video,
         "frame": frame,
@@ -363,7 +366,7 @@ def _trace_record(video, frame, threshold, bg_model, blobs, fire, margins, track
         "blobs": [[*b.bbox, b.area] for b in blobs],
         "fire": [[*b.bbox, m] for b, m in zip(fire, margins)],
         "tracks": [[tr.track_id, tr.state.value, *tr.samples[-1]]
-                   for tr in tracker.tracks if tr.last_seen == frame],
+                   for tr in tracker.tracks if tr.last_seen == decision],
     }) + "\n"
 
 

@@ -29,8 +29,8 @@ def _value_noise(rng, h, w, cell, lo, hi):
 
 
 def _rgb_frame(px, index=0):
-    """An RGB frame of `px` rounded to 8 bits, as `write_ppm` rounds; `px`
-    is rounded in place."""
+    """An RGB frame of `px` rounded to the nearest 8-bit value and clipped
+    to [0, 255]; `px` is rounded in place."""
     np.clip(np.rint(px, out=px), 0, 255, out=px)
     return Frame(px.astype(np.uint8), ColorSpace.RGB, index)
 

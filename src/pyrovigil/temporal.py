@@ -153,9 +153,10 @@ class Tracker:
         Blobs go onto live tracks greedily by best IoU (at least
         `iou_threshold`); an unmatched blob starts a new PENDING track,
         and a track unseen for `max_gap` frames is dropped (a vanished
-        blob is not fire). A track whose window fills at this frame is
-        confirmed when its shape variation sits in the flame
-        band and rejected when it is stable or unstable.
+        blob is not fire). The pipeline passes its decision frames as
+        0, 1, 2, ..., so `max_gap` counts decisions. A track whose window
+        fills at this frame is confirmed when its shape variation sits in
+        the flame band and rejected when it is stable or unstable.
         """
         if margins is None:
             margins = [0.0] * len(blobs)

@@ -12,7 +12,7 @@ def _noise_patch(seed, salt, size, hot_channel):
     for c in range(3):
         lo, hi = (150, 255) if c == hot_channel else (0, 80)
         px[:, :, c] = rng.uniform(lo, hi, (size, size))
-    # rounded as `write_ppm` rounds, so a patch file holds the same pixels
+    # rounded to 8 bits here, as a frame and a PPM file hold uint8 only
     return Frame(np.rint(px).astype(np.uint8), ColorSpace.RGB)
 
 

@@ -103,7 +103,7 @@ def _surf(table, cx, cy, scale):
 def _local_hist(frame, cx, cy, scale):
     """Local LAB histogram of one kernel scope: a one-row
     `_local_hist_batch` call on the frame's LAB."""
-    lab = convert(frame, ColorSpace.LAB).pixels
+    lab = convert(frame)
     lo, inv = _lab_bin_params(LOCAL_BINS_PER_CHANNEL)
     return _local_hist_batch(lab, np.array([cx]), np.array([cy]), scale, lo, inv)[0]
 
@@ -127,7 +127,7 @@ class TestGlobalHistogram:
 
     def test_total_mass_is_three(self, rng):
         img = rng.integers(0, 256, (20, 30, 3)).astype(np.uint8)
-        lab = convert(Frame(img, ColorSpace.RGB), ColorSpace.LAB).pixels
+        lab = convert(Frame(img, ColorSpace.RGB))
         hist = histogram_from_pixels(lab)
         assert abs(hist.sum() - 3.0) <= 1e-9
         assert (hist >= 0).all()
@@ -424,7 +424,7 @@ def _full_frame_blob_features(frame, plan, blob):
     whole frame's LAB and a full-frame mask, as a frame-wide pass computes
     them. Returns ([(center, scale, vector)], bins); ([], None) when the
     grid has no kernel inside the frame."""
-    lab = convert(frame, ColorSpace.LAB).pixels
+    lab = convert(frame)
     table = integral(_gray_frame(luma(frame.pixels))).table[0]
     mask = np.zeros((frame.height, frame.width), dtype=bool)
     mask[blob.y : blob.y + blob.h, blob.x : blob.x + blob.w] = blob.mask
@@ -438,7 +438,9 @@ def _full_frame_blob_features(frame, plan, blob):
             )
             if mask[c[1], c[0]]
         ]
-        cxs, cys = np.array(grid, dtype=np.int64).reshape(-1, 2).T
+        if not grid:  # `_surf_batch` takes no empty batch, as `sample` skips one
+            continue
+        cxs, cys = np.array(grid, dtype=np.int64).T
         surfs = _surf_batch(
             table, cxs, cys, scale, haar_margin(scale),
             _subregion_lut(scale), _gauss_weights(scale),

@@ -557,6 +557,26 @@ class TestCascade:
         assert pipeline.stats.frames == 12
         assert pipeline.stats.blobs_proposed == len(proposed)
 
+    def test_track_gap_counts_decisions_not_frame_numbers(self, synth_artifacts):
+        # frames numbered 0, 10, 20, ... alarm as frames numbered 0, 1, 2, ...
+        # do: a track missed on one decision frame is kept, so the flame
+        # alarms once, not once per track it was split into
+        config = PipelineConfig(
+            codebook_path=str(synth_artifacts["codebook_path"]),
+            model_path=str(synth_artifacts["model_path"]),
+            decision_stride=1,
+        ).validate()
+        scene = SyntheticScene(SceneSpec(seed=7))
+        want = [(a.frame_index * 10, a.track_id, a.bbox, a.margin)
+                for a in DetectionPipeline(config).run(scene.frames(300))]
+        assert [(f, t) for f, t, _, _ in want] == [(1240, 1)]
+        spread = (Frame(f.pixels, ColorSpace.RGB, f.index * 10) for f in scene.frames(300))
+        trace = io.StringIO()
+        got = list(DetectionPipeline(config).run(spread, trace=trace))
+        assert [(a.frame_index, a.track_id, a.bbox, a.margin) for a in got] == want
+        at_alarm = next(r for r in _trace_records(trace) if r["frame"] == 1240)
+        assert [row[:2] for row in at_alarm["tracks"]] == [[1, "fire_confirmed"]]
+
     def test_alarms_reconstructable_from_track_log(self, synth_artifacts):
         # the trace's track rows hold each track's history up to its verdict
         scene = SyntheticScene(SceneSpec(seed=7, flame_onset=40))
@@ -725,7 +745,7 @@ class TestDecide:
         pipeline = self._pipeline(synth_artifacts)
         classified = positives = 0
         for frame, blobs, gray in _scene_blobs(camera, SceneSpec(seed=7)):
-            lab = convert(frame, ColorSpace.LAB).pixels
+            lab = convert(frame)
             want_blobs, want_margins = [], []
             for blob in blobs:
                 descs = sample(
