@@ -18,6 +18,7 @@ lies fully inside the frame.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -63,16 +64,39 @@ def _center_span(scale: int, size: int) -> range:
     return range(h + scale // 2, size - h - (scale - 1 - scale // 2))
 
 
+# The per-scale constants below are built once per scale and shared, so
+# each is read-only.
+
+
+def _read_only(array):
+    array.flags.writeable = False
+    return array
+
+
+@lru_cache(maxsize=None)
 def _subregion_lut(scale: int) -> np.ndarray:
-    return np.minimum(3, (4 * np.arange(scale)) // scale).astype(np.int64)
+    return _read_only(np.minimum(3, (4 * np.arange(scale)) // scale).astype(np.int64))
 
 
+@lru_cache(maxsize=None)
 def _gauss_weights(scale: int) -> np.ndarray:
     c = (scale - 1) / 2.0
     sigma = _WEIGHT_SIGMA_RATIO * scale
     d = np.arange(scale) - c
     g = np.exp(-(d * d) / (2.0 * sigma * sigma))
-    return np.outer(g, g)
+    return _read_only(np.outer(g, g))
+
+
+@lru_cache(maxsize=None)
+def _subregion_onehot(sub: tuple) -> np.ndarray:
+    """(scale², 16) matrix whose row for window pixel (r, c) marks its
+    subregion 4 * sub[r] + sub[c]."""
+    sub = np.array(sub)
+    scale = sub.size
+    sub_id = (sub[:, None] * 4 + sub[None, :]).ravel()  # (scale*scale,)
+    onehot = np.zeros((scale * scale, 16), dtype=np.float64)
+    onehot[np.arange(scale * scale), sub_id] = 1.0
+    return _read_only(onehot)
 
 
 def _surf_batch(table, cxs, cys, scale, hmar, sub, weights):
@@ -103,10 +127,7 @@ def _surf_batch(table, cxs, cys, scale, hmar, sub, weights):
     dx = dx * weights
     dy = dy * weights
 
-    sub_id = (sub[:, None] * 4 + sub[None, :]).ravel()  # (scale*scale,)
-    onehot = np.zeros((scale * scale, 16), dtype=np.float64)
-    onehot[np.arange(scale * scale), sub_id] = 1.0
-
+    onehot = _subregion_onehot(tuple(sub.tolist()))
     comps = (
         dx.reshape(n, -1) @ onehot,
         dy.reshape(n, -1) @ onehot,

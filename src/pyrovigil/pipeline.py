@@ -661,11 +661,3 @@ def evaluate_clips(clips, pipeline: DetectionPipeline, labels, trace=None):
     for vid, vdir in clips:
         alarms.extend(pipeline.run(frame_dir_source(vdir, skip_bad=True), vid, trace))
     return evaluate_sections(alarms, labels), alarms
-
-
-def evaluate(dataset_root, config: PipelineConfig, labels: List[SectionLabel], trace=None):
-    """Run detection over every labeled video under `dataset_root` (one
-    frame directory per video id, each traced to `trace`); score the
-    sections. Every video is checked before the first one runs."""
-    clips = check_dataset(dataset_root, labels)
-    return evaluate_clips(clips, DetectionPipeline(config), labels, trace)

@@ -86,8 +86,10 @@ class ProposalConfig:
 
 def _bg_update(mean, var, gray, rho, lam, var_floor, warmup_phase, planes, fg):
     """One step of the running Gaussian, in place: `fg` (bool) receives the
-    foreground mask, and `planes`, three float64 planes of the frame's
-    shape, are scratch."""
+    foreground mask, and `planes`, three planes of the frame's shape and
+    of `mean`'s dtype, are scratch. The arithmetic keeps that dtype when
+    `gray` holds it too and `rho`, `lam` and `var_floor` are numpy scalars
+    of it."""
     d, a, b = planes
     np.subtract(gray, mean, out=d)
     if warmup_phase:
@@ -118,6 +120,12 @@ def _bg_update(mean, var, gray, rho, lam, var_floor, warmup_phase, planes, fg):
 class BackgroundModel:
     """Per-pixel running Gaussian over intensity, single writer per stream.
 
+    The mean, the variance and the update are float32, as in Wallflower
+    (Toyama et al., ICCV 1999): each frame's luma is cast once into a plane
+    the model owns. A pixel is foreground when its deviation passes a bound
+    of at least `lam * var_floor` grey levels, far above float32's rounding,
+    and the model is not used in training.
+
     The learning rate widens to 1/t while the model is young, so the mean
     tracks the plain cumulative average until the configured rate takes
     over. After the warm-up only background pixels keep learning, which
@@ -129,24 +137,29 @@ class BackgroundModel:
 
     def __init__(self, height, width, config: ProposalConfig = ProposalConfig()):
         self.height, self.width = height, width
-        self.rho = float(config.rho)
-        self.lam = float(config.lam)
-        self.var_floor = float(config.var_floor)
+        # numpy scalars, so the update stays float32 under any promotion rule
+        self.rho = np.float32(config.rho)
+        self.lam = np.float32(config.lam)
+        self.var_floor = np.float32(config.var_floor)
         self.warmup = int(config.warmup)
-        self.mean = np.zeros((height, width), dtype=np.float64)
-        self.var = np.zeros((height, width), dtype=np.float64)
+        self.mean = np.zeros((height, width), dtype=np.float32)
+        self.var = np.zeros((height, width), dtype=np.float32)
         self.frames_absorbed = 0
-        self._planes = tuple(np.empty((height, width)) for _ in range(3))
+        self._gray = np.empty((height, width), dtype=np.float32)
+        self._planes = tuple(np.empty((height, width), dtype=np.float32) for _ in range(3))
         self._fg = np.zeros((height, width), dtype=bool)
 
     def update(self, gray: np.ndarray) -> np.ndarray:
         """Absorb one intensity frame and return its foreground mask."""
-        gray = np.ascontiguousarray(np.asarray(gray, dtype=np.float64))
+        gray = np.asarray(gray)
         if gray.shape != (self.height, self.width):
             raise ValueError(
                 f"frame shape {gray.shape} does not match model "
                 f"{self.height}x{self.width}"
             )
+        # the one cast of the frame, into the float32 plane the model owns
+        np.copyto(self._gray, gray)
+        gray = self._gray
         if self.frames_absorbed == 0:
             self.mean[:] = gray
             self.var[:] = self.var_floor * self.var_floor
@@ -154,7 +167,7 @@ class BackgroundModel:
             self._fg.fill(False)
             return self._fg
         t = self.frames_absorbed + 1
-        rho_eff = max(self.rho, 1.0 / t)
+        rho_eff = max(self.rho, np.float32(1.0 / t))
         warmup_phase = self.frames_absorbed < self.warmup
         fg = _bg_update(
             self.mean, self.var, gray, rho_eff, self.lam, self.var_floor,

@@ -16,6 +16,7 @@ from pyrovigil.classifier import (
 from pyrovigil.features import haar_margin
 from pyrovigil.imaging import _D65, _SRGB_TO_XYZ, _lab_f, _srgb_channel_to_linear
 from pyrovigil.pipeline import AlarmEvent
+from pyrovigil.proposal import ProposalConfig, _bg_update
 
 
 def kernel_fits(cx, cy, scale, width, height):
@@ -54,6 +55,39 @@ def luma_float(px):
     operand order `imaging.luma` keeps."""
     px = np.asarray(px, dtype=np.float64)
     return px[:, :, 0] * 0.299 + px[:, :, 1] * 0.587 + px[:, :, 2] * 0.114
+
+
+class BackgroundModelFloat64:
+    """`proposal.BackgroundModel` in float64 from end to end: the model the
+    float32 one replaced, whose foreground masks it must keep. Duck-types
+    as a `ProposalEngine`'s model."""
+
+    def __init__(self, height, width, config=ProposalConfig()):
+        self.height, self.width = height, width
+        self.rho, self.lam = float(config.rho), float(config.lam)
+        self.var_floor = float(config.var_floor)
+        self.warmup = int(config.warmup)
+        self.mean = np.zeros((height, width))
+        self.var = np.zeros((height, width))
+        self.frames_absorbed = 0
+        self._planes = tuple(np.empty((height, width)) for _ in range(3))
+        self._fg = np.zeros((height, width), dtype=bool)
+
+    def update(self, gray):
+        gray = np.ascontiguousarray(np.asarray(gray, dtype=np.float64))
+        if self.frames_absorbed == 0:
+            self.mean[:] = gray
+            self.var[:] = self.var_floor * self.var_floor
+            self.frames_absorbed = 1
+            self._fg.fill(False)
+            return self._fg
+        t = self.frames_absorbed + 1
+        fg = _bg_update(
+            self.mean, self.var, gray, max(self.rho, 1.0 / t), self.lam,
+            self.var_floor, self.frames_absorbed < self.warmup, self._planes, self._fg,
+        )
+        self.frames_absorbed = t
+        return fg
 
 
 def paint_runs(shape, rows, starts, ends, labels):

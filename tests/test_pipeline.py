@@ -17,7 +17,8 @@ from pyrovigil.pipeline import (
     EvalReport,
     PipelineConfig,
     SectionLabel,
-    evaluate,
+    check_dataset,
+    evaluate_clips,
     evaluate_sections,
     format_alarm,
     parse_labels,
@@ -1010,19 +1011,18 @@ class TestEvaluateEndToEnd:
             model_path=str(synth_artifacts["model_path"]),
             decision_stride=1,
         ).validate()
-        report, alarms = evaluate(root, config, parse_labels(labels_path))
+        labels = parse_labels(labels_path)
+        clips = check_dataset(root, labels)
+        assert clips == [("vidA", va), ("vidB", vb)]
+        report, alarms = evaluate_clips(clips, DetectionPipeline(config), labels)
         assert (report.tp, report.tn, report.fp, report.fn) == (1, 2, 0, 0)
         assert report.precision == 1.0 and report.recall == 1.0
         assert all(a.video_id == "vidA" for a in alarms)
 
-    def test_missing_video_dir(self, synth_artifacts, tmp_path):
-        config = PipelineConfig(
-            codebook_path=str(synth_artifacts["codebook_path"]),
-            model_path=str(synth_artifacts["model_path"]),
-        ).validate()
+    def test_missing_video_dir(self, tmp_path):
         labels = [SectionLabel("ghost", 0, 200, True)]
         with pytest.raises(DataError, match="missing"):
-            evaluate(tmp_path, config, labels)
+            check_dataset(tmp_path, labels)
 
     def test_every_clip_checked_before_one_runs(self, synth_artifacts, tmp_path):
         # clip "a" sorts first and used to run, and trace, before "b" was found missing
@@ -1037,19 +1037,16 @@ class TestEvaluateEndToEnd:
         labels = [SectionLabel("a", 0, 200, False), SectionLabel("b", 0, 200, True)]
         trace = io.StringIO()
         with pytest.raises(DataError, match="labels reference video 'b'"):
-            evaluate(tmp_path, config, labels, trace)
+            clips = check_dataset(tmp_path, labels)
+            evaluate_clips(clips, DetectionPipeline(config), labels, trace)
         assert trace.getvalue() == ""
 
-    def test_uncovered_frames_rejected(self, synth_artifacts, tmp_path):
+    def test_uncovered_frames_rejected(self, tmp_path):
         root = tmp_path / "ds"
         vdir = root / "v"
         vdir.mkdir(parents=True)
         for t in range(5):
             write_ppm(vdir / f"{t:06d}.ppm", np.zeros((20, 20, 3), np.uint8))
-        config = PipelineConfig(
-            codebook_path=str(synth_artifacts["codebook_path"]),
-            model_path=str(synth_artifacts["model_path"]),
-        ).validate()
         labels = [SectionLabel("v", 0, 3, True)]
         with pytest.raises(DataError, match="not covered"):
-            evaluate(root, config, labels)
+            check_dataset(root, labels)

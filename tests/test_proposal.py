@@ -1,3 +1,5 @@
+import copy
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -17,7 +19,7 @@ from pyrovigil.proposal import (
 )
 from pyrovigil.synth import SceneSpec, SyntheticScene
 
-from oracles import luma_float, paint_runs
+from oracles import BackgroundModelFloat64, luma_float, paint_runs
 
 
 def _flood_fill_labels(mask):
@@ -214,7 +216,7 @@ class TestBackgroundModel:
         b = rng.uniform(0, 255, (5, 5))
         bg.update(a)
         bg.update(b)
-        assert np.array_equal(bg.mean, b)
+        assert np.array_equal(bg.mean, b.astype(np.float32))
 
     def test_dimension_mismatch(self):
         bg = BackgroundModel(4, 4)
@@ -287,6 +289,77 @@ class TestBackgroundModel:
         assert fg[:4, 2::3].all()
         assert np.array_equal(fg, want_fg)
         assert _same_bits(mean, want_mean) and _same_bits(var, want_var)
+
+
+def _masks_pair(config=ProposalConfig()):
+    """A float32 model and the float64 one it replaced, for 320x240."""
+    return BackgroundModel(240, 320, config), BackgroundModelFloat64(240, 320, config)
+
+
+class TestFloat32Model:
+    """The float32 model gives the foreground masks of the float64 model
+    it replaced, so blobs and alarms stay as they were."""
+
+    @pytest.mark.parametrize("seed", [7, 11, 13])
+    def test_masks_match_float64_model(self, seed):
+        model, want = _masks_pair()
+        foreground = 0
+        for frame in SyntheticScene(SceneSpec(seed=seed)).frames(400):
+            gray = luma(frame.pixels)
+            fg = model.update(gray)
+            assert np.array_equal(fg, want.update(gray))
+            # the state too, to float32's rounding (3e-4 at most here)
+            np.testing.assert_allclose(model.mean, want.mean, rtol=0, atol=1e-3)
+            np.testing.assert_allclose(model.var, want.var, rtol=0, atol=1e-3)
+            foreground += int(fg.sum())
+        assert foreground > 0
+
+    def test_masks_match_after_luma_scaling(self):
+        # a global change leaves most pixels foreground for good: the
+        # slow path, at luma levels the plain scenes never reach
+        frames = SyntheticScene(SceneSpec(seed=7)).frames(400)
+        model, want = _masks_pair()
+        for frame in itertools.islice(frames, 150):
+            gray = luma(frame.pixels)
+            assert np.array_equal(model.update(gray), want.update(gray))
+        pairs = {
+            gain: (copy.deepcopy(model), copy.deepcopy(want)) for gain in (0.3, 3.0, 6.5)
+        }
+        for frame in frames:
+            gray = luma(frame.pixels)
+            for gain, (scaled, scaled_want) in pairs.items():
+                fg = scaled.update(gray * gain)
+                assert np.array_equal(fg, scaled_want.update(gray * gain)), gain
+                assert fg.mean() > 0.5
+        assert all(m.frames_absorbed == 400 for m, _ in pairs.values())
+
+    def test_shifted_frames_keep_candidates_and_blobs(self):
+        # a (3, 4) px shift from frame 150 leaves a few foreground pixels on
+        # either side of a bound; none of them survives into a candidate
+        engine = ProposalEngine(ProposalConfig(), 320, 240)
+        want = ProposalEngine(ProposalConfig(), 320, 240)
+        want.model = BackgroundModelFloat64(240, 320)
+        blobs_seen = 0
+        for frame in SyntheticScene(SceneSpec(seed=7)).frames(400):
+            if frame.index >= 150:
+                pixels = np.roll(frame.pixels, (3, 4), axis=(0, 1))
+                frame = Frame(pixels, ColorSpace.RGB, frame.index)
+            blobs, cand = engine.propose(frame)
+            want_blobs, want_cand = want.propose(frame)
+            assert [_blob_key(b) for b in blobs] == [_blob_key(b) for b in want_blobs]
+            assert np.array_equal(cand.mask, want_cand.mask)
+            assert cand.threshold == want_cand.threshold
+            blobs_seen += len(blobs)
+        assert blobs_seen > 100
+
+    def test_state_stays_float32(self, rng):
+        bg = BackgroundModel(24, 32)
+        for gray in (rng.uniform(0, 255, (24, 32)), rng.integers(0, 256, (24, 32))):
+            for _ in range(bg.warmup + 2):
+                bg.update(gray)
+        planes = (bg.mean, bg.var, bg._gray) + bg._planes
+        assert all(p.dtype == np.float32 for p in planes)
+        assert all(type(v) is np.float32 for v in (bg.rho, bg.lam, bg.var_floor))
 
 
 class TestMultiLevelThreshold:
@@ -658,7 +731,7 @@ class TestAbsorb:
     @pytest.mark.parametrize("camera", ["static", "moving"])
     def test_absorb_allocates_no_frame_plane(self, camera):
         # luma and the background update go to planes the engine owns; what
-        # one absorb allocates is smaller than one float64 plane
+        # one absorb allocates is smaller than one float32 plane
         scene = SyntheticScene(SceneSpec(seed=7, flame_onset=30))
         engine = ProposalEngine(ProposalConfig(camera=camera), 320, 240)
         frames = list(scene.frames(40))
@@ -671,6 +744,6 @@ class TestAbsorb:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 320 * 240 * 8
+        assert peak < 320 * 240 * 4
         assert _same_bits(engine.gray, luma_float(frames[-1].pixels))
         assert camera == "moving" or fg.any()  # the flame is foreground
