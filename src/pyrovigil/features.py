@@ -19,11 +19,10 @@ lies fully inside the frame.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
-from .imaging import LAB_DOMAINS, ColorSpace, Frame, convert, integral, luma
+from .imaging import LAB_DOMAINS, ColorSpace, Frame, convert, integral
 
 SURF_DIM = 64
 COLOR_DIM = 24
@@ -181,20 +180,20 @@ def _local_hist_batch(lab, cxs, cys, scale, lo, inv_width):
 
 
 def histogram_from_pixels(
-    lab: np.ndarray, mask: Optional[np.ndarray] = None
+    lab: np.ndarray, mask: np.ndarray
 ) -> np.ndarray:
-    """(96,) histogram of (h, w, 3) LAB pixels: three concatenated 32-bin
-    per-channel histograms, each L1-normalized."""
-    values = np.moveaxis(lab, 2, 0)
-    if mask is not None:
-        m = np.asarray(mask, dtype=bool)
-        if m.shape != lab.shape[:2]:
-            raise ValueError(
-                f"mask shape {m.shape} does not match pixels {lab.shape[:2]}"
-            )
-        values = values[:, m]
-        if values.shape[1] == 0:
-            raise ValueError("empty mask region: no pixels to histogram")
+    """(96,) histogram of the (h, w, 3) LAB pixels that the (h, w) boolean
+    `mask` marks: three concatenated 32-bin per-channel histograms, each
+    L1-normalized. A mask of another shape or with no true pixel raises
+    ValueError."""
+    m = np.asarray(mask, dtype=bool)
+    if m.shape != lab.shape[:2]:
+        raise ValueError(
+            f"mask shape {m.shape} does not match pixels {lab.shape[:2]}"
+        )
+    values = np.moveaxis(lab, 2, 0)[:, m]
+    if values.shape[1] == 0:
+        raise ValueError("empty mask region: no pixels to histogram")
     lo, inv = _lab_bin_params(GLOBAL_BINS_PER_CHANNEL)
     return _lab_histograms(
         values.reshape(3, 1, -1), lo, inv, GLOBAL_BINS_PER_CHANNEL
@@ -206,18 +205,18 @@ class SampleContext:
     an RGB frame and its luma `gray` (`imaging.luma(frame.pixels)`).
 
     The gray integral image covers the frame's columns [0, x1) and rows
-    [0, y1) of `reach` (x1, y1), or the whole frame without one. Its sums
-    run from the origin, so each cell has the bits of the whole frame's
-    table, and a read past the reach raises IndexError. LAB is converted
-    per window (`lab`), because a region's descriptors and histogram read
-    only the pixels around it.
+    [0, y1) of `reach` (x1, y1): `sample_reach` of a frame's blobs, or
+    the whole patch in training. Its sums run from the origin, so each
+    cell has the bits of the whole frame's table, and a read past the
+    reach raises IndexError. LAB is converted per window (`lab`), because
+    a region's descriptors and histogram read only the pixels around it.
     """
 
-    def __init__(self, frame: Frame, gray: np.ndarray, reach=None):
+    def __init__(self, frame: Frame, gray: np.ndarray, reach):
         if frame.space is not ColorSpace.RGB:
             raise ValueError(f"sampling expects an RGB frame, got {frame.space.value}")
         self.frame = frame
-        x1, y1 = (frame.width, frame.height) if reach is None else reach
+        x1, y1 = reach
         self.gray_ii = integral(Frame(gray[:y1, :x1], ColorSpace.GRAY, frame.index))
         self._window = (0, 0, 0, 0)
         self._lab = np.zeros((0, 0, 3))
@@ -258,31 +257,21 @@ def _grid_slice(start: int, span: range, interval: int) -> slice:
     return slice(first, max(first, span.stop - start), interval)
 
 
-def _region_mask(frame, mask, anchor):
-    # without a mask, the region is all of the frame from `anchor` on
-    if mask is None:
-        return np.ones((frame.height - anchor[1], frame.width - anchor[0]), dtype=bool)
-    return np.asarray(mask, dtype=bool)
-
-
 def sample_positions(
     frame: Frame,
     plan: SamplingPlan,
-    mask: Optional[np.ndarray] = None,
-    anchor=(0, 0),
+    mask: np.ndarray,
+    anchor,
 ):
     """Kernel centers per scale of the plan, as a list of (scale, cxs, cys).
 
-    A mask is the boolean image of a region whose top-left pixel is
-    `anchor` (a blob's local mask at its bbox origin); without one the
-    region is the frame from `anchor` on. Walks the grid at `plan.interval`
-    from the anchor inside the region, keeping its true pixels whose kernel
-    (window + Haar margin) fits the frame, in row-major order. Raises when
-    no kernel fits the frame at all.
+    `mask` is the boolean image of a region whose top-left pixel is
+    `anchor`: a blob's local mask at its bbox origin, or an all-true
+    patch at (0, 0). Walks the grid at `plan.interval` from the anchor
+    inside the region, keeping its true pixels whose kernel (window + Haar
+    margin) fits the frame, in row-major order; a scale with none gets
+    empty arrays.
     """
-    if not plan.fits(frame.width, frame.height):
-        raise ValueError("no valid sample positions")
-    mask = _region_mask(frame, mask, anchor)
     rx, ry = anchor
     placements = []
     for scale in plan.scales:
@@ -297,22 +286,19 @@ def sample_positions(
 def sample(
     frame: Frame,
     plan: SamplingPlan,
-    mask: Optional[np.ndarray] = None,
-    anchor=(0, 0),
-    ctx: Optional[SampleContext] = None,
+    mask: np.ndarray,
+    anchor,
+    ctx: SampleContext,
 ) -> np.ndarray:
     """(n, 88) local descriptors, one row per kernel center of
     `sample_positions(frame, plan, mask, anchor)` in its order: the SURF
     vector in columns 0:64, the local color histogram in 64:88.
 
-    A region with no fitting kernel on its grid yields no rows, while a
-    frame too small for any kernel raises. LAB is converted only over the
-    region grown on each side by the largest kernel's extent and clipped
-    to the frame: the window every local color histogram reads from.
+    A region whose grid holds no fitting kernel yields no rows, as does a
+    frame too small for any kernel. LAB is converted only over the region
+    grown on each side by the largest kernel's extent and clipped to the
+    frame: the window every local color histogram reads from.
     """
-    if ctx is None:
-        ctx = SampleContext(frame, luma(frame.pixels))
-    mask = _region_mask(frame, mask, anchor)
     placements = sample_positions(frame, plan, mask, anchor)
     (rx, ry), (rh, rw) = anchor, mask.shape
     largest = max(plan.scales)

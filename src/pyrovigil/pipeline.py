@@ -375,18 +375,22 @@ def _trace_record(video, frame, threshold, bg_model, blobs, fire, margins, track
 
 
 def _patches(directory, plan: SamplingPlan):
-    """(frame, local descriptors, sample context) of each patch in a
-    directory, in index order; a patch that gives no descriptor is a
-    DataError."""
+    """(frame, local descriptors, sample context, region mask) of each
+    patch in a directory, in index order. A patch is sampled as `decide`
+    samples a blob, as one all-true region at (0, 0) with the whole patch
+    as reach. A patch that gives no descriptor, as one that no kernel fits,
+    is a DataError."""
     for frame in frame_dir_source(directory):
-        ctx = SampleContext(frame, luma(frame.pixels))
-        descs = sample(frame, plan, ctx=ctx) if plan.fits(frame.width, frame.height) else ()
+        w, h = frame.width, frame.height
+        mask = np.ones((h, w), dtype=bool)
+        ctx = SampleContext(frame, luma(frame.pixels), (w, h))
+        descs = sample(frame, plan, mask=mask, anchor=(0, 0), ctx=ctx)
         if len(descs) == 0:
             raise DataError(
                 f"{directory}: patch {frame.index} ({frame.width}x{frame.height}) "
                 "gives no descriptor"
             )
-        yield frame, descs, ctx
+        yield frame, descs, ctx, mask
 
 
 def train_codebook(
@@ -399,7 +403,7 @@ def train_codebook(
     log=print,
 ) -> cb.Codebook:
     """Cluster the local descriptors of every patch under the given dirs."""
-    rows = [descs for d in patch_dirs for _, descs, _ in _patches(d, plan)]
+    rows = [descs for d in patch_dirs for _, descs, _, _ in _patches(d, plan)]
     X = np.concatenate(rows) if rows else np.zeros((0, DESCRIPTOR_DIM))
     patches = len(rows)
     # k distinct descriptors would each become a word, with sigma 0
@@ -423,11 +427,12 @@ def train_codebook(
 def encode_patches(
     patch_dir, nn_index: cb.NNIndex, params: cb.EncoderParams, plan: SamplingPlan
 ):
-    """The (k + 96,) feature row of each patch in a directory."""
+    """The (k + 96,) feature row of each patch in a directory: the row
+    `decide` builds for a blob that covers the patch."""
     return [
         cb.encode(descs, nn_index, params,
-                  histogram_from_pixels(ctx.lab(0, 0, frame.width, frame.height)))
-        for frame, descs, ctx in _patches(patch_dir, plan)
+                  histogram_from_pixels(ctx.lab(0, 0, frame.width, frame.height), mask))
+        for frame, descs, ctx, mask in _patches(patch_dir, plan)
     ]
 
 
@@ -437,7 +442,6 @@ class TrainReport:
     n_train: int
     n_test: int
     cv: Optional[cl.CVReport] = None
-    kernel: Optional[cl.Kernel] = None
     C: float = 1.0
 
 
@@ -511,7 +515,6 @@ def train_model(
         n_train=len(train_idx),
         n_test=len(test_idx),
         cv=report_cv,
-        kernel=kernel,
         C=C,
     )
     if log:

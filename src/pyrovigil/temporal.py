@@ -136,11 +136,11 @@ class Tracker:
 
     def __init__(
         self,
-        thresholds: StabilityThresholds = None,
+        thresholds: StabilityThresholds,
         iou_threshold: float = 0.3,
         max_gap: int = 5,
     ):
-        self.thresholds = thresholds or StabilityThresholds.preset("indoor")
+        self.thresholds = thresholds
         self.iou_threshold = iou_threshold
         self.max_gap = max_gap
         self.tracks: List[BlobTrack] = []

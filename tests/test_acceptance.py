@@ -143,7 +143,7 @@ def test_criterion_4_normalization_invariants():
     for trial in range(100):
         img = rng.integers(0, 256, (20, 24, 3)).astype(np.uint8)
         lab = convert(Frame(img, ColorSpace.RGB))
-        hist = histogram_from_pixels(lab)
+        hist = histogram_from_pixels(lab, np.ones((20, 24), dtype=bool))
         assert abs(hist.sum() - 3.0) <= 1e-9
         n = int(rng.integers(1, 60))
         D = rng.normal(size=(n, 88))

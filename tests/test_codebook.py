@@ -25,6 +25,7 @@ from pyrovigil.features import SamplingPlan, sample
 from pyrovigil.synth import fire_patch, nonfire_patch
 
 from oracles import plusplus_seed_loop, squared_distances_expr
+from test_features import whole_frame
 
 
 def brute_force_nn(points, q, m):
@@ -248,10 +249,8 @@ class TestKMeansBits:
 
     def test_seeding_on_patch_descriptors(self, monkeypatch):
         # the descriptors training clusters: equal bits, and the bound prunes
-        X = np.concatenate(
-            [sample(make(i), SamplingPlan()) for i in range(20)
-             for make in (fire_patch, nonfire_patch)]
-        )
+        patches = [make(i) for i in range(20) for make in (fire_patch, nonfire_patch)]
+        X = np.concatenate([sample(p, SamplingPlan(), *whole_frame(p)) for p in patches])
         assert X.shape == (1440, 88)
         gathered = recorded_gathers(monkeypatch)
         got = codebook._plusplus_seed(X, 100, np.random.default_rng(3))

@@ -108,6 +108,16 @@ def _local_hist(frame, cx, cy, scale):
     return _local_hist_batch(lab, np.array([cx]), np.array([cy]), scale, lo, inv)[0]
 
 
+def whole_frame(frame):
+    """(mask, anchor, ctx) of all of `frame` as one region, as training
+    samples a patch: `sample(frame, plan, *whole_frame(frame))`."""
+    return (
+        np.ones((frame.height, frame.width), dtype=bool),
+        (0, 0),
+        SampleContext(frame, luma(frame.pixels), (frame.width, frame.height)),
+    )
+
+
 def _random_lab(rng, height, width):
     """LAB values reaching past each end of the channel domains."""
     return np.dstack([
@@ -119,7 +129,8 @@ def _random_lab(rng, height, width):
 
 class TestGlobalHistogram:
     def test_uniform_midgray_single_bins(self):
-        hist = histogram_from_pixels(np.tile([50.0, 0.0, 0.0], (8, 8, 1)))
+        lab = np.tile([50.0, 0.0, 0.0], (8, 8, 1))
+        hist = histogram_from_pixels(lab, np.ones(lab.shape[:2], dtype=bool))
         for c in range(3):
             block = hist[c * 32 : c * 32 + 32]
             assert (block > 0).sum() == 1
@@ -128,14 +139,14 @@ class TestGlobalHistogram:
     def test_total_mass_is_three(self, rng):
         img = rng.integers(0, 256, (20, 30, 3)).astype(np.uint8)
         lab = convert(Frame(img, ColorSpace.RGB))
-        hist = histogram_from_pixels(lab)
+        hist = histogram_from_pixels(lab, np.ones(lab.shape[:2], dtype=bool))
         assert abs(hist.sum() - 3.0) <= 1e-9
         assert (hist >= 0).all()
 
     def test_two_pixel_split(self):
         # L values 10 and 90 land in different bins: 0.5 each
         lab = np.array([[[10.0, 0.0, 0.0], [90.0, 0.0, 0.0]]])
-        hist = histogram_from_pixels(lab)
+        hist = histogram_from_pixels(lab, np.ones(lab.shape[:2], dtype=bool))
         block = hist[:32]
         assert sorted(block[block > 0].tolist()) == [0.5, 0.5]
         assert block[int(10 / 100 * 32)] == 0.5
@@ -155,9 +166,9 @@ class TestGlobalHistogram:
     def test_matches_per_pixel_oracle(self, rng):
         lab = _random_lab(rng, 23, 31)
         mask = rng.random((23, 31)) < 0.4
-        for m in (mask, None):
+        for m in (mask, np.ones((23, 31), bool)):
             got = histogram_from_pixels(lab, m)
-            want = global_hist_oracle(lab, np.ones((23, 31), bool) if m is None else m)
+            want = global_hist_oracle(lab, m)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
@@ -328,10 +339,11 @@ class TestSampling:
         img = rng.integers(0, 256, (27, 27, 3)).astype(np.uint8)
         frame = Frame(img, ColorSpace.RGB)
         plan = SamplingPlan(interval=9, scales=(9,))
-        descs = sample(frame, plan)
+        region = whole_frame(frame)
+        descs = sample(frame, plan, *region)
         oracle = enumerate_valid_centers(27, 27, 9, 9)
         assert len(descs) == len(oracle)
-        got = [c for c, _ in centers(sample_positions(frame, plan))]
+        got = [c for c, _ in centers(sample_positions(frame, plan, *region[:2]))]
         assert sorted(got) == sorted(oracle)
 
     def test_grid_count_product_rule(self, rng):
@@ -340,7 +352,8 @@ class TestSampling:
             h = int(rng.integers(24, 60))
             img = rng.integers(0, 256, (h, w, 3)).astype(np.uint8)
             plan = SamplingPlan(interval=7, scales=(9, 12))
-            descs = sample(Frame(img, ColorSpace.RGB), plan)
+            frame = Frame(img, ColorSpace.RGB)
+            descs = sample(frame, plan, *whole_frame(frame))
             expected = sum(
                 len(enumerate_valid_centers(w, h, s, 7)) for s in plan.scales
             )
@@ -350,26 +363,30 @@ class TestSampling:
         img = rng.integers(0, 256, (40, 40, 3)).astype(np.uint8)
         frame = Frame(img, ColorSpace.RGB)
         plan = SamplingPlan()
-        a = sample(frame, plan)
-        b = sample(frame, plan)
+        a = sample(frame, plan, *whole_frame(frame))
+        b = sample(frame, plan, *whole_frame(frame))
         assert a.shape == b.shape
         assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
     def test_all_zero_mask_gives_empty_list(self, rng):
         img = rng.integers(0, 256, (30, 30, 3)).astype(np.uint8)
         frame = Frame(img, ColorSpace.RGB)
-        descs = sample(frame, SamplingPlan(), mask=np.zeros((30, 30), dtype=bool))
+        _, anchor, ctx = whole_frame(frame)
+        descs = sample(frame, SamplingPlan(), np.zeros((30, 30), dtype=bool), anchor, ctx)
         assert descs.shape == (0, 88)
 
-    def test_too_small_frame_raises(self):
+    def test_too_small_frame_gives_no_rows(self):
         frame = Frame(np.zeros((8, 8, 3), np.uint8), ColorSpace.RGB)
-        with pytest.raises(ValueError, match="no valid sample positions"):
-            sample(frame, SamplingPlan(interval=9, scales=(9,)))
+        descs = sample(frame, SamplingPlan(interval=9, scales=(9,)), *whole_frame(frame))
+        assert descs.shape == (0, 88)
 
     def test_anchor_shifts_grid(self, rng):
         img = rng.integers(0, 256, (40, 40, 3)).astype(np.uint8)
         frame = Frame(img, ColorSpace.RGB)
-        placements = sample_positions(frame, SamplingPlan(), anchor=(7, 6))
+        # the region is the frame from the anchor on
+        placements = sample_positions(
+            frame, SamplingPlan(), np.ones((40 - 6, 40 - 7), dtype=bool), (7, 6)
+        )
         oracle = enumerate_valid_centers(40, 40, 9, 9, anchor=(7, 6))
         assert sorted(c for c, _ in centers(placements)) == sorted(oracle)
 
@@ -377,9 +394,11 @@ class TestSampling:
         # the region's grid holds no kernel that fits; the frame has some
         img = rng.integers(0, 256, (40, 40, 3)).astype(np.uint8)
         frame = Frame(img, ColorSpace.RGB)
+        ctx = whole_frame(frame)[2]
         for anchor in ((0, 0), (35, 0), (0, 36), (35, 36)):
             descs = sample(
-                frame, SamplingPlan(), mask=np.ones((4, 5), dtype=bool), anchor=anchor
+                frame, SamplingPlan(), mask=np.ones((4, 5), dtype=bool), anchor=anchor,
+                ctx=ctx,
             )
             assert descs.shape == (0, 88)
 
@@ -412,7 +431,8 @@ class TestSampling:
 
     def test_descriptor_dimensions(self, rng):
         img = rng.integers(0, 256, (30, 30, 3)).astype(np.uint8)
-        descs = sample(Frame(img, ColorSpace.RGB), SamplingPlan())
+        frame = Frame(img, ColorSpace.RGB)
+        descs = sample(frame, SamplingPlan(), *whole_frame(frame))
         assert descs.ndim == 2 and descs.shape[1] == 88 and descs.shape[0] > 0
         norms = np.linalg.norm(descs[:, 0:64], axis=1)
         assert np.all((norms == 0.0) | (np.abs(norms - 1.0) <= 1e-6))
@@ -525,7 +545,7 @@ class TestWindowedSampling:
     def test_scene_blobs(self, camera, plan):
         checked = 0
         for frame, blobs, gray in _scene_blobs(camera, SceneSpec(seed=7)):
-            ctx = SampleContext(frame, gray)
+            ctx = SampleContext(frame, gray, (frame.width, frame.height))
             for blob in blobs:
                 checked += self._check(frame, plan, blob, ctx) > 0
         assert checked >= 5
@@ -535,8 +555,8 @@ class TestWindowedSampling:
         # a context over the blobs' reach only, as `decide` builds it
         frame = SyntheticScene(SceneSpec(seed=11)).frame(120)
         gray = luma(frame.pixels)
-        full = SampleContext(frame, gray)
         width, height = frame.width, frame.height
+        full = SampleContext(frame, gray, (width, height))
         blobs = _edge_blobs(rng, width, height)
         groups = {
             "right": [b for b in blobs if b.x + b.w == width and b.y + b.h < height],
@@ -580,13 +600,13 @@ class TestWindowedSampling:
         # the luma buffer stays the caller's to reuse on the next frame
         frame = SyntheticScene(SceneSpec(seed=7)).frame(0)
         gray = luma(frame.pixels)
-        SampleContext(frame, gray)
+        SampleContext(frame, gray, (frame.width, frame.height))
         assert gray.flags.writeable
 
     @pytest.mark.parametrize("plan", WINDOW_PLANS, ids=["9", "9+15"])
     def test_blobs_at_frame_edges(self, rng, plan):
         frame = SyntheticScene(SceneSpec(seed=11)).frame(120)
-        ctx = SampleContext(frame, luma(frame.pixels))
+        ctx = whole_frame(frame)[2]
         sampled = [
             self._check(frame, plan, blob, ctx)
             for blob in _edge_blobs(rng, frame.width, frame.height)

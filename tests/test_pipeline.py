@@ -731,6 +731,36 @@ class TestDecide:
         assert pipeline.decide(frame, None, []) == ([], [])
         assert pipeline.stats.classifier_calls == 0
 
+    def test_patch_row_is_the_row_of_a_blob_covering_it(self, synth_artifacts, monkeypatch):
+        # training and detection describe a region by one function: a
+        # patch's training row is the row `decide` classifies for it
+        import pyrovigil.classifier as cl
+        from pyrovigil.frameio import frame_dir_source
+        from pyrovigil.imaging import luma
+        from pyrovigil.pipeline import encode_patches
+        from pyrovigil.proposal import Blob
+
+        pipeline = self._pipeline(synth_artifacts)
+        rows, predict = [], cl.predict
+
+        def predict_recorded(model, row):
+            rows.append(row)
+            return predict(model, row)
+
+        monkeypatch.setattr(cl, "predict", predict_recorded)
+        for name in ("fire_dir", "nonfire_dir"):
+            want = encode_patches(
+                synth_artifacts[name], pipeline.index, pipeline.params, pipeline.plan
+            )
+            rows.clear()
+            for frame in frame_dir_source(synth_artifacts[name]):
+                w, h = frame.width, frame.height
+                blob = Blob(0, 0, w, h, w * h, 0, np.ones((h, w), dtype=bool))
+                pipeline.decide(frame, luma(frame.pixels), [blob])
+            assert len(rows) == len(want) == 100
+            for got, row in zip(rows, want):
+                assert np.array_equal(got.view(np.uint64), row.view(np.uint64))
+
     @pytest.mark.parametrize("camera", ["static", "moving"])
     def test_margins_match_per_blob_oracle(self, synth_artifacts, camera):
         import pyrovigil.classifier as cl
@@ -738,7 +768,7 @@ class TestDecide:
         from pyrovigil.features import histogram_from_pixels, sample
         from pyrovigil.imaging import convert
 
-        from test_features import _scene_blobs
+        from test_features import _scene_blobs, whole_frame
 
         book, model = synth_artifacts["codebook"], synth_artifacts["model"]
         index = cb.NNIndex(book.centers)
@@ -747,10 +777,11 @@ class TestDecide:
         classified = positives = 0
         for frame, blobs, gray in _scene_blobs(camera, SceneSpec(seed=7)):
             lab = convert(frame)
+            ctx = whole_frame(frame)[2]
             want_blobs, want_margins = [], []
             for blob in blobs:
                 descs = sample(
-                    frame, pipeline.plan, mask=blob.mask, anchor=(blob.x, blob.y)
+                    frame, pipeline.plan, mask=blob.mask, anchor=(blob.x, blob.y), ctx=ctx
                 )
                 if len(descs) == 0:
                     continue
