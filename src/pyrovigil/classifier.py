@@ -1,10 +1,10 @@
 """Binary kernel SVM trained by sequential minimal optimization.
 
 Working-set selection is the maximal violating pair; the solver stops
-when the KKT violation drops to `tol` (default 1e-3). Per-sample box
-caps are C times a class weight that balances the two labels by sample
-count. The dual objective is recorded every iteration and is
-non-decreasing, which the tests assert.
+when the KKT violation drops to `TOL`. Per-sample box caps are C times a
+class weight that balances the two labels by sample count. The dual
+objective is recorded every iteration and is non-decreasing, which the
+tests assert.
 """
 
 import math
@@ -41,6 +41,8 @@ class Kernel:
                 f"{self.kind.value} kernel needs a finite gamma > 0, got {self.gamma}"
             )
 
+
+TOL = 1e-3  # the KKT violation at which SMO stops
 
 MODEL_MAGIC = b"PVSM"
 MODEL_VERSION = 1
@@ -182,12 +184,12 @@ def _bias(alpha, y, G, Cvec):
     return float(0.5 * (m_val + M_val))
 
 
-def _fit(K, y, C, tol, max_iter):
+def _fit(K, y, C, max_iter):
     """SMO on kernel matrix K with box caps C times each label's class weight:
     (alpha, bias, class weights, iterations, violation, objective trace)."""
     weights = _class_weights(y)
     Cvec = np.where(y > 0, C * weights[0], C * weights[1])
-    alpha, G, it, violation, trace = _smo_solve(K, y, Cvec, tol, max_iter)
+    alpha, G, it, violation, trace = _smo_solve(K, y, Cvec, TOL, max_iter)
     return alpha, _bias(alpha, y, G, Cvec), weights, it, violation, trace
 
 
@@ -196,7 +198,6 @@ def train(
     y,
     kernel: Kernel = Kernel(KernelKind.RBF, 1.0),
     C: float = 1.0,
-    tol: float = 1e-3,
     max_iter: int = 200_000,
     codebook_fingerprint: Optional[bytes] = None,
 ) -> TrainedModel:
@@ -212,12 +213,12 @@ def train(
     if not ((y > 0).any() and (y < 0).any()):
         raise ValueError("need at least one sample of each label")
     alpha, bias, weights, it, violation, trace = _fit(
-        kernel_matrix(kernel, X), y, C, tol, max_iter
+        kernel_matrix(kernel, X), y, C, max_iter
     )
-    if violation > tol:
+    if violation > TOL:
         raise ConvergenceError(
             f"SMO did not converge in {max_iter} iterations "
-            f"(violation {violation:.3e} > tol {tol:.0e})",
+            f"(violation {violation:.3e} > tol {TOL:.0e})",
             violation,
         )
     sv = alpha > 1e-12
@@ -304,7 +305,6 @@ def cross_validate(
     c_values=None,
     gamma_values=None,
     seed: int = 0,
-    tol: float = 1e-3,
     max_iter: int = 20_000,
 ) -> CVReport:
     """Grid-search (C, gamma) by stratified k-fold accuracy.
@@ -345,7 +345,7 @@ def cross_validate(
             K_te = K_full[np.ix_(tr, te)]
             y_tr = y[tr]
             for ci, C in enumerate(c_values):
-                alpha, b, _, _, _, _ = _fit(K_tr, y_tr, C, tol, max_iter)
+                alpha, b, _, _, _, _ = _fit(K_tr, y_tr, C, max_iter)
                 margins = (alpha * y_tr) @ K_te + b
                 correct[ci] += int((np.where(margins >= 0.0, 1.0, -1.0) == y[te]).sum())
         acc[:, gi] = correct / X.shape[0]

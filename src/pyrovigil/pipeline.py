@@ -211,13 +211,10 @@ class DetectionPipeline:
             model = cl.read_model(config.model_path)
         self.codebook = codebook
         self.model = model
-        if (
-            model.codebook_fingerprint is not None
-            and model.codebook_fingerprint != codebook.fingerprint()
-        ):
+        if model.codebook_fingerprint != codebook.fingerprint():
             raise DataError(
-                "model/codebook pairing violated: the model was trained "
-                "against a different codebook"
+                "model/codebook pairing violated: the model carries no "
+                "fingerprint of this codebook"
             )
         self.index, self.params = _encoder(codebook, config.m)
         row_dim = codebook.k + 3 * GLOBAL_BINS_PER_CHANNEL
@@ -442,17 +439,17 @@ class TrainReport:
     n_train: int
     n_test: int
     cv: Optional[cl.CVReport] = None
-    C: float = 1.0
 
 
-def split_train_test(labels: np.ndarray, seed: int, test_fraction: float = 0.2):
-    """Seeded stratified split; returns (train_idx, test_idx)."""
+def split_train_test(labels: np.ndarray, seed: int):
+    """Seeded stratified split, a fifth of each class held out; returns
+    (train_idx, test_idx)."""
     rng = np.random.default_rng(seed)
     train, test = [], []
     for cls in (1.0, -1.0):
         idx = np.nonzero(labels == cls)[0]
         rng.shuffle(idx)
-        n_test = max(1, int(round(len(idx) * test_fraction)))
+        n_test = max(1, int(round(len(idx) * 0.2)))
         test.extend(idx[:n_test])
         train.extend(idx[n_test:])
     return np.asarray(sorted(train)), np.asarray(sorted(test))
@@ -515,7 +512,6 @@ def train_model(
         n_train=len(train_idx),
         n_test=len(test_idx),
         cv=report_cv,
-        C=C,
     )
     if log:
         log(

@@ -62,13 +62,13 @@ class BlobTrack:
     bbox: tuple = (0, 0, 0, 0)
     last_margin: float = 0.0
 
-    def add_sample(self, blob: Blob, frame_index: int, margin: float = 0.0):
+    def add_sample(self, blob: Blob, decision: int, margin: float):
         d = spatial_distribution(blob)
         self.samples.append(
             (float(blob.perimeter), float(blob.area), float(d[0]), float(d[1]),
              float(d[2]), float(d[3]))
         )
-        self.last_seen = frame_index
+        self.last_seen = decision
         self.bbox = blob.bbox
         self.last_margin = margin
 
@@ -146,20 +146,18 @@ class Tracker:
         self.tracks: List[BlobTrack] = []
         self._next_id = 1
 
-    def update(self, blobs, frame_index, margins=None):
-        """Feed one frame of classifier-positive blobs. Returns tracks
-        newly confirmed as fire on this frame.
+    def update(self, blobs, decision, margins):
+        """Feed one decision frame's classifier-positive blobs with their
+        SVM margins. Returns tracks newly confirmed as fire on this frame.
 
         Blobs go onto live tracks greedily by best IoU (at least
         `iou_threshold`); an unmatched blob starts a new PENDING track,
-        and a track unseen for `max_gap` frames is dropped (a vanished
-        blob is not fire). The pipeline passes its decision frames as
+        and a track unseen for `max_gap` decisions is dropped (a vanished
+        blob is not fire). The pipeline numbers its decision frames
         0, 1, 2, ..., so `max_gap` counts decisions. A track whose window
         fills at this frame is confirmed when its shape variation sits in
         the flame band and rejected when it is stable or unstable.
         """
-        if margins is None:
-            margins = [0.0] * len(blobs)
         tracks = self.tracks
         pairs = []
         for ti, tr in enumerate(tracks):
@@ -175,15 +173,15 @@ class Tracker:
                 continue
             used_t.add(ti)
             used_b.add(bi)
-            tracks[ti].add_sample(blobs[bi], frame_index, margins[bi])
+            tracks[ti].add_sample(blobs[bi], decision, margins[bi])
         for bi, blob in enumerate(blobs):
             if bi in used_b:
                 continue
             tr = BlobTrack(track_id=self._next_id)
             self._next_id += 1
-            tr.add_sample(blob, frame_index, margins[bi])
+            tr.add_sample(blob, decision, margins[bi])
             tracks.append(tr)
-        self.tracks = [tr for tr in tracks if frame_index - tr.last_seen < self.max_gap]
+        self.tracks = [tr for tr in tracks if decision - tr.last_seen < self.max_gap]
         confirmed = []
         for tr in self.tracks:
             # a window fills only at a frame that adds to it, and is

@@ -7,6 +7,7 @@ from pyrovigil.classifier import read_model, train, write_model
 from pyrovigil.cli import main
 from pyrovigil.codebook import Codebook, write_codebook
 from pyrovigil.frameio import write_ppm
+from pyrovigil.pipeline import DetectionPipeline, PipelineConfig, format_alarm
 from pyrovigil.synth import SceneSpec, SyntheticScene, fire_patch, nonfire_patch
 
 from noise_patches import blue_noise_patch, red_noise_patch
@@ -480,13 +481,16 @@ def test_detect_with_non_finite_model_exits_3(tmp_path, capsys, synth_artifacts)
 def test_detect_with_wrong_sized_model_or_codebook_exits_3(
     tmp_path, capsys, book_dim, model_dim, message
 ):
-    # without a codebook fingerprint in the model, a size mismatch used to
-    # raise a raw ValueError at the first classified blob
+    # a size mismatch under a matching codebook fingerprint, as a crafted
+    # model file can carry, used to raise a raw ValueError at the first
+    # classified blob
     rng = np.random.default_rng(3)
     cb_path, model_path = tmp_path / "cb.pvcb", tmp_path / "m.pvsm"
-    write_codebook(Codebook(rng.normal(size=(20, book_dim)), 0.5), cb_path)
+    book = Codebook(rng.normal(size=(20, book_dim)), 0.5)
+    write_codebook(book, cb_path)
     y = np.repeat([1.0, -1.0], 5)
-    write_model(train(rng.normal(size=(10, model_dim)), y), model_path)
+    write_model(train(rng.normal(size=(10, model_dim)), y,
+                      codebook_fingerprint=book.fingerprint()), model_path)
     frames_dir = tmp_path / "frames"
     frames_dir.mkdir()
     scene = SyntheticScene(SceneSpec(seed=7, flame_onset=0))
@@ -501,6 +505,54 @@ def test_detect_with_wrong_sized_model_or_codebook_exits_3(
     assert code == 3
     assert f"data error: {message}" in err
     assert "Traceback" not in err
+
+
+def test_detect_with_unpaired_model_exits_3(tmp_path, capsys, synth_artifacts):
+    # a model of the codebook's k + 96 features, written without a codebook
+    # fingerprint, used to run as if it were paired
+    book = synth_artifacts["codebook"]
+    rng = np.random.default_rng(3)
+    model_path = tmp_path / "m.pvsm"
+    write_model(train(rng.normal(size=(10, book.k + 96)), np.repeat([1.0, -1.0], 5)),
+                model_path)
+    assert read_model(model_path).codebook_fingerprint is None
+    frames_dir = tmp_path / "frames"
+    frames_dir.mkdir()
+    write_ppm(frames_dir / "000000.ppm", SyntheticScene(SceneSpec(seed=7)).frame(0).pixels)
+    cfg = tmp_path / "pipe.cfg"
+    cfg.write_text(f"codebook={synth_artifacts['codebook_path']}\nmodel={model_path}\n")
+    code = main(["detect", "--config", str(cfg), "--frames", str(frames_dir)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "data error: model/codebook pairing violated" in err
+    assert "Traceback" not in err
+
+
+def test_detect_prints_and_logs_each_alarm(tmp_path, capsys, synth_artifacts):
+    # a moving camera deciding every frame confirms the flame of frame 0
+    scene = SyntheticScene(SceneSpec(seed=7, flame_onset=0))
+    frames = list(scene.frames(40))
+    frames_dir = tmp_path / "frames"
+    frames_dir.mkdir()
+    for frame in frames:
+        write_ppm(frames_dir / f"{frame.index:06d}.ppm", frame.pixels)
+    cfg = tmp_path / "pipe.cfg"
+    cfg.write_text(
+        f"codebook={synth_artifacts['codebook_path']}\n"
+        f"model={synth_artifacts['model_path']}\ncamera=moving\ndecision_stride=1\n"
+    )
+    alarms_path = tmp_path / "alarms.log"
+    code = main([
+        "detect", "--config", str(cfg), "--frames", str(frames_dir),
+        "--video-id", "clip", "--alarms", str(alarms_path),
+    ])
+    assert code == 0
+    out = capsys.readouterr().out
+    pipeline = DetectionPipeline(PipelineConfig.from_file(cfg))
+    want = [format_alarm(a) for a in pipeline.run(iter(frames), "clip")]
+    assert len(want) == 1 and want[0].startswith("clip 24 ")
+    assert out.splitlines() == want
+    assert alarms_path.read_text().splitlines() == want
 
 
 def test_train_model_with_zero_sigma_codebook_exits_3(tmp_path, capsys, synth_artifacts):

@@ -11,6 +11,7 @@ from pyrovigil.codebook import (
     Codebook,
     EncoderParams,
     NNIndex,
+    _dedup_centers,
     _soft_weights,
     encode,
     gaussian_kernel,
@@ -95,6 +96,28 @@ class TestKMeans:
         X = np.concatenate([np.repeat(base[:1], 50, axis=0), base])
         book = kmeans(X, 6, iterations=15, rng_seed=2)
         assert np.unique(book.centers, axis=0).shape[0] == 6
+
+    def test_dedup_replaces_duplicates_with_worst_fit_points(self):
+        # squared distances to the nearest center (0, 0) or (7, 0):
+        # 0, 1, 0, 9, 9, 4; each duplicate, in index order, takes the
+        # farthest point left, the lower index first on a tie
+        X = np.array([[0, 0], [1, 0], [7, 0], [3, 0], [-3, 0], [-2, 0]], dtype=float)
+        C = np.array([[0, 0], [0, 0], [7, 0], [0, 0], [0, 0]], dtype=float)
+        got = _dedup_centers(X, C.copy())
+        assert got.tolist() == [[0, 0], [3, 0], [7, 0], [-3, 0], [-2, 0]]
+        # a worst-fit point repeated in the data becomes a duplicate center
+        # in turn, and the next pass replaces it by a point not yet used
+        X = np.array([[0, 0], [1, 0], [7, 0], [3, 0], [3, 0], [-2, 0]], dtype=float)
+        C = np.array([[0, 0], [0, 0], [7, 0], [0, 0]], dtype=float)
+        got = _dedup_centers(X, C.copy())
+        assert got.tolist() == [[0, 0], [3, 0], [7, 0], [-2, 0]]
+
+    def test_dedup_without_a_point_left_raises(self):
+        # every point already sits on a center: no distance is positive
+        X = np.array([[0, 0], [1, 0], [1, 0], [0, 0]], dtype=float)
+        C = np.array([[0, 0], [1, 0], [1, 0]], dtype=float)
+        with pytest.raises(ValueError, match="cannot form distinct centers from the data"):
+            _dedup_centers(X, C)
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_k_below_one(self, rng, k):

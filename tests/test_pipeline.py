@@ -217,6 +217,13 @@ class TestLabelsAndAlarms:
         with pytest.raises(DataError, match="overlap"):
             parse_labels(path)
 
+    @pytest.mark.parametrize("end", [100, 99])
+    def test_empty_section_rejected(self, tmp_path, end):
+        path = tmp_path / "labels.txt"
+        path.write_text(f"v 0 100 fire\nv 100 {end} nofire\n")
+        with pytest.raises(DataError, match=f"{path}: empty section"):
+            parse_labels(path)
+
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "labels.txt"
         path.write_text("v 0 200 maybe\n")
@@ -281,6 +288,22 @@ class TestEvalReport:
         alarms = [AlarmEvent("v", 250, 1, (0, 0, 1, 1), 1.0)]
         report = evaluate_sections(alarms, labels)
         assert (report.tp, report.tn, report.fp, report.fn) == (1, 1, 0, 1)
+
+    def test_alarm_in_nofire_section_is_false_positive(self):
+        labels = [
+            SectionLabel("v", 0, 200, False),
+            SectionLabel("v", 200, 400, True),
+            SectionLabel("w", 0, 200, False),
+        ]
+        alarms = [
+            AlarmEvent("v", 150, 1, (0, 0, 1, 1), 0.5),
+            AlarmEvent("v", 300, 2, (0, 0, 1, 1), 0.5),
+        ]
+        report = evaluate_sections(alarms, labels)
+        assert (report.tp, report.tn, report.fp, report.fn) == (1, 1, 1, 0)
+        assert report.precision == 0.5 and report.recall == 1.0
+        assert [predicted for _, predicted in report.per_section] == [True, True, False]
+        assert "50.00%" in report.format_table()
 
     def test_alarm_on_boundary_frames(self):
         labels = [SectionLabel("v", 0, 200, True), SectionLabel("v", 200, 400, True)]
@@ -356,6 +379,22 @@ class TestCascade:
         with pytest.raises(DataError, match="pairing"):
             DetectionPipeline(config)
 
+    def test_model_without_fingerprint_is_data_error(self, synth_artifacts, rng):
+        from pyrovigil.classifier import train
+
+        # the model takes the codebook's k + 96 features, but carries no
+        # fingerprint: it is not known to pair with this codebook
+        book = synth_artifacts["codebook"]
+        y = np.repeat([1.0, -1.0], 5)
+        model = train(rng.normal(size=(10, book.k + 96)), y)
+        assert model.codebook_fingerprint is None
+        config = PipelineConfig(
+            codebook_path=str(synth_artifacts["codebook_path"]),
+            model_path=str(synth_artifacts["model_path"]),
+        ).validate()
+        with pytest.raises(DataError, match="pairing"):
+            DetectionPipeline(config, codebook=book, model=model)
+
     @pytest.mark.parametrize("book_dim, model_dim, message", [
         (88, 50, "model takes 50 features, but the codebook's 500 words give 596"),
         (50, 596, "codebook words are 50-dim, descriptors 88-dim"),
@@ -366,10 +405,11 @@ class TestCascade:
         from pyrovigil.classifier import train
         from pyrovigil.codebook import Codebook
 
-        # neither model carries a codebook fingerprint, so only the sizes
+        # each model carries its codebook's fingerprint, so only the sizes
         # tell the mismatch
         book = Codebook(rng.normal(size=(500, book_dim)), sigma=0.5)
-        model = train(rng.normal(size=(10, model_dim)), np.repeat([1.0, -1.0], 5))
+        model = train(rng.normal(size=(10, model_dim)), np.repeat([1.0, -1.0], 5),
+                      codebook_fingerprint=book.fingerprint())
         config = PipelineConfig(
             codebook_path=str(synth_artifacts["codebook_path"]),
             model_path=str(synth_artifacts["model_path"]),
@@ -1015,7 +1055,7 @@ class TestTrainModel:
         )
         assert report.cv is not None
         assert report.cv.best_accuracy >= 0.9
-        assert report.C == report.cv.best_c
+        assert model.C == report.cv.best_c
 
 
 class TestEvaluateEndToEnd:

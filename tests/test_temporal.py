@@ -72,7 +72,7 @@ def verdict_frame(tracker, blobs):
     the confirmations)."""
     first, confirmed = None, []
     for t, blob in enumerate(blobs):
-        new = tracker.update([blob], t)
+        new = tracker.update([blob], t, [0.0])
         if new and first is None:
             first = t
         confirmed += new
@@ -83,7 +83,7 @@ def samples_of(blobs):
     """The window a track holds after seeing `blobs`."""
     tr = BlobTrack(track_id=1)
     for i, blob in enumerate(blobs):
-        tr.add_sample(blob, i)
+        tr.add_sample(blob, i, 0.0)
     return list(tr.samples)
 
 
@@ -289,8 +289,8 @@ class TestAssociate:
 
     def test_same_blob_continues_track(self):
         tracker = Tracker(INDOOR)
-        tracker.update([square_blob(10, 10, 8)], 0)
-        tracker.update([square_blob(10, 10, 8)], 1)
+        tracker.update([square_blob(10, 10, 8)], 0, [0.0])
+        tracker.update([square_blob(10, 10, 8)], 1, [0.0])
         assert len(tracker.tracks) == 1
         assert len(tracker.tracks[0].samples) == 2
         assert tracker.tracks[0].last_seen == 1
@@ -307,7 +307,7 @@ class TestAssociate:
     def test_drifting_blob_single_track(self):
         tracker = Tracker(INDOOR)
         for t in range(WINDOW):
-            tracker.update([square_blob(10 + 2 * t, 10, 12)], t)  # 2 px/frame drift
+            tracker.update([square_blob(10 + 2 * t, 10, 12)], t, [0.0])  # 2 px/frame drift
         assert len(tracker.tracks) == 1
         assert tracker.tracks[0].buffer_full
 
@@ -319,13 +319,13 @@ class TestAssociate:
         blobs = flame_band_blobs()
         confirmed = []
         for t in range(WINDOW - 1):
-            confirmed += tracker.update([blobs[t]], t)
+            confirmed += tracker.update([blobs[t]], t, [0.0])
         vanished = tracker.tracks[0]
         for t in range(WINDOW - 1, WINDOW + 6):
-            confirmed += tracker.update([], t)
+            confirmed += tracker.update([], t, [])
         assert tracker.tracks == []
         assert vanished.state is not TrackState.FIRE_CONFIRMED
-        confirmed += tracker.update([blobs[-1]], WINDOW + 6)
+        confirmed += tracker.update([blobs[-1]], WINDOW + 6, [0.0])
         assert [(tr.track_id, len(tr.samples)) for tr in tracker.tracks] == [(2, 1)]
         assert confirmed == []
 
@@ -333,34 +333,34 @@ class TestAssociate:
         # a track unseen for max_gap frames is dropped, not kept for the
         # life of the stream
         tracker = Tracker(INDOOR, max_gap=5)
-        tracker.update([square_blob(5, 5, 6)], 0)
+        tracker.update([square_blob(5, 5, 6)], 0, [0.0])
         track = weakref.ref(tracker.tracks[0])
-        tracker.update([], 4)
+        tracker.update([], 4, [])
         assert len(tracker.tracks) == 1  # 4 frames unseen
-        tracker.update([], 5)
+        tracker.update([], 5, [])
         assert tracker.tracks == []
         assert track() is None
 
     def test_iou_threshold_respected(self):
         tracker = Tracker(INDOOR)
-        tracker.update([square_blob(0, 0, 10)], 0)
+        tracker.update([square_blob(0, 0, 10)], 0, [0.0])
         # far jump: IoU 0 -> same-position track misses, new track spawns
-        tracker.update([square_blob(50, 50, 10)], 1)
+        tracker.update([square_blob(50, 50, 10)], 1, [0.0])
         assert len(tracker.tracks) == 2
         # IoU exactly at the threshold matches; just above it does not
         a, b = square_blob(0, 0, 10), square_blob(5, 0, 10)
         assert bbox_iou(a.bbox, b.bbox) == 1 / 3
         for threshold, n_tracks in ((1 / 3, 1), (1 / 3 + 1e-9, 2)):
             tracker = Tracker(INDOOR, iou_threshold=threshold)
-            tracker.update([a], 0)
-            tracker.update([b], 1)
+            tracker.update([a], 0, [0.0])
+            tracker.update([b], 1, [0.0])
             assert len(tracker.tracks) == n_tracks
 
     def test_best_iou_wins_competing_blobs(self):
         # two blobs overlap one track: the higher IoU continues it, even
         # when listed second; the other starts a new track
         tracker = Tracker(INDOOR)
-        tracker.update([square_blob(0, 0, 10)], 0)
+        tracker.update([square_blob(0, 0, 10)], 0, [0.0])
         near, nearer = square_blob(2, 0, 10), square_blob(1, 0, 10)
         tracker.update([near, nearer], 1, [0.1, 0.2])
         assert [(t.track_id, t.bbox, t.last_margin) for t in tracker.tracks] == [
@@ -368,9 +368,9 @@ class TestAssociate:
         ]
         # on equal IoU the blob listed first wins
         tracker = Tracker(INDOOR)
-        tracker.update([square_blob(0, 0, 10)], 0)
+        tracker.update([square_blob(0, 0, 10)], 0, [0.0])
         below, right = square_blob(0, 1, 10), square_blob(1, 0, 10)
-        tracker.update([below, right], 1)
+        tracker.update([below, right], 1, [0.0, 0.0])
         assert [(t.track_id, t.bbox) for t in tracker.tracks] == [
             (1, below.bbox), (2, right.bbox)
         ]
@@ -387,7 +387,7 @@ class TestTracker:
         tracker = Tracker(INDOOR)
         confirmed = []
         for t in range(WINDOW + 10):
-            confirmed += tracker.update([square_blob(20, 20, 10)], t)
+            confirmed += tracker.update([square_blob(20, 20, 10)], t, [0.0])
         assert confirmed == []
         assert tracker.tracks[0].state is TrackState.REJECTED
 
@@ -401,7 +401,7 @@ class TestTracker:
             cut = int(6 + 5 * np.sin(t * 1.3))
             m[: side // 2, :cut] = False
             blob = make_blob(20, 20, m)
-            confirmed += tracker.update([blob], t)
+            confirmed += tracker.update([blob], t, [0.0])
         assert len(confirmed) == 1  # debounced: one alarm per track
         assert tracker.tracks[0].state is TrackState.FIRE_CONFIRMED
 
@@ -411,7 +411,7 @@ class TestTracker:
             states = []
             for t in range(WINDOW + 5):
                 blobs = [square_blob(5, 5, 8), square_blob(40, 40 + t, 8)]
-                tracker.update(blobs, t)
+                tracker.update(blobs, t, [0.0, 0.0])
                 states.append([(tr.track_id, tr.state.value) for tr in tracker.tracks])
             return states
 
