@@ -303,10 +303,15 @@ class NNIndex:
         Q = np.ascontiguousarray(np.asarray(Q, dtype=np.float64))
         q2 = (Q * Q).sum(axis=1)
         approx = q2[:, None] + self._sq - 2.0 * self._dot_centers(Q)
-        kth = np.partition(approx, m - 1, axis=1)[:, m - 1 : m]
+        cand = np.argpartition(approx, m - 1, axis=1)
+        kth = np.take_along_axis(approx, cand[:, m - 1 : m], axis=1)
         limit = kth + self._slack * (q2[:, None] + self._sq_max)
         width = int((approx <= limit).sum(axis=1).max(initial=m))
-        cand = np.argpartition(approx, width - 1, axis=1)[:, :width]
+        # the m smallest are the only candidates of every row, unless some
+        # row has more within the slack
+        if width > m:
+            cand = np.argpartition(approx, width - 1, axis=1)
+        cand = cand[:, :width]
         d2 = ((self.points[cand] - Q[:, None, :]) ** 2).sum(axis=2)
         order = np.lexsort((cand, d2), axis=1)[:, :m]
         idx = np.take_along_axis(cand, order, axis=1)
@@ -335,26 +340,33 @@ def _soft_weights(dists, sigma):
     return k_vals / sums[:, None]
 
 
-def encode(
-    descriptors, nn_index: NNIndex, params: EncoderParams, global_hist: np.ndarray
-) -> np.ndarray:
-    """The (k + 96,) feature row of a blob: soft-assignment weights of the
-    (n, dim) descriptor rows accumulated into a k-bin histogram
-    (pre-normalization mass equals n) and L1-normalized, followed by the
-    provided global histogram."""
-    hist = raw_bow_histogram(descriptors, nn_index, params)
-    bow = hist / hist.sum()
-    return np.concatenate([bow, np.asarray(global_hist, dtype=np.float64)])
+def encode(descriptors, counts, nn_index: NNIndex, params: EncoderParams, global_hists):
+    """(n, k + 96) feature rows, one per blob: blob i owns the next
+    `counts[i]` rows of the (sum(counts), dim) descriptors. A row is the
+    blob's soft-assignment weights accumulated into a k-bin histogram
+    (pre-normalization mass equals its descriptor count) and
+    L1-normalized, followed by the blob's row of the (n, 96) global
+    histograms. Every blob is encoded from one neighbor query."""
+    hist = raw_bow_histogram(descriptors, counts, nn_index, params)
+    bow = hist / hist.sum(axis=1, keepdims=True)
+    return np.concatenate([bow, np.asarray(global_hists, dtype=np.float64)], axis=1)
 
 
-def raw_bow_histogram(descriptors, nn_index: NNIndex, params: EncoderParams):
-    """Un-normalized accumulation of the soft-assignment weights."""
+def raw_bow_histogram(descriptors, counts, nn_index: NNIndex, params: EncoderParams):
+    """(n, k) un-normalized accumulations of the soft-assignment weights of
+    each blob's descriptor rows, blob i owning the next `counts[i]`."""
     D = np.ascontiguousarray(descriptors, dtype=np.float64)
-    if D.shape[0] == 0:
+    counts = np.asarray(counts, dtype=np.int64)
+    if counts.sum() != D.shape[0]:
+        raise ValueError(f"counts cover {counts.sum()} descriptors, got {D.shape[0]}")
+    if (counts < 1).any():
         raise ValueError("empty blob: no descriptors to encode")
     idx, dist = nn_index.query_batch(D, params.m)
     w = _soft_weights(dist, params.sigma)
-    return np.bincount(idx.ravel(), w.ravel(), nn_index.size)
+    # one bincount over (blob, word); each bin adds its weights in row order
+    k = nn_index.size
+    keys = idx + (np.repeat(np.arange(counts.size), counts) * k)[:, None]
+    return np.bincount(keys.ravel(), w.ravel(), counts.size * k).reshape(-1, k)
 
 
 # ---------------------------------------------------------------------------

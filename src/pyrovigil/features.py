@@ -22,7 +22,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .imaging import LAB_DOMAINS, ColorSpace, Frame, convert, integral
+from .codebook import _ONE_THREAD_MADDS
+# `integral` is not called here, but perfbench/tracing.py wraps it by
+# this module's name
+from .imaging import (  # noqa: F401
+    LAB_DOMAINS, ColorSpace, Frame, convert, integral, integral_window,
+)
 
 SURF_DIM = 64
 COLOR_DIM = 24
@@ -100,14 +105,13 @@ def _subregion_onehot(sub: tuple) -> np.ndarray:
 
 def _surf_batch(table, cxs, cys, scale, hmar, sub, weights):
     n = cxs.shape[0]
-    if n == 1:  # a one-row product rounds otherwise; two rows keep a batch's bits
-        cxs, cys = np.repeat(cxs, 2), np.repeat(cys, 2)
-        return _surf_batch(table, cxs, cys, scale, hmar, sub, weights)[:1]
-    # one gather per window of every table cell its boxes read
+    # one gather per window of every table cell its boxes read; a window
+    # that starts above or left of the table would wrap, so it raises
+    top, left = cys - scale // 2 - hmar, cxs - scale // 2 - hmar
+    if min(top.min(), left.min()) < 0:
+        raise IndexError("a SURF window starts outside the integral table")
     grid = np.arange(scale + 2 * hmar + 1)
-    ys = (cys - scale // 2 - hmar)[:, None] + grid
-    xs = (cxs - scale // 2 - hmar)[:, None] + grid
-    patch = table[ys[:, :, None], xs[:, None, :]]
+    patch = table[(top[:, None] + grid)[:, :, None], (left[:, None] + grid)[:, None, :]]
 
     def corner(dr, dc):  # table[py + dr, px + dc] at each window pixel (py, px)
         return patch[:, hmar + dr : hmar + dr + scale, hmar + dc : hmar + dc + scale]
@@ -121,21 +125,27 @@ def _surf_batch(table, cxs, cys, scale, hmar, sub, weights):
             + corner(r0, c0)
         )
 
+    # each window's weighted dx, dy, |dx| and |dy|
+    comps = np.empty((n, 4, scale, scale))
     dx = box(-hmar, hmar, 1, hmar) - box(-hmar, hmar, -hmar, -1)
     dy = box(1, hmar, -hmar, hmar) - box(-hmar, -1, -hmar, hmar)
-    dx = dx * weights
-    dy = dy * weights
+    np.multiply(dx, weights, out=comps[:, 0])
+    np.multiply(dy, weights, out=comps[:, 1])
+    np.abs(comps[:, :2], out=comps[:, 2:])
+    comps = comps.reshape(4 * n, -1)
 
+    # Each product sums rows over their subregions. It takes at least the 4
+    # rows of a window, as a one-row product would take BLAS's vector path,
+    # and at most _ONE_THREAD_MADDS multiply-adds, well below the size where
+    # OpenBLAS leaves its small-matrix kernel (about 10^6): both other paths
+    # round otherwise, so a window's row has the same bits in any batch.
     onehot = _subregion_onehot(tuple(sub.tolist()))
-    comps = (
-        dx.reshape(n, -1) @ onehot,
-        dy.reshape(n, -1) @ onehot,
-        np.abs(dx).reshape(n, -1) @ onehot,
-        np.abs(dy).reshape(n, -1) @ onehot,
-    )
-    out = np.empty((n, 64), dtype=np.float64)
-    for c, comp in enumerate(comps):
-        out[:, c::4] = comp
+    rows = 4 * max(1, _ONE_THREAD_MADDS // (4 * onehot.size))
+    sums = np.empty((4 * n, 16))
+    for s in range(0, 4 * n, rows):
+        np.matmul(comps[s : s + rows], onehot, out=sums[s : s + rows])
+    # column 4 j + c holds component c of subregion j
+    out = sums.reshape(n, 4, 16).transpose(0, 2, 1).reshape(n, 64)
     norms = np.sqrt((out * out).sum(axis=1))
     safe = np.where(norms == 0.0, 1.0, norms)
     return out / safe[:, None]
@@ -149,18 +159,19 @@ def _lab_bin_params(bins):
     return lo, inv
 
 
-def _lab_histograms(values, lo, inv_width, bins):
-    """(n, 3 * bins) histograms of channel-first LAB values (3, n, ...):
-    row j bins values[:, j], values past a domain end in its end bin, and
-    each channel block is L1-normalized."""
-    n = values.shape[1]
+def _lab_histograms(values, rows, n, lo, inv_width, bins):
+    """(n, 3 * bins) histograms of channel-first LAB values (3, ...): each
+    value goes to the row that `rows`, broadcast against values[0], gives
+    it; values past a domain end go to its end bin, and each channel block
+    is L1-normalized."""
     per_channel = (3,) + (1,) * (values.ndim - 1)
-    per_row = (1, n) + (1,) * (values.ndim - 2)
-    keys = (values - lo.reshape(per_channel)) * inv_width.reshape(per_channel)
-    keys = np.clip(keys.astype(np.int64), 0, bins - 1)
+    scaled = values - lo.reshape(per_channel)
+    scaled *= inv_width.reshape(per_channel)
+    keys = scaled.astype(np.int64)
+    np.clip(keys, 0, bins - 1, out=keys)
     # one bincount over (row, channel, bin)
     keys += np.arange(0, 3 * bins, bins).reshape(per_channel)
-    keys += np.arange(0, n * 3 * bins, 3 * bins).reshape(per_row)
+    keys += rows * (3 * bins)
     counts = np.bincount(keys.ravel(), minlength=n * 3 * bins)
     counts = counts.reshape(n, 3, bins).astype(np.float64)
     totals = counts.sum(axis=2, keepdims=True)
@@ -171,82 +182,91 @@ def _local_hist_batch(lab, cxs, cys, scale, lo, inv_width):
     """(n, 24) LAB histograms, 8 bins per channel, of the kernel scopes
     centered at (cxs, cys), each of which lies inside `lab`; each channel
     block is L1-normalized."""
+    n = cxs.shape[0]
     grid = np.arange(scale)
     ys = (cys - scale // 2)[:, None] + grid
     xs = (cxs - scale // 2)[:, None] + grid
     # (3, n, scale, scale): channel first, so the binning runs over long rows
     values = np.moveaxis(lab, 2, 0)[:, ys[:, :, None], xs[:, None, :]]
-    return _lab_histograms(values, lo, inv_width, LOCAL_BINS_PER_CHANNEL)
+    rows = np.arange(n).reshape(n, 1, 1)
+    return _lab_histograms(values, rows, n, lo, inv_width, LOCAL_BINS_PER_CHANNEL)
 
 
-def histogram_from_pixels(
-    lab: np.ndarray, mask: np.ndarray
-) -> np.ndarray:
-    """(96,) histogram of the (h, w, 3) LAB pixels that the (h, w) boolean
-    `mask` marks: three concatenated 32-bin per-channel histograms, each
-    L1-normalized. A mask of another shape or with no true pixel raises
-    ValueError."""
-    m = np.asarray(mask, dtype=bool)
-    if m.shape != lab.shape[:2]:
+def histogram_from_pixels(lab: np.ndarray, labels: np.ndarray, n: int) -> np.ndarray:
+    """(n, 96) global histograms of the (..., 3) LAB pixels by their integer
+    `labels` (...): row i bins the pixels labelled i + 1, into three
+    concatenated 32-bin per-channel histograms, each L1-normalized; pixels
+    labelled 0 are left out. A boolean mask labels its true pixels 1.
+    Labels of another shape, and a row without pixels, raise ValueError."""
+    labels = np.asarray(labels)
+    if labels.shape != lab.shape[:-1]:
         raise ValueError(
-            f"mask shape {m.shape} does not match pixels {lab.shape[:2]}"
+            f"labels shape {labels.shape} does not match pixels {lab.shape[:-1]}"
         )
-    values = np.moveaxis(lab, 2, 0)[:, m]
-    if values.shape[1] == 0:
+    keep = labels > 0
+    owners = labels[keep].astype(np.int64) - 1
+    if np.bincount(owners, minlength=n).min(initial=1) == 0:
         raise ValueError("empty mask region: no pixels to histogram")
     lo, inv = _lab_bin_params(GLOBAL_BINS_PER_CHANNEL)
-    return _lab_histograms(
-        values.reshape(3, 1, -1), lo, inv, GLOBAL_BINS_PER_CHANNEL
-    )[0]
+    values = np.moveaxis(lab[keep], -1, 0)
+    return _lab_histograms(values, owners, n, lo, inv, GLOBAL_BINS_PER_CHANNEL)
 
 
 class SampleContext:
-    """Per-frame precomputation shared by all descriptor extractions, from
-    an RGB frame and its luma `gray` (`imaging.luma(frame.pixels)`).
+    """One frame's regions, prepared for `sample` and
+    `histogram_from_pixels`: an RGB frame, its luma `gray`
+    (`imaging.luma(frame.pixels)`), the sampling plan, and `regions`, a
+    list of (mask, anchor) pairs as `sample_positions` takes them: a
+    frame's blobs, or one all-true patch at (0, 0) in training.
 
-    The gray integral image covers the frame's columns [0, x1) and rows
-    [0, y1) of `reach` (x1, y1): `sample_reach` of a frame's blobs, or
-    the whole patch in training. Its sums run from the origin, so each
-    cell has the bits of the whole frame's table, and a read past the
-    reach raises IndexError. LAB is converted per window (`lab`), because
-    a region's descriptors and histogram read only the pixels around it.
+    `placements` holds each region's kernel centers and `counts` its
+    descriptor count. Each region with descriptors has a LAB window: its
+    box grown on each side by the largest kernel's extent and clipped to
+    the frame, which holds every scope its local histograms read. The
+    windows' pixels are packed one after another in rows as wide as the
+    frame and converted in one call; a pixel's LAB has the same bits in
+    any such layout. `lab` is that (N, 3) array, `windows` holds each
+    such region's (placements, x0, y0, LAB window) and `labels` the (N,)
+    label of each LAB pixel for `histogram_from_pixels`: 1 + the rank
+    among the regions with descriptors of the region whose mask marks it,
+    0 for none.
     """
 
-    def __init__(self, frame: Frame, gray: np.ndarray, reach):
+    def __init__(self, frame: Frame, gray: np.ndarray, plan: SamplingPlan, regions):
         if frame.space is not ColorSpace.RGB:
             raise ValueError(f"sampling expects an RGB frame, got {frame.space.value}")
-        self.frame = frame
-        x1, y1 = reach
-        self.gray_ii = integral(Frame(gray[:y1, :x1], ColorSpace.GRAY, frame.index))
-        self._window = (0, 0, 0, 0)
-        self._lab = np.zeros((0, 0, 3))
-
-    def lab(self, x0: int, y0: int, x1: int, y1: int) -> np.ndarray:
-        """LAB pixels of the frame rectangle [x0, x1) x [y0, y1).
-
-        A rectangle inside the last window converted is sliced from it,
-        so a blob's global histogram reuses the window its descriptors
-        converted; any other rectangle is converted as a new window.
-        """
-        wx0, wy0, wx1, wy1 = self._window
-        if not (wx0 <= x0 and wy0 <= y0 and x1 <= wx1 and y1 <= wy1):
-            # only the window's pixels are converted, which gives the
-            # bits of the full-frame conversion's slice
-            pixels = self.frame.pixels[y0:y1, x0:x1]
-            self._lab = convert(Frame(pixels, ColorSpace.RGB, self.frame.index))
-            self._window = (x0, y0, x1, y1)
-            wx0, wy0 = x0, y0
-        return self._lab[y0 - wy0 : y1 - wy0, x0 - wx0 : x1 - wx0]
-
-
-def sample_reach(frame: Frame, plan: SamplingPlan, blobs):
-    """(x1, y1): the `SampleContext` reach that holds every table cell the
-    SURF kernels of `plan` read in the bboxes of `blobs`."""
-    margin = max(s - 1 - s // 2 + haar_margin(s) for s in plan.scales)
-    return (
-        min(frame.width, max(b.x + b.w for b in blobs) + margin),
-        min(frame.height, max(b.y + b.h for b in blobs) + margin),
-    )
+        self.frame, self.gray, self.regions = frame, gray, regions
+        self.placements = [sample_positions(frame, plan, m, a) for m, a in regions]
+        self.counts = np.array(
+            [sum(cxs.shape[0] for _, cxs, _ in p) for p in self.placements], dtype=np.int64
+        )
+        kept = [(r, p) for r, p, n in zip(regions, self.placements, self.counts) if n]
+        largest = max(plan.scales)
+        before, after = largest // 2, largest - 1 - largest // 2
+        boxes = [
+            (max(0, rx - before), max(0, ry - before),
+             min(frame.width, rx + mask.shape[1] + after),
+             min(frame.height, ry + mask.shape[0] + after))
+            for (mask, (rx, ry)), _ in kept
+        ]
+        pixels = [frame.pixels[y0:y1, x0:x1].reshape(-1, 3) for x0, y0, x1, y1 in boxes]
+        total = sum(p.shape[0] for p in pixels)
+        self.lab = np.zeros((0, 3))
+        if total:
+            packed = np.zeros((-(-total // frame.width) * frame.width, 3), np.uint8)
+            np.concatenate(pixels, out=packed[:total])
+            rgb = Frame(packed.reshape(-1, frame.width, 3), ColorSpace.RGB, frame.index)
+            self.lab = convert(rgb).reshape(-1, 3)[:total]
+        self.labels = np.zeros(total, np.int64)
+        self.windows = []
+        start = 0
+        for i, (((mask, (rx, ry)), placements), box) in enumerate(zip(kept, boxes)):
+            x0, y0, x1, y1 = box
+            shape, end = (y1 - y0, x1 - x0), start + (y1 - y0) * (x1 - x0)
+            self.windows.append((placements, x0, y0, self.lab[start:end].reshape(*shape, 3)))
+            labels = self.labels[start:end].reshape(shape)[ry - y0 :, rx - x0 :]
+            labels[: mask.shape[0], : mask.shape[1]][mask] = i + 1
+            start = end
 
 
 def _grid_slice(start: int, span: range, interval: int) -> slice:
@@ -283,45 +303,39 @@ def sample_positions(
     return placements
 
 
-def sample(
-    frame: Frame,
-    plan: SamplingPlan,
-    mask: np.ndarray,
-    anchor,
-    ctx: SampleContext,
-) -> np.ndarray:
-    """(n, 88) local descriptors, one row per kernel center of
-    `sample_positions(frame, plan, mask, anchor)` in its order: the SURF
-    vector in columns 0:64, the local color histogram in 64:88.
+def sample(ctx: SampleContext) -> np.ndarray:
+    """(n, 88) local descriptors of the context's regions: the rows of
+    each region, `ctx.counts` of them, follow those of the region before
+    it, one row per kernel center of `sample_positions` in its order. The
+    SURF vector fills columns 0:64 and the local color histogram 64:88.
 
     A region whose grid holds no fitting kernel yields no rows, as does a
-    frame too small for any kernel. LAB is converted only over the region
-    grown on each side by the largest kernel's extent and clipped to the
-    frame: the window every local color histogram reads from.
+    frame too small for any kernel. Each (region, scale) reads its SURF
+    box sums from its own window of the integral table: the cells that
+    its kernels read, computed with the full table's bits.
     """
-    placements = sample_positions(frame, plan, mask, anchor)
-    (rx, ry), (rh, rw) = anchor, mask.shape
-    largest = max(plan.scales)
-    x0 = max(0, rx - largest // 2)
-    y0 = max(0, ry - largest // 2)
-    x1 = min(frame.width, rx + rw + largest - 1 - largest // 2)
-    y1 = min(frame.height, ry + rh + largest - 1 - largest // 2)
-
-    table = ctx.gray_ii.table[0]
+    out = np.empty((int(ctx.counts.sum()), DESCRIPTOR_DIM))
     lo, inv = _lab_bin_params(LOCAL_BINS_PER_CHANNEL)
-    out = np.empty((sum(cxs.shape[0] for _, cxs, _ in placements), DESCRIPTOR_DIM))
     row = 0
-    for scale, cxs, cys in placements:
-        n = cxs.shape[0]
-        if n == 0:
-            continue
-        out[row : row + n, :SURF_DIM] = _surf_batch(
-            table, cxs, cys, scale, haar_margin(scale),
-            _subregion_lut(scale), _gauss_weights(scale),
-        )
-        lab = ctx.lab(x0, y0, x1, y1)
-        out[row : row + n, SURF_DIM:] = _local_hist_batch(
-            lab, cxs - x0, cys - y0, scale, lo, inv
-        )
-        row += n
+    for placements, x0, y0, lab in ctx.windows:
+        for scale, cxs, cys in placements:
+            n = cxs.shape[0]
+            if n == 0:
+                continue
+            # every table cell the kernels read: a kernel reads the square
+            # of side `cells` from its cell (cy - scale//2 - hmar, cx - ...)
+            hmar = haar_margin(scale)
+            cells = scale + 2 * hmar + 1
+            top, left = cys.min() - scale // 2 - hmar, cxs.min() - scale // 2 - hmar
+            bottom = cys.max() - scale // 2 - hmar + cells
+            right = cxs.max() - scale // 2 - hmar + cells
+            table = integral_window(ctx.gray, top, bottom, left, right)
+            out[row : row + n, :SURF_DIM] = _surf_batch(
+                table, cxs - left, cys - top, scale, hmar,
+                _subregion_lut(scale), _gauss_weights(scale),
+            )
+            out[row : row + n, SURF_DIM:] = _local_hist_batch(
+                lab, cxs - x0, cys - y0, scale, lo, inv
+            )
+            row += n
     return out

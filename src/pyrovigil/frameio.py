@@ -46,10 +46,13 @@ def read_ppm(path) -> np.ndarray:
     if width < 1 or height < 1:
         raise DataError(f"{path}: PPM is {width}x{height}, with no pixel")
     need = width * height * 3
-    raw = data[header.end() : header.end() + need]
-    if len(raw) != need:
-        raise DataError(f"{path}: PPM payload short ({len(raw)} of {need} bytes)")
-    return np.frombuffer(raw, dtype=np.uint8).reshape(height, width, 3)
+    have = len(data) - header.end()
+    if have < need:
+        raise DataError(f"{path}: PPM payload short ({have} of {need} bytes)")
+    # a view of the file's bytes, not a copy of the payload; bytes past it
+    # are left unread
+    pixels = np.frombuffer(data, np.uint8, count=need, offset=header.end())
+    return pixels.reshape(height, width, 3)
 
 
 def write_ppm(path, pixels: np.ndarray) -> None:

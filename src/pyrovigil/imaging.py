@@ -159,6 +159,44 @@ def integral_table(channels):
     return out
 
 
+def integral_window(gray, r0, r1, c0, c1):
+    """Cells [r0, r1) x [c0, c1) of `integral_table(gray[None])[0]`, with
+    its bits, computed from the pixels those cells sum and no others.
+
+    Each sum keeps the table's order: the column sums of the rows above
+    the window are reduced one row at a time, as `cumsum` adds them, and
+    then run on down the window's rows; the row sums left of the window
+    are reduced likewise, over a transposed copy, and run on across it."""
+    h, w = gray.shape
+    if not (0 <= r0 < r1 <= h + 1 and 0 <= c0 < c1 <= w + 1):
+        raise ValueError(
+            f"window [{r0}, {r1}) x [{c0}, {c1}) is not inside a {h + 1}x{w + 1} table"
+        )
+    out = np.zeros((r1 - r0, c1 - c0))
+    # row 0 and column 0 of the table are zero
+    a, b = max(r0, 1), max(c0, 1)
+    if a == r1 or b == c1:
+        return out
+    cols = gray[a - 1 : r1 - 1, : c1 - 1].copy()
+    if a > 1:
+        cols[0] += _row_by_row_sum(gray[: a - 1, : c1 - 1])
+    np.cumsum(cols, axis=0, out=cols)
+    rows = cols[:, b - 1 :]
+    if b > 1:
+        rows[:, 0] += _row_by_row_sum(np.ascontiguousarray(cols[:, : b - 1].T))
+    np.cumsum(rows, axis=1, out=out[a - r0 :, b - c0 :])
+    return out
+
+
+def _row_by_row_sum(x):
+    """x.sum(axis=0) of a 2-d array whose rows are contiguous, adding one
+    row at a time in order, as `cumsum` does. numpy reduces the outer axis
+    of such an array so, but sums a single column pairwise, so one column
+    is doubled."""
+    n = x.shape[1]
+    return np.add.reduce(x if n > 1 else np.repeat(x, 2, axis=1), axis=0)[:n]
+
+
 def integral(frame: Frame) -> IntegralImage:
     """Integral image of a GRAY frame."""
     if frame.space is not ColorSpace.GRAY:

@@ -31,7 +31,6 @@ from .features import (
     SamplingPlan,
     histogram_from_pixels,
     sample,
-    sample_reach,
 )
 from .frameio import frame_dir_source, list_frame_files
 from .imaging import ColorSpace, Frame, luma
@@ -310,33 +309,32 @@ class DetectionPipeline:
         """Stage 2: (the blobs the SVM classifies as fire, their margins).
 
         `gray` is the frame's luma as proposal computed it (`engine.gray`).
-        The frame is one `_admit` took, so a kernel fits it. Each
-        blob is encoded from its local descriptors and its global LAB
-        histogram; a blob with no descriptor is not classified.
+        The frame is one `_admit` took, so a kernel fits it. Each blob is
+        encoded from its local descriptors and its global LAB histogram,
+        all of the frame's blobs at once; a blob with no descriptor is not
+        classified.
         """
         stats = self.stats
         fire_blobs, margins = [], []
         if not blobs:
             return fire_blobs, margins
         t0 = time.perf_counter()
-        ctx = SampleContext(frame, gray, sample_reach(frame, self.plan, blobs))
-        stats.features_s += time.perf_counter() - t0
-        for blob in blobs:
-            t0 = time.perf_counter()
-            descs = sample(frame, self.plan, mask=blob.mask, anchor=(blob.x, blob.y), ctx=ctx)
-            stats.features_s += time.perf_counter() - t0
-            if len(descs) == 0:
-                continue
-            t0 = time.perf_counter()
-            x, y, w, h = blob.bbox
-            ghist = histogram_from_pixels(ctx.lab(x, y, x + w, y + h), blob.mask)
-            row = cb.encode(descs, self.index, self.params, ghist)
+        ctx = SampleContext(frame, gray, self.plan, [(b.mask, (b.x, b.y)) for b in blobs])
+        descs = sample(ctx)
+        t1 = time.perf_counter()
+        stats.features_s += t1 - t0
+        if len(descs) == 0:
+            return fire_blobs, margins
+        rows = _encode_regions(ctx, descs, self.index, self.params)
+        # one prediction per blob: a one-row product may round otherwise
+        # than a row of a larger one
+        for blob, row in zip((b for b, n in zip(blobs, ctx.counts) if n), rows):
             label, margin = cl.predict(self.model, row)
-            stats.classify_s += time.perf_counter() - t0
             stats.classifier_calls += 1
             if label > 0:
                 fire_blobs.append(blob)
                 margins.append(margin)
+        stats.classify_s += time.perf_counter() - t1
         return fire_blobs, margins
 
     def _verify(self, tracker: Tracker, decision: int, fire_blobs, margins):
@@ -371,23 +369,29 @@ def _trace_record(video, frame, threshold, bg_model, blobs, fire, margins, track
 # training workflows
 
 
+def _encode_regions(ctx: SampleContext, descs, nn_index: cb.NNIndex, params: cb.EncoderParams):
+    """The (k + 96,) feature rows of the context's regions that have
+    descriptors, in order, from the descriptors `sample(ctx)` gave."""
+    counts = ctx.counts[ctx.counts > 0]
+    ghists = histogram_from_pixels(ctx.lab, ctx.labels, counts.size)
+    return cb.encode(descs, counts, nn_index, params, ghists)
+
+
 def _patches(directory, plan: SamplingPlan):
-    """(frame, local descriptors, sample context, region mask) of each
-    patch in a directory, in index order. A patch is sampled as `decide`
-    samples a blob, as one all-true region at (0, 0) with the whole patch
-    as reach. A patch that gives no descriptor, as one that no kernel fits,
-    is a DataError."""
+    """(sample context, local descriptors) of each patch in a directory, in
+    index order. A patch is sampled as `decide` samples a blob, as one
+    all-true region at (0, 0). A patch that gives no descriptor, as one
+    that no kernel fits, is a DataError."""
     for frame in frame_dir_source(directory):
-        w, h = frame.width, frame.height
-        mask = np.ones((h, w), dtype=bool)
-        ctx = SampleContext(frame, luma(frame.pixels), (w, h))
-        descs = sample(frame, plan, mask=mask, anchor=(0, 0), ctx=ctx)
+        mask = np.ones((frame.height, frame.width), dtype=bool)
+        ctx = SampleContext(frame, luma(frame.pixels), plan, [(mask, (0, 0))])
+        descs = sample(ctx)
         if len(descs) == 0:
             raise DataError(
                 f"{directory}: patch {frame.index} ({frame.width}x{frame.height}) "
                 "gives no descriptor"
             )
-        yield frame, descs, ctx, mask
+        yield ctx, descs
 
 
 def train_codebook(
@@ -400,7 +404,7 @@ def train_codebook(
     log=print,
 ) -> cb.Codebook:
     """Cluster the local descriptors of every patch under the given dirs."""
-    rows = [descs for d in patch_dirs for _, descs, _, _ in _patches(d, plan)]
+    rows = [descs for d in patch_dirs for _, descs in _patches(d, plan)]
     X = np.concatenate(rows) if rows else np.zeros((0, DESCRIPTOR_DIM))
     patches = len(rows)
     # k distinct descriptors would each become a word, with sigma 0
@@ -427,9 +431,8 @@ def encode_patches(
     """The (k + 96,) feature row of each patch in a directory: the row
     `decide` builds for a blob that covers the patch."""
     return [
-        cb.encode(descs, nn_index, params,
-                  histogram_from_pixels(ctx.lab(0, 0, frame.width, frame.height), mask))
-        for frame, descs, ctx, mask in _patches(patch_dir, plan)
+        _encode_regions(ctx, descs, nn_index, params)[0]
+        for ctx, descs in _patches(patch_dir, plan)
     ]
 
 

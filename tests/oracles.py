@@ -13,8 +13,22 @@ from pyrovigil.classifier import (
     _smo_solve,
     stratified_folds,
 )
-from pyrovigil.features import haar_margin
-from pyrovigil.imaging import _D65, _SRGB_TO_XYZ, _lab_f, _srgb_channel_to_linear
+import pyrovigil.classifier as cl
+import pyrovigil.codebook as cb
+from pyrovigil.features import (
+    LOCAL_BINS_PER_CHANNEL,
+    _gauss_weights,
+    _lab_bin_params,
+    _local_hist_batch,
+    _subregion_lut,
+    _surf_batch,
+    haar_margin,
+    histogram_from_pixels,
+    sample_positions,
+)
+from pyrovigil.imaging import (
+    _D65, _SRGB_TO_XYZ, _lab_f, _srgb_channel_to_linear, integral_table, rgb_to_lab,
+)
 from pyrovigil.pipeline import AlarmEvent
 from pyrovigil.proposal import ProposalConfig, _bg_update
 
@@ -105,6 +119,64 @@ def corner_sum(table, x, y, w, h):
     return float(table[y + h, x + w] - table[y, x + w] - table[y + h, x] + table[y, x])
 
 
+def integral_loops(gray):
+    """The (h+1, w+1) integral table of a 2-d array by double loops: each
+    column's running sum down the rows, then each row's running sum of
+    those across, one addition at a time, in the order of the two
+    cumsums of `imaging.integral_table`."""
+    h, w = gray.shape
+    px = np.asarray(gray, dtype=np.float64).tolist()
+    down = [[0.0] * w for _ in range(h + 1)]
+    for r in range(h):
+        for c in range(w):
+            down[r + 1][c] = down[r][c] + px[r][c]
+    table = np.zeros((h + 1, w + 1))
+    for r in range(1, h + 1):
+        acc = 0.0
+        for c in range(w):
+            acc += down[r][c]
+            table[r, c + 1] = acc
+    return table
+
+
+def decide_per_blob(pipeline, frame, gray, blobs):
+    """`DetectionPipeline.decide` one blob at a time, as it ran before it
+    took a frame's blobs together: SURF from the full frame's integral
+    table, one LAB conversion of each blob's window, and one neighbor
+    query and one encoding per blob. (fire blobs, their margins)."""
+    table = integral_table(gray[np.newaxis])[0]
+    plan = pipeline.plan
+    largest = max(plan.scales)
+    before, after = largest // 2, largest - 1 - largest // 2
+    lo, inv = _lab_bin_params(LOCAL_BINS_PER_CHANNEL)
+    fire, margins = [], []
+    for blob in blobs:
+        x0, y0 = max(0, blob.x - before), max(0, blob.y - before)
+        x1 = min(frame.width, blob.x + blob.w + after)
+        y1 = min(frame.height, blob.y + blob.h + after)
+        lab = rgb_to_lab(frame.pixels[y0:y1, x0:x1])
+        rows = [
+            np.hstack([
+                _surf_batch(table, cxs, cys, scale, haar_margin(scale),
+                            _subregion_lut(scale), _gauss_weights(scale)),
+                _local_hist_batch(lab, cxs - x0, cys - y0, scale, lo, inv),
+            ])
+            for scale, cxs, cys in sample_positions(frame, plan, blob.mask, (blob.x, blob.y))
+            if len(cxs)
+        ]
+        if not rows:
+            continue
+        descs = np.concatenate(rows)
+        box = lab[blob.y - y0 : blob.y - y0 + blob.h, blob.x - x0 : blob.x - x0 + blob.w]
+        ghist = histogram_from_pixels(box, blob.mask, 1)
+        row = cb.encode(descs, [len(descs)], pipeline.index, pipeline.params, ghist)[0]
+        label, margin = cl.predict(pipeline.model, row)
+        if label > 0:
+            fire.append(blob)
+            margins.append(margin)
+    return fire, margins
+
+
 def plusplus_seed_loop(X, k, rng):
     """k-means++ seeding as one full pass over X per chosen center: the loop
     `codebook._plusplus_seed` replaced, whose centers it must keep bit for
@@ -123,8 +195,9 @@ def plusplus_seed_loop(X, k, rng):
 
 def surf_batch_gathers(table, cxs, cys, scale, hmar, sub, weights):
     """`features._surf_batch` with one fancy-index gather of the table per
-    box corner, 16 in all: the body its one patch gather replaced, whose
-    bits it must keep."""
+    box corner, 16 in all, and one subregion product per window: the body
+    its one patch gather and its blocked products replaced, whose bits it
+    must keep."""
     n = cxs.shape[0]
     half = scale // 2
     grid = np.arange(scale)
@@ -151,15 +224,12 @@ def surf_batch_gathers(table, cxs, cys, scale, hmar, sub, weights):
     onehot = np.zeros((scale * scale, 16), dtype=np.float64)
     onehot[np.arange(scale * scale), sub_id] = 1.0
 
-    comps = (
-        dx.reshape(n, -1) @ onehot,
-        dy.reshape(n, -1) @ onehot,
-        np.abs(dx).reshape(n, -1) @ onehot,
-        np.abs(dy).reshape(n, -1) @ onehot,
-    )
+    # each window's dx, dy, |dx| and |dy| rows in a product of their own:
+    # the bits a window has in a batch of any size
     out = np.empty((n, 64), dtype=np.float64)
-    for c, comp in enumerate(comps):
-        out[:, c::4] = comp
+    for i in range(n):
+        comps = np.stack((dx[i], dy[i], np.abs(dx[i]), np.abs(dy[i]))).reshape(4, -1)
+        out[i] = (comps @ onehot).T.ravel()  # column 4 j + c: component c, subregion j
     norms = np.sqrt((out * out).sum(axis=1))
     safe = np.where(norms == 0.0, 1.0, norms)
     return out / safe[:, None]

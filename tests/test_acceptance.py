@@ -95,7 +95,7 @@ def test_criterion_2_oracle_equivalence():
     centers10 = rng.normal(size=(10, 88))
     nn10 = cb.NNIndex(centers10)
     D = rng.normal(size=(5, 88))
-    got = cb.raw_bow_histogram(D, nn10, cb.EncoderParams(m=3, sigma=0.8))
+    [got] = cb.raw_bow_histogram(D, [5], nn10, cb.EncoderParams(m=3, sigma=0.8))
     want = encode_oracle(D, centers10, 3, 0.8)
     assert np.allclose(got, want, atol=1e-9)
 
@@ -143,13 +143,13 @@ def test_criterion_4_normalization_invariants():
     for trial in range(100):
         img = rng.integers(0, 256, (20, 24, 3)).astype(np.uint8)
         lab = convert(Frame(img, ColorSpace.RGB))
-        hist = histogram_from_pixels(lab, np.ones((20, 24), dtype=bool))
+        hist = histogram_from_pixels(lab, np.ones((20, 24), dtype=bool), 1)
         assert abs(hist.sum() - 3.0) <= 1e-9
         n = int(rng.integers(1, 60))
         D = rng.normal(size=(n, 88))
-        raw = cb.raw_bow_histogram(D, nn, params)
+        raw = cb.raw_bow_histogram(D, [n], nn, params)
         assert abs(raw.sum() - n) <= 1e-9
-        bow = cb.encode(D, nn, params, hist)[:120]
+        bow = cb.encode(D, [n], nn, params, hist)[0, :120]
         assert abs(bow.sum() - 1.0) <= 1e-9
         assert (bow >= 0).all()
     _report(

@@ -22,11 +22,11 @@ from pyrovigil.codebook import (
     write_codebook,
 )
 from pyrovigil.errors import DataError
-from pyrovigil.features import SamplingPlan, sample
+from pyrovigil.features import SamplingPlan
 from pyrovigil.synth import fire_patch, nonfire_patch
 
 from oracles import plusplus_seed_loop, squared_distances_expr
-from test_features import whole_frame
+from test_features import sample_whole
 
 
 def brute_force_nn(points, q, m):
@@ -273,7 +273,7 @@ class TestKMeansBits:
     def test_seeding_on_patch_descriptors(self, monkeypatch):
         # the descriptors training clusters: equal bits, and the bound prunes
         patches = [make(i) for i in range(20) for make in (fire_patch, nonfire_patch)]
-        X = np.concatenate([sample(p, SamplingPlan(), *whole_frame(p)) for p in patches])
+        X = np.concatenate([sample_whole(p, SamplingPlan()) for p in patches])
         assert X.shape == (1440, 88)
         gathered = recorded_gathers(monkeypatch)
         got = codebook._plusplus_seed(X, 100, np.random.default_rng(3))
@@ -503,7 +503,7 @@ class TestEncode:
     def test_single_descriptor_m1(self, rng):
         pts = rng.normal(size=(12, 6))
         idx = NNIndex(pts)
-        row = encode(pts[3][None, :], idx, EncoderParams(m=1, sigma=1.0), np.zeros(96))
+        [row] = encode(pts[3][None, :], [1], idx, EncoderParams(m=1, sigma=1.0), np.zeros((1, 96)))
         assert row[3] == 1.0
         assert row[:12].sum() == 1.0
 
@@ -511,15 +511,15 @@ class TestEncode:
         pts = rng.normal(size=(30, 8))
         idx = NNIndex(pts)
         D = rng.normal(size=(57, 8))
-        hist = raw_bow_histogram(D, idx, EncoderParams(m=5, sigma=0.7))
-        assert abs(hist.sum() - 57.0) <= 1e-9
+        hist = raw_bow_histogram(D, [20, 37], idx, EncoderParams(m=5, sigma=0.7))
+        assert np.allclose(hist.sum(axis=1), [20.0, 37.0], rtol=0, atol=1e-9)
 
     def test_matches_linear_scan_oracle(self, rng):
         centers = rng.normal(size=(10, 7))
         idx = NNIndex(centers)
         D = rng.normal(size=(5, 7))
         sigma = 0.9
-        got = raw_bow_histogram(D, idx, EncoderParams(m=3, sigma=sigma))
+        [got] = raw_bow_histogram(D, [5], idx, EncoderParams(m=3, sigma=sigma))
         want = encode_oracle(D, centers, 3, sigma)
         assert np.allclose(got, want, atol=1e-9)
 
@@ -528,9 +528,9 @@ class TestEncode:
         idx = NNIndex(centers)
         D = rng.normal(size=(40, 6))
         params = EncoderParams(m=4, sigma=0.6)
-        a = encode(D, idx, params, np.zeros(96))[:25]
+        a = encode(D, [40], idx, params, np.zeros((1, 96)))[0, :25]
         perm = rng.permutation(40)
-        b = encode(D[perm], idx, params, np.zeros(96))[:25]
+        b = encode(D[perm], [40], idx, params, np.zeros((1, 96)))[0, :25]
         assert np.allclose(a, b, atol=1e-12)
 
     def test_sigma_changes_weights_not_support(self, rng):
@@ -545,15 +545,35 @@ class TestEncode:
     def test_empty_blob_errors(self, rng):
         idx = NNIndex(rng.normal(size=(10, 4)))
         with pytest.raises(ValueError, match="empty blob"):
-            encode(np.zeros((0, 4)), idx, EncoderParams(m=2, sigma=1.0), np.zeros(96))
+            encode(np.zeros((0, 4)), [0], idx, EncoderParams(m=2, sigma=1.0), np.zeros((1, 96)))
+        with pytest.raises(ValueError, match="empty blob"):
+            encode(np.zeros((2, 4)), [2, 0], idx, EncoderParams(m=2, sigma=1.0), np.zeros((2, 96)))
+        with pytest.raises(ValueError, match="counts cover 3 descriptors, got 2"):
+            encode(np.zeros((2, 4)), [3], idx, EncoderParams(m=2, sigma=1.0), np.zeros((1, 96)))
 
     def test_combined_concatenation(self, rng):
         centers = rng.normal(size=(15, 4))
         idx = NNIndex(centers)
         g = rng.random(96)
-        row = encode(rng.normal(size=(3, 4)), idx, EncoderParams(m=2, sigma=1.0), g)
+        [row] = encode(rng.normal(size=(3, 4)), [3], idx, EncoderParams(m=2, sigma=1.0), g[None])
         assert row.shape == (15 + 96,)
         assert np.array_equal(row[15:], g)
+
+
+    @pytest.mark.parametrize("counts", [[1], [7, 1, 30], [1, 1, 1, 1], [12, 60, 9, 2, 40]])
+    def test_batch_keeps_each_blobs_bits(self, rng, counts):
+        # blobs encoded together: each row has the bits of its blob
+        # encoded on its own, as one neighbor query serves them all
+        centers = rng.normal(size=(120, 88))
+        idx = NNIndex(centers)
+        params = EncoderParams(m=10, sigma=3.0)
+        D = rng.normal(size=(sum(counts), 88))
+        g = rng.random((len(counts), 96))
+        rows = encode(D, counts, idx, params, g)
+        ends = np.cumsum(counts)
+        for i, (n, end) in enumerate(zip(counts, ends)):
+            [want] = encode(D[end - n : end], [n], idx, params, g[i : i + 1])
+            assert np.array_equal(rows[i].view(np.uint64), want.view(np.uint64))
 
 
 class TestEncoderParams:

@@ -18,13 +18,14 @@ from pyrovigil.features import (
     histogram_from_pixels,
     sample,
     sample_positions,
-    sample_reach,
 )
-from pyrovigil.imaging import LAB_DOMAINS, ColorSpace, Frame, convert, integral, luma
+from pyrovigil.imaging import (
+    LAB_DOMAINS, ColorSpace, Frame, convert, integral, integral_table, integral_window, luma,
+)
 from pyrovigil.proposal import Blob, ProposalConfig, ProposalEngine
 from pyrovigil.synth import SceneSpec, SyntheticScene
 
-from oracles import kernel_fits, surf_batch_gathers
+from oracles import integral_loops, kernel_fits, surf_batch_gathers
 from test_imaging import _ref_lab
 
 
@@ -108,14 +109,15 @@ def _local_hist(frame, cx, cy, scale):
     return _local_hist_batch(lab, np.array([cx]), np.array([cy]), scale, lo, inv)[0]
 
 
-def whole_frame(frame):
-    """(mask, anchor, ctx) of all of `frame` as one region, as training
-    samples a patch: `sample(frame, plan, *whole_frame(frame))`."""
-    return (
-        np.ones((frame.height, frame.width), dtype=bool),
-        (0, 0),
-        SampleContext(frame, luma(frame.pixels), (frame.width, frame.height)),
-    )
+def sample_region(frame, plan, mask, anchor):
+    """`sample` of one region, in a context that holds only it."""
+    return sample(SampleContext(frame, luma(frame.pixels), plan, [(mask, anchor)]))
+
+
+def sample_whole(frame, plan):
+    """`sample` of all of `frame` as one region, as training samples a
+    patch."""
+    return sample_region(frame, plan, np.ones((frame.height, frame.width), bool), (0, 0))
 
 
 def _random_lab(rng, height, width):
@@ -130,7 +132,7 @@ def _random_lab(rng, height, width):
 class TestGlobalHistogram:
     def test_uniform_midgray_single_bins(self):
         lab = np.tile([50.0, 0.0, 0.0], (8, 8, 1))
-        hist = histogram_from_pixels(lab, np.ones(lab.shape[:2], dtype=bool))
+        hist = histogram_from_pixels(lab, np.ones(lab.shape[:2], dtype=bool), 1)[0]
         for c in range(3):
             block = hist[c * 32 : c * 32 + 32]
             assert (block > 0).sum() == 1
@@ -139,14 +141,14 @@ class TestGlobalHistogram:
     def test_total_mass_is_three(self, rng):
         img = rng.integers(0, 256, (20, 30, 3)).astype(np.uint8)
         lab = convert(Frame(img, ColorSpace.RGB))
-        hist = histogram_from_pixels(lab, np.ones(lab.shape[:2], dtype=bool))
+        hist = histogram_from_pixels(lab, np.ones(lab.shape[:2], dtype=bool), 1)[0]
         assert abs(hist.sum() - 3.0) <= 1e-9
         assert (hist >= 0).all()
 
     def test_two_pixel_split(self):
         # L values 10 and 90 land in different bins: 0.5 each
         lab = np.array([[[10.0, 0.0, 0.0], [90.0, 0.0, 0.0]]])
-        hist = histogram_from_pixels(lab, np.ones(lab.shape[:2], dtype=bool))
+        hist = histogram_from_pixels(lab, np.ones(lab.shape[:2], dtype=bool), 1)[0]
         block = hist[:32]
         assert sorted(block[block > 0].tolist()) == [0.5, 0.5]
         assert block[int(10 / 100 * 32)] == 0.5
@@ -156,18 +158,18 @@ class TestGlobalHistogram:
         lab = _random_lab(rng, 6, 6)
         mask = np.zeros((6, 6), dtype=bool)
         mask[0, 0] = True
-        hist = histogram_from_pixels(lab, mask)
+        hist = histogram_from_pixels(lab, mask, 1)[0]
         assert (hist > 0).sum() == 3
 
     def test_empty_mask_errors(self):
         with pytest.raises(ValueError, match="empty mask"):
-            histogram_from_pixels(np.zeros((4, 4, 3)), np.zeros((4, 4), dtype=bool))
+            histogram_from_pixels(np.zeros((4, 4, 3)), np.zeros((4, 4), dtype=bool), 1)
 
     def test_matches_per_pixel_oracle(self, rng):
         lab = _random_lab(rng, 23, 31)
         mask = rng.random((23, 31)) < 0.4
         for m in (mask, np.ones((23, 31), bool)):
-            got = histogram_from_pixels(lab, m)
+            got = histogram_from_pixels(lab, m, 1)[0]
             want = global_hist_oracle(lab, m)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -291,9 +293,7 @@ def test_surf_batch_keeps_the_gather_bits(rng, scale):
         cxs[: min(n, 2)] = (xs.start, xs.stop - 1)[: min(n, 2)]
         cys[: min(n, 2)] = (ys.stop - 1, ys.start)[: min(n, 2)]
         got = _surf_batch(table, cxs, cys, *args)
-        # a one-row call has the bits of row 0 of a two-row batch
-        rows = (np.repeat(cxs, 2), np.repeat(cys, 2)) if n == 1 else (cxs, cys)
-        want = surf_batch_gathers(table, *rows, *args)[:n]
+        want = surf_batch_gathers(table, cxs, cys, *args)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
@@ -314,6 +314,24 @@ def test_surf_one_row_call_keeps_the_batch_bits(scale):
     for i in range(100):
         row = _surf_batch(table, cxs[i : i + 1], cys[i : i + 1], *args)
         assert np.array_equal(row.view(np.uint64), batch[i : i + 1].view(np.uint64))
+
+
+@pytest.mark.parametrize("scale", [21, 27])
+def test_surf_large_batch_keeps_the_small_batch_bits(scale):
+    # a window's row does not depend on how many windows share its batch:
+    # each `onehot` product stays within OpenBLAS's one-thread size, where
+    # one product over all 600 windows would leave its small-matrix kernel
+    frame = SyntheticScene(SceneSpec(seed=7)).frame(130)
+    table = integral(_gray_frame(luma(frame.pixels))).table[0]
+    xs, ys = _center_span(scale, frame.width), _center_span(scale, frame.height)
+    rng = np.random.default_rng(scale)
+    cxs = rng.integers(xs.start, xs.stop, 600)
+    cys = rng.integers(ys.start, ys.stop, 600)
+    args = (scale, haar_margin(scale), _subregion_lut(scale), _gauss_weights(scale))
+    batch = _surf_batch(table, cxs, cys, *args)
+    for i in range(0, 600, 2):
+        rows = _surf_batch(table, cxs[i : i + 2], cys[i : i + 2], *args)
+        assert np.array_equal(rows.view(np.uint64), batch[i : i + 2].view(np.uint64)), i
 
 
 def enumerate_valid_centers(width, height, scale, interval, anchor=(0, 0)):
@@ -339,11 +357,11 @@ class TestSampling:
         img = rng.integers(0, 256, (27, 27, 3)).astype(np.uint8)
         frame = Frame(img, ColorSpace.RGB)
         plan = SamplingPlan(interval=9, scales=(9,))
-        region = whole_frame(frame)
-        descs = sample(frame, plan, *region)
+        descs = sample_whole(frame, plan)
         oracle = enumerate_valid_centers(27, 27, 9, 9)
         assert len(descs) == len(oracle)
-        got = [c for c, _ in centers(sample_positions(frame, plan, *region[:2]))]
+        mask = np.ones((27, 27), dtype=bool)
+        got = [c for c, _ in centers(sample_positions(frame, plan, mask, (0, 0)))]
         assert sorted(got) == sorted(oracle)
 
     def test_grid_count_product_rule(self, rng):
@@ -353,7 +371,7 @@ class TestSampling:
             img = rng.integers(0, 256, (h, w, 3)).astype(np.uint8)
             plan = SamplingPlan(interval=7, scales=(9, 12))
             frame = Frame(img, ColorSpace.RGB)
-            descs = sample(frame, plan, *whole_frame(frame))
+            descs = sample_whole(frame, plan)
             expected = sum(
                 len(enumerate_valid_centers(w, h, s, 7)) for s in plan.scales
             )
@@ -363,21 +381,20 @@ class TestSampling:
         img = rng.integers(0, 256, (40, 40, 3)).astype(np.uint8)
         frame = Frame(img, ColorSpace.RGB)
         plan = SamplingPlan()
-        a = sample(frame, plan, *whole_frame(frame))
-        b = sample(frame, plan, *whole_frame(frame))
+        a = sample_whole(frame, plan)
+        b = sample_whole(frame, plan)
         assert a.shape == b.shape
         assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
     def test_all_zero_mask_gives_empty_list(self, rng):
         img = rng.integers(0, 256, (30, 30, 3)).astype(np.uint8)
         frame = Frame(img, ColorSpace.RGB)
-        _, anchor, ctx = whole_frame(frame)
-        descs = sample(frame, SamplingPlan(), np.zeros((30, 30), dtype=bool), anchor, ctx)
+        descs = sample_region(frame, SamplingPlan(), np.zeros((30, 30), dtype=bool), (0, 0))
         assert descs.shape == (0, 88)
 
     def test_too_small_frame_gives_no_rows(self):
         frame = Frame(np.zeros((8, 8, 3), np.uint8), ColorSpace.RGB)
-        descs = sample(frame, SamplingPlan(interval=9, scales=(9,)), *whole_frame(frame))
+        descs = sample_whole(frame, SamplingPlan(interval=9, scales=(9,)))
         assert descs.shape == (0, 88)
 
     def test_anchor_shifts_grid(self, rng):
@@ -394,12 +411,8 @@ class TestSampling:
         # the region's grid holds no kernel that fits; the frame has some
         img = rng.integers(0, 256, (40, 40, 3)).astype(np.uint8)
         frame = Frame(img, ColorSpace.RGB)
-        ctx = whole_frame(frame)[2]
         for anchor in ((0, 0), (35, 0), (0, 36), (35, 36)):
-            descs = sample(
-                frame, SamplingPlan(), mask=np.ones((4, 5), dtype=bool), anchor=anchor,
-                ctx=ctx,
-            )
+            descs = sample_region(frame, SamplingPlan(), np.ones((4, 5), dtype=bool), anchor)
             assert descs.shape == (0, 88)
 
     @pytest.mark.parametrize("scale,interval", [(9, 9), (9, 4), (15, 7), (27, 5)])
@@ -432,7 +445,7 @@ class TestSampling:
     def test_descriptor_dimensions(self, rng):
         img = rng.integers(0, 256, (30, 30, 3)).astype(np.uint8)
         frame = Frame(img, ColorSpace.RGB)
-        descs = sample(frame, SamplingPlan(), *whole_frame(frame))
+        descs = sample_whole(frame, SamplingPlan())
         assert descs.ndim == 2 and descs.shape[1] == 88 and descs.shape[0] > 0
         norms = np.linalg.norm(descs[:, 0:64], axis=1)
         assert np.all((norms == 0.0) | (np.abs(norms - 1.0) <= 1e-6))
@@ -468,7 +481,7 @@ def _full_frame_blob_features(frame, plan, blob):
         colors = _local_hist_batch(lab, cxs, cys, scale, lo, inv)
         for j in range(cxs.shape[0]):
             out.append(((int(cxs[j]), int(cys[j])), scale, np.concatenate([surfs[j], colors[j]])))
-    bins = histogram_from_pixels(lab, mask) if out else None
+    bins = histogram_from_pixels(lab, mask, 1)[0] if out else None
     return out, bins
 
 
@@ -521,94 +534,112 @@ WINDOW_PLANS = [
 ]
 
 
-class TestWindowedSampling:
-    """Each blob's descriptors and global histogram, read from its LAB
-    window, equal the full-frame computation bit for bit."""
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
 
-    def _check(self, frame, plan, blob, ctx):
-        want, want_bins = _full_frame_blob_features(frame, plan, blob)
-        anchor = (blob.x, blob.y)
-        got = sample(frame, plan, mask=blob.mask, anchor=anchor, ctx=ctx)
-        placements = sample_positions(frame, plan, mask=blob.mask, anchor=anchor)
-        assert centers(placements) == [(c, s) for c, s, _ in want]
-        assert got.shape == (len(want), 88)
-        for row, (_, _, vector) in zip(got, want):
-            assert np.array_equal(row.view(np.uint64), vector.view(np.uint64))
-        if len(got):
-            x, y, w, h = blob.bbox
-            bins = histogram_from_pixels(ctx.lab(x, y, x + w, y + h), blob.mask)
-            assert np.array_equal(bins.view(np.uint64), want_bins.view(np.uint64))
-        return len(got)
+
+class TestWindowedSampling:
+    """A frame's blobs sampled in one context, each (blob, scale) from its
+    own window of the integral table and every blob's LAB from one packed
+    conversion, equal the full-frame computation bit for bit."""
+
+    def _check(self, frame, plan, blobs, gray):
+        """Sample `blobs` together and check each against the full-frame
+        oracle; the number of blobs with descriptors."""
+        ctx = SampleContext(frame, gray, plan, [(b.mask, (b.x, b.y)) for b in blobs])
+        descs = np.split(sample(ctx), np.cumsum(ctx.counts)[:-1])
+        kept = int((ctx.counts > 0).sum())
+        bins = iter(histogram_from_pixels(ctx.lab, ctx.labels, kept))
+        for blob, got in zip(blobs, descs):
+            want, want_bins = _full_frame_blob_features(frame, plan, blob)
+            placements = sample_positions(frame, plan, mask=blob.mask, anchor=(blob.x, blob.y))
+            assert centers(placements) == [(c, s) for c, s, _ in want]
+            assert got.shape == (len(want), 88)
+            for row, (_, _, vector) in zip(got, want):
+                assert np.array_equal(_bits(row), _bits(vector))
+            if len(got):
+                assert np.array_equal(_bits(next(bins)), _bits(want_bins))
+        return kept
 
     @pytest.mark.parametrize("plan", WINDOW_PLANS, ids=["9", "9+15"])
     @pytest.mark.parametrize("camera", ["static", "moving"])
     def test_scene_blobs(self, camera, plan):
-        checked = 0
-        for frame, blobs, gray in _scene_blobs(camera, SceneSpec(seed=7)):
-            ctx = SampleContext(frame, gray, (frame.width, frame.height))
-            for blob in blobs:
-                checked += self._check(frame, plan, blob, ctx) > 0
+        checked = sum(
+            self._check(frame, plan, blobs, gray)
+            for frame, blobs, gray in _scene_blobs(camera, SceneSpec(seed=7))
+        )
         assert checked >= 5
 
-    @pytest.mark.parametrize("plan", WINDOW_PLANS, ids=["9", "9+15"])
-    def test_reach_keeps_the_bits(self, rng, plan):
-        # a context over the blobs' reach only, as `decide` builds it
-        frame = SyntheticScene(SceneSpec(seed=11)).frame(120)
-        gray = luma(frame.pixels)
-        width, height = frame.width, frame.height
-        full = SampleContext(frame, gray, (width, height))
-        blobs = _edge_blobs(rng, width, height)
-        groups = {
-            "right": [b for b in blobs if b.x + b.w == width and b.y + b.h < height],
-            "bottom": [b for b in blobs if b.y + b.h == height and b.x + b.w < width],
-            "neither": [b for b in blobs if b.x + b.w < width and b.y + b.h < height],
-        }
-        inside = 0
-        for name, group in groups.items():
-            sampled = 0
-            # each blob on its own, then the group's blobs in one context
-            for together in [[b] for b in group] + [group]:
-                reach = sample_reach(frame, plan, together)
-                inside += reach[0] < width and reach[1] < height
-                ctx = SampleContext(frame, gray, reach)
-                assert ctx.gray_ii.table.shape == (1, reach[1] + 1, reach[0] + 1)
-                for b in together:
-                    kw = dict(mask=b.mask, anchor=(b.x, b.y))
-                    got = sample(frame, plan, ctx=ctx, **kw)
-                    want = sample(frame, plan, ctx=full, **kw)
-                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-                    sampled += len(got) > 0
-            assert sampled >= 3, name
-        assert inside >= 5
+    @pytest.mark.parametrize("luma_of", ["random", "scene"])
+    def test_window_table_keeps_the_bits(self, rng, luma_of):
+        # cells of `integral_window` against the full table and the double
+        # loops, on windows at each side and corner, of one cell, of the
+        # whole table, at random, and on a frame two pixels wide
+        if luma_of == "scene":
+            gray = luma(SyntheticScene(SceneSpec(seed=11)).frame(120).pixels)
+        else:
+            gray = rng.uniform(0, 255, (240, 320))
+        for g in (gray, gray[:, :2], gray[:2, :]):
+            full = integral_table(g[np.newaxis])[0]
+            loops = integral_loops(g)
+            assert np.array_equal(_bits(full), _bits(loops))
+            rows, cols = full.shape
+            windows = [(0, rows, 0, cols)]
+            for r0, r1 in ((0, 1), (0, 3), (rows - 1, rows), (rows // 2, rows), (1, rows - 1)):
+                for c0, c1 in ((0, 1), (0, 2), (cols - 1, cols), (cols // 2, cols), (1, cols - 1)):
+                    windows.append((r0, r1, c0, c1))
+            for _ in range(200):
+                r0, c0 = int(rng.integers(0, rows)), int(rng.integers(0, cols))
+                windows.append((r0, int(rng.integers(r0 + 1, rows + 1)),
+                                c0, int(rng.integers(c0 + 1, cols + 1))))
+            for r0, r1, c0, c1 in windows:
+                window = integral_window(g, r0, r1, c0, c1)
+                assert np.array_equal(_bits(window), _bits(full[r0:r1, c0:c1]))
+            with pytest.raises(ValueError, match="not inside"):
+                integral_window(g, 0, rows + 1, 0, cols)
 
-    def test_read_past_reach_raises(self):
-        # the last grid column and row of this blob read the table's last
-        # cells, so a reach one pixel short on either axis is caught
+    def test_read_outside_window_raises(self):
+        # each (blob, scale) reads exactly the cells of its window, so a
+        # window one cell short on any side raises, never wraps around
         frame = SyntheticScene(SceneSpec(seed=11)).frame(120)
         gray = luma(frame.pixels)
         plan = SamplingPlan(interval=9, scales=(9,))
-        blob = Blob(20, 30, 19, 28, 19 * 28, 0, np.ones((28, 19), dtype=bool))
-        x1, y1 = sample_reach(frame, plan, [blob])
-        assert (x1, y1) == (20 + 19 + 5, 30 + 28 + 5)
-        kw = dict(mask=blob.mask, anchor=(blob.x, blob.y))
-        assert len(sample(frame, plan, ctx=SampleContext(frame, gray, (x1, y1)), **kw)) == 12
-        for short in ((x1 - 1, y1), (x1, y1 - 1)):
+        mask = np.ones((28, 19), dtype=bool)
+        [(scale, cxs, cys)] = sample_positions(frame, plan, mask, (20, 30))
+        hmar = haar_margin(scale)
+        args = (scale, hmar, _subregion_lut(scale), _gauss_weights(scale))
+        top, left = cys.min() - scale // 2 - hmar, cxs.min() - scale // 2 - hmar
+        bottom = cys.max() - scale // 2 + hmar + scale + 1
+        right = cxs.max() - scale // 2 + hmar + scale + 1
+        want = sample(SampleContext(frame, gray, plan, [(mask, (20, 30))]))[:, :64]
+        table = integral_window(gray, top, bottom, left, right)
+        got = _surf_batch(table, cxs - left, cys - top, *args)
+        assert np.array_equal(_bits(got), _bits(want))
+        full = integral_table(gray[np.newaxis])[0]
+        assert np.array_equal(_bits(_surf_batch(full, cxs, cys, *args)), _bits(want))
+        for r0, r1, c0, c1 in ((top + 1, bottom, left, right), (top, bottom - 1, left, right),
+                               (top, bottom, left + 1, right), (top, bottom, left, right - 1)):
+            table = integral_window(gray, r0, r1, c0, c1)
             with pytest.raises(IndexError):
-                sample(frame, plan, ctx=SampleContext(frame, gray, short), **kw)
+                _surf_batch(table, cxs - c0, cys - r0, *args)
 
     def test_context_leaves_luma_writeable(self):
         # the luma buffer stays the caller's to reuse on the next frame
         frame = SyntheticScene(SceneSpec(seed=7)).frame(0)
         gray = luma(frame.pixels)
-        SampleContext(frame, gray, (frame.width, frame.height))
+        mask = np.ones((frame.height, frame.width), dtype=bool)
+        sample(SampleContext(frame, gray, SamplingPlan(), [(mask, (0, 0))]))
         assert gray.flags.writeable
 
     @pytest.mark.parametrize("plan", WINDOW_PLANS, ids=["9", "9+15"])
     def test_blobs_at_frame_edges(self, rng, plan):
+        # each blob in a context of its own, then all of them in one, with
+        # windows that overlap and blobs without descriptors between others
         frame = SyntheticScene(SceneSpec(seed=11)).frame(120)
-        ctx = whole_frame(frame)[2]
-        sampled = [
-            self._check(frame, plan, blob, ctx)
-            for blob in _edge_blobs(rng, frame.width, frame.height)
-        ]
-        assert sum(n > 0 for n in sampled) >= 20
+        gray = luma(frame.pixels)
+        blobs = _edge_blobs(rng, frame.width, frame.height)
+        sampled = [self._check(frame, plan, [blob], gray) for blob in blobs]
+        assert sum(sampled) >= 20
+        first, last = sampled.index(1), len(sampled) - 1 - sampled[::-1].index(1)
+        assert 0 in sampled[first:last]
+        assert self._check(frame, plan, blobs, gray) == sum(sampled)

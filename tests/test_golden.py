@@ -94,19 +94,22 @@ def reference_frames():
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 def test_reference_scene_replay(synth_artifacts, reference_frames, monkeypatch, workload):
     camera, stride, want_alarms, want_digest = WORKLOADS[workload]
-    # each classified blob: the (frame, bbox) its descriptors were sampled
-    # for, then the margin the classifier gave it
+    # each classified blob: the (frame, bbox) of each blob that a frame's
+    # sampling gave descriptors, in order, then the margin the classifier
+    # gave it; a frame's predictions follow all of its sampling
     sampled, classified = [], []
     sample, predict = pipeline_module.sample, cl.predict
 
-    def sample_recorded(frame, plan, mask, anchor, ctx):
-        h, w = mask.shape
-        sampled.append(f"{frame.index} {anchor[0]},{anchor[1]},{w},{h}")
-        return sample(frame, plan, mask=mask, anchor=anchor, ctx=ctx)
+    def sample_recorded(ctx):
+        for (mask, (x, y)), n in zip(ctx.regions, ctx.counts):
+            if n:
+                h, w = mask.shape
+                sampled.append(f"{ctx.frame.index} {x},{y},{w},{h}")
+        return sample(ctx)
 
     def predict_recorded(model, row):
         label, margin = predict(model, row)
-        classified.append(f"{sampled[-1]} {float(margin).hex()}\n")
+        classified.append(f"{sampled[len(classified)]} {float(margin).hex()}\n")
         return label, margin
 
     monkeypatch.setattr(pipeline_module, "sample", sample_recorded)
@@ -121,5 +124,5 @@ def test_reference_scene_replay(synth_artifacts, reference_frames, monkeypatch, 
     alarms = [format_alarm(a) for a in pipeline.run(reference_frames, "scene")]
     assert pipeline.stats.frames == SCENE_FRAMES
     assert alarms == want_alarms
-    assert len(classified) == pipeline.stats.classifier_calls
+    assert len(classified) == len(sampled) == pipeline.stats.classifier_calls
     assert hashlib.sha256("".join(classified).encode()).hexdigest() == want_digest

@@ -359,6 +359,21 @@ class TestFrameIO:
         with pytest.raises(DataError, match="maxval"):
             read_ppm(path)
 
+    def test_ppm_short_payload_rejected(self, tmp_path):
+        path = tmp_path / "short.ppm"
+        path.write_bytes(b"P6\n2 2\n255\n" + bytes(11))
+        with pytest.raises(DataError, match=r"short.ppm: PPM payload short \(11 of 12 bytes\)"):
+            read_ppm(path)
+
+    def test_ppm_trailing_bytes_accepted(self, tmp_path):
+        # the payload is the 12 bytes after the header; the rest is not read
+        path = tmp_path / "long.ppm"
+        payload = bytes(range(12))
+        path.write_bytes(b"P6\n2 2\n255\n" + payload + b"\xff" * 5)
+        px = read_ppm(path)
+        assert px.shape == (2, 2, 3)
+        assert px.tobytes() == payload
+
     def test_ppm_without_pixels_rejected(self, tmp_path):
         # a 0x0 frame is a data error, so a stream can skip it
         path = tmp_path / "000000.ppm"

@@ -29,7 +29,7 @@ from pyrovigil.proposal import ProposalConfig
 from pyrovigil.synth import SceneSpec, SyntheticScene, fire_patch
 
 from noise_patches import blue_noise_patch, red_noise_patch
-from oracles import parse_alarm_log
+from oracles import decide_per_blob, parse_alarm_log
 
 
 def _trace_records(trace):
@@ -803,45 +803,76 @@ class TestDecide:
 
     @pytest.mark.parametrize("camera", ["static", "moving"])
     def test_margins_match_per_blob_oracle(self, synth_artifacts, camera):
-        import pyrovigil.classifier as cl
-        import pyrovigil.codebook as cb
-        from pyrovigil.features import histogram_from_pixels, sample
-        from pyrovigil.imaging import convert
+        from test_features import _scene_blobs
 
-        from test_features import _scene_blobs, whole_frame
-
-        book, model = synth_artifacts["codebook"], synth_artifacts["model"]
-        index = cb.NNIndex(book.centers)
-        params = cb.EncoderParams(m=10, sigma=book.sigma)
         pipeline = self._pipeline(synth_artifacts)
         classified = positives = 0
         for frame, blobs, gray in _scene_blobs(camera, SceneSpec(seed=7)):
-            lab = convert(frame)
-            ctx = whole_frame(frame)[2]
-            want_blobs, want_margins = [], []
-            for blob in blobs:
-                descs = sample(
-                    frame, pipeline.plan, mask=blob.mask, anchor=(blob.x, blob.y), ctx=ctx
-                )
-                if len(descs) == 0:
-                    continue
-                x, y, w, h = blob.bbox
-                ghist = histogram_from_pixels(lab[y : y + h, x : x + w], blob.mask)
-                row = cb.encode(descs, index, params, ghist)
-                margin = float(cl.decision_function(model, row))
-                classified += 1
-                if margin >= 0.0:
-                    want_blobs.append(blob)
-                    want_margins.append(margin)
+            want_blobs, want_margins = decide_per_blob(pipeline, frame, gray, blobs)
+            before = pipeline.stats.classifier_calls
             got_blobs, got_margins = pipeline.decide(frame, gray, blobs)
             assert [id(b) for b in got_blobs] == [id(b) for b in want_blobs]
             assert np.array_equal(
                 np.array(got_margins).view(np.uint64),
                 np.array(want_margins).view(np.uint64),
             )
+            classified += pipeline.stats.classifier_calls - before
             positives += len(want_blobs)
-        assert pipeline.stats.classifier_calls == classified
         assert 0 < positives < classified
+
+    def test_frame_batches_match_per_blob_oracle(self, synth_artifacts):
+        # moving camera, seed 7: the lamp alone, then with the car light,
+        # then with the flame; then a blob with no descriptor between two
+        # with some, and blobs whose LAB windows and table windows overlap
+        from pyrovigil.features import sample_positions
+        from pyrovigil.proposal import Blob, ProposalEngine
+
+        pipeline = self._pipeline(synth_artifacts)
+        scene = SyntheticScene(SceneSpec(seed=7))
+        engine = ProposalEngine(ProposalConfig("moving"), 320, 240)
+        cases = {}
+        for t in range(140):
+            frame = scene.frame(t)
+            blobs, _ = engine.propose(frame)
+            if t in (20, 60, 130):
+                cases[len(blobs)] = (frame, blobs, engine.gray.copy())
+        assert sorted(cases) == [1, 2, 3]
+        frame, blobs, gray = cases[3]
+        speck = Blob(318, 0, 2, 2, 4, 0, np.ones((2, 2), dtype=bool))
+        halves = []
+        for blob in blobs:
+            left = blob.w // 2
+            for x0, x1 in ((0, left), (left, blob.w)):
+                mask = blob.mask[:, x0:x1]
+                if mask.any():
+                    halves.append(Blob(blob.x + x0, blob.y, x1 - x0, blob.h,
+                                       int(mask.sum()), 0, mask.copy()))
+        # the speck sits right before the fire blob, so a fire row paired
+        # with the wrong blob shows
+        [fire], _ = decide_per_blob(pipeline, frame, gray, blobs)
+        others = [b for b in blobs if b is not fire]
+        cases["speck"] = (frame, [others[0], speck, fire, others[1]], gray)
+        cases["halves"] = (frame, halves, gray)
+        positives = 0
+        for name, (frame, blobs, gray) in cases.items():
+            want_blobs, want_margins = decide_per_blob(pipeline, frame, gray, blobs)
+            before = pipeline.stats.classifier_calls
+            got_blobs, got_margins = pipeline.decide(frame, gray, blobs)
+            assert [id(b) for b in got_blobs] == [id(b) for b in want_blobs], name
+            assert np.array_equal(
+                np.array(got_margins).view(np.uint64),
+                np.array(want_margins).view(np.uint64),
+            ), name
+            sampled = [
+                any(len(cxs) for _, cxs, _ in sample_positions(
+                    frame, pipeline.plan, b.mask, (b.x, b.y)))
+                for b in blobs
+            ]
+            assert pipeline.stats.classifier_calls - before == sum(sampled), name
+            if name == "speck":
+                assert sampled == [True, False, True, True]
+            positives += len(got_blobs)
+        assert positives > 0
 
 
 def test_benchmark_trace_targets_exist(monkeypatch):
@@ -876,11 +907,13 @@ def test_benchmark_kernel_cases_run(monkeypatch):
         call()
 
 
-def test_benchmark_end_to_end_run(tmp_path):
-    # a failure in perfbench's input writers, its training child or its
-    # end-to-end path must fail here rather than only in a benchmark run;
-    # the run writes under its checkout's .perfbench/, so it runs from a
-    # copy and leaves the repository's measured results alone
+@pytest.mark.parametrize("workload", ["static_stride5", "moving_stride1"])
+def test_benchmark_end_to_end_run(tmp_path, workload):
+    # a failure in perfbench's input writers, its training child, its
+    # end-to-end path or its reference check must fail here rather than
+    # only in a benchmark run; the run writes under its checkout's
+    # .perfbench/, so it runs from a copy and leaves the repository's
+    # measured results alone
     import json
     import shutil
     import subprocess
@@ -893,7 +926,7 @@ def test_benchmark_end_to_end_run(tmp_path):
             root / part, tmp_path / part, ignore=shutil.ignore_patterns("__pycache__")
         )
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "static_stride5",
+        [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seconds", "0", "--trace", "0"],
         cwd=tmp_path,
         capture_output=True,
