@@ -43,6 +43,10 @@ class Kernel:
 
 
 TOL = 1e-3  # the KKT violation at which SMO stops
+# SMO's iteration caps: `train` raises at its cap, a cross-validation
+# fold is scored as it stands at its own
+MAX_ITER = 200_000
+CV_MAX_ITER = 20_000
 
 MODEL_MAGIC = b"PVSM"
 MODEL_VERSION = 1
@@ -194,16 +198,11 @@ def _fit(K, y, C, max_iter):
 
 
 def train(
-    X,
-    y,
-    kernel: Kernel = Kernel(KernelKind.RBF, 1.0),
-    C: float = 1.0,
-    max_iter: int = 200_000,
-    codebook_fingerprint: Optional[bytes] = None,
+    X, y, kernel: Kernel, C: float, codebook_fingerprint: Optional[bytes] = None
 ) -> TrainedModel:
     """Fit the soft-margin dual by SMO to the (n, dim) rows of X and their
     +/-1 labels y. Raises ConvergenceError (carrying the residual KKT
-    violation) if the iteration cap is hit first.
+    violation) if the iteration cap `MAX_ITER` is hit first.
     """
     X, y = _as_samples(X, y)
     if not np.isfinite(X).all():
@@ -213,11 +212,11 @@ def train(
     if not ((y > 0).any() and (y < 0).any()):
         raise ValueError("need at least one sample of each label")
     alpha, bias, weights, it, violation, trace = _fit(
-        kernel_matrix(kernel, X), y, C, max_iter
+        kernel_matrix(kernel, X), y, C, MAX_ITER
     )
     if violation > TOL:
         raise ConvergenceError(
-            f"SMO did not converge in {max_iter} iterations "
+            f"SMO did not converge in {MAX_ITER} iterations "
             f"(violation {violation:.3e} > tol {TOL:.0e})",
             violation,
         )
@@ -298,14 +297,7 @@ def stratified_folds(y, folds, seed):
 
 
 def cross_validate(
-    X,
-    y,
-    kind: KernelKind = KernelKind.RBF,
-    folds: int = 5,
-    c_values=None,
-    gamma_values=None,
-    seed: int = 0,
-    max_iter: int = 20_000,
+    X, y, kind: KernelKind, folds: int, seed: int, c_values=None, gamma_values=None
 ) -> CVReport:
     """Grid-search (C, gamma) by stratified k-fold accuracy.
 
@@ -313,7 +305,7 @@ def cross_validate(
     axes (gamma collapses to the one value 0 for the linear kernel). Each
     cell fits every fold with the SMO fit `train` makes; each fold's kernel
     blocks are gathered once per gamma and shared by its C values. A fold
-    that reaches `max_iter` is scored as it stands. Deterministic for a
+    that reaches `CV_MAX_ITER` is scored as it stands. Deterministic for a
     fixed seed; the best cell is the first maximum in (C, gamma) scan order.
     """
     if folds < 2:
@@ -345,7 +337,7 @@ def cross_validate(
             K_te = K_full[np.ix_(tr, te)]
             y_tr = y[tr]
             for ci, C in enumerate(c_values):
-                alpha, b, _, _, _, _ = _fit(K_tr, y_tr, C, max_iter)
+                alpha, b, _, _, _, _ = _fit(K_tr, y_tr, C, CV_MAX_ITER)
                 margins = (alpha * y_tr) @ K_te + b
                 correct[ci] += int((np.where(margins >= 0.0, 1.0, -1.0) == y[te]).sum())
         acc[:, gi] = correct / X.shape[0]

@@ -47,10 +47,19 @@ _FOLDS = _checked(int, lambda v: v >= 2, "an integer >= 2")
 _POSITIVE = _checked(float, lambda v: math.isfinite(v) and v > 0, "finite and > 0")
 
 
+def _given(args, *names):
+    """{name: value} of the named flags that are set. The training flags
+    have no defaults here: an unset one is None and is not passed on, so
+    the library's default applies."""
+    return {n: getattr(args, n) for n in names if getattr(args, n) is not None}
+
+
 def _plan_from_args(args) -> SamplingPlan:
+    given = _given(args, "interval", "scales")
     try:
-        scales = tuple(int(s) for s in args.scales.split(","))
-        return SamplingPlan(args.interval, scales)
+        if "scales" in given:
+            given["scales"] = tuple(int(s) for s in given["scales"].split(","))
+        return SamplingPlan(**given)
     except ValueError as e:
         raise ConfigError(f"bad sampling settings: {e}") from None
 
@@ -71,12 +80,7 @@ def _cmd_train_codebook(args) -> int:
     plan = _plan_from_args(args)
     _check_writable(args.out, "codebook")
     train_codebook(
-        args.patches,
-        plan,
-        k=args.k,
-        iterations=args.iterations,
-        seed=args.seed,
-        out_path=args.out,
+        args.patches, plan, out_path=args.out, **_given(args, "k", "iterations", "seed")
     )
     print(f"wrote codebook to {args.out}")
     return 0
@@ -85,21 +89,12 @@ def _cmd_train_codebook(args) -> int:
 def _cmd_train_model(args) -> int:
     _check_writable(args.out, "model")
     book = cb.read_codebook(args.codebook)
-    kind = cl.KernelKind(args.kernel)
+    given = _given(args, "kernel_kind", "C", "gamma", "cv", "folds", "seed", "m")
+    if "kernel_kind" in given:
+        given["kernel_kind"] = cl.KernelKind(given["kernel_kind"])
     plan = _plan_from_args(args)
     _, report = train_model(
-        args.fire,
-        args.nonfire,
-        book,
-        kernel_kind=kind,
-        C=args.C,
-        gamma=args.gamma,
-        cv=args.cv,
-        folds=args.folds,
-        seed=args.seed,
-        plan=plan,
-        m=args.m,
-        out_path=args.out,
+        args.fire, args.nonfire, book, plan=plan, out_path=args.out, **given
     )
     if report.cv is not None:
         print(
@@ -183,11 +178,11 @@ def build_parser() -> argparse.ArgumentParser:
     tc.add_argument("--patches", action="append", required=True,
                     help="patch directory (repeatable)")
     tc.add_argument("--out", required=True)
-    tc.add_argument("--k", type=_POSITIVE_INT, default=500)
-    tc.add_argument("--iterations", type=_POSITIVE_INT, default=50)
-    tc.add_argument("--interval", type=int, default=9)
-    tc.add_argument("--scales", default="9", help="comma-separated kernel sizes")
-    tc.add_argument("--seed", type=_SEED, default=0)
+    tc.add_argument("--k", type=_POSITIVE_INT)
+    tc.add_argument("--iterations", type=_POSITIVE_INT)
+    tc.add_argument("--interval", type=int)
+    tc.add_argument("--scales", help="comma-separated kernel sizes")
+    tc.add_argument("--seed", type=_SEED)
     tc.set_defaults(func=_cmd_train_codebook)
 
     tm = sub.add_parser("train-model", help="train the fire/non-fire SVM")
@@ -195,17 +190,17 @@ def build_parser() -> argparse.ArgumentParser:
     tm.add_argument("--nonfire", required=True)
     tm.add_argument("--codebook", required=True)
     tm.add_argument("--out", required=True)
-    tm.add_argument("--kernel", choices=[k.value for k in cl.KernelKind],
-                    default="rbf")
-    tm.add_argument("--C", type=_POSITIVE, default=10.0)
-    tm.add_argument("--gamma", type=_POSITIVE, default=8.0)
-    tm.add_argument("--cv", action="store_true",
+    tm.add_argument("--kernel", dest="kernel_kind",
+                    choices=[k.value for k in cl.KernelKind])
+    tm.add_argument("--C", type=_POSITIVE)
+    tm.add_argument("--gamma", type=_POSITIVE)
+    tm.add_argument("--cv", action="store_const", const=True,
                     help="grid-search C,gamma by cross-validation")
-    tm.add_argument("--folds", type=_FOLDS, default=5)
-    tm.add_argument("--seed", type=_SEED, default=0)
-    tm.add_argument("--interval", type=int, default=9)
-    tm.add_argument("--scales", default="9")
-    tm.add_argument("--m", type=_POSITIVE_INT, default=10)
+    tm.add_argument("--folds", type=_FOLDS)
+    tm.add_argument("--seed", type=_SEED)
+    tm.add_argument("--interval", type=int)
+    tm.add_argument("--scales")
+    tm.add_argument("--m", type=_POSITIVE_INT)
     tm.set_defaults(func=_cmd_train_model)
 
     dt = sub.add_parser("detect", help="run detection over a frame directory")

@@ -162,7 +162,7 @@ def _plusplus_seed(X, k, rng):
     return centers
 
 
-def kmeans(descriptors, k: int, iterations: int = 50, rng_seed: int = 0) -> Codebook:
+def kmeans(descriptors, k: int, iterations: int, rng_seed: int) -> Codebook:
     """Lloyd's algorithm with k-means++ seeding.
 
     Runs exactly `iterations` passes unless no assignment changes; empty

@@ -76,21 +76,25 @@ def _setting(item: str, where: str):
     return key.strip(), value.strip()
 
 
+_INDOOR = StabilityThresholds.preset("indoor")
+
+
 @dataclass(frozen=True)
 class PipelineConfig(ProposalConfig):
     """Every setting of the cascade; the proposal stage's come from
     `ProposalConfig`. Each field is a config key, under its own name but
-    for `codebook` and `model`. Ranges are checked when the config is
-    built (ValueError); `validate` checks the files."""
+    for `codebook` and `model`. The sampling, encoding and stability
+    settings default to their stages' own defaults. Ranges are checked
+    when the config is built (ValueError); `validate` checks the files."""
 
     codebook_path: str = ""
     model_path: str = ""
     decision_stride: int = 5
-    interval: int = 9
-    scales: Tuple[int, ...] = (9,)
-    m: int = 10
-    t1: float = 0.15
-    t2: float = 0.40
+    interval: int = SamplingPlan.interval
+    scales: Tuple[int, ...] = SamplingPlan.scales
+    m: int = cb.EncoderParams.m
+    t1: float = _INDOOR.t1
+    t2: float = _INDOOR.t2
     iou_threshold: float = 0.3
     track_max_gap: int = 5  # in decision frames, counted in the stream
 
@@ -469,7 +473,7 @@ def train_model(
     folds: int = 5,
     seed: int = 0,
     plan: SamplingPlan = SamplingPlan(),
-    m: int = 10,
+    m: int = cb.EncoderParams.m,
     out_path=None,
     log=print,
 ):

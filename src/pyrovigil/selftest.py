@@ -10,7 +10,7 @@ import numpy as np
 from . import codebook as cb
 from .features import SamplingPlan
 from .frameio import write_ppm
-from .imaging import integral_table
+from .imaging import integral_window
 from .pipeline import DetectionPipeline, PipelineConfig, train_codebook, train_model
 from .synth import SceneSpec, SyntheticScene, fire_patch, nonfire_patch
 
@@ -22,15 +22,21 @@ def _check(name, ok, detail=""):
     return bool(ok)
 
 
+# [r0, r1) x [c0, c1) windows of a 16x16 frame's 17x17 integral table: at
+# the origin, away from it, at the right edge and at the bottom edge
+_INTEGRAL_WINDOWS = ((0, 6, 0, 9), (5, 12, 3, 10), (2, 9, 11, 17), (11, 17, 4, 13))
+
+
 def _integral_check(rng):
+    """Cells of the integral-table windows that detection reads
+    (`integral_window`) against brute-force sums of the pixels."""
     px = rng.integers(0, 256, (16, 16)).astype(np.float64)
-    t = integral_table(px[None])[0]
-    for _ in range(25):
-        x, y = int(rng.integers(0, 16)), int(rng.integers(0, 16))
-        w, h = int(rng.integers(0, 16 - x + 1)), int(rng.integers(0, 16 - y + 1))
-        corners = t[y + h, x + w] - t[y, x + w] - t[y + h, x] + t[y, x]
-        if corners != px[y : y + h, x : x + w].sum():
-            return False
+    for r0, r1, c0, c1 in _INTEGRAL_WINDOWS:
+        t = integral_window(px, r0, r1, c0, c1)
+        for r in range(r0, r1):
+            for c in range(c0, c1):
+                if t[r - r0, c - c0] != px[:r, :c].sum():
+                    return False
     return True
 
 
@@ -49,7 +55,7 @@ def _nn_index_check(rng):
 def run_selftest(quick: bool = False) -> int:
     rng = np.random.default_rng(1234)
     ok = True
-    ok &= _check("integral image vs brute-force sums", _integral_check(rng))
+    ok &= _check("integral-table windows vs brute-force sums", _integral_check(rng))
     ok &= _check("NN index vs linear scan", _nn_index_check(rng))
 
     n_patch = 20 if quick else 60

@@ -134,12 +134,7 @@ class Tracker:
     """Stage 3: follows classifier-positive blobs across decision frames
     and gives each track one verdict once its window is full."""
 
-    def __init__(
-        self,
-        thresholds: StabilityThresholds,
-        iou_threshold: float = 0.3,
-        max_gap: int = 5,
-    ):
+    def __init__(self, thresholds: StabilityThresholds, iou_threshold: float, max_gap: int):
         self.thresholds = thresholds
         self.iou_threshold = iou_threshold
         self.max_gap = max_gap

@@ -37,6 +37,8 @@ from pyrovigil.proposal import extract_blobs
 from oracles import corner_sum
 from test_codebook import brute_force_nn, encode_oracle
 from test_temporal import (
+    GAP,
+    IOU,
     flame_band_blobs,
     flame_band_samples,
     samples_of,
@@ -167,7 +169,7 @@ def test_criterion_5_temporal_logic():
         th = StabilityThresholds(t1, t1 * 2)
         window = [(60.0, 300.0, 75.0, 75.0, 75.0, 75.0)] * 25
         assert classify_stability(*window_stats(window), th) is Stability.STABLE
-        tracker = Tracker(th)
+        tracker = Tracker(th, IOU, GAP)
         assert verdict_frame(tracker, [square_blob(20, 20, 12)] * 25) == (None, [])
         assert tracker.tracks[0].state is TrackState.REJECTED
 
@@ -185,7 +187,7 @@ def test_criterion_5_temporal_logic():
     th = StabilityThresholds(0.15, 0.40)
     for window in (flame_band_samples(), samples_of(flame_band_blobs())):
         assert classify_stability(*window_stats(window), th) is Stability.UNDECIDED
-    tracker = Tracker(th)
+    tracker = Tracker(th, IOU, GAP)
     first, confirmed = verdict_frame(tracker, flame_band_blobs())
     assert first == 24 and confirmed == tracker.tracks
     assert confirmed[0].state is TrackState.FIRE_CONFIRMED

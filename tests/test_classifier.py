@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from pyrovigil import classifier
 from pyrovigil.classifier import (
     Kernel,
     KernelKind,
@@ -273,12 +274,13 @@ class TestTrain:
         with pytest.raises(ValueError, match="C must be finite and > 0"):
             train(X, y, kernel=RBF1, C=C)
 
-    def test_nonconvergence_carries_violation(self, rng):
+    def test_nonconvergence_carries_violation(self, rng, monkeypatch):
         X = rng.normal(size=(40, 4))
         y = np.where(rng.random(40) > 0.5, 1.0, -1.0)
         y[:2], y[2:4] = 1.0, -1.0
+        monkeypatch.setattr(classifier, "MAX_ITER", 2)
         with pytest.raises(ConvergenceError) as exc:
-            train(X, y, kernel=RBF1, C=100.0, max_iter=2)
+            train(X, y, kernel=RBF1, C=100.0)
         assert exc.value.violation > 1e-3
 
 
@@ -331,7 +333,7 @@ class TestCrossValidate:
         X = rng.normal(size=(6, 3))
         y = np.array([1.0, 1.0, 1.0, 1.0, -1.0, -1.0])
         with pytest.raises(ValueError, match="per class"):
-            cross_validate(X, y, KernelKind.RBF, folds=5)
+            cross_validate(X, y, KernelKind.RBF, folds=5, seed=0)
 
     @pytest.mark.parametrize("folds", [0, 1])
     def test_folds_below_two_rejected(self, rng, folds):
@@ -339,7 +341,7 @@ class TestCrossValidate:
         X = rng.normal(size=(12, 3))
         y = np.repeat([1.0, -1.0], 6)
         with pytest.raises(ValueError, match=f"folds must be >= 2, got {folds}"):
-            cross_validate(X, y, KernelKind.RBF, folds=folds)
+            cross_validate(X, y, KernelKind.RBF, folds=folds, seed=0)
 
     def test_linear_collapses_gamma_axis(self, rng):
         X = np.vstack([rng.normal(2, 0.3, (10, 2)), rng.normal(-2, 0.3, (10, 2))])
@@ -351,7 +353,7 @@ class TestCrossValidate:
 
     @pytest.mark.parametrize("max_iter", [20_000, 30], ids=["converged", "capped"])
     @pytest.mark.parametrize("kind", list(KernelKind), ids=lambda k: k.value)
-    def test_matches_the_per_cell_loop(self, kind, max_iter):
+    def test_matches_the_per_cell_loop(self, kind, max_iter, monkeypatch):
         # one fit per fold and C, with the fold's kernel blocks gathered once
         # per gamma; at 30 iterations every fold stops at the cap and is
         # still scored
@@ -360,9 +362,9 @@ class TestCrossValidate:
         y = np.where(X[:, 0] + X[:, 1] + rng.normal(0, 0.3, 70) > 1.0, 1.0, -1.0)
         c_values = 2.0 ** np.arange(-4, 9, 3)
         gamma_values = 2.0 ** np.arange(-6, 3, 2)
+        monkeypatch.setattr(classifier, "CV_MAX_ITER", max_iter)
         report = cross_validate(
-            X, y, kind, c_values=c_values, gamma_values=gamma_values, seed=3,
-            max_iter=max_iter,
+            X, y, kind, folds=5, c_values=c_values, gamma_values=gamma_values, seed=3,
         )
         if kind is KernelKind.LINEAR:
             gamma_values = np.array([0.0])

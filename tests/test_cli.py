@@ -1,11 +1,14 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from pyrovigil.classifier import read_model, train, write_model
+from pyrovigil import cli, selftest
+from pyrovigil.classifier import Kernel, KernelKind, read_model, train, write_model
 from pyrovigil.cli import main
 from pyrovigil.codebook import Codebook, write_codebook
+from pyrovigil.features import SamplingPlan
 from pyrovigil.frameio import write_ppm
 from pyrovigil.pipeline import DetectionPipeline, PipelineConfig, format_alarm
 from pyrovigil.synth import SceneSpec, SyntheticScene, fire_patch, nonfire_patch
@@ -142,6 +145,55 @@ def test_detect_skips_directory_named_like_a_frame(tmp_path, capsys, synth_artif
     assert code == 0
     assert "frames=3" in err
     assert "000009.ppm" in caplog.text
+
+
+def _record_training(monkeypatch):
+    """The (args, kwargs) of each call the CLI makes to `train_codebook`
+    and `train_model`, which do no work."""
+    calls = []
+
+    def record(*args, **kwargs):
+        calls.append((args, kwargs))
+        return None, SimpleNamespace(cv=None)
+
+    monkeypatch.setattr(cli, "train_codebook", record)
+    monkeypatch.setattr(cli, "train_model", record)
+    return calls
+
+
+# an unset flag is not passed on, so the library's default applies; a set
+# one reaches its keyword
+@pytest.mark.parametrize("flags, plan, given", [
+    ([], SamplingPlan(), {}),
+    (["--k", "7", "--iterations", "3", "--interval", "5", "--scales", "9,15",
+      "--seed", "4"],
+     SamplingPlan(5, (9, 15)), {"k": 7, "iterations": 3, "seed": 4}),
+], ids=["unset", "set"])
+def test_train_codebook_passes_only_the_flags_set(tmp_path, monkeypatch, flags, plan, given):
+    calls = _record_training(monkeypatch)
+    out = str(tmp_path / "cb.pvcb")
+    assert main(["train-codebook", "--patches", "P", "--out", out, *flags]) == 0
+    assert calls == [((["P"], plan), {"out_path": out, **given})]
+
+
+@pytest.mark.parametrize("flags, given", [
+    ([], {"plan": SamplingPlan()}),
+    (["--kernel", "chi2", "--C", "2.5", "--gamma", "0.5", "--cv", "--folds", "3",
+      "--seed", "4", "--interval", "5", "--scales", "9,15", "--m", "3"],
+     {"plan": SamplingPlan(5, (9, 15)), "kernel_kind": KernelKind.CHI2, "C": 2.5,
+      "gamma": 0.5, "cv": True, "folds": 3, "seed": 4, "m": 3}),
+], ids=["unset", "set"])
+def test_train_model_passes_only_the_flags_set(tmp_path, monkeypatch, flags, given):
+    calls = _record_training(monkeypatch)
+    book = Codebook(np.eye(3), 0.5)
+    write_codebook(book, tmp_path / "cb.pvcb")
+    out = str(tmp_path / "m.pvsm")
+    assert main(["train-model", "--fire", "F", "--nonfire", "N",
+                 "--codebook", str(tmp_path / "cb.pvcb"), "--out", out, *flags]) == 0
+    [((fire, nonfire, got_book), kwargs)] = calls
+    assert (fire, nonfire) == ("F", "N")
+    assert np.array_equal(got_book.centers, book.centers)
+    assert kwargs == {"out_path": out, **given}
 
 
 def test_bad_scales_flag_is_config_error(tmp_path, capsys):
@@ -489,7 +541,7 @@ def test_detect_with_wrong_sized_model_or_codebook_exits_3(
     book = Codebook(rng.normal(size=(20, book_dim)), 0.5)
     write_codebook(book, cb_path)
     y = np.repeat([1.0, -1.0], 5)
-    write_model(train(rng.normal(size=(10, model_dim)), y,
+    write_model(train(rng.normal(size=(10, model_dim)), y, Kernel(KernelKind.RBF, 1.0), 1.0,
                       codebook_fingerprint=book.fingerprint()), model_path)
     frames_dir = tmp_path / "frames"
     frames_dir.mkdir()
@@ -513,7 +565,8 @@ def test_detect_with_unpaired_model_exits_3(tmp_path, capsys, synth_artifacts):
     book = synth_artifacts["codebook"]
     rng = np.random.default_rng(3)
     model_path = tmp_path / "m.pvsm"
-    write_model(train(rng.normal(size=(10, book.k + 96)), np.repeat([1.0, -1.0], 5)),
+    write_model(train(rng.normal(size=(10, book.k + 96)), np.repeat([1.0, -1.0], 5),
+                      Kernel(KernelKind.RBF, 1.0), 1.0),
                 model_path)
     assert read_model(model_path).codebook_fingerprint is None
     frames_dir = tmp_path / "frames"
@@ -589,6 +642,24 @@ def test_selftest_quick(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "[PASS]" in out and "[FAIL]" not in out
+
+
+@pytest.mark.parametrize("window", selftest._INTEGRAL_WINDOWS,
+                         ids=["origin", "inside", "right edge", "bottom edge"])
+def test_selftest_integral_check_catches_a_shifted_window(monkeypatch, window):
+    # the check reads the windows detection reads; one of them taken a
+    # cell lower (a cell higher at the bottom edge) must fail it
+    real = selftest.integral_window
+
+    def shifted(gray, r0, r1, c0, c1):
+        if (r0, r1, c0, c1) == window:
+            step = 1 if r1 <= gray.shape[0] else -1
+            r0, r1 = r0 + step, r1 + step
+        return real(gray, r0, r1, c0, c1)
+
+    assert selftest._integral_check(np.random.default_rng(0))
+    monkeypatch.setattr(selftest, "integral_window", shifted)
+    assert not selftest._integral_check(np.random.default_rng(0))
 
 
 def test_evaluate_command(tmp_path, capsys):

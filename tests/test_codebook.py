@@ -89,7 +89,7 @@ class TestKMeans:
 
     def test_too_few_descriptors(self, rng):
         with pytest.raises(ValueError, match="at least k"):
-            kmeans(rng.normal(size=(4, 8)), 5)
+            kmeans(rng.normal(size=(4, 8)), 5, iterations=50, rng_seed=0)
 
     def test_duplicates_still_yield_distinct_centers(self, rng):
         base = rng.normal(size=(6, 3))
@@ -122,12 +122,12 @@ class TestKMeans:
     @pytest.mark.parametrize("k", [0, -1])
     def test_k_below_one(self, rng, k):
         with pytest.raises(ValueError, match="k must be >= 1"):
-            kmeans(rng.normal(size=(4, 8)), k)
+            kmeans(rng.normal(size=(4, 8)), k, iterations=50, rng_seed=0)
 
     def test_not_enough_distinct(self):
         X = np.tile(np.array([[1.0, 2.0]]), (10, 1))
         with pytest.raises(ValueError, match="distinct"):
-            kmeans(X, 3)
+            kmeans(X, 3, iterations=50, rng_seed=0)
 
     def test_runs_exactly_requested_iterations(self, rng):
         # hard data (k far below structure) does not converge in 3 passes,

@@ -380,13 +380,13 @@ class TestCascade:
             DetectionPipeline(config)
 
     def test_model_without_fingerprint_is_data_error(self, synth_artifacts, rng):
-        from pyrovigil.classifier import train
+        from pyrovigil.classifier import Kernel, KernelKind, train
 
         # the model takes the codebook's k + 96 features, but carries no
         # fingerprint: it is not known to pair with this codebook
         book = synth_artifacts["codebook"]
         y = np.repeat([1.0, -1.0], 5)
-        model = train(rng.normal(size=(10, book.k + 96)), y)
+        model = train(rng.normal(size=(10, book.k + 96)), y, Kernel(KernelKind.RBF, 1.0), 1.0)
         assert model.codebook_fingerprint is None
         config = PipelineConfig(
             codebook_path=str(synth_artifacts["codebook_path"]),
@@ -402,14 +402,14 @@ class TestCascade:
     def test_wrong_sized_model_or_codebook_is_data_error(
         self, synth_artifacts, rng, book_dim, model_dim, message
     ):
-        from pyrovigil.classifier import train
+        from pyrovigil.classifier import Kernel, KernelKind, train
         from pyrovigil.codebook import Codebook
 
         # each model carries its codebook's fingerprint, so only the sizes
         # tell the mismatch
         book = Codebook(rng.normal(size=(500, book_dim)), sigma=0.5)
         model = train(rng.normal(size=(10, model_dim)), np.repeat([1.0, -1.0], 5),
-                      codebook_fingerprint=book.fingerprint())
+                      Kernel(KernelKind.RBF, 1.0), 1.0, codebook_fingerprint=book.fingerprint())
         config = PipelineConfig(
             codebook_path=str(synth_artifacts["codebook_path"]),
             model_path=str(synth_artifacts["model_path"]),

@@ -3,6 +3,7 @@ import weakref
 import numpy as np
 import pytest
 
+from pyrovigil.pipeline import PipelineConfig
 from pyrovigil.proposal import Blob, extract_blobs
 from pyrovigil.temporal import (
     WINDOW,
@@ -36,6 +37,8 @@ def square_blob(x, y, side):
 
 
 INDOOR = StabilityThresholds.preset("indoor")
+# the tracker takes the pipeline's matching and gap settings as arguments
+IOU, GAP = PipelineConfig.iou_threshold, PipelineConfig.track_max_gap
 
 
 def flame_band_samples():
@@ -193,7 +196,7 @@ class TestStabilityOnSequences:
         # gets no verdict yet
         blobs = [square_blob(20, 20, 10)] * 10
         assert stability_of(samples_of(blobs)) is Stability.STABLE
-        tracker = Tracker(INDOOR)
+        tracker = Tracker(INDOOR, IOU, GAP)
         first, _ = verdict_frame(tracker, blobs)
         assert first is None
         assert len(tracker.tracks[0].samples) == 10
@@ -240,7 +243,7 @@ class TestVerdict:
     window fills, and only then."""
 
     def test_stable_rejected(self):
-        tracker = Tracker(INDOOR)
+        tracker = Tracker(INDOOR, IOU, GAP)
         first, _ = verdict_frame(tracker, [square_blob(20, 20, 10)] * (WINDOW + 5))
         assert first is None
         assert tracker.tracks[0].state is TrackState.REJECTED
@@ -250,35 +253,35 @@ class TestVerdict:
         # track, area ratio sd/mu = 128/272 ~ 0.47 > t2
         blobs = [square_blob(20, 20, (12, 20)[i % 2]) for i in range(WINDOW)]
         assert stability_of(samples_of(blobs)) is Stability.UNSTABLE
-        tracker = Tracker(INDOOR)
+        tracker = Tracker(INDOOR, IOU, GAP)
         first, _ = verdict_frame(tracker, blobs)
         assert first is None
         assert len(tracker.tracks) == 1
         assert tracker.tracks[0].state is TrackState.REJECTED
 
     def test_undecided_confirms_fire(self):
-        tracker = Tracker(INDOOR)
+        tracker = Tracker(INDOOR, IOU, GAP)
         first, confirmed = verdict_frame(tracker, flame_band_blobs())
         assert first == WINDOW - 1  # the frame that fills the window
         assert confirmed == tracker.tracks
         assert confirmed[0].state is TrackState.FIRE_CONFIRMED
 
     def test_partial_buffer_no_transition(self):
-        tracker = Tracker(INDOOR)
+        tracker = Tracker(INDOOR, IOU, GAP)
         verdict_frame(tracker, [square_blob(20, 20, 10)] * (WINDOW - 1))
         assert not tracker.tracks[0].buffer_full
         assert tracker.tracks[0].state is TrackState.PENDING
 
     def test_verdict_only_once(self):
         # a rejected lamp that starts to flicker stays rejected
-        tracker = Tracker(INDOOR)
+        tracker = Tracker(INDOOR, IOU, GAP)
         lamp = [square_blob(20, 20, 20)] * WINDOW
         first, _ = verdict_frame(tracker, lamp + flame_band_blobs() * 2)
         assert first is None
         assert len(tracker.tracks) == 1
         assert tracker.tracks[0].state is TrackState.REJECTED
         # a confirmed flame that goes still is not confirmed again
-        tracker = Tracker(INDOOR)
+        tracker = Tracker(INDOOR, IOU, GAP)
         _, confirmed = verdict_frame(tracker, flame_band_blobs() * 2 + lamp)
         assert len(confirmed) == 1
         assert tracker.tracks[0].state is TrackState.FIRE_CONFIRMED
@@ -288,7 +291,7 @@ class TestAssociate:
     """`Tracker.update` matching blobs onto tracks."""
 
     def test_same_blob_continues_track(self):
-        tracker = Tracker(INDOOR)
+        tracker = Tracker(INDOOR, IOU, GAP)
         tracker.update([square_blob(10, 10, 8)], 0, [0.0])
         tracker.update([square_blob(10, 10, 8)], 1, [0.0])
         assert len(tracker.tracks) == 1
@@ -296,7 +299,7 @@ class TestAssociate:
         assert tracker.tracks[0].last_seen == 1
 
     def test_far_blobs_two_tracks(self):
-        tracker = Tracker(INDOOR)
+        tracker = Tracker(INDOOR, IOU, GAP)
         blobs = [square_blob(0, 0, 5), square_blob(30, 30, 5)]
         tracker.update(blobs, 0, [0.5, 1.5])
         # new tracks start in blob order and carry the blob's margin
@@ -305,7 +308,7 @@ class TestAssociate:
         ]
 
     def test_drifting_blob_single_track(self):
-        tracker = Tracker(INDOOR)
+        tracker = Tracker(INDOOR, IOU, GAP)
         for t in range(WINDOW):
             tracker.update([square_blob(10 + 2 * t, 10, 12)], t, [0.0])  # 2 px/frame drift
         assert len(tracker.tracks) == 1
@@ -315,7 +318,7 @@ class TestAssociate:
         # a flame-band track that vanishes before its window fills is
         # closed without a fire verdict; the blob coming back starts a
         # fresh window under a new id
-        tracker = Tracker(INDOOR, max_gap=5)
+        tracker = Tracker(INDOOR, IOU, max_gap=5)
         blobs = flame_band_blobs()
         confirmed = []
         for t in range(WINDOW - 1):
@@ -332,7 +335,7 @@ class TestAssociate:
     def test_tracks_age_out_during_empty_frames(self):
         # a track unseen for max_gap frames is dropped, not kept for the
         # life of the stream
-        tracker = Tracker(INDOOR, max_gap=5)
+        tracker = Tracker(INDOOR, IOU, max_gap=5)
         tracker.update([square_blob(5, 5, 6)], 0, [0.0])
         track = weakref.ref(tracker.tracks[0])
         tracker.update([], 4, [])
@@ -342,7 +345,7 @@ class TestAssociate:
         assert track() is None
 
     def test_iou_threshold_respected(self):
-        tracker = Tracker(INDOOR)
+        tracker = Tracker(INDOOR, IOU, GAP)
         tracker.update([square_blob(0, 0, 10)], 0, [0.0])
         # far jump: IoU 0 -> same-position track misses, new track spawns
         tracker.update([square_blob(50, 50, 10)], 1, [0.0])
@@ -351,7 +354,7 @@ class TestAssociate:
         a, b = square_blob(0, 0, 10), square_blob(5, 0, 10)
         assert bbox_iou(a.bbox, b.bbox) == 1 / 3
         for threshold, n_tracks in ((1 / 3, 1), (1 / 3 + 1e-9, 2)):
-            tracker = Tracker(INDOOR, iou_threshold=threshold)
+            tracker = Tracker(INDOOR, iou_threshold=threshold, max_gap=GAP)
             tracker.update([a], 0, [0.0])
             tracker.update([b], 1, [0.0])
             assert len(tracker.tracks) == n_tracks
@@ -359,7 +362,7 @@ class TestAssociate:
     def test_best_iou_wins_competing_blobs(self):
         # two blobs overlap one track: the higher IoU continues it, even
         # when listed second; the other starts a new track
-        tracker = Tracker(INDOOR)
+        tracker = Tracker(INDOOR, IOU, GAP)
         tracker.update([square_blob(0, 0, 10)], 0, [0.0])
         near, nearer = square_blob(2, 0, 10), square_blob(1, 0, 10)
         tracker.update([near, nearer], 1, [0.1, 0.2])
@@ -367,7 +370,7 @@ class TestAssociate:
             (1, nearer.bbox, 0.2), (2, near.bbox, 0.1)
         ]
         # on equal IoU the blob listed first wins
-        tracker = Tracker(INDOOR)
+        tracker = Tracker(INDOOR, IOU, GAP)
         tracker.update([square_blob(0, 0, 10)], 0, [0.0])
         below, right = square_blob(0, 1, 10), square_blob(1, 0, 10)
         tracker.update([below, right], 1, [0.0, 0.0])
@@ -384,7 +387,7 @@ class TestAssociate:
 
 class TestTracker:
     def test_static_lamp_rejected_no_confirmation(self):
-        tracker = Tracker(INDOOR)
+        tracker = Tracker(INDOOR, IOU, GAP)
         confirmed = []
         for t in range(WINDOW + 10):
             confirmed += tracker.update([square_blob(20, 20, 10)], t, [0.0])
@@ -392,7 +395,7 @@ class TestTracker:
         assert tracker.tracks[0].state is TrackState.REJECTED
 
     def test_flamelike_confirmed_once(self, rng):
-        tracker = Tracker(INDOOR)
+        tracker = Tracker(INDOOR, IOU, GAP)
         confirmed = []
         for t in range(WINDOW + 15):
             side = 14
@@ -407,7 +410,7 @@ class TestTracker:
 
     def test_determinism(self):
         def run():
-            tracker = Tracker(INDOOR)
+            tracker = Tracker(INDOOR, IOU, GAP)
             states = []
             for t in range(WINDOW + 5):
                 blobs = [square_blob(5, 5, 8), square_blob(40, 40 + t, 8)]
