@@ -304,7 +304,8 @@ class NNIndex:
         q2 = (Q * Q).sum(axis=1)
         approx = q2[:, None] + self._sq - 2.0 * self._dot_centers(Q)
         cand = np.argpartition(approx, m - 1, axis=1)
-        kth = np.take_along_axis(approx, cand[:, m - 1 : m], axis=1)
+        rows = np.arange(Q.shape[0])[:, None]
+        kth = approx[rows, cand[:, m - 1 : m]]
         limit = kth + self._slack * (q2[:, None] + self._sq_max)
         width = int((approx <= limit).sum(axis=1).max(initial=m))
         # the m smallest are the only candidates of every row, unless some
@@ -314,8 +315,7 @@ class NNIndex:
         cand = cand[:, :width]
         d2 = ((self.points[cand] - Q[:, None, :]) ** 2).sum(axis=2)
         order = np.lexsort((cand, d2), axis=1)[:, :m]
-        idx = np.take_along_axis(cand, order, axis=1)
-        return idx, np.sqrt(np.take_along_axis(d2, order, axis=1))
+        return cand[rows, order], np.sqrt(d2[rows, order])
 
 
 # ---------------------------------------------------------------------------

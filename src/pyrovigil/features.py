@@ -151,65 +151,104 @@ def _surf_batch(table, cxs, cys, scale, hmar, sub, weights):
     return out / safe[:, None]
 
 
+# A pixel's local key is its global key shifted right. fl(32 / d) is
+# 4 fl(8 / d) exactly, so a value's 32-bin position is 4 times its 8-bin
+# one, floor(floor(4 s) / 4) = floor(s) for s >= 0, and the clipped ends
+# agree; a channel's column offset, a multiple of 32, shifts to its 8-bin
+# offset.
+LOCAL_KEY_SHIFT = 2
+assert GLOBAL_BINS_PER_CHANNEL == LOCAL_BINS_PER_CHANNEL << LOCAL_KEY_SHIFT
+
+
+@lru_cache(maxsize=None)
 def _lab_bin_params(bins):
     """(lo, inv): the per-channel offset and scale that map a LAB value to
     its bin among `bins` equal bins of the channel's domain."""
     lo = np.array([d[0] for d in LAB_DOMAINS])
     inv = np.array([bins / (d[1] - d[0]) for d in LAB_DOMAINS])
-    return lo, inv
+    return _read_only(lo), _read_only(inv)
 
 
-def _lab_histograms(values, rows, n, lo, inv_width, bins):
-    """(n, 3 * bins) histograms of channel-first LAB values (3, ...): each
-    value goes to the row that `rows`, broadcast against values[0], gives
-    it; values past a domain end go to its end bin, and each channel block
-    is L1-normalized."""
-    per_channel = (3,) + (1,) * (values.ndim - 1)
-    scaled = values - lo.reshape(per_channel)
-    scaled *= inv_width.reshape(per_channel)
-    keys = scaled.astype(np.int64)
-    np.clip(keys, 0, bins - 1, out=keys)
-    # one bincount over (row, channel, bin)
-    keys += np.arange(0, 3 * bins, bins).reshape(per_channel)
-    keys += rows * (3 * bins)
-    counts = np.bincount(keys.ravel(), minlength=n * 3 * bins)
-    counts = counts.reshape(n, 3, bins).astype(np.float64)
-    totals = counts.sum(axis=2, keepdims=True)
-    return (counts / np.maximum(totals, 1.0)).reshape(n, 3 * bins)
+def _bin_keys(values, lo, inv_width, bins):
+    """(3, ...) uint8 keys of (..., 3) LAB values: a value's bin among
+    `bins` equal bins of its channel's domain plus `bins` times its
+    channel, its column in three concatenated per-channel histograms;
+    values past a domain end go to its end bin."""
+    keys = np.empty((3,) + values.shape[:-1], np.uint8)
+    for c in range(3):
+        scaled = values[..., c] - lo[c]
+        scaled *= inv_width[c]
+        # clipped before the truncating cast: the bins of clipping after it
+        keys[c] = np.clip(scaled, 0, bins - 1, out=scaled)
+        keys[c] += c * bins
+    return keys
+
+
+def lab_bin_keys(lab: np.ndarray) -> np.ndarray:
+    """(3, ...) uint8 keys of (..., 3) LAB pixels, channel first: channel
+    c's key is 32 c + its bin among GLOBAL_BINS_PER_CHANNEL equal bins of
+    its `LAB_DOMAINS` range, values past an end in its end bin. A key
+    shifted right by LOCAL_KEY_SHIFT is 8 c + its bin among
+    LOCAL_BINS_PER_CHANNEL."""
+    lo, inv = _lab_bin_params(GLOBAL_BINS_PER_CHANNEL)
+    return _bin_keys(lab, lo, inv, GLOBAL_BINS_PER_CHANNEL)
+
+
+def _normalized(counts, n, width):
+    """(n, width) float64 histograms of the (n * width,) pixel counts of n
+    rows, each channel's block of width // 3 columns L1-normalized. A row
+    without pixels raises ValueError."""
+    counts = counts.reshape(n, 3, width // 3).astype(np.float64)
+    # a pixel counts once in each channel
+    totals = counts[:, :1].sum(axis=2, keepdims=True)
+    if not totals.all():
+        raise ValueError("empty mask region: no pixels to histogram")
+    return (counts / totals).reshape(n, width)
+
+
+def _scope_histograms(keys, corners, widths, scale):
+    """(n, 24) local histograms of kernel scopes from the (3, N) global
+    keys of pixels laid out in rows: scope i is the scale x scale square
+    whose top-left pixel is keys[:, corners[i]], in rows `widths` pixels
+    apart (one width per scope, or one for all)."""
+    n = corners.shape[0]
+    grid = np.arange(scale)
+    idx = corners.reshape(n, 1, 1) + grid[:, None] * np.reshape(widths, (-1, 1, 1)) + grid
+    local = keys[:, idx]
+    local >>= LOCAL_KEY_SHIFT
+    # one bincount over (scope, column)
+    flat = np.arange(0, n * COLOR_DIM, COLOR_DIM).reshape(n, 1, 1) + local
+    return _normalized(np.bincount(flat.ravel(), minlength=n * COLOR_DIM), n, COLOR_DIM)
 
 
 def _local_hist_batch(lab, cxs, cys, scale, lo, inv_width):
     """(n, 24) LAB histograms, 8 bins per channel, of the kernel scopes
-    centered at (cxs, cys), each of which lies inside `lab`; each channel
-    block is L1-normalized."""
-    n = cxs.shape[0]
-    grid = np.arange(scale)
-    ys = (cys - scale // 2)[:, None] + grid
-    xs = (cxs - scale // 2)[:, None] + grid
-    # (3, n, scale, scale): channel first, so the binning runs over long rows
-    values = np.moveaxis(lab, 2, 0)[:, ys[:, :, None], xs[:, None, :]]
-    rows = np.arange(n).reshape(n, 1, 1)
-    return _lab_histograms(values, rows, n, lo, inv_width, LOCAL_BINS_PER_CHANNEL)
+    centered at (cxs, cys), each of which lies inside the (h, w, 3) `lab`;
+    `lo` and `inv_width` map a value to its 8-bin bin. Binned as `sample`
+    bins: at 4 * inv_width into 32-bin keys, which the scopes shift."""
+    width = lab.shape[1]
+    keys = _bin_keys(lab, lo, 4 * inv_width, GLOBAL_BINS_PER_CHANNEL).reshape(3, -1)
+    corners = (cys - scale // 2) * width + cxs - scale // 2
+    return _scope_histograms(keys, corners, width, scale)
 
 
-def histogram_from_pixels(lab: np.ndarray, labels: np.ndarray, n: int) -> np.ndarray:
-    """(n, 96) global histograms of the (..., 3) LAB pixels by their integer
-    `labels` (...): row i bins the pixels labelled i + 1, into three
-    concatenated 32-bin per-channel histograms, each L1-normalized; pixels
-    labelled 0 are left out. A boolean mask labels its true pixels 1.
-    Labels of another shape, and a row without pixels, raise ValueError."""
+def histogram_from_pixels(keys: np.ndarray, labels: np.ndarray, n: int) -> np.ndarray:
+    """(n, 96) global histograms of the (3, ...) keys of LAB pixels
+    (`lab_bin_keys`) by their non-negative integer `labels` (...): row i
+    counts the pixels labelled i + 1, in three concatenated 32-bin
+    per-channel histograms, each L1-normalized; pixels labelled 0 are left
+    out. A boolean mask labels its true pixels 1. Labels of another shape
+    or past n, and a row without pixels, raise ValueError."""
     labels = np.asarray(labels)
-    if labels.shape != lab.shape[:-1]:
+    if labels.shape != keys.shape[1:]:
         raise ValueError(
-            f"labels shape {labels.shape} does not match pixels {lab.shape[:-1]}"
+            f"labels shape {labels.shape} does not match pixels {keys.shape[1:]}"
         )
-    keep = labels > 0
-    owners = labels[keep].astype(np.int64) - 1
-    if np.bincount(owners, minlength=n).min(initial=1) == 0:
-        raise ValueError("empty mask region: no pixels to histogram")
-    lo, inv = _lab_bin_params(GLOBAL_BINS_PER_CHANNEL)
-    values = np.moveaxis(lab[keep], -1, 0)
-    return _lab_histograms(values, owners, n, lo, inv, GLOBAL_BINS_PER_CHANNEL)
+    # one bincount over (label, column); label 0 fills a row dropped here
+    width = 3 * GLOBAL_BINS_PER_CHANNEL
+    flat = labels.astype(np.int64) * width + keys
+    counts = np.bincount(flat.ravel(), minlength=(n + 1) * width)[width:]
+    return _normalized(counts, n, width)
 
 
 class SampleContext:
@@ -224,10 +263,12 @@ class SampleContext:
     box grown on each side by the largest kernel's extent and clipped to
     the frame, which holds every scope its local histograms read. The
     windows' pixels are packed one after another in rows as wide as the
-    frame and converted in one call; a pixel's LAB has the same bits in
-    any such layout. `lab` is that (N, 3) array, `windows` holds each
-    such region's (placements, x0, y0, LAB window) and `labels` the (N,)
-    label of each LAB pixel for `histogram_from_pixels`: 1 + the rank
+    frame, converted in one call and binned once; a pixel's LAB has the
+    same bits in any such layout. `keys` is the (3, N) `lab_bin_keys` of
+    those pixels, `windows` holds each such region's (placements, x0, y0,
+    width, start): its window's left column, top row and width in the
+    frame, and the index in `keys` of its first pixel, and `labels` the
+    (N,) label of each pixel for `histogram_from_pixels`: 1 + the rank
     among the regions with descriptors of the region whose mask marks it,
     0 for none.
     """
@@ -235,7 +276,7 @@ class SampleContext:
     def __init__(self, frame: Frame, gray: np.ndarray, plan: SamplingPlan, regions):
         if frame.space is not ColorSpace.RGB:
             raise ValueError(f"sampling expects an RGB frame, got {frame.space.value}")
-        self.frame, self.gray, self.regions = frame, gray, regions
+        self.frame, self.gray, self.plan, self.regions = frame, gray, plan, regions
         self.placements = [sample_positions(frame, plan, m, a) for m, a in regions]
         self.counts = np.array(
             [sum(cxs.shape[0] for _, cxs, _ in p) for p in self.placements], dtype=np.int64
@@ -251,19 +292,19 @@ class SampleContext:
         ]
         pixels = [frame.pixels[y0:y1, x0:x1].reshape(-1, 3) for x0, y0, x1, y1 in boxes]
         total = sum(p.shape[0] for p in pixels)
-        self.lab = np.zeros((0, 3))
+        self.keys = np.zeros((3, 0), np.uint8)
         if total:
             packed = np.zeros((-(-total // frame.width) * frame.width, 3), np.uint8)
             np.concatenate(pixels, out=packed[:total])
             rgb = Frame(packed.reshape(-1, frame.width, 3), ColorSpace.RGB, frame.index)
-            self.lab = convert(rgb).reshape(-1, 3)[:total]
+            self.keys = lab_bin_keys(convert(rgb)).reshape(3, -1)[:, :total]
         self.labels = np.zeros(total, np.int64)
         self.windows = []
         start = 0
         for i, (((mask, (rx, ry)), placements), box) in enumerate(zip(kept, boxes)):
             x0, y0, x1, y1 = box
             shape, end = (y1 - y0, x1 - x0), start + (y1 - y0) * (x1 - x0)
-            self.windows.append((placements, x0, y0, self.lab[start:end].reshape(*shape, 3)))
+            self.windows.append((placements, x0, y0, x1 - x0, start))
             labels = self.labels[start:end].reshape(shape)[ry - y0 :, rx - x0 :]
             labels[: mask.shape[0], : mask.shape[1]][mask] = i + 1
             start = end
@@ -310,32 +351,49 @@ def sample(ctx: SampleContext) -> np.ndarray:
     SURF vector fills columns 0:64 and the local color histogram 64:88.
 
     A region whose grid holds no fitting kernel yields no rows, as does a
-    frame too small for any kernel. Each (region, scale) reads its SURF
-    box sums from its own window of the integral table: the cells that
-    its kernels read, computed with the full table's bits.
+    frame too small for any kernel. Each scale takes one SURF batch and
+    one scope count for all regions. A region reads its SURF box sums
+    from its own window of the integral table: the cells that its kernels
+    read, computed with the full table's bits. The windows are stacked
+    into one zero-padded table, each below the one before it, and no
+    kernel reads past its own. The scopes count the context's keys
+    shifted to their 8-bin keys.
     """
     out = np.empty((int(ctx.counts.sum()), DESCRIPTOR_DIM))
-    lo, inv = _lab_bin_params(LOCAL_BINS_PER_CHANNEL)
-    row = 0
-    for placements, x0, y0, lab in ctx.windows:
-        for scale, cxs, cys in placements:
+    scales = ctx.plan.scales
+    # the first row of each (region, scale): rows go region, scale, center
+    sizes = [cxs.shape[0] for placements, *_ in ctx.windows for _, cxs, _ in placements]
+    firsts = np.cumsum([0] + sizes)[:-1].reshape(len(ctx.windows), len(scales))
+    for j, scale in enumerate(scales):
+        hmar, half = haar_margin(scale), scale // 2
+        cells = scale + 2 * hmar + 1
+        parts, tables, depth = [], [], 0
+        for (placements, x0, y0, width, start), first in zip(ctx.windows, firsts[:, j]):
+            _, cxs, cys = placements[j]
             n = cxs.shape[0]
             if n == 0:
                 continue
             # every table cell the kernels read: a kernel reads the square
             # of side `cells` from its cell (cy - scale//2 - hmar, cx - ...)
-            hmar = haar_margin(scale)
-            cells = scale + 2 * hmar + 1
-            top, left = cys.min() - scale // 2 - hmar, cxs.min() - scale // 2 - hmar
-            bottom = cys.max() - scale // 2 - hmar + cells
-            right = cxs.max() - scale // 2 - hmar + cells
-            table = integral_window(ctx.gray, top, bottom, left, right)
-            out[row : row + n, :SURF_DIM] = _surf_batch(
-                table, cxs - left, cys - top, scale, hmar,
-                _subregion_lut(scale), _gauss_weights(scale),
-            )
-            out[row : row + n, SURF_DIM:] = _local_hist_batch(
-                lab, cxs - x0, cys - y0, scale, lo, inv
-            )
-            row += n
+            top, left = cys.min() - half - hmar, cxs.min() - half - hmar
+            bottom, right = cys.max() - half - hmar + cells, cxs.max() - half - hmar + cells
+            tables.append(integral_window(ctx.gray, top, bottom, left, right))
+            parts.append((
+                cxs - left, cys - top + depth,
+                start + (cys - half - y0) * width + cxs - half - x0, np.full(n, width),
+                np.arange(first, first + n),
+            ))
+            depth += bottom - top
+        if not parts:
+            continue
+        cxs, cys, corners, widths, rows = map(np.concatenate, zip(*parts))
+        table = np.zeros((depth, max(t.shape[1] for t in tables)))
+        depth = 0
+        for t in tables:
+            table[depth : depth + t.shape[0], : t.shape[1]] = t
+            depth += t.shape[0]
+        out[rows, :SURF_DIM] = _surf_batch(
+            table, cxs, cys, scale, hmar, _subregion_lut(scale), _gauss_weights(scale)
+        )
+        out[rows, SURF_DIM:] = _scope_histograms(ctx.keys, corners, widths, scale)
     return out

@@ -377,7 +377,7 @@ def _encode_regions(ctx: SampleContext, descs, nn_index: cb.NNIndex, params: cb.
     """The (k + 96,) feature rows of the context's regions that have
     descriptors, in order, from the descriptors `sample(ctx)` gave."""
     counts = ctx.counts[ctx.counts > 0]
-    ghists = histogram_from_pixels(ctx.lab, ctx.labels, counts.size)
+    ghists = histogram_from_pixels(ctx.keys, ctx.labels, counts.size)
     return cb.encode(descs, counts, nn_index, params, ghists)
 
 

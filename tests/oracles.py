@@ -16,18 +16,19 @@ from pyrovigil.classifier import (
 import pyrovigil.classifier as cl
 import pyrovigil.codebook as cb
 from pyrovigil.features import (
+    DESCRIPTOR_DIM,
+    GLOBAL_BINS_PER_CHANNEL,
     LOCAL_BINS_PER_CHANNEL,
     _gauss_weights,
     _lab_bin_params,
-    _local_hist_batch,
     _subregion_lut,
     _surf_batch,
     haar_margin,
-    histogram_from_pixels,
     sample_positions,
 )
 from pyrovigil.imaging import (
-    _D65, _SRGB_TO_XYZ, _lab_f, _srgb_channel_to_linear, integral_table, rgb_to_lab,
+    _D65, _SRGB_TO_XYZ, _lab_f, _srgb_channel_to_linear, integral_table, integral_window,
+    rgb_to_lab,
 )
 from pyrovigil.pipeline import AlarmEvent
 from pyrovigil.proposal import ProposalConfig, _bg_update
@@ -142,8 +143,9 @@ def integral_loops(gray):
 def decide_per_blob(pipeline, frame, gray, blobs):
     """`DetectionPipeline.decide` one blob at a time, as it ran before it
     took a frame's blobs together: SURF from the full frame's integral
-    table, one LAB conversion of each blob's window, and one neighbor
-    query and one encoding per blob. (fire blobs, their margins)."""
+    table, one LAB conversion of each blob's window, its histograms
+    binned directly from it, and one neighbor query and one encoding per
+    blob. (fire blobs, their margins)."""
     table = integral_table(gray[np.newaxis])[0]
     plan = pipeline.plan
     largest = max(plan.scales)
@@ -159,7 +161,7 @@ def decide_per_blob(pipeline, frame, gray, blobs):
             np.hstack([
                 _surf_batch(table, cxs, cys, scale, haar_margin(scale),
                             _subregion_lut(scale), _gauss_weights(scale)),
-                _local_hist_batch(lab, cxs - x0, cys - y0, scale, lo, inv),
+                local_hist_direct(lab, cxs - x0, cys - y0, scale, lo, inv),
             ])
             for scale, cxs, cys in sample_positions(frame, plan, blob.mask, (blob.x, blob.y))
             if len(cxs)
@@ -168,13 +170,93 @@ def decide_per_blob(pipeline, frame, gray, blobs):
             continue
         descs = np.concatenate(rows)
         box = lab[blob.y - y0 : blob.y - y0 + blob.h, blob.x - x0 : blob.x - x0 + blob.w]
-        ghist = histogram_from_pixels(box, blob.mask, 1)
+        ghist = global_hist_direct(box, blob.mask)[None]
         row = cb.encode(descs, [len(descs)], pipeline.index, pipeline.params, ghist)[0]
         label, margin = cl.predict(pipeline.model, row)
         if label > 0:
             fire.append(blob)
             margins.append(margin)
     return fire, margins
+
+
+def lab_histograms_direct(values, rows, n, lo, inv_width, bins):
+    """(n, 3 * bins) histograms of channel-first LAB values (3, ...), each
+    value binned at `bins` per channel on its own and counted in the row
+    that `rows`, broadcast against values[0], gives it: the binning that
+    one shared 32-bin key per pixel replaced, whose histograms it must
+    keep bit for bit."""
+    per_channel = (3,) + (1,) * (values.ndim - 1)
+    scaled = values - lo.reshape(per_channel)
+    scaled *= inv_width.reshape(per_channel)
+    keys = scaled.astype(np.int64)
+    np.clip(keys, 0, bins - 1, out=keys)
+    keys += np.arange(0, 3 * bins, bins).reshape(per_channel)
+    keys += rows * (3 * bins)
+    counts = np.bincount(keys.ravel(), minlength=n * 3 * bins)
+    counts = counts.reshape(n, 3, bins).astype(np.float64)
+    totals = counts.sum(axis=2, keepdims=True)
+    return (counts / np.maximum(totals, 1.0)).reshape(n, 3 * bins)
+
+
+def local_hist_direct(lab, cxs, cys, scale, lo, inv_width):
+    """(n, 24) 8-bin LAB histograms of the kernel scopes centered at
+    (cxs, cys) inside the (h, w, 3) `lab`, binned directly at 8 bins."""
+    n = cxs.shape[0]
+    grid = np.arange(scale)
+    ys = (cys - scale // 2)[:, None] + grid
+    xs = (cxs - scale // 2)[:, None] + grid
+    values = np.moveaxis(lab, 2, 0)[:, ys[:, :, None], xs[:, None, :]]
+    rows = np.arange(n).reshape(n, 1, 1)
+    return lab_histograms_direct(values, rows, n, lo, inv_width, LOCAL_BINS_PER_CHANNEL)
+
+
+def global_hist_direct(lab, mask):
+    """(96,) 32-bin LAB histogram of the (h, w, 3) pixels that `mask` marks,
+    binned directly at 32 bins."""
+    values = np.moveaxis(lab[mask], -1, 0)
+    lo, inv = _lab_bin_params(GLOBAL_BINS_PER_CHANNEL)
+    rows = np.zeros(values.shape[1], np.int64)
+    return lab_histograms_direct(values, rows, 1, lo, inv, GLOBAL_BINS_PER_CHANNEL)[0]
+
+
+def sample_per_region(ctx):
+    """`features.sample` and the global histograms of a `SampleContext`'s
+    regions, as they ran before each scale took one SURF batch and one
+    scope count for all regions: per region, the LAB of its window
+    converted on its own and its global histogram binned from it; per
+    (region, scale), its own integral-table window, SURF batch and
+    directly binned local histograms. (descriptors, (m, 96) global
+    histograms of the m regions with descriptors)."""
+    frame, gray, plan = ctx.frame, ctx.gray, ctx.plan
+    largest = max(plan.scales)
+    before, after = largest // 2, largest - 1 - largest // 2
+    lo, inv = _lab_bin_params(LOCAL_BINS_PER_CHANNEL)
+    rows, ghists = [], []
+    for (mask, (rx, ry)), placements in zip(ctx.regions, ctx.placements):
+        if not any(len(cxs) for _, cxs, _ in placements):
+            continue
+        x0, y0 = max(0, rx - before), max(0, ry - before)
+        x1 = min(frame.width, rx + mask.shape[1] + after)
+        y1 = min(frame.height, ry + mask.shape[0] + after)
+        lab = rgb_to_lab(frame.pixels[y0:y1, x0:x1])
+        for scale, cxs, cys in placements:
+            if len(cxs) == 0:
+                continue
+            hmar = haar_margin(scale)
+            cells = scale + 2 * hmar + 1
+            top, left = cys.min() - scale // 2 - hmar, cxs.min() - scale // 2 - hmar
+            bottom = cys.max() - scale // 2 - hmar + cells
+            right = cxs.max() - scale // 2 - hmar + cells
+            table = integral_window(gray, top, bottom, left, right)
+            rows.append(np.hstack([
+                _surf_batch(table, cxs - left, cys - top, scale, hmar,
+                            _subregion_lut(scale), _gauss_weights(scale)),
+                local_hist_direct(lab, cxs - x0, cys - y0, scale, lo, inv),
+            ]))
+        box = lab[ry - y0 : ry - y0 + mask.shape[0], rx - x0 : rx - x0 + mask.shape[1]]
+        ghists.append(global_hist_direct(box, mask))
+    descs = np.concatenate(rows) if rows else np.empty((0, DESCRIPTOR_DIM))
+    return descs, np.array(ghists).reshape(-1, 3 * GLOBAL_BINS_PER_CHANNEL)
 
 
 def plusplus_seed_loop(X, k, rng):

@@ -11,7 +11,7 @@ import numpy as np
 
 from pyrovigil import codebook as cb
 from pyrovigil import classifier as cl
-from pyrovigil.features import SamplingPlan, histogram_from_pixels
+from pyrovigil.features import SamplingPlan, histogram_from_pixels, lab_bin_keys
 from pyrovigil.frameio import write_ppm
 from pyrovigil.imaging import ColorSpace, Frame, convert, integral
 from pyrovigil.pipeline import (
@@ -145,7 +145,7 @@ def test_criterion_4_normalization_invariants():
     for trial in range(100):
         img = rng.integers(0, 256, (20, 24, 3)).astype(np.uint8)
         lab = convert(Frame(img, ColorSpace.RGB))
-        hist = histogram_from_pixels(lab, np.ones((20, 24), dtype=bool), 1)
+        hist = histogram_from_pixels(lab_bin_keys(lab), np.ones((20, 24), dtype=bool), 1)
         assert abs(hist.sum() - 3.0) <= 1e-9
         n = int(rng.integers(1, 60))
         D = rng.normal(size=(n, 88))

@@ -6,6 +6,7 @@ import pytest
 from pyrovigil.features import (
     GLOBAL_BINS_PER_CHANNEL,
     LOCAL_BINS_PER_CHANNEL,
+    LOCAL_KEY_SHIFT,
     SampleContext,
     SamplingPlan,
     _center_span,
@@ -16,6 +17,7 @@ from pyrovigil.features import (
     _surf_batch,
     haar_margin,
     histogram_from_pixels,
+    lab_bin_keys,
     sample,
     sample_positions,
 )
@@ -25,7 +27,9 @@ from pyrovigil.imaging import (
 from pyrovigil.proposal import Blob, ProposalConfig, ProposalEngine
 from pyrovigil.synth import SceneSpec, SyntheticScene
 
-from oracles import integral_loops, kernel_fits, surf_batch_gathers
+from oracles import (
+    integral_loops, kernel_fits, local_hist_direct, sample_per_region, surf_batch_gathers,
+)
 from test_imaging import _ref_lab
 
 
@@ -132,7 +136,7 @@ def _random_lab(rng, height, width):
 class TestGlobalHistogram:
     def test_uniform_midgray_single_bins(self):
         lab = np.tile([50.0, 0.0, 0.0], (8, 8, 1))
-        hist = histogram_from_pixels(lab, np.ones(lab.shape[:2], dtype=bool), 1)[0]
+        hist = histogram_from_pixels(lab_bin_keys(lab), np.ones(lab.shape[:2], dtype=bool), 1)[0]
         for c in range(3):
             block = hist[c * 32 : c * 32 + 32]
             assert (block > 0).sum() == 1
@@ -141,14 +145,14 @@ class TestGlobalHistogram:
     def test_total_mass_is_three(self, rng):
         img = rng.integers(0, 256, (20, 30, 3)).astype(np.uint8)
         lab = convert(Frame(img, ColorSpace.RGB))
-        hist = histogram_from_pixels(lab, np.ones(lab.shape[:2], dtype=bool), 1)[0]
+        hist = histogram_from_pixels(lab_bin_keys(lab), np.ones(lab.shape[:2], dtype=bool), 1)[0]
         assert abs(hist.sum() - 3.0) <= 1e-9
         assert (hist >= 0).all()
 
     def test_two_pixel_split(self):
         # L values 10 and 90 land in different bins: 0.5 each
         lab = np.array([[[10.0, 0.0, 0.0], [90.0, 0.0, 0.0]]])
-        hist = histogram_from_pixels(lab, np.ones(lab.shape[:2], dtype=bool), 1)[0]
+        hist = histogram_from_pixels(lab_bin_keys(lab), np.ones(lab.shape[:2], dtype=bool), 1)[0]
         block = hist[:32]
         assert sorted(block[block > 0].tolist()) == [0.5, 0.5]
         assert block[int(10 / 100 * 32)] == 0.5
@@ -158,18 +162,25 @@ class TestGlobalHistogram:
         lab = _random_lab(rng, 6, 6)
         mask = np.zeros((6, 6), dtype=bool)
         mask[0, 0] = True
-        hist = histogram_from_pixels(lab, mask, 1)[0]
+        hist = histogram_from_pixels(lab_bin_keys(lab), mask, 1)[0]
         assert (hist > 0).sum() == 3
 
     def test_empty_mask_errors(self):
         with pytest.raises(ValueError, match="empty mask"):
-            histogram_from_pixels(np.zeros((4, 4, 3)), np.zeros((4, 4), dtype=bool), 1)
+            histogram_from_pixels(lab_bin_keys(np.zeros((4, 4, 3))), np.zeros((4, 4), dtype=bool), 1)
+
+    def test_label_past_n_raises(self):
+        keys = lab_bin_keys(np.zeros((2, 3, 3)))
+        labels = np.array([[1, 1, 0], [0, 2, 2]])
+        assert histogram_from_pixels(keys, labels, 2).shape == (2, 96)
+        with pytest.raises(ValueError):
+            histogram_from_pixels(keys, labels, 1)
 
     def test_matches_per_pixel_oracle(self, rng):
         lab = _random_lab(rng, 23, 31)
         mask = rng.random((23, 31)) < 0.4
         for m in (mask, np.ones((23, 31), bool)):
-            got = histogram_from_pixels(lab, m, 1)[0]
+            got = histogram_from_pixels(lab_bin_keys(lab), m, 1)[0]
             want = global_hist_oracle(lab, m)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -277,6 +288,61 @@ class TestLocalColorHistogram:
         got = _local_hist_batch(lab, cxs, cys, scale, lo, inv)
         want = local_hist_oracle(lab, cxs, cys, scale, lo, inv)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _ulps_around(values, steps=3):
+    """Each value and the `steps` floats on either side of it."""
+    out = [values]
+    for direction in (-np.inf, np.inf):
+        v = values
+        for _ in range(steps):
+            v = np.nextafter(v, direction)
+            out.append(v)
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("channel", [0, 1, 2])
+def test_local_keys_are_global_keys_shifted(channel):
+    # at every 32-bin edge, at both ends of the channel's domain and past
+    # them, the 8-bin key binned directly is the 32-bin key shifted right
+    lo, hi = LAB_DOMAINS[channel]
+    width = hi - lo
+    edges = lo + width * np.arange(-3, 36) / GLOBAL_BINS_PER_CHANNEL
+    values = _ulps_around(np.concatenate([
+        edges, [lo, hi, lo - 1.0, hi + 1.0, lo - width, hi + width, lo - 1e6, hi + 1e6],
+    ]))
+    lab = np.tile([d[0] for d in LAB_DOMAINS], (values.size, 1))
+    lab[:, channel] = values
+    keys = lab_bin_keys(lab)[channel].astype(np.int64)
+    for bins, got in ((GLOBAL_BINS_PER_CHANNEL, keys),
+                      (LOCAL_BINS_PER_CHANNEL, keys >> LOCAL_KEY_SHIFT)):
+        base, inv = _lab_bin_params(bins)
+        direct = ((values - base[channel]) * inv[channel]).astype(np.int64)
+        want = np.clip(direct, 0, bins - 1) + channel * bins
+        assert np.array_equal(got, want), bins
+    # every bin is reached, and the ends are clipped into the end bins
+    assert set((keys - channel * GLOBAL_BINS_PER_CHANNEL).tolist()) == set(range(32))
+
+
+def test_local_hist_batch_keeps_its_values_on_the_benchmark_case(monkeypatch):
+    # perfbench/kernels.py times `_local_hist_batch` on a full frame of
+    # random LAB with its own 8-bin bounds; the shared 32-bin keys must
+    # give that case the histograms of direct 8-bin binning
+    import inspect
+    from pathlib import Path
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from kernels import _cases
+
+    [call] = [c for name, c in _cases(np.random.default_rng(7))
+              if name == "features.kernel_local_hist_ms"]
+    case = inspect.getclosurevars(call).nonlocals
+    want = local_hist_direct(
+        case["lab"], case["cxs"], case["cys"], case["scale"], case["lo"], case["inv"]
+    )
+    got = call()
+    assert got.shape == (case["cxs"].shape[0], 24)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("scale", [9, 15, 21])
@@ -481,7 +547,7 @@ def _full_frame_blob_features(frame, plan, blob):
         colors = _local_hist_batch(lab, cxs, cys, scale, lo, inv)
         for j in range(cxs.shape[0]):
             out.append(((int(cxs[j]), int(cys[j])), scale, np.concatenate([surfs[j], colors[j]])))
-    bins = histogram_from_pixels(lab, mask, 1)[0] if out else None
+    bins = histogram_from_pixels(lab_bin_keys(lab), mask, 1)[0] if out else None
     return out, bins
 
 
@@ -549,7 +615,7 @@ class TestWindowedSampling:
         ctx = SampleContext(frame, gray, plan, [(b.mask, (b.x, b.y)) for b in blobs])
         descs = np.split(sample(ctx), np.cumsum(ctx.counts)[:-1])
         kept = int((ctx.counts > 0).sum())
-        bins = iter(histogram_from_pixels(ctx.lab, ctx.labels, kept))
+        bins = iter(histogram_from_pixels(ctx.keys, ctx.labels, kept))
         for blob, got in zip(blobs, descs):
             want, want_bins = _full_frame_blob_features(frame, plan, blob)
             placements = sample_positions(frame, plan, mask=blob.mask, anchor=(blob.x, blob.y))
@@ -643,3 +709,27 @@ class TestWindowedSampling:
         first, last = sampled.index(1), len(sampled) - 1 - sampled[::-1].index(1)
         assert 0 in sampled[first:last]
         assert self._check(frame, plan, blobs, gray) == sum(sampled)
+
+    def test_two_scale_plan_matches_per_region_loop(self, rng):
+        # one SURF batch and one scope count per scale, for three regions
+        # of which the middle one, beside the frame's left edge, fits the
+        # 9-pixel kernel but not the 15-pixel one, against one of each per
+        # (region, scale)
+        frame = SyntheticScene(SceneSpec(seed=11)).frame(120)
+        plan = SamplingPlan(interval=4, scales=(9, 15))
+        masks = [
+            np.ones((30, 30), dtype=bool),
+            np.ones((40, 4), dtype=bool),
+            rng.random((25, 41)) < 0.7,
+        ]
+        regions = list(zip(masks, [(100, 80), (5, 100), (200, 150)]))
+        ctx = SampleContext(frame, luma(frame.pixels), plan, regions)
+        per_scale = [[len(cxs) for _, cxs, _ in p] for p in ctx.placements]
+        assert all(n > 0 for n in per_scale[0] + per_scale[2])
+        assert per_scale[1][0] > 0 and per_scale[1][1] == 0
+        want, want_bins = sample_per_region(ctx)
+        got = sample(ctx)
+        assert got.shape == want.shape == (ctx.counts.sum(), 88)
+        assert np.array_equal(_bits(got), _bits(want))
+        bins = histogram_from_pixels(ctx.keys, ctx.labels, 3)
+        assert np.array_equal(_bits(bins), _bits(want_bins))

@@ -1,6 +1,8 @@
+import functools
 import io
 import json
 import time
+from collections import Counter
 from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
@@ -29,7 +31,7 @@ from pyrovigil.proposal import ProposalConfig
 from pyrovigil.synth import SceneSpec, SyntheticScene, fire_patch
 
 from noise_patches import blue_noise_patch, red_noise_patch
-from oracles import decide_per_blob, parse_alarm_log
+from oracles import decide_per_blob, parse_alarm_log, sample_per_region
 
 
 def _trace_records(trace):
@@ -746,16 +748,84 @@ class TestCascade:
         assert on_flame, f"no alarm on the flame; alarms: {alarms}"
 
 
+@functools.lru_cache(maxsize=None)
+def _frames_by_blob_count():
+    """{1, 2, 3: (frame, blobs, luma)} of the moving camera's seed-7 scene:
+    the lamp alone (frame 20), with the car light (60), and with the flame
+    (130)."""
+    from pyrovigil.proposal import ProposalEngine
+
+    scene = SyntheticScene(SceneSpec(seed=7))
+    engine = ProposalEngine(ProposalConfig("moving"), 320, 240)
+    cases = {}
+    for t in range(131):
+        frame = scene.frame(t)
+        blobs, _ = engine.propose(frame)
+        if t in (20, 60, 130):
+            cases[len(blobs)] = (frame, blobs, engine.gray.copy())
+    assert sorted(cases) == [1, 2, 3]
+    return cases
+
+
 class TestDecide:
     """The decision stage on its own: one frame's blobs in, the fire blobs
     and their SVM margins out."""
 
-    def _pipeline(self, synth_artifacts):
+    def _pipeline(self, synth_artifacts, **settings):
         config = PipelineConfig(
             codebook_path=str(synth_artifacts["codebook_path"]),
             model_path=str(synth_artifacts["model_path"]),
+            **settings,
         ).validate()
         return DetectionPipeline(config)
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_frame_rows_match_per_region_loop(self, synth_artifacts, count):
+        # one SURF batch and one scope count per scale for all of a frame's
+        # blobs give each descriptor row, and so each feature row, the bits
+        # of one of each per (blob, scale)
+        import pyrovigil.codebook as cb
+        from pyrovigil.features import SampleContext, sample
+        from pyrovigil.pipeline import _encode_regions
+
+        pipeline = self._pipeline(synth_artifacts)
+        frame, blobs, gray = _frames_by_blob_count()[count]
+        ctx = SampleContext(frame, gray, pipeline.plan, [(b.mask, (b.x, b.y)) for b in blobs])
+        descs = sample(ctx)
+        want_descs, want_bins = sample_per_region(ctx)
+        assert (ctx.counts > 0).sum() == count
+        assert descs.shape == want_descs.shape
+        assert np.array_equal(descs.view(np.uint64), want_descs.view(np.uint64))
+        got = _encode_regions(ctx, descs, pipeline.index, pipeline.params)
+        want = cb.encode(want_descs, ctx.counts, pipeline.index, pipeline.params, want_bins)
+        assert got.shape == (count, pipeline.index.size + 96)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("scales", [(9,), (9, 15)], ids=["9", "9+15"])
+    def test_three_blob_frame_takes_one_batch_per_scale(
+        self, synth_artifacts, monkeypatch, scales
+    ):
+        # a decision frame with three blobs converts its LAB once and runs
+        # one SURF batch and one scope count per scale, not one per blob
+        import pyrovigil.features as fe
+
+        pipeline = self._pipeline(synth_artifacts, scales=scales)
+        frame, blobs, gray = _frames_by_blob_count()[3]
+        for j in range(len(scales)):
+            assert all(len(fe.sample_positions(frame, pipeline.plan, b.mask, (b.x, b.y))[j][1])
+                       for b in blobs)
+        calls = Counter()
+        for name in ("_surf_batch", "_scope_histograms", "convert"):
+            def counted(*args, _name=name, _call=getattr(fe, name), **kwargs):
+                calls[_name] += 1
+                return _call(*args, **kwargs)
+
+            monkeypatch.setattr(fe, name, counted)
+        pipeline.decide(frame, gray, blobs)
+        assert pipeline.stats.classifier_calls == 3
+        assert calls == {
+            "_surf_batch": len(scales), "_scope_histograms": len(scales), "convert": 1,
+        }
 
     def test_no_blobs_no_work(self, synth_artifacts, monkeypatch):
         import pyrovigil.classifier as cl
@@ -825,18 +895,10 @@ class TestDecide:
         # then with the flame; then a blob with no descriptor between two
         # with some, and blobs whose LAB windows and table windows overlap
         from pyrovigil.features import sample_positions
-        from pyrovigil.proposal import Blob, ProposalEngine
+        from pyrovigil.proposal import Blob
 
         pipeline = self._pipeline(synth_artifacts)
-        scene = SyntheticScene(SceneSpec(seed=7))
-        engine = ProposalEngine(ProposalConfig("moving"), 320, 240)
-        cases = {}
-        for t in range(140):
-            frame = scene.frame(t)
-            blobs, _ = engine.propose(frame)
-            if t in (20, 60, 130):
-                cases[len(blobs)] = (frame, blobs, engine.gray.copy())
-        assert sorted(cases) == [1, 2, 3]
+        cases = dict(_frames_by_blob_count())
         frame, blobs, gray = cases[3]
         speck = Blob(318, 0, 2, 2, 4, 0, np.ones((2, 2), dtype=bool))
         halves = []
